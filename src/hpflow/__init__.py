@@ -7,7 +7,6 @@ conservation monitoring, and moving-frame curve reconstruction.
 """
 
 from .biham_ops import (
-    AuxFields,
     CovectorPair,
     FlowPair,
     HierarchyFunctional,

@@ -112,15 +112,6 @@ class CovectorPair(_Pair):
         self._validate()
 
 
-@dataclass
-class AuxFields:
-    """Nonlocal parallel parts: real h_par, imaginary w_par, anti-Hermitian W_par."""
-
-    h_par: Field
-    w_par: Field
-    W_par: Field
-
-
 def make_state(grid: PeriodicGrid, u_values, bu_values) -> StatePair:
     return StatePair(Field(grid, u_values, "iquat"), Field(grid, bu_values, "qvec"))
 

@@ -221,10 +221,14 @@ def cmd_simulate(args) -> int:
         if cfg["output"].get("map_check", True) and sim.flow in ("mkdv", "sg"):
             steps = 10
             dt_check = min(sim.dt, 1e-3 if sim.flow == "sg" else sim.dt)
-            ftraj = cg.evolve_with_frame(
-                traj.states[-1], sim.flow, dt_check, steps,
-                branch=sim.sg_branch, sg_mode=sim.sg_mode, sg_refine=sim.sg_refine,
-            )
+            try:
+                ftraj = cg.evolve_with_frame(
+                    traj.states[-1], sim.flow, dt_check, steps,
+                    branch=sim.sg_branch, sg_mode=sim.sg_mode, sg_refine=sim.sg_refine,
+                )
+            except BlowUpError as exc:
+                print(f"error: map check: {exc}", file=sys.stderr)
+                return 1
             if sim.flow == "mkdv":
                 res = cg.verify_mkdv_map(ftraj)
                 gcalc.report_to_json(outdir / "mkdv_map_residuals.json", res)

@@ -37,7 +37,7 @@ from . import grid_calculus as gcalc
 from . import quat_core as qc
 from . import soliton_flows as sf
 from .biham_ops import StatePair, make_state
-from .errors import DomainError, GaugeAlignmentError, IntegrationAccuracyError
+from .errors import BlowUpError, DomainError, GaugeAlignmentError, IntegrationAccuracyError
 from .grid_calculus import Field, PeriodicGrid
 from .symm_lie import chi
 
@@ -150,7 +150,6 @@ def transport_frame(state: StatePair, psi0: np.ndarray | None = None, refine: in
         if psi0.shape != (size, size):
             raise DomainError(f"psi0 must be {size} x {size} complex")
         psi = psi0 @ psi
-        monodromy = monodromy
     fine_grid = grid.refined(refine)
     return FrameState(fine_grid, state.n, psi, monodromy)
 
@@ -574,11 +573,13 @@ def evolve_with_frame(
             0.5 * (s2.u.values + s3.u.values),
             0.5 * (s2.bu.values + s3.bu.values),
         )
+        _check_finite(mid, t + dt / 2)
         psi = psi @ expm_antihermitian(dt * time_mats(mid))
         du = (dt / 6.0) * (k1.hs.values + 2 * k2.hs.values + 2 * k3.hs.values + k4.hs.values)
         dbu = (dt / 6.0) * (k1.hv.values + 2 * k2.hv.values + 2 * k3.hv.values + k4.hv.values)
         state = _shift(state, bo.make_flow(grid, du, dbu), 1.0)
         t += dt
+        _check_finite(state, t)
         if (step + 1) % snapshot_every == 0 or step + 1 == steps:
             traj.append(
                 t, state, FrameState(grid, state.n, psi.copy(), frame0.monodromy)
@@ -590,6 +591,11 @@ def _shift(state: StatePair, k, c) -> StatePair:
     u = state.u.values + c * k.hs.values
     u[:, 0] = 0.0
     return make_state(state.grid, u, state.bu.values + c * k.hv.values)
+
+
+def _check_finite(state: StatePair, t: float):
+    if not all(np.all(np.isfinite(a)) for a in state.arrays()):
+        raise BlowUpError(t)
 
 
 def transport_consistency(frame: FrameState, state: StatePair, refine: int = 8) -> float:

@@ -52,6 +52,24 @@ class PeriodicGrid:
     def wavenumbers(self) -> np.ndarray:
         return 2.0 * np.pi / self.length * np.arange(self.num_points // 2 + 1)
 
+    @cached_property
+    def _deriv_symbols(self) -> dict:
+        return {}
+
+    def deriv_symbols(self, orders: tuple) -> np.ndarray:
+        """Stacked multipliers (ik)^p on the rfft modes, shape (len(orders), N//2 + 1).
+
+        The even-N Nyquist row is zero: that mode carries no signed
+        derivative.  Built once per grid and per tuple of orders.
+        """
+        symbols = self._deriv_symbols.get(orders)
+        if symbols is None:
+            symbols = np.stack([(1j * self.wavenumbers) ** p for p in orders])
+            if self.num_points % 2 == 0:
+                symbols[:, -1] = 0.0
+            self._deriv_symbols[orders] = symbols
+        return symbols
+
     def refined(self, factor: int) -> "PeriodicGrid":
         return PeriodicGrid(self.num_points * factor, self.length)
 
@@ -60,13 +78,20 @@ def _kshape(k, values):
     return k.reshape((-1,) + (1,) * (values.ndim - 1))
 
 
-def spectral_deriv(values: np.ndarray, grid: PeriodicGrid, order: int = 1) -> np.ndarray:
+def spectral_deriv(
+    values: np.ndarray, grid: PeriodicGrid, order: int | tuple = 1
+) -> np.ndarray:
+    """Fourier-collocation derivative of `order` along the grid axis.
+
+    `order` may also be a tuple of orders: the result is then the stacked
+    derivatives, shape (len(order),) + values.shape, from one rfft and one
+    batched irfft.
+    """
+    symbols = grid.deriv_symbols(order if isinstance(order, tuple) else (order,))
     F = np.fft.rfft(values, axis=0)
-    k = _kshape(grid.wavenumbers, values)
-    F *= (1j * k) ** order
-    if grid.num_points % 2 == 0:
-        F[-1] = 0.0  # Nyquist mode carries no signed derivative
-    return np.fft.irfft(F, n=grid.num_points, axis=0)
+    F = F[None] * symbols.reshape(symbols.shape + (1,) * (values.ndim - 1))
+    out = np.fft.irfft(F, n=grid.num_points, axis=1)
+    return out if isinstance(order, tuple) else out[0]
 
 
 def spectral_antideriv(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
@@ -89,7 +114,6 @@ def spectral_refine(values: np.ndarray, grid: PeriodicGrid, factor: int) -> np.n
     pad[: F.shape[0]] = F
     if grid.num_points % 2 == 0:
         pad[F.shape[0] - 1] *= 0.5  # split the Nyquist mode symmetrically
-        pad[F.shape[0] - 1] = pad[F.shape[0] - 1]
     return np.fft.irfft(pad, n=n_fine, axis=0) * factor
 
 
@@ -179,17 +203,6 @@ def integrate(f: Field):
 
 def dealias(f: Field, fraction: float = 2.0 / 3.0) -> Field:
     return Field(f.grid, dealias_values(f.values, f.grid, fraction), f.kind)
-
-
-def zero_field(grid: PeriodicGrid, kind: str, m: int = 0) -> Field:
-    shape = {
-        "real": (grid.num_points,),
-        "iquat": (grid.num_points, 4),
-        "quat": (grid.num_points, 4),
-        "qvec": (grid.num_points, m, 4),
-        "qmat": (grid.num_points, m, m, 4),
-    }[kind]
-    return Field(grid, np.zeros(shape), kind)
 
 
 # -- serialization -----------------------------------------------------------

@@ -77,13 +77,6 @@ def qnorm(a) -> np.ndarray:
     return np.sqrt(qnormsq(a))
 
 
-def qinv(a) -> np.ndarray:
-    n2 = qnormsq(a)
-    if np.any(n2 == 0.0):
-        raise DomainError("zero quaternion has no inverse")
-    return qconj(a) / n2[..., None]
-
-
 def is_imaginary(a, tol=1e-12) -> bool:
     return bool(np.all(np.abs(np.asarray(a)[..., 0]) <= tol))
 
@@ -156,10 +149,6 @@ def matcomm_C(x, y) -> np.ndarray:
 
 
 # -- quaternion matrices, shape (..., r, c, 4) -------------------------------
-
-def qmat_zeros(shape) -> np.ndarray:
-    return np.zeros(tuple(shape) + (4,))
-
 
 def qmat_identity(m) -> np.ndarray:
     out = np.zeros((m, m, 4))

@@ -91,34 +91,38 @@ class SimConfig:
 # -- mKdV ---------------------------------------------------------------------
 
 def mkdv_rhs(state: StatePair, galilean_removed: bool = True) -> FlowPair:
-    """Closed-form right side of the scalar-vector mKdV system."""
+    """Closed-form right side of the scalar-vector mKdV system.
+
+    All derivatives come from one transform of the packed (N, 4 + 4m) array
+    [u | bu]; the vector-coupling terms are empty sums when m = 0 and are
+    only formed when bu has components.
+    """
     grid = state.grid
     u, bu = state.arrays()
-    ux = gcalc.spectral_deriv(u, grid)
-    u2 = gcalc.spectral_deriv(u, grid, 2)
-    u3 = gcalc.spectral_deriv(u, grid, 3)
-    bux = gcalc.spectral_deriv(bu, grid)
-    bu2 = gcalc.spectral_deriv(bu, grid, 2)
-    bu3 = gcalc.spectral_deriv(bu, grid, 3)
+    N, m = bu.shape[:2]
+    derivs = gcalc.spectral_deriv(
+        np.concatenate([u, bu.reshape(N, 4 * m)], axis=1), grid, (1, 2, 3)
+    )
+    ux, u2, u3 = derivs[:, :, :4]
+    bux, bu2, bu3 = derivs[:, :, 4:].reshape(3, N, m, 4)
 
     unormsq = qc.qnormsq(u)
-    businormsq = qc.vec_normsq(bu)
-    cvec = qc.comm_C_vec(bu, bux)
 
     # scalar row: u3/4 - (3/2) u^2 u_x + (3/4) C(u, C(bu, bu_x)) + (3/4) C(bu, bu_2x)
-    out_s = (
-        0.25 * u3
-        + 1.5 * unormsq[:, None] * ux  # -u^2 = |u|^2 pointwise
-        + 0.75 * (qc.qmul(u, cvec) - qc.qmul(cvec, u))
-        + 0.75 * qc.comm_C_vec(bu, bu2)
-    )
+    out_s = 0.25 * u3 + 1.5 * unormsq[:, None] * ux  # -u^2 = |u|^2 pointwise
     # vector row: bu_3x + (3/2)(|bu|^2 - u^2 + u_x) bu_x
     #             + (3/4)(2u|bu|^2 - A(u, u_x) - C(bu, bu_x) + u_2x) bu
-    fac1 = qc.from_real(businormsq + unormsq) + ux
-    a_u_ux = -2.0 * np.sum(u[:, 1:] * ux[:, 1:], axis=-1)
-    fac2 = 2.0 * businormsq[:, None] * u - qc.from_real(a_u_ux) - cvec + u2
-    m = bu.shape[1]
     if m:
+        businormsq = qc.vec_normsq(bu)
+        cvec = qc.comm_C_vec(bu, bux)
+        out_s = (
+            out_s
+            + 0.75 * (qc.qmul(u, cvec) - qc.qmul(cvec, u))
+            + 0.75 * qc.comm_C_vec(bu, bu2)
+        )
+        fac1 = qc.from_real(businormsq + unormsq) + ux
+        a_u_ux = -2.0 * np.sum(u[:, 1:] * ux[:, 1:], axis=-1)
+        fac2 = 2.0 * businormsq[:, None] * u - qc.from_real(a_u_ux) - cvec + u2
         out_v = bu3 + 1.5 * qc.qmul(fac1[:, None, :], bux) + 0.75 * qc.qmul(
             fac2[:, None, :], bu
         )
@@ -131,19 +135,19 @@ def mkdv_rhs(state: StatePair, galilean_removed: bool = True) -> FlowPair:
     return make_flow(grid, out_s, out_v)
 
 
-def hierarchy_rhs(state: StatePair, level: int) -> FlowPair:
-    return bo.hierarchy_flow(state, level)
-
-
-def _project_state(state: StatePair, fraction) -> StatePair:
-    u, bu = state.arrays()
-    u = u.copy()
+def _project_state(grid: PeriodicGrid, u, bu, fraction) -> StatePair:
+    """Stage state from fresh arrays (u is overwritten): the scalar re-projected
+    to imaginary and, with `fraction` set, [u | bu] dealiased in one transform."""
     u[:, 0] = 0.0
     if fraction is not None:
-        u = gcalc.dealias_values(u, state.grid, fraction)
-        bu = gcalc.dealias_values(bu, state.grid, fraction)
+        N = u.shape[0]
+        packed = gcalc.dealias_values(
+            np.concatenate([u, bu.reshape(N, -1)], axis=1), grid, fraction
+        )
+        u = packed[:, :4]
+        bu = packed[:, 4:].reshape(bu.shape)
         u[:, 0] = 0.0
-    return make_state(state.grid, u, bu)
+    return make_state(grid, u, bu)
 
 
 def step_rk4(
@@ -155,26 +159,24 @@ def step_rk4(
 ) -> StatePair:
     """Classical fourth-order step; re-projects the scalar to imaginary each stage."""
     grid = state.grid
+    u, bu = state.arrays()
 
-    def shifted(s, k, c):
+    def shifted(k, c):
         return _project_state(
-            make_state(grid, s.u.values + c * k.hs.values, s.bu.values + c * k.hv.values),
-            project_fraction,
+            grid, u + c * k.hs.values, bu + c * k.hv.values, project_fraction
         )
 
     k1 = rhs(state)
-    k2 = rhs(shifted(state, k1, dt / 2))
-    k3 = rhs(shifted(state, k2, dt / 2))
-    k4 = rhs(shifted(state, k3, dt))
+    k2 = rhs(shifted(k1, dt / 2))
+    k3 = rhs(shifted(k2, dt / 2))
+    k4 = rhs(shifted(k3, dt))
     du = (dt / 6.0) * (
         k1.hs.values + 2 * k2.hs.values + 2 * k3.hs.values + k4.hs.values
     )
     dbu = (dt / 6.0) * (
         k1.hv.values + 2 * k2.hv.values + 2 * k3.hv.values + k4.hv.values
     )
-    new = _project_state(
-        make_state(grid, state.u.values + du, state.bu.values + dbu), project_fraction
-    )
+    new = _project_state(grid, u + du, bu + dbu, project_fraction)
     if not (np.all(np.isfinite(new.u.values)) and np.all(np.isfinite(new.bu.values))):
         raise BlowUpError(t + dt)
     return new
@@ -262,10 +264,7 @@ def prefix_products(T: np.ndarray) -> np.ndarray:
     even = T[0::2]
     odd = T[1::2]
     paired = odd @ even[: odd.shape[0]]
-    if K % 2 == 1:
-        sub = prefix_products(paired)  # covers pairs; the last element dangles
-    else:
-        sub = prefix_products(paired)
+    sub = prefix_products(paired)  # covers pairs; for odd K the last element dangles
     out = np.empty((K + 1, d, d), dtype=T.dtype)
     out[0::2] = sub[: (K // 2) + 1]
     out[1::2] = even @ sub[: (K + 1) // 2]
@@ -494,7 +493,7 @@ def run_flow(config: SimConfig, state: StatePair, observer=None) -> Trajectory:
         elif config.flow == "hierarchy":
             state = step_rk4(
                 state,
-                lambda s: hierarchy_rhs(s, config.hierarchy_level),
+                lambda s: bo.hierarchy_flow(s, config.hierarchy_level),
                 config.dt,
                 t,
                 config.project_fraction,

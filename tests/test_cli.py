@@ -1,10 +1,14 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hpflow import cli
 from hpflow.errors import ConfigError
+
+
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
 def write_config(tmp_path, **overrides):
@@ -188,3 +192,18 @@ def test_config_accepts_every_documented_key(tmp_path):
     path.write_text(json.dumps(cfg))
     assert cli.main(["simulate", "--config", str(path)]) == 0
     assert any((tmp_path / "full").glob("*.qfld"))
+
+
+def test_shipped_configs(tmp_path, capsys):
+    # mkdv_soliton's map check steps its frame co-evolution at the simulation
+    # dt, beyond RK4's stability limit there; it must fail as a typed blow-up
+    assert [p.stem for p in CONFIGS] == ["mkdv_soliton", "random_n2", "sg_kink"]
+    for path in CONFIGS:
+        rc = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / path.stem)])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if path.stem == "mkdv_soliton":
+            assert rc == 1
+            assert "error: map check: solution blew up (non-finite values)" in err
+        else:
+            assert rc == 0, err

@@ -60,6 +60,29 @@ def test_deriv_quaternion_componentwise():
     assert np.max(np.abs(df.values[:, [0, 2, 3]])) == 0.0
 
 
+@pytest.mark.parametrize("N", [64, 63])
+@pytest.mark.parametrize(
+    "shape", [(), (4,), (0, 4), (2, 4), (2, 2, 4)], ids=["real", "quat", "qvec0", "qvec2", "qmat"]
+)
+def test_spectral_deriv_tuple_order_stacks_int_orders(N, shape):
+    # white noise fills every mode, so the even-N Nyquist row is exercised too
+    rng = np.random.default_rng(N)
+    grid = gcalc.PeriodicGrid(N, 7.0)
+    vals = rng.standard_normal((N,) + shape)
+    orders = (1, 2, 3)
+    stacked = gcalc.spectral_deriv(vals, grid, orders)
+    assert stacked.shape == (len(orders), N) + shape
+    expected = np.stack([gcalc.spectral_deriv(vals, grid, p) for p in orders])
+    assert np.array_equal(stacked, expected)
+    assert grid.deriv_symbols(orders) is grid.deriv_symbols(orders)
+
+
+def test_deriv_of_nyquist_mode_is_zero():
+    grid = gcalc.PeriodicGrid(16, 2.0)
+    vals = np.cos(np.pi * np.arange(16))
+    assert np.max(np.abs(gcalc.spectral_deriv(vals, grid, (1, 2, 3)))) == 0.0
+
+
 def test_antideriv_cosine():
     grid = gcalc.PeriodicGrid(64, 3.0)
     base = 2 * np.pi / grid.length

@@ -61,6 +61,99 @@ def test_mkdv_galilean_term(rng):
     assert np.max(np.abs(kept.hv.values - removed.hv.values - c * dx.hv.values)) <= 1e-13
 
 
+def _reference_mkdv_rhs(state, galilean_removed=True):
+    """Six-transform right side: one spectral_deriv call per field and order."""
+    grid = state.grid
+    u, bu = state.arrays()
+    ux = gcalc.spectral_deriv(u, grid)
+    u2 = gcalc.spectral_deriv(u, grid, 2)
+    u3 = gcalc.spectral_deriv(u, grid, 3)
+    bux = gcalc.spectral_deriv(bu, grid)
+    bu2 = gcalc.spectral_deriv(bu, grid, 2)
+    bu3 = gcalc.spectral_deriv(bu, grid, 3)
+    unormsq = qc.qnormsq(u)
+    businormsq = qc.vec_normsq(bu)
+    cvec = qc.comm_C_vec(bu, bux)
+    out_s = (
+        0.25 * u3
+        + 1.5 * unormsq[:, None] * ux
+        + 0.75 * (qc.qmul(u, cvec) - qc.qmul(cvec, u))
+        + 0.75 * qc.comm_C_vec(bu, bu2)
+    )
+    fac1 = qc.from_real(businormsq + unormsq) + ux
+    a_u_ux = -2.0 * np.sum(u[:, 1:] * ux[:, 1:], axis=-1)
+    fac2 = 2.0 * businormsq[:, None] * u - qc.from_real(a_u_ux) - cvec + u2
+    if bu.shape[1]:
+        out_v = bu3 + 1.5 * qc.qmul(fac1[:, None, :], bux) + 0.75 * qc.qmul(
+            fac2[:, None, :], bu
+        )
+    else:
+        out_v = bu3
+    if not galilean_removed:
+        c = 1.0 / chi(state.n)
+        out_s = out_s + c * ux
+        out_v = out_v + c * bux
+    return bo.make_flow(grid, out_s, out_v)
+
+
+def _reference_step_rk4(state, rhs, dt, project_fraction):
+    """RK4 that validates each stage twice and dealiases u and bu separately."""
+    grid = state.grid
+
+    def project(s):
+        u, bu = s.arrays()
+        u = u.copy()
+        u[:, 0] = 0.0
+        if project_fraction is not None:
+            u = gcalc.dealias_values(u, grid, project_fraction)
+            bu = gcalc.dealias_values(bu, grid, project_fraction)
+            u[:, 0] = 0.0
+        return bo.make_state(grid, u, bu)
+
+    def shifted(k, c):
+        return project(
+            bo.make_state(
+                grid, state.u.values + c * k.hs.values, state.bu.values + c * k.hv.values
+            )
+        )
+
+    k1 = rhs(state)
+    k2 = rhs(shifted(k1, dt / 2))
+    k3 = rhs(shifted(k2, dt / 2))
+    k4 = rhs(shifted(k3, dt))
+    du = (dt / 6.0) * (k1.hs.values + 2 * k2.hs.values + 2 * k3.hs.values + k4.hs.values)
+    dbu = (dt / 6.0) * (k1.hv.values + 2 * k2.hv.values + 2 * k3.hv.values + k4.hv.values)
+    return project(bo.make_state(grid, state.u.values + du, state.bu.values + dbu))
+
+
+def assert_pairs_identical(a, b):
+    for x, y in zip(a.arrays(), b.arrays()):
+        assert x.shape == y.shape and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("N", [128, 127])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("galilean_removed", [True, False])
+def test_mkdv_rhs_matches_six_transform_reference(N, n, galilean_removed):
+    grid = gcalc.PeriodicGrid(N, 20.0)
+    state = sf.preset_random_band(grid, n, seed=n, amplitude=0.4)
+    assert_pairs_identical(
+        sf.mkdv_rhs(state, galilean_removed), _reference_mkdv_rhs(state, galilean_removed)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("fraction", [2 / 3, None])
+def test_step_rk4_matches_two_projection_reference(n, fraction):
+    grid = gcalc.PeriodicGrid(128, 20.0)
+    dt = 5e-4
+    fused = ref = sf.preset_random_band(grid, n, seed=10 + n, amplitude=0.4)
+    for i in range(5):
+        fused = sf.step_rk4(fused, sf.mkdv_rhs, dt, i * dt, project_fraction=fraction)
+        ref = _reference_step_rk4(ref, _reference_mkdv_rhs, dt, fraction)
+    assert_pairs_identical(fused, ref)
+
+
 def test_step_rk4_dt_zero_identity(rng):
     grid = gcalc.PeriodicGrid(64, 9.0)
     state = random_state(rng, grid, 1, amplitude=0.3)
