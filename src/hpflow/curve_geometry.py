@@ -5,8 +5,9 @@ ODE psi_x = psi (e_x + omega_x), where e_x is the constant unit tangent
 representative (carrying the 1/sqrt(chi) Killing normalization) and
 omega_x = (u, bu) is the connection built from the state.  psi is stored in
 the complex embedding of quaternion matrices, where anti-Hermitian stage
-matrices exponentiate through a batched Hermitian eigendecomposition, so the
-transport preserves quaternion-unitarity to roundoff.
+matrices exponentiate by soliton_flows.expm_antihermitian, a Taylor
+polynomial with scaling and squaring whose truncation error is below
+roundoff, so the transport preserves quaternion-unitarity to roundoff.
 
 The curve is gamma(x) = psi(x) applied to the origin column (1, 0, ..., 0)^t:
 a unit vector in H^(n+1) representing a projective point up to right unit
@@ -84,12 +85,6 @@ def connection_matrix(state: StatePair) -> np.ndarray:
     return h_matrix(np.zeros((K, 4)), np.zeros((K, m, m, 4)), u, bu)
 
 
-def expm_antihermitian(Z: np.ndarray) -> np.ndarray:
-    """Batched exponential of complex anti-Hermitian matrices via eigh."""
-    lam, V = np.linalg.eigh(1j * Z)
-    return (V * np.exp(-1j * lam)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
-
-
 def right_prefix_products(T: np.ndarray) -> np.ndarray:
     """Q[0] = I, Q[i] = T[0] @ T[1] @ ... @ T[i-1]."""
     swapped = np.swapaxes(T, -1, -2)
@@ -134,7 +129,7 @@ def _transport_transfers(state: StatePair, refine: int) -> np.ndarray:
     h = grid.dx / refine
     comm = Amid @ (A1 - A0) - (A1 - A0) @ Amid
     Omega = (h / 6.0) * (A0 + 4.0 * Amid + A1) + (h**2 / 12.0) * comm
-    return expm_antihermitian(Omega)
+    return sf.expm_antihermitian(Omega)
 
 
 def transport_frame(state: StatePair, psi0: np.ndarray | None = None, refine: int = 4) -> FrameState:
@@ -175,16 +170,12 @@ class CurveSample:
 
     def gauge_fixed(self, threshold: float = 0.3) -> np.ndarray:
         """Representative with the first sizable component made positive real."""
-        K, rows, _ = self.gamma.shape
-        out = self.gamma.copy()
         norms = qc.qnorm(self.gamma)
-        for i in range(K):
-            idx = next(
-                (l for l in range(rows) if norms[i, l] > threshold), int(np.argmax(norms[i]))
-            )
-            lam = qc.qconj(self.gamma[i, idx]) / norms[i, idx]
-            out[i] = qc.qmul(self.gamma[i], lam[None, :])
-        return out
+        sizable = norms > threshold
+        idx = np.where(sizable.any(axis=1), sizable.argmax(axis=1), norms.argmax(axis=1))
+        rows = np.arange(len(idx))
+        lam = qc.qconj(self.gamma[rows, idx]) / norms[rows, idx][:, None]
+        return qc.qmul(self.gamma, lam[:, None, :])
 
 
 def reconstruct_curve(frame: FrameState) -> CurveSample:
@@ -574,7 +565,7 @@ def evolve_with_frame(
             0.5 * (s2.bu.values + s3.bu.values),
         )
         _check_finite(mid, t + dt / 2)
-        psi = psi @ expm_antihermitian(dt * time_mats(mid))
+        psi = psi @ sf.expm_antihermitian(dt * time_mats(mid))
         du = (dt / 6.0) * (k1.hs.values + 2 * k2.hs.values + 2 * k3.hs.values + k4.hs.values)
         dbu = (dt / 6.0) * (k1.hv.values + 2 * k2.hv.values + 2 * k3.hv.values + k4.hv.values)
         state = _shift(state, bo.make_flow(grid, du, dbu), 1.0)

@@ -25,6 +25,7 @@ psi_xt = 4 sin(psi) under u = (psi_x / 2) q; it is the default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,7 +227,8 @@ def sg_system_matrix(u: np.ndarray, bu: np.ndarray) -> np.ndarray:
     M = np.zeros((K, d, d))
     # h_par row: dot3(u, h_s) + sum_l dot4(bu_l, h_v_l)
     M[:, 0, 1:4] = u[:, 1:4]
-    Lu = _left_mult_matrix(u)
+    if m:
+        Lu = _left_mult_matrix(u)
     for l in range(m):
         c0 = 4 + 4 * l
         M[:, 0, c0 : c0 + 4] = bu[:, l, :]
@@ -244,13 +246,44 @@ def sg_system_matrix(u: np.ndarray, bu: np.ndarray) -> np.ndarray:
     return M
 
 
-def _expm_form_skew(Omega: np.ndarray, sqrt_form: np.ndarray) -> np.ndarray:
-    """Batched exponential of matrices skew w.r.t. the form diag(sqrt_form^2)."""
-    sym = sqrt_form[None, :, None] * Omega / sqrt_form[None, None, :]
-    lam, V = np.linalg.eigh(1j * sym)
-    exp_sym = (V * np.exp(-1j * lam)[:, None, :]) @ np.conj(np.swapaxes(V, -1, -2))
-    exp_sym = exp_sym.real
-    return exp_sym * sqrt_form[None, None, :] / sqrt_form[None, :, None]
+# Taylor polynomial of degree 12 with scaling and squaring.  Once the scaled
+# argument has Frobenius norm <= theta, the first dropped term theta^13/13!
+# is 2.6e-17 at theta = 0.3, below the unit roundoff 2^-53 = 1.1e-16: the
+# truncation error is below roundoff, so skew and anti-Hermitian arguments
+# give orthogonal and unitary results to roundoff.
+_EXPM_THETA = 0.3
+_EXPM_COEFFS = 1.0 / np.cumprod([1.0] + list(range(1, 13)))  # 1/k!, k = 0..12
+
+
+def expm_antihermitian(Z: np.ndarray) -> np.ndarray:
+    """Batched exponential of real skew-symmetric or complex anti-Hermitian
+    matrices (..., d, d), from matrix products alone.
+
+    The degree-12 Taylor polynomial is evaluated by Paterson-Stockmeyer
+    (Z^2, Z^3, Z^4 and two Horner products in Z^4) on Z / 2^s, then squared
+    s times; s comes from the batch's largest Frobenius norm.  Non-finite
+    input gives non-finite output.
+    """
+    norm = float(np.sqrt(np.max(np.sum(np.abs(Z) ** 2, axis=(-2, -1)), initial=0.0)))
+    s = 0
+    if np.isfinite(norm) and norm > _EXPM_THETA:
+        s = math.ceil(math.log2(norm / _EXPM_THETA))
+        Z = Z * 2.0**-s
+    c = _EXPM_COEFFS
+    eye = np.eye(Z.shape[-1])
+    Z2 = Z @ Z
+    Z3 = Z2 @ Z
+    Z4 = Z2 @ Z2
+
+    def block(k):  # sum_{j < 4} c[k + j] Z^j
+        return c[k] * eye + c[k + 1] * Z + c[k + 2] * Z2 + c[k + 3] * Z3
+
+    E = block(8) + c[12] * Z4
+    E = block(4) + Z4 @ E
+    E = block(0) + Z4 @ E
+    for _ in range(s):
+        E = E @ E
+    return E
 
 
 def prefix_products(T: np.ndarray) -> np.ndarray:
@@ -290,8 +323,11 @@ def _sg_transfers(state: StatePair, refine: int) -> np.ndarray:
     comm = Mmid @ (M1 - M0) - (M1 - M0) @ Mmid
     Omega = (h / 6.0) * (M0 + 4.0 * Mmid + M1) - (h**2 / 12.0) * comm
     m = state.n - 1
+    # Omega is skew w.r.t. the form diag(sqrt_form^2); the diagonal similarity
+    # by sqrt_form makes it skew-symmetric
     sqrt_form = np.concatenate([[1.0], 0.5 * np.ones(3), np.ones(4 * m)])
-    return _expm_form_skew(Omega, sqrt_form)
+    E = expm_antihermitian(sqrt_form[:, None] * Omega / sqrt_form)
+    return E * sqrt_form / sqrt_form[:, None]
 
 
 def sg_solve_h(
@@ -395,9 +431,17 @@ def sg_step(
 # -- presets -------------------------------------------------------------------
 
 def preset_random_band(
-    grid: PeriodicGrid, n: int, seed: int = 0, amplitude: float = 0.3, kmax: int = 4
+    grid: PeriodicGrid,
+    n: int,
+    seed: int | np.random.Generator = 0,
+    amplitude: float = 0.3,
+    kmax: int = 4,
 ) -> StatePair:
-    """Band-limited random smooth state; deterministic for a given seed."""
+    """Band-limited random smooth state; deterministic for a given seed.
+
+    A Generator passed as `seed` is drawn from directly, so consecutive calls
+    continue its stream.
+    """
     rng = np.random.default_rng(seed)
     base = 2 * np.pi / grid.length
 
@@ -471,22 +515,40 @@ class Trajectory:
         self.states.append(state)
 
 
+# Relative tolerance on t_end / dt: a ratio this close to an integer counts as
+# whole steps (0.07 / 0.01 = 7.000000000000001 and 0.3 / 0.1 =
+# 2.9999999999999996 are 7 and 3 steps), and no final step is taken for a
+# remainder below it.
+_STEP_RTOL = 1e-9
+
+
+def _step_plan(t_end: float, dt: float) -> tuple[int, float]:
+    """Number of full steps of dt that fit in t_end, and the length of the
+    final short step that reaches t_end exactly (0.0 when none is needed)."""
+    n_full = math.floor(t_end / dt * (1.0 + _STEP_RTOL))
+    rest = t_end - n_full * dt
+    return n_full, (rest if rest > _STEP_RTOL * t_end else 0.0)
+
+
 def run_flow(config: SimConfig, state: StatePair, observer=None) -> Trajectory:
-    """Integrate the configured flow, snapshotting every `cadence` steps."""
+    """Integrate the configured flow to t_end, snapshotting every `cadence`
+    steps and after the last one."""
     traj = Trajectory()
     traj.append(0.0, state)
     if config.flow == "sg":
         _, _, info = sg_solve_h(state, config.sg_branch, config.sg_mode, config.sg_refine)
         traj.sg_constraint_dev.append(info["constraint_max_dev"])
         traj.sg_constraint_value.append(float(np.mean(info["constraint"])))
-    n_steps = int(round(config.t_end / config.dt))
+    n_full, last_dt = _step_plan(config.t_end, config.dt)
+    n_steps = n_full + (last_dt > 0.0)
     t = 0.0
     for step in range(n_steps):
+        dt = config.dt if step < n_full else last_dt
         if config.flow == "mkdv":
             state = step_rk4(
                 state,
                 lambda s: mkdv_rhs(s, config.galilean_removed),
-                config.dt,
+                dt,
                 t,
                 config.project_fraction,
             )
@@ -494,15 +556,15 @@ def run_flow(config: SimConfig, state: StatePair, observer=None) -> Trajectory:
             state = step_rk4(
                 state,
                 lambda s: bo.hierarchy_flow(s, config.hierarchy_level),
-                config.dt,
+                dt,
                 t,
                 config.project_fraction,
             )
         else:
             state = sg_step(
-                state, config.dt, config.sg_branch, config.sg_mode, config.sg_refine, t
+                state, dt, config.sg_branch, config.sg_mode, config.sg_refine, t
             )
-        t = (step + 1) * config.dt
+        t = (step + 1) * config.dt if step < n_full else config.t_end
         if (step + 1) % config.cadence == 0 or step + 1 == n_steps:
             traj.append(t, state)
             if config.flow == "sg":

@@ -203,24 +203,6 @@ def bracket_table_suite(seed: int = 1, instances: int = 500) -> list[CheckResult
     return results
 
 
-def _band_state(rng, grid, n, amplitude=0.4, kmax=5):
-    base = 2 * np.pi / grid.length
-
-    def waves(shape):
-        vals = np.zeros((grid.num_points,) + shape)
-        for k in range(1, kmax + 1):
-            a = rng.standard_normal(shape) / k**2
-            b = rng.standard_normal(shape) / k**2
-            cosk = np.cos(k * base * grid.x).reshape((-1,) + (1,) * len(shape))
-            sink = np.sin(k * base * grid.x).reshape((-1,) + (1,) * len(shape))
-            vals += amplitude * (cosk * a + sink * b)
-        return vals
-
-    u = waves((4,))
-    u[:, 0] = 0.0
-    return bo.make_state(grid, u, waves((n - 1, 4)))
-
-
 def _pair_dev(p, q):
     v = float(np.max(np.abs(p.v.values - q.v.values))) if p.v.values.size else 0.0
     return max(float(np.max(np.abs(p.s.values - q.s.values))), v)
@@ -234,7 +216,11 @@ def _pair_scale(p):
 def operator_suite(seed: int = 2, num_points: int = 256, n: int = 2) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     grid = gcalc.PeriodicGrid(num_points, 16.0)
-    state = _band_state(rng, grid, n)
+
+    def band():
+        return sf.preset_random_band(grid, n, seed=rng, amplitude=0.4, kmax=5)
+
+    state = band()
     results = []
 
     w_state = bo.make_covector(grid, state.u.values, state.bu.values)
@@ -248,8 +234,8 @@ def operator_suite(seed: int = 2, num_points: int = 256, n: int = 2) -> list[Che
         )
     )
 
-    w = bo.make_covector(grid, *_band_state(rng, grid, n).arrays())
-    h = bo.make_flow(grid, *_band_state(rng, grid, n).arrays())
+    w = bo.make_covector(grid, *band().arrays())
+    h = bo.make_flow(grid, *band().arrays())
     hk = bo.apply_H_via_K(state, w, mean_tolerance=np.inf)
     hd = bo.apply_H(state, w, mean_tolerance=np.inf)
     results.append(
@@ -271,13 +257,13 @@ def operator_suite(seed: int = 2, num_points: int = 256, n: int = 2) -> list[Che
         )
     )
 
-    a = bo.make_covector(grid, *_band_state(rng, grid, n).arrays())
-    b = bo.make_covector(grid, *_band_state(rng, grid, n).arrays())
+    a = bo.make_covector(grid, *band().arrays())
+    b = bo.make_covector(grid, *band().arrays())
     lhs = bo.pairing(a, bo.apply_H(state, b, mean_tolerance=np.inf))
     rhs = bo.pairing(b, bo.apply_H(state, a, mean_tolerance=np.inf))
     results.append(CheckResult("skew-adjointness of H", 1e-9, abs(lhs + rhs) / (1 + abs(lhs))))
-    fa = bo.make_flow(grid, *_band_state(rng, grid, n).arrays())
-    fb = bo.make_flow(grid, *_band_state(rng, grid, n).arrays())
+    fa = bo.make_flow(grid, *band().arrays())
+    fb = bo.make_flow(grid, *band().arrays())
     lhs = bo.pairing(fa, bo.apply_J(state, fb, mean_tolerance=np.inf))
     rhs = bo.pairing(fb, bo.apply_J(state, fa, mean_tolerance=np.inf))
     results.append(CheckResult("skew-adjointness of J", 1e-9, abs(lhs + rhs) / (1 + abs(lhs))))
@@ -334,7 +320,7 @@ def operator_suite(seed: int = 2, num_points: int = 256, n: int = 2) -> list[Che
     )
 
     small_grid = gcalc.PeriodicGrid(32, 7.0)
-    small = _band_state(rng, small_grid, n, amplitude=0.4, kmax=3)
+    small = sf.preset_random_band(small_grid, n, seed=rng, amplitude=0.4, kmax=3)
     grad0 = bo.variational_derivative_fd(bo.HierarchyFunctional(0), small)
     dev0 = max(
         float(np.max(np.abs(grad0.ws.values - small.u.values))),
@@ -357,7 +343,7 @@ def flow_suite(seed: int = 3) -> list[CheckResult]:
     results = []
 
     grid = gcalc.PeriodicGrid(96, 12.0)
-    state = _band_state(rng, grid, 1, amplitude=0.5)
+    state = sf.preset_random_band(grid, 1, seed=rng, amplitude=0.5, kmax=5)
     out = sf.mkdv_rhs(state)
     u = state.u.values
     expected = 0.25 * gcalc.spectral_deriv(u, grid, 3) + 1.5 * qc.qnormsq(u)[
@@ -372,7 +358,7 @@ def flow_suite(seed: int = 3) -> list[CheckResult]:
     )
 
     grid2 = gcalc.PeriodicGrid(64, 10.0)
-    vec_state = _band_state(rng, grid2, 2, amplitude=0.4)
+    vec_state = sf.preset_random_band(grid2, 2, seed=rng, amplitude=0.4, kmax=5)
     zero_u = bo.make_state(grid2, np.zeros((64, 4)), vec_state.bu.values)
     results.append(
         CheckResult(
@@ -408,7 +394,9 @@ def flow_suite(seed: int = 3) -> list[CheckResult]:
     cfg = sf.SimConfig(
         n=2, grid=grid2, dt=1e-3, t_end=0.05, flow="mkdv", cadence=10, cfl_constant=0.5
     )
-    traj = sf.run_flow(cfg, _band_state(rng, grid2, 2, amplitude=0.25))
+    traj = sf.run_flow(
+        cfg, sf.preset_random_band(grid2, 2, seed=rng, amplitude=0.25, kmax=5)
+    )
     rep = sf.conserved_report(traj)
     results.append(CheckResult("short-run conservation drift", 1e-7, max(rep.h0_drift, rep.h1_drift)))
     results.append(CheckResult("imaginarity preserved along trajectories", 1e-10, rep.max_re_u))
@@ -420,7 +408,7 @@ def geometry_suite(seed: int = 4) -> list[CheckResult]:
     results = []
     grid = gcalc.PeriodicGrid(128, 16.0)
     for n in (1, 2):
-        state = _band_state(rng, grid, n, amplitude=0.4, kmax=3)
+        state = sf.preset_random_band(grid, n, seed=rng, amplitude=0.4, kmax=3)
         measured = cg.geometric_invariants_from_curve(state, refine=8)
         results.append(
             CheckResult(f"frame unitarity (n={n})", 1e-9, measured["frame"].unitarity_defect())

@@ -263,3 +263,39 @@ def test_verify_map_flow_kind_guard(rng):
     traj = cg.evolve_with_frame(state, "mkdv", 1e-3, 4, transport_refine=2)
     with pytest.raises(DomainError):
         cg.verify_wave_map(traj, idx=2)
+
+
+def _reference_gauge_fixed(curve, threshold=0.3):
+    """The per-point loop gauge_fixed replaced."""
+    K, rows, _ = curve.gamma.shape
+    out = curve.gamma.copy()
+    norms = qc.qnorm(curve.gamma)
+    for i in range(K):
+        idx = next(
+            (l for l in range(rows) if norms[i, l] > threshold), int(np.argmax(norms[i]))
+        )
+        lam = qc.qconj(curve.gamma[i, idx]) / norms[i, idx]
+        out[i] = qc.qmul(curve.gamma[i], lam[None, :])
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gauge_fixed_matches_loop_reference(rng, n):
+    grid = gcalc.PeriodicGrid(64, 8.0)
+    state = random_state(rng, grid, n, amplitude=0.8)
+    curve = cg.reconstruct_curve(cg.downsample_frame(cg.transport_frame(state, refine=2), 2))
+    for threshold in (0.3, 0.9):
+        np.testing.assert_array_equal(
+            curve.gauge_fixed(threshold), _reference_gauge_fixed(curve, threshold)
+        )
+    # random unit vectors: at threshold 0.9 some points have no sizable
+    # component and take the argmax fallback
+    gamma = rng.standard_normal((64, n + 1, 4))
+    gamma /= np.sqrt(np.sum(gamma**2, axis=(-1, -2)))[:, None, None]
+    scattered = cg.CurveSample(grid, gamma, curve.monodromy)
+    if n > 1:
+        assert not np.all(np.any(qc.qnorm(gamma) > 0.9, axis=1))
+    for threshold in (0.3, 0.9):
+        np.testing.assert_array_equal(
+            scattered.gauge_fixed(threshold), _reference_gauge_fixed(scattered, threshold)
+        )

@@ -415,3 +415,164 @@ def test_hierarchy_flow_stepping(rng):
     for i in range(5):
         direct = sf.step_rk4(direct, lambda s: sf.mkdv_rhs(s), 2e-3)
     assert np.max(np.abs(traj.states[-1].u.values - direct.u.values)) <= 1e-9
+
+
+# -- group exponential ------------------------------------------------------------
+
+def _reference_expm_form_skew(Omega, sqrt_form):
+    """The eigh exponential the x-solve used before the Taylor one."""
+    sym = sqrt_form[None, :, None] * Omega / sqrt_form[None, None, :]
+    lam, V = np.linalg.eigh(1j * sym)
+    exp_sym = (V * np.exp(-1j * lam)[:, None, :]) @ np.conj(np.swapaxes(V, -1, -2))
+    exp_sym = exp_sym.real
+    return exp_sym * sqrt_form[None, None, :] / sqrt_form[None, :, None]
+
+
+def _reference_expm_antihermitian(Z):
+    """The eigh exponential frame transport used before the Taylor one."""
+    lam, V = np.linalg.eigh(1j * Z)
+    return (V * np.exp(-1j * lam)[..., None, :]) @ np.conj(np.swapaxes(V, -1, -2))
+
+
+def _random_skew(rng, shape, norm, complex_=False):
+    """Batch of skew (anti-Hermitian) matrices whose largest Frobenius norm is `norm`."""
+    A = rng.standard_normal(shape)
+    if complex_:
+        A = A + 1j * rng.standard_normal(shape)
+    Z = A - np.conj(np.swapaxes(A, -1, -2))
+    return Z * (norm / np.max(np.linalg.norm(Z, axis=(-2, -1))))
+
+
+def _sqrt_form(m):
+    return np.concatenate([[1.0], 0.5 * np.ones(3), np.ones(4 * m)])
+
+
+def _defect(E):
+    eye = np.eye(E.shape[-1])
+    return float(np.max(np.abs(E @ np.conj(np.swapaxes(E, -1, -2)) - eye)))
+
+
+NORMS = [0.05, 0.3, 2.0, 20.0]  # the last two take the squaring branch
+
+
+@pytest.mark.parametrize("m", [0, 1, 2])
+@pytest.mark.parametrize("norm", NORMS)
+def test_expm_form_skew_matches_eigh_reference(rng, m, norm):
+    sqrt_form = _sqrt_form(m)
+    sym = _random_skew(rng, (64, 4 + 4 * m, 4 + 4 * m), norm)
+    Omega = sym * sqrt_form[None, None, :] / sqrt_form[None, :, None]
+    E = sf.expm_antihermitian(sqrt_form[:, None] * Omega / sqrt_form)
+    assert E.dtype == np.float64
+    assert _defect(E) <= 1e-13
+    T = E * sqrt_form / sqrt_form[:, None]
+    assert np.max(np.abs(T - _reference_expm_form_skew(Omega, sqrt_form))) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [4, 6])
+@pytest.mark.parametrize("norm", NORMS)
+def test_expm_antihermitian_matches_eigh_reference(rng, d, norm):
+    Z = _random_skew(rng, (64, d, d), norm, complex_=True)
+    E = sf.expm_antihermitian(Z)
+    assert E.dtype == np.complex128
+    assert _defect(E) <= 1e-13
+    assert np.max(np.abs(E - _reference_expm_antihermitian(Z))) <= 1e-12
+
+
+def test_expm_antihermitian_non_finite_input():
+    for bad in (np.inf, np.nan):
+        Z = np.zeros((3, 4, 4))
+        Z[1, 0, 2], Z[1, 2, 0] = bad, -bad
+        with np.errstate(invalid="ignore", over="ignore"):
+            E = sf.expm_antihermitian(Z)
+        assert not np.all(np.isfinite(E))
+
+
+def test_expm_antihermitian_zero_and_unbatched():
+    eye = np.broadcast_to(np.eye(5), (2, 5, 5))
+    np.testing.assert_array_equal(sf.expm_antihermitian(np.zeros((2, 5, 5))), eye)
+    Z = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    rot = np.array([[np.cos(1.0), np.sin(1.0)], [-np.sin(1.0), np.cos(1.0)]])
+    assert np.max(np.abs(sf.expm_antihermitian(Z) - rot)) <= 1e-15
+
+
+def _reference_expm_real(Z):
+    return _reference_expm_antihermitian(Z).real
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sg_transfers_and_monodromy_match_eigh_reference(rng, monkeypatch, n):
+    state = random_state(rng, gcalc.PeriodicGrid(64, 16.0), n, amplitude=0.5)
+    T = sf._sg_transfers(state, 8)
+    monkeypatch.setattr(sf, "expm_antihermitian", _reference_expm_real)
+    T_ref = sf._sg_transfers(state, 8)
+    assert np.max(np.abs(T - T_ref)) <= 1e-13
+    # the monodromy periodic mode takes its boundary value from
+    mono = sf.prefix_products(T)[-1]
+    assert np.max(np.abs(mono - sf.prefix_products(T_ref)[-1])) <= 1e-12
+
+
+def _solve_outputs(state, mode):
+    h, h_par, info = sf.sg_solve_h(state, "-", mode)
+    return (h.hs.values, h.hv.values, h_par.values, info["boundary"])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("mode", ["line", "periodic"])
+def test_sg_solve_h_matches_eigh_reference(rng, monkeypatch, n, mode):
+    # periodic mode needs data with a periodic solution: the kink
+    if mode == "line":
+        state = random_state(rng, gcalc.PeriodicGrid(64, 16.0), n, amplitude=0.5)
+    else:
+        state = sf.preset_sg_kink(gcalc.PeriodicGrid(128, 40.0), n)
+    new = _solve_outputs(state, mode)
+    monkeypatch.setattr(sf, "expm_antihermitian", _reference_expm_real)
+    ref = _solve_outputs(state, mode)
+    for a, b in zip(new, ref):
+        # the solution has size chi; the tolerance is 1e-12 relative to it
+        assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * chi(n)
+
+
+def test_sg_step_nan_raises_blowup():
+    grid = gcalc.PeriodicGrid(64, 16.0)
+    kink = sf.preset_sg_kink(grid, n=1)
+    u = kink.u.values.copy()
+    u[5, 1] = np.nan
+    state = bo.make_state(grid, u, kink.bu.values)
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(BlowUpError) as exc:
+            sf.sg_step(state, 1e-3, mode="line", t=0.5)
+    assert exc.value.time == pytest.approx(0.501)
+
+
+# -- run_flow time bookkeeping ---------------------------------------------------
+
+def test_step_plan():
+    assert sf._step_plan(0.0025, 1e-3) == (2, pytest.approx(5e-4))
+    assert sf._step_plan(0.1, 5e-3) == (20, 0.0)
+    assert sf._step_plan(0.3, 0.1) == (3, 0.0)  # 0.3 / 0.1 = 2.9999999999999996
+    assert sf._step_plan(0.07, 0.01) == (7, 0.0)  # 0.07 / 0.01 = 7.000000000000001
+    assert sf._step_plan(0.0, 1e-3) == (0, 0.0)
+
+
+def _small_mkdv_run(t_end, dt):
+    grid = gcalc.PeriodicGrid(32, 20.0)
+    cfg = sf.SimConfig(n=1, grid=grid, dt=dt, t_end=t_end, flow="mkdv")
+    state = sf.preset_random_band(grid, n=1, seed=4, amplitude=0.2, kmax=3)
+    return cfg, state, sf.run_flow(cfg, state)
+
+
+def test_run_flow_reaches_t_end_with_a_short_step():
+    cfg, state, traj = _small_mkdv_run(0.0025, 1e-3)
+    assert traj.times == [0.0, 1e-3, 2e-3, 0.0025]
+    direct = state
+    for dt in (1e-3, 1e-3, 0.0025 - 2e-3):
+        direct = sf.step_rk4(
+            direct, lambda s: sf.mkdv_rhs(s), dt, project_fraction=cfg.project_fraction
+        )
+    assert_pairs_identical(traj.states[-1], direct)
+
+
+def test_run_flow_dividing_t_end_keeps_full_steps():
+    _, _, traj = _small_mkdv_run(0.1, 5e-3)
+    assert len(traj.times) == 21
+    assert traj.times == [k * 5e-3 for k in range(21)]

@@ -1,4 +1,10 @@
+import numpy as np
+
+from hpflow import grid_calculus as gcalc
+from hpflow import soliton_flows as sf
 from hpflow import verify_suites as vs
+
+from test_biham_ops import random_state
 
 
 def test_all_scopes_listed():
@@ -27,3 +33,16 @@ def test_check_result_serialization():
     d = c.as_dict()
     assert d["passed"] is True and d["name"] == "demo"
     assert not vs.CheckResult("demo", 1e-5, 1e-4).passed
+
+
+def test_random_band_preset_draws_from_a_passed_generator():
+    # the suites pass their Generator as the seed; arrays and the rest of the
+    # stream match drawing the same waves from that Generator directly
+    grid = gcalc.PeriodicGrid(48, 12.0)
+    for n, amplitude, kmax in ((2, 0.4, 5), (1, 0.5, 5), (3, 0.4, 3)):
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        state = sf.preset_random_band(grid, n, seed=rng, amplitude=amplitude, kmax=kmax)
+        ref = random_state(ref_rng, grid, n, amplitude=amplitude, kmax=kmax)
+        for a, b in zip(state.arrays(), ref.arrays()):
+            np.testing.assert_array_equal(a, b)
+        assert rng.standard_normal() == ref_rng.standard_normal()
