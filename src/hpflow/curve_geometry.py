@@ -213,8 +213,9 @@ def _extend_with_monodromy(gamma: np.ndarray, monodromy: np.ndarray, halo: int) 
     """Periodic extension of curve samples: gamma(x + L) = M gamma(x)."""
     Mq = qc.qmat_from_complex(monodromy)
     Mq_inv = qc.qmat_conj_t(Mq)
-    right = np.stack([qc.qmatmul(Mq, gamma[j]) for j in range(halo)])
-    left = np.stack([qc.qmatmul(Mq_inv, gamma[-halo + j]) for j in range(halo)])
+    # the samples are column vectors (K, n+1, 1, 4) under one broadcast product
+    right = qc.qmatmul(Mq, gamma[:halo, :, None, :])[..., 0, :]
+    left = qc.qmatmul(Mq_inv, gamma[-halo:, :, None, :])[..., 0, :]
     return np.concatenate([left, gamma, right], axis=0)
 
 

@@ -39,6 +39,7 @@ from .errors import (
     ConfigError,
     DomainError,
     IntegrationAccuracyError,
+    NonFiniteMonodromyError,
     ShootingError,
 )
 from .grid_calculus import Field, PeriodicGrid
@@ -365,6 +366,11 @@ def sg_solve_h(
                 raise DomainError(f"boundary must have shape ({d},)")
     elif mode == "periodic":
         monodromy = prefixes[-1]
+        if not np.all(np.isfinite(monodromy)):
+            raise NonFiniteMonodromyError(
+                "no periodic -1 flow: the monodromy has non-finite entries "
+                "(non-finite state values or overflowing transfers)"
+            )
         U, s, Vt = np.linalg.svd(monodromy - np.eye(d))
         if s[-1] > 1e-6 * max(s[0], 1.0):
             raise ShootingError(
@@ -422,7 +428,10 @@ def sg_step(
     inv_chi = 1.0 / chi(state.n)
 
     def rhs(s):
-        h, _, _ = sg_solve_h(s, branch, mode, refine)
+        try:
+            h, _, _ = sg_solve_h(s, branch, mode, refine)
+        except NonFiniteMonodromyError as exc:
+            raise BlowUpError(t + dt) from exc
         return make_flow(grid, inv_chi * h.hs.values, inv_chi * h.hv.values)
 
     return step_rk4(state, rhs, dt, t, project_fraction=None)

@@ -14,6 +14,13 @@ Packed components (all quaternions as trailing-axis-4 arrays):
     MPerp  : imaginary scalar s, vector v in H^(n-1)
     HPar   : imaginary scalar p, anti-Hermitian matrix mat of size n-1
     HPerp  : imaginary scalar s, vector v in H^(n-1)
+
+Parts and elements may carry one leading batch axis of length B: MPar.coeff
+is then shaped (B,) and every array of the other parts gains a leading B.
+element_from_parts, to_matrix, from_matrix, add, bracket, bracket_projected,
+killing, killing_components and ad_e act on each instance of the batch, in
+the broadcasting convention of quat_core.  Without a batch axis, real-valued
+results stay Python floats.
 """
 
 from __future__ import annotations
@@ -26,6 +33,18 @@ from . import quat_core as qc
 from .errors import DimensionMismatchError, DomainError
 
 
+def _float_or_batch(x):
+    """A 0-d result as a Python float; a batched result as its array."""
+    x = np.asarray(x)
+    return float(x) if x.ndim == 0 else x
+
+
+def _coeff(a, ndim: int) -> np.ndarray:
+    """MPar coefficient shaped to broadcast against arrays with ndim trailing axes."""
+    c = np.asarray(a.coeff, dtype=float)
+    return c.reshape(c.shape + (1,) * ndim)
+
+
 def chi(n: int) -> float:
     """Normalization constant of the Killing form restricted to m."""
     return 8.0 * (n + 2)
@@ -33,7 +52,7 @@ def chi(n: int) -> float:
 
 @dataclass
 class MPar:
-    coeff: float
+    coeff: float | np.ndarray
 
     def __neg__(self):
         return MPar(-self.coeff)
@@ -83,7 +102,7 @@ class LieElement:
     """Element of u(n+1, H) in the packed 5-slot form."""
 
     n: int
-    m_par: float = 0.0
+    m_par: float | np.ndarray = 0.0
     m_perp: MPerp = None
     h_par: HPar = None
     h_perp: HPerp = None
@@ -99,38 +118,47 @@ class LieElement:
             self.h_perp = _zeros_hperp(self.n)
 
     def to_matrix(self) -> np.ndarray:
-        """Full (n+1, n+1) quaternion matrix."""
+        """Full (..., n+1, n+1, 4) quaternion matrix."""
         n = self.n
-        M = np.zeros((n + 1, n + 1, 4))
+        batch = np.broadcast_shapes(
+            np.shape(self.m_par),
+            self.m_perp.s.shape[:-1],
+            self.m_perp.v.shape[:-2],
+            self.h_par.p.shape[:-1],
+            self.h_par.mat.shape[:-3],
+            self.h_perp.s.shape[:-1],
+            self.h_perp.v.shape[:-2],
+        )
+        M = np.zeros(batch + (n + 1, n + 1, 4))
         m_scalar = qc.from_real(self.m_par) + self.m_perp.s
-        M[0, 1] = m_scalar
-        M[1, 0] = -qc.qconj(m_scalar)
+        M[..., 0, 1, :] = m_scalar
+        M[..., 1, 0, :] = -qc.qconj(m_scalar)
         if n > 1:
-            M[0, 2:] = self.m_perp.v
-            M[2:, 0] = -qc.qconj(self.m_perp.v)
-        M[0, 0] = self.h_par.p + self.h_perp.s
-        M[1, 1] = self.h_par.p - self.h_perp.s
+            M[..., 0, 2:, :] = self.m_perp.v
+            M[..., 2:, 0, :] = -qc.qconj(self.m_perp.v)
+        M[..., 0, 0, :] = self.h_par.p + self.h_perp.s
+        M[..., 1, 1, :] = self.h_par.p - self.h_perp.s
         if n > 1:
-            M[1, 2:] = self.h_perp.v
-            M[2:, 1] = -qc.qconj(self.h_perp.v)
-            M[2:, 2:] = self.h_par.mat
+            M[..., 1, 2:, :] = self.h_perp.v
+            M[..., 2:, 1, :] = -qc.qconj(self.h_perp.v)
+            M[..., 2:, 2:, :] = self.h_par.mat
         return M
 
     @staticmethod
     def from_matrix(M: np.ndarray) -> "LieElement":
         M = np.asarray(M, dtype=float)
-        n = M.shape[0] - 1
-        if n < 1 or M.shape[:2] != (n + 1, n + 1):
+        n = M.shape[-3] - 1 if M.ndim >= 3 else 0
+        if n < 1 or M.shape[-2] != n + 1:
             raise DimensionMismatchError(f"bad matrix shape {M.shape}")
-        m_scalar = M[0, 1]
-        p_plus_q = M[0, 0]
-        p_minus_q = M[1, 1]
+        m_scalar = M[..., 0, 1, :]
+        p_plus_q = M[..., 0, 0, :]
+        p_minus_q = M[..., 1, 1, :]
         return LieElement(
             n=n,
-            m_par=float(m_scalar[0]),
-            m_perp=MPerp(qc.qim(m_scalar), M[0, 2:].copy()),
-            h_par=HPar(0.5 * (p_plus_q + p_minus_q), M[2:, 2:].copy()),
-            h_perp=HPerp(0.5 * (p_plus_q - p_minus_q), M[1, 2:].copy()),
+            m_par=_float_or_batch(m_scalar[..., 0].copy()),
+            m_perp=MPerp(qc.qim(m_scalar), M[..., 0, 2:, :].copy()),
+            h_par=HPar(0.5 * (p_plus_q + p_minus_q), M[..., 2:, 2:, :].copy()),
+            h_perp=HPerp(0.5 * (p_plus_q - p_minus_q), M[..., 1, 2:, :].copy()),
         )
 
     def scaled(self, c: float) -> "LieElement":
@@ -180,7 +208,7 @@ def bracket(g1: LieElement, g2: LieElement) -> LieElement:
 
 def _left_scalar_vec(a, v):
     """(a * v_l)_l for scalar quaternion a, vector v."""
-    return qc.qmul(np.asarray(a), np.asarray(v)) if v.shape[-2] != 0 else v.copy()
+    return qc.qmul(np.asarray(a)[..., None, :], v) if v.shape[-2] != 0 else v.copy()
 
 
 _TARGETS = ("m_par", "m_perp", "h_par", "h_perp")
@@ -199,11 +227,13 @@ def bracket_projected(a, b, target: str):
 
     if ta is MPar and tb is MPar:
         if target == "h_par":
-            return HPar(np.zeros(4), np.zeros((0, 0, 4)))
+            batch = np.broadcast_shapes(np.shape(a.coeff), np.shape(b.coeff))
+            return HPar(np.zeros(batch + (4,)), np.zeros(batch + (0, 0, 4)))
         raise DomainError("[m_par, m_par] lies in h_par")
     if ta is MPar and tb is HPar:
         if target == "m_par":
-            return MPar(0.0)
+            batch = np.broadcast_shapes(np.shape(a.coeff), b.p.shape[:-1], b.mat.shape[:-3])
+            return MPar(_float_or_batch(np.zeros(batch)))
         raise DomainError("[m_par, h_par] lies in m_par")
     if ta is HPar and tb is MPar:
         return -bracket_projected(b, a, target)
@@ -217,14 +247,14 @@ def bracket_projected(a, b, target: str):
 
     if ta is MPar and tb is MPerp:
         if target == "h_perp":
-            return HPerp(2.0 * a.coeff * b.s, -a.coeff * b.v)
+            return HPerp(2.0 * _coeff(a, 1) * b.s, -_coeff(a, 2) * b.v)
         raise DomainError("[m_par, m_perp] lies in h_perp")
     if ta is MPerp and tb is MPar:
         return -bracket_projected(b, a, target)
 
     if ta is MPar and tb is HPerp:
         if target == "m_perp":
-            return MPerp(-2.0 * a.coeff * b.s, a.coeff * b.v)
+            return MPerp(-2.0 * _coeff(a, 1) * b.s, _coeff(a, 2) * b.v)
         raise DomainError("[m_par, h_perp] lies in m_perp")
     if ta is HPerp and tb is MPar:
         return -bracket_projected(b, a, target)
@@ -278,7 +308,7 @@ def bracket_projected(a, b, target: str):
     if ta is MPerp and tb is HPerp:
         if target == "m_par":
             return MPar(
-                float(-qc.acomm_A(a.s, b.s) - 0.5 * qc.acomm_A_vec(a.v, b.v))
+                _float_or_batch(-qc.acomm_A(a.s, b.s) - 0.5 * qc.acomm_A_vec(a.v, b.v))
             )
         if target == "m_perp":
             return MPerp(
@@ -292,18 +322,18 @@ def bracket_projected(a, b, target: str):
     raise DomainError(f"unsupported subspace pair ({ta.__name__}, {tb.__name__})")
 
 
-def killing(g1: LieElement, g2: LieElement) -> float:
+def killing(g1: LieElement, g2: LieElement) -> float | np.ndarray:
     """Cartan-Killing form 4(N+1) Re tr(M1 M2) on u(N, H), here N = n+1."""
     if g1.n != g2.n:
         raise DimensionMismatchError("mismatched n")
     prod = qc.qmatmul(g1.to_matrix(), g2.to_matrix())
-    return float(4.0 * (g1.n + 2) * qc.qmat_re_trace(prod))
+    return _float_or_batch(4.0 * (g1.n + 2) * qc.qmat_re_trace(prod))
 
 
-def killing_m(n, mpar1, mperp1, mpar2, mperp2) -> float:
+def killing_m(n, mpar1, mperp1, mpar2, mperp2) -> float | np.ndarray:
     """Component formula for the Killing form restricted to m."""
     c = chi(n)
-    return float(
+    return _float_or_batch(
         -c
         * (
             mpar1 * mpar2
@@ -313,12 +343,12 @@ def killing_m(n, mpar1, mperp1, mpar2, mperp2) -> float:
     )
 
 
-def killing_hperp(n, a: HPerp, b: HPerp) -> float:
+def killing_hperp(n, a: HPerp, b: HPerp) -> float | np.ndarray:
     """Component formula for the Killing form restricted to h_perp."""
-    return float(-chi(n) * (qc.dot4(a.s, b.s) + qc.vec_dot(a.v, b.v)))
+    return _float_or_batch(-chi(n) * (qc.dot4(a.s, b.s) + qc.vec_dot(a.v, b.v)))
 
 
-def killing_components(g1: LieElement, g2: LieElement) -> float:
+def killing_components(g1: LieElement, g2: LieElement) -> float | np.ndarray:
     """Killing form assembled from packed parts (m and h blocks are orthogonal)."""
     n = g1.n
     f = 4.0 * (n + 2)
@@ -327,9 +357,9 @@ def killing_components(g1: LieElement, g2: LieElement) -> float:
         -2.0 * qc.dot4(g1.h_par.p, g2.h_par.p)
         - 2.0 * qc.dot4(g1.h_perp.s, g2.h_perp.s)
         - 2.0 * qc.vec_dot(g1.h_perp.v, g2.h_perp.v)
-        - np.sum(g1.h_par.mat * g2.h_par.mat)
+        - np.sum(g1.h_par.mat * g2.h_par.mat, axis=(-1, -2, -3))
     )
-    return float(m_term + h_term)
+    return _float_or_batch(m_term + h_term)
 
 
 def ad_e(x):

@@ -39,31 +39,57 @@ class CheckResult:
         return out
 
 
-def _rand_iquat(rng, scale=1.0):
-    q = scale * rng.standard_normal(4)
-    q[0] = 0.0
+def _imaginary(q):
+    """Copy of quaternions (..., 4) with the real part set to zero."""
+    q = q.copy()
+    q[..., 0] = 0.0
     return q
 
 
-def _rand_part(rng, n, kind):
+_PART_KINDS = ("m_par", "m_perp", "h_par", "h_perp")
+
+
+def _part_size(n, kind):
+    """Number of normal draws behind one random part."""
+    return {"m_par": 1, "m_perp": 4 * n, "h_par": 4 * (n - 1) ** 2 + 4, "h_perp": 4 * n}[kind]
+
+
+def _part_from_draws(x, n, kind):
+    """Batched random part from draws x shaped (reps, _part_size(n, kind))."""
+    reps = x.shape[0]
     if kind == "m_par":
-        return sl.MPar(float(rng.standard_normal()))
-    if kind == "m_perp":
-        return sl.MPerp(_rand_iquat(rng), rng.standard_normal((n - 1, 4)))
+        return sl.MPar(x[:, 0])
     if kind == "h_par":
-        A = rng.standard_normal((n - 1, n - 1, 4))
-        return sl.HPar(_rand_iquat(rng), 0.5 * (A - qc.qmat_conj_t(A)))
-    return sl.HPerp(_rand_iquat(rng), rng.standard_normal((n - 1, 4)))
+        k = 4 * (n - 1) ** 2
+        A = x[:, :k].reshape(reps, n - 1, n - 1, 4)
+        return sl.HPar(_imaginary(x[:, k:]), 0.5 * (A - qc.qmat_conj_t(A)))
+    cls = sl.MPerp if kind == "m_perp" else sl.HPerp
+    return cls(_imaginary(x[:, :4]), x[:, 4:].reshape(reps, n - 1, 4))
 
 
-def _rand_element(rng, n):
-    return sl.element_from_parts(
-        n,
-        _rand_part(rng, n, "m_par"),
-        _rand_part(rng, n, "m_perp"),
-        _rand_part(rng, n, "h_par"),
-        _rand_part(rng, n, "h_perp"),
-    )
+def _rand_parts(rng, n, kinds, reps):
+    """reps random instances of each part in kinds, batched, from one draw.
+
+    Row r of the draw holds instance r's parts in the order of kinds, so the
+    stream is the one a loop drawing each instance's parts in turn consumes.
+    """
+    sizes = [_part_size(n, kind) for kind in kinds]
+    x = rng.standard_normal((reps, sum(sizes)))
+    edges = np.cumsum([0] + sizes)
+    return [
+        _part_from_draws(x[:, lo:hi], n, kind)
+        for kind, lo, hi in zip(kinds, edges[:-1], edges[1:])
+    ]
+
+
+def _rand_elements(rng, n, count, reps):
+    """count batched random elements of reps instances each, from one draw."""
+    parts = _rand_parts(rng, n, _PART_KINDS * count, reps)
+    return [sl.element_from_parts(n, *parts[4 * i : 4 * i + 4]) for i in range(count)]
+
+
+def _max_abs(x):
+    return float(np.max(np.abs(x), initial=0.0))
 
 
 def _part_deviation(a, b):
@@ -77,10 +103,9 @@ def _part_deviation(a, b):
     worst = 0.0
     for u, v in zip(arrs(a), arrs(b)):
         if u.shape != v.shape:
-            worst = max(worst, float(np.max(np.abs(u))) if u.size else 0.0)
-            worst = max(worst, float(np.max(np.abs(v))) if v.size else 0.0)
-        elif u.size:
-            worst = max(worst, float(np.max(np.abs(u - v))))
+            worst = max(worst, _max_abs(u), _max_abs(v))
+        else:
+            worst = max(worst, _max_abs(u - v))
     return worst
 
 
@@ -121,61 +146,50 @@ def algebra_suite(seed: int = 0, instances: int = 1000) -> list[CheckResult]:
         worst = max(worst, float(np.max(np.abs(qc.qmul(q1, q1) + qc.ONE))))
     results.append(CheckResult("quaternion generator relations", 1e-15, worst))
 
-    worst = 0.0
-    for _ in range(instances):
-        a, b, c = (_rand_iquat(rng) for _ in range(3))
-        abc = qc.qre(qc.qmul(qc.qmul(a, b), c))
-        bca = qc.qre(qc.qmul(qc.qmul(b, c), a))
-        bac = qc.qre(qc.qmul(qc.qmul(b, a), c))
-        worst = max(worst, abs(abc - bca), abs(abc + bac))
+    q = _imaginary(rng.standard_normal((instances, 3, 4)))
+    a, b, c = q[:, 0], q[:, 1], q[:, 2]
+    abc = qc.qre(qc.qmul(qc.qmul(a, b), c))
+    bca = qc.qre(qc.qmul(qc.qmul(b, c), a))
+    bac = qc.qre(qc.qmul(qc.qmul(b, a), c))
+    worst = max(_max_abs(abc - bca), _max_abs(abc + bac))
     results.append(CheckResult("cyclic trace identities", 1e-12, worst))
 
     for n in (1, 2, 3):
-        worst = 0.0
         reps = max(instances // 10, 10)
-        for _ in range(reps):
-            a, b, c = (_rand_element(rng, n) for _ in range(3))
-            j = sl.bracket(a, sl.bracket(b, c)).add(
-                sl.bracket(b, sl.bracket(c, a))
-            ).add(sl.bracket(c, sl.bracket(a, b)))
-            scale = max(qc.qmat_frobenius(g.to_matrix()) for g in (a, b, c)) ** 3
-            worst = max(worst, qc.qmat_frobenius(j.to_matrix()) / max(scale, 1e-30))
+        a, b, c = _rand_elements(rng, n, 3, reps)
+        j = sl.bracket(a, sl.bracket(b, c)).add(
+            sl.bracket(b, sl.bracket(c, a))
+        ).add(sl.bracket(c, sl.bracket(a, b)))
+        scale = np.max([qc.qmat_frobenius(g.to_matrix()) for g in (a, b, c)], axis=0) ** 3
+        worst = _max_abs(qc.qmat_frobenius(j.to_matrix()) / np.maximum(scale, 1e-30))
         results.append(CheckResult(f"Jacobi identity (n={n})", 1e-12, worst))
 
-        worst = 0.0
-        for _ in range(reps):
-            m1 = sl.element_from_parts(n, _rand_part(rng, n, "m_par"), _rand_part(rng, n, "m_perp"))
-            m2 = sl.element_from_parts(n, _rand_part(rng, n, "m_par"), _rand_part(rng, n, "m_perp"))
-            h1 = sl.element_from_parts(n, _rand_part(rng, n, "h_par"), _rand_part(rng, n, "h_perp"))
-            mm = sl.bracket(m1, m2)
-            hm = sl.bracket(h1, m1)
-            hh = sl.bracket(h1, sl.element_from_parts(n, _rand_part(rng, n, "h_perp")))
-            worst = max(
-                worst,
-                abs(mm.m_par),
-                float(np.max(np.abs(mm.m_perp.s))),
-                float(np.max(np.abs(hm.h_par.p))),
-                float(np.max(np.abs(hm.h_perp.s))),
-                abs(hh.m_par),
-            )
+        mpar1, mperp1, mpar2, mperp2, hpar1, hperp1, hperp2 = _rand_parts(
+            rng, n, ("m_par", "m_perp", "m_par", "m_perp", "h_par", "h_perp", "h_perp"), reps
+        )
+        m1 = sl.element_from_parts(n, mpar1, mperp1)
+        m2 = sl.element_from_parts(n, mpar2, mperp2)
+        h1 = sl.element_from_parts(n, hpar1, hperp1)
+        mm = sl.bracket(m1, m2)
+        hm = sl.bracket(h1, m1)
+        hh = sl.bracket(h1, sl.element_from_parts(n, hperp2))
+        worst = max(
+            _max_abs(mm.m_par),
+            _max_abs(mm.m_perp.s),
+            _max_abs(hm.h_par.p),
+            _max_abs(hm.h_perp.s),
+            _max_abs(hh.m_par),
+        )
         results.append(CheckResult(f"symmetric-space inclusions (n={n})", 1e-12, worst))
 
-        worst = 0.0
-        for _ in range(reps):
-            hp = _rand_part(rng, n, "h_perp")
-            twice = sl.ad_e(sl.ad_e(hp))
-            worst = max(
-                worst,
-                float(np.max(np.abs(twice.s + 4.0 * hp.s))),
-                float(np.max(np.abs(twice.v + hp.v))) if hp.v.size else 0.0,
-            )
+        (hp,) = _rand_parts(rng, n, ("h_perp",), reps)
+        twice = sl.ad_e(sl.ad_e(hp))
+        worst = max(_max_abs(twice.s + 4.0 * hp.s), _max_abs(twice.v + hp.v))
         results.append(CheckResult(f"ad(e)^2 eigenvalues (n={n})", 1e-12, worst))
 
-        worst = 0.0
-        for _ in range(reps):
-            g1, g2 = _rand_element(rng, n), _rand_element(rng, n)
-            k = sl.killing(g1, g2)
-            worst = max(worst, abs(k - sl.killing_components(g1, g2)) / (1 + abs(k)))
+        g1, g2 = _rand_elements(rng, n, 2, reps)
+        k = sl.killing(g1, g2)
+        worst = _max_abs((k - sl.killing_components(g1, g2)) / (1 + np.abs(k)))
         e = sl.cartan_element(n)
         worst = max(worst, abs(sl.killing(e, e) + chi(n)) / chi(n))
         results.append(CheckResult(f"Killing form formulas agree (n={n})", 1e-12, worst))
@@ -189,14 +203,13 @@ def bracket_table_suite(seed: int = 1, instances: int = 500) -> list[CheckResult
     for ka, kb, target in _TABLE_CASES:
         worst = 0.0
         for n in (1, 2, 3):
-            for _ in range(instances // 3 + 1):
-                pa, pb = _rand_part(rng, n, ka), _rand_part(rng, n, kb)
-                closed = sl.bracket_projected(pa, pb, target)
-                oracle = _project(
-                    sl.bracket(sl.element_from_parts(n, pa), sl.element_from_parts(n, pb)),
-                    target,
-                )
-                worst = max(worst, _part_deviation(closed, oracle))
+            pa, pb = _rand_parts(rng, n, (ka, kb), instances // 3 + 1)
+            closed = sl.bracket_projected(pa, pb, target)
+            oracle = _project(
+                sl.bracket(sl.element_from_parts(n, pa), sl.element_from_parts(n, pb)),
+                target,
+            )
+            worst = max(worst, _part_deviation(closed, oracle))
         results.append(
             CheckResult(f"bracket table [{ka}, {kb}] -> {target}", 1e-12, worst)
         )

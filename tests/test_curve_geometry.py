@@ -299,3 +299,18 @@ def test_gauge_fixed_matches_loop_reference(rng, n):
         np.testing.assert_array_equal(
             scattered.gauge_fixed(threshold), _reference_gauge_fixed(scattered, threshold)
         )
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_extend_with_monodromy_matches_per_point_loop(rng, n):
+    grid = gcalc.PeriodicGrid(48, 12.0)
+    curve = cg.reconstruct_curve(cg.transport_frame(random_state(rng, grid, n), refine=4))
+    Mq = qc.qmat_from_complex(curve.monodromy)
+    Mq_inv = qc.qmat_conj_t(Mq)
+    for values in (curve.gamma, rng.standard_normal(curve.gamma.shape)):
+        for halo in (1, 3):
+            right = np.stack([qc.qmatmul(Mq, values[j]) for j in range(halo)])
+            left = np.stack([qc.qmatmul(Mq_inv, values[-halo + j]) for j in range(halo)])
+            expected = np.concatenate([left, values, right], axis=0)
+            out = cg._extend_with_monodromy(values, curve.monodromy, halo)
+            assert np.array_equal(out, expected)

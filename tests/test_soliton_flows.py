@@ -5,7 +5,13 @@ from hpflow import biham_ops as bo
 from hpflow import grid_calculus as gcalc
 from hpflow import quat_core as qc
 from hpflow import soliton_flows as sf
-from hpflow.errors import BlowUpError, ConfigError, DomainError, ShootingError
+from hpflow.errors import (
+    BlowUpError,
+    ConfigError,
+    DomainError,
+    NonFiniteMonodromyError,
+    ShootingError,
+)
 from hpflow.symm_lie import chi
 
 from conftest import random_unit_quat, random_unitary
@@ -542,6 +548,32 @@ def test_sg_step_nan_raises_blowup():
         with pytest.raises(BlowUpError) as exc:
             sf.sg_step(state, 1e-3, mode="line", t=0.5)
     assert exc.value.time == pytest.approx(0.501)
+
+
+def _kink_with_nan(n):
+    grid = gcalc.PeriodicGrid(64, 16.0)
+    kink = sf.preset_sg_kink(grid, n=n)
+    u = kink.u.values.copy()
+    u[5, 1] = np.nan
+    return bo.make_state(grid, u, kink.bu.values)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sg_solve_h_periodic_nan_raises_typed_error(n):
+    # the parent handed the NaN monodromy to np.linalg.svd, which raised
+    # LinAlgError("SVD did not converge")
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(NonFiniteMonodromyError, match="non-finite") as exc:
+            sf.sg_solve_h(_kink_with_nan(n), mode="periodic")
+    assert isinstance(exc.value, ShootingError)
+
+
+def test_sg_step_periodic_nan_raises_blowup():
+    with np.errstate(invalid="ignore", over="ignore"):
+        with pytest.raises(BlowUpError) as exc:
+            sf.sg_step(_kink_with_nan(1), 1e-3, mode="periodic", t=0.5)
+    assert exc.value.time == pytest.approx(0.501)
+    assert isinstance(exc.value.__cause__, NonFiniteMonodromyError)
 
 
 # -- run_flow time bookkeeping ---------------------------------------------------

@@ -3,7 +3,7 @@ import pytest
 
 from hpflow import quat_core as qc
 from hpflow import symm_lie as sl
-from hpflow.errors import DomainError
+from hpflow.errors import DimensionMismatchError, DomainError
 
 from conftest import random_element, random_part, random_unit_quat, random_unitary
 
@@ -330,3 +330,105 @@ def test_basis_m_n1():
 def test_basis_m_rejects_bad_n():
     with pytest.raises(DomainError):
         sl.basis_m(0)
+
+
+# -- a leading batch axis: each instance equals the unbatched call -------------
+
+BATCH = 6
+
+
+def _stack_parts(parts):
+    """One batched part from unbatched parts of the same kind."""
+    first = parts[0]
+    if isinstance(first, sl.MPar):
+        return sl.MPar(np.array([p.coeff for p in parts]))
+    fields = ("p", "mat") if isinstance(first, sl.HPar) else ("s", "v")
+    return type(first)(*(np.stack([getattr(p, f) for p in parts]) for f in fields))
+
+
+def _stack_elements(gs):
+    return sl.LieElement(
+        gs[0].n,
+        np.array([g.m_par for g in gs]),
+        _stack_parts([g.m_perp for g in gs]),
+        _stack_parts([g.h_par for g in gs]),
+        _stack_parts([g.h_perp for g in gs]),
+    )
+
+
+def _part_arrays(x):
+    if isinstance(x, sl.MPar):
+        return [np.asarray(x.coeff)]
+    if isinstance(x, sl.HPar):
+        return [x.p, x.mat]
+    return [x.s, x.v]
+
+
+def _assert_part_at(batched, i, single):
+    assert type(batched) is type(single)
+    for b, s in zip(_part_arrays(batched), _part_arrays(single)):
+        np.testing.assert_array_equal(b[i], s, strict=True)
+
+
+def _assert_element_at(batched, i, single):
+    assert batched.n == single.n
+    np.testing.assert_array_equal(batched.m_par[i], single.m_par, strict=True)
+    for name in ("m_perp", "h_par", "h_perp"):
+        _assert_part_at(getattr(batched, name), i, getattr(single, name))
+
+
+@pytest.mark.parametrize("ka,kb,target", _CASES)
+def test_batched_bracket_table_equals_single_calls(rng, ka, kb, target):
+    for n in NS:
+        pas = [random_part(rng, n, ka) for _ in range(BATCH)]
+        pbs = [random_part(rng, n, kb) for _ in range(BATCH)]
+        closed = sl.bracket_projected(_stack_parts(pas), _stack_parts(pbs), target)
+        full = sl.bracket(
+            sl.element_from_parts(n, _stack_parts(pas)),
+            sl.element_from_parts(n, _stack_parts(pbs)),
+        )
+        for i, (pa, pb) in enumerate(zip(pas, pbs)):
+            _assert_part_at(closed, i, sl.bracket_projected(pa, pb, target))
+            single = sl.bracket(sl.element_from_parts(n, pa), sl.element_from_parts(n, pb))
+            _assert_element_at(full, i, single)
+
+
+def test_batched_matrix_killing_and_ad_e_equal_single_calls(rng):
+    for n in NS:
+        g1s = [random_element(rng, n) for _ in range(BATCH)]
+        g2s = [random_element(rng, n) for _ in range(BATCH)]
+        g1, g2 = _stack_elements(g1s), _stack_elements(g2s)
+        M = g1.to_matrix()
+        np.testing.assert_array_equal(M, np.stack([g.to_matrix() for g in g1s]), strict=True)
+        back = sl.LieElement.from_matrix(M)
+        summed = g1.add(g2)
+        bracketed = sl.bracket(g1, g2)
+        k = sl.killing(g1, g2)
+        kc = sl.killing_components(g1, g2)
+        assert k.shape == kc.shape == (BATCH,)
+        hps = [random_part(rng, n, "h_perp") for _ in range(BATCH)]
+        mps = [random_part(rng, n, "m_perp") for _ in range(BATCH)]
+        ad_h, ad_m = sl.ad_e(_stack_parts(hps)), sl.ad_e(_stack_parts(mps))
+        for i, (a, b) in enumerate(zip(g1s, g2s)):
+            _assert_element_at(back, i, sl.LieElement.from_matrix(a.to_matrix()))
+            _assert_element_at(summed, i, a.add(b))
+            _assert_element_at(bracketed, i, sl.bracket(a, b))
+            assert k[i] == sl.killing(a, b)
+            assert kc[i] == sl.killing_components(a, b)
+            _assert_part_at(ad_h, i, sl.ad_e(hps[i]))
+            _assert_part_at(ad_m, i, sl.ad_e(mps[i]))
+
+
+def test_unbatched_real_results_stay_floats(rng):
+    g1, g2 = random_element(rng, 2), random_element(rng, 2)
+    assert type(sl.killing(g1, g2)) is float
+    assert type(sl.killing_components(g1, g2)) is float
+    assert type(sl.LieElement.from_matrix(g1.to_matrix()).m_par) is float
+    out = sl.bracket_projected(random_part(rng, 2, "m_perp"), random_part(rng, 2, "h_perp"), "m_par")
+    assert type(out.coeff) is float
+
+
+def test_from_matrix_rejects_bad_shapes():
+    for shape in ((3, 4), (1, 1, 4), (3, 2, 4), (5, 3, 2, 4)):
+        with pytest.raises(DimensionMismatchError):
+            sl.LieElement.from_matrix(np.zeros(shape))
