@@ -740,9 +740,5 @@ def projective_pairing(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def chordal_distance_matrix(curve: CurveSample) -> np.ndarray:
     """Gauge-invariant pairwise distances sqrt(2 - 2 |sum conj(x_l) y_l|)."""
     g = curve.gamma
-    K = g.shape[0]
-    out = np.zeros((K, K))
-    for i in range(K):
-        inner = projective_pairing(np.broadcast_to(g[i], g.shape), g)
-        out[i] = np.sqrt(np.maximum(2.0 - 2.0 * qc.qnorm(inner), 0.0))
-    return out
+    inner = projective_pairing(g[:, None], g[None, :])
+    return np.sqrt(np.maximum(2.0 - 2.0 * qc.qnorm(inner), 0.0))

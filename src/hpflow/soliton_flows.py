@@ -10,7 +10,10 @@ h_par^2 + |h_s|^2/4 + |h_v|^2 = chi^2.  The solver builds per-cell transfer
 matrices with a fourth-order Magnus scheme and composes them with a prefix
 scan; because each transfer is the exponential of an element of the
 constraint form's orthogonal algebra, the constraint is preserved to
-roundoff along x regardless of resolution.  Two spatial modes are offered:
+roundoff along x regardless of resolution.  For n = 1 that algebra is
+so(4) = sp(1) + sp(1), and each transfer is built in closed form as one left
+and one right multiplication by a unit quaternion; n >= 2 exponentiates the
+Magnus generator with the batched Taylor map.  Two spatial modes are offered:
 
     line     : integrate left to right from the boundary value
                (sign * chi, 0, 0) at x = 0; meant for states that vanish
@@ -81,12 +84,17 @@ class SimConfig:
             raise ConfigError("sg_mode must be 'line' or 'periodic'")
         if self.cadence < 1:
             raise ConfigError("cadence must be >= 1")
-        if self.flow == "mkdv":
-            bound = self.cfl_constant * self.grid.dx**3
+        if self.flow == "hierarchy" and self.hierarchy_level < 0:
+            raise ConfigError("hierarchy level must be >= 0")
+        # the level-l flow has leading order 2l + 1 in x; mKdV is level 1
+        if self.flow in ("mkdv", "hierarchy"):
+            l = self.hierarchy_level if self.flow == "hierarchy" else 1
+            bound = self.cfl_constant * self.grid.dx ** (2 * l + 1)
             if self.dt > bound:
+                where = f" of hierarchy level {l}" if self.flow == "hierarchy" else ""
                 raise ConfigError(
-                    f"dt = {self.dt:.3e} exceeds the dispersive bound "
-                    f"{bound:.3e} = cfl_constant * dx^3"
+                    f"dt = {self.dt:.3e} exceeds the dispersive bound{where} "
+                    f"{bound:.3e} = cfl_constant * dx^{2 * l + 1}"
                 )
 
 
@@ -311,7 +319,19 @@ def _sg_constraint(y: np.ndarray) -> np.ndarray:
     )
 
 
+def _sqrt_form(m: int) -> np.ndarray:
+    return np.concatenate([[1.0], 0.5 * np.ones(3), np.ones(4 * m)])
+
+
 def _sg_transfers(state: StatePair, refine: int) -> np.ndarray:
+    """Magnus-4 transfer matrices of the x-system over the refine * N cells."""
+    if state.n == 1:
+        return _sg_transfers_quaternion(state, refine)
+    return _sg_transfers_generic(state, refine)
+
+
+def _sg_transfers_generic(state: StatePair, refine: int) -> np.ndarray:
+    """Magnus-4 generators from the system matrix, exponentiated by the Taylor map."""
     grid = state.grid
     fine = 2 * refine
     u_f = gcalc.spectral_refine(state.u.values, grid, fine)
@@ -323,12 +343,51 @@ def _sg_transfers(state: StatePair, refine: int) -> np.ndarray:
     h = grid.dx / refine
     comm = Mmid @ (M1 - M0) - (M1 - M0) @ Mmid
     Omega = (h / 6.0) * (M0 + 4.0 * Mmid + M1) - (h**2 / 12.0) * comm
-    m = state.n - 1
     # Omega is skew w.r.t. the form diag(sqrt_form^2); the diagonal similarity
     # by sqrt_form makes it skew-symmetric
-    sqrt_form = np.concatenate([[1.0], 0.5 * np.ones(3), np.ones(4 * m)])
+    sqrt_form = _sqrt_form(state.n - 1)
     E = expm_antihermitian(sqrt_form[:, None] * Omega / sqrt_form)
     return E * sqrt_form / sqrt_form[:, None]
+
+
+# n = 1: in the coordinates scaled by sqrt_form the system matrix is
+# L(a) + R(a) with a = -Im u, an element of so(4) = sp(1) + sp(1).  Left and
+# right multiplications commute, [L(a), L(c)] = L(2 a x c) and
+# [R(a), R(c)] = -R(2 a x c), so the Magnus-4 Omega is L(A) + R(B) and its
+# exponential is L(exp A) R(exp B): one left and one right multiplication by
+# a unit quaternion.  Row 4a + b of this matrix is L(e_a) R(e_b) undone by the
+# sqrt_form similarity, so (p_a q_b) @ it is the transfer L(p) R(q).
+_SQRT_FORM_1 = _sqrt_form(0)
+_PAIR_TO_TRANSFER = (
+    (_left_mult_matrix(np.eye(4))[:, None] @ _right_mult_matrix(np.eye(4))[None, :])
+    * (_SQRT_FORM_1 / _SQRT_FORM_1[:, None])
+).reshape(16, 16)
+
+
+def _unit_exp(A: np.ndarray) -> np.ndarray:
+    """exp of pure quaternions with vector parts A (3, K), as a (4, K) array."""
+    r = np.sqrt(np.sum(A * A, axis=0))
+    sinc = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0.0)
+    return np.concatenate([np.cos(r)[None], sinc * A])
+
+
+def _sg_transfers_quaternion(state: StatePair, refine: int) -> np.ndarray:
+    """The n = 1 transfers in closed form, equal to the generic ones to roundoff.
+
+    Works component-major, (3, K), so every array operation runs along K.
+    """
+    fine_im_u = gcalc.spectral_refine(state.u.values[:, 1:], state.grid, 2 * refine)
+    a = -np.ascontiguousarray(fine_im_u.T)
+    a0 = a[:, 0::2]
+    am = a[:, 1::2]
+    a1 = np.concatenate([a0[:, 1:], a0[:, :1]], axis=1)
+    h = state.grid.dx / refine
+    simpson = (h / 6.0) * (a0 + 4.0 * am + a1)
+    cross = (h**2 / 6.0) * np.cross(am, a1 - a0, axis=0)
+    p = _unit_exp(simpson - cross)
+    q = _unit_exp(simpson + cross)
+    pairs = (p[:, None] * q[None, :]).reshape(16, -1)
+    return (pairs.T @ _PAIR_TO_TRANSFER).reshape(-1, 4, 4)
 
 
 def sg_solve_h(

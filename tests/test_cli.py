@@ -194,6 +194,18 @@ def test_config_accepts_every_documented_key(tmp_path):
     assert any((tmp_path / "full").glob("*.qfld"))
 
 
+def test_hierarchy_level_2_past_its_bound_is_a_config_error(tmp_path, capsys):
+    # without the per-level bound this run blew up and reported a NonlocalityError
+    cfg = write_config(
+        tmp_path,
+        algebra={"n": 2},
+        grid={"N": 64, "L": 10.0},
+        flow={"kind": "hierarchy", "l": 2, "dt": 1e-2, "t_end": 0.1},
+    )
+    assert cli.main(["simulate", "--config", str(cfg)]) == 2
+    assert "hierarchy level 2" in capsys.readouterr().err
+
+
 def test_shipped_configs(tmp_path, capsys):
     # mkdv_soliton's map check steps its frame co-evolution at the simulation
     # dt, beyond RK4's stability limit there; it must fail as a typed blow-up

@@ -314,3 +314,24 @@ def test_extend_with_monodromy_matches_per_point_loop(rng, n):
             expected = np.concatenate([left, values, right], axis=0)
             out = cg._extend_with_monodromy(values, curve.monodromy, halo)
             assert np.array_equal(out, expected)
+
+
+def _reference_chordal_distance_matrix(curve):
+    """The row loop chordal_distance_matrix used before it was vectorized."""
+    g = curve.gamma
+    K = g.shape[0]
+    out = np.zeros((K, K))
+    for i in range(K):
+        inner = cg.projective_pairing(np.broadcast_to(g[i], g.shape), g)
+        out[i] = np.sqrt(np.maximum(2.0 - 2.0 * qc.qnorm(inner), 0.0))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_chordal_distance_matrix_matches_row_loop(rng, n):
+    grid = gcalc.PeriodicGrid(32, 8.0)
+    state = random_state(rng, grid, n, amplitude=0.5)
+    curve = cg.reconstruct_curve(cg.downsample_frame(cg.transport_frame(state, refine=2), 2))
+    D = cg.chordal_distance_matrix(curve)
+    assert D.shape == (32, 32)
+    np.testing.assert_array_equal(D, _reference_chordal_distance_matrix(curve))
