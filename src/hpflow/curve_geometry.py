@@ -737,8 +737,16 @@ def projective_pairing(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.sum(qc.qmul(qc.qconj(x), y), axis=-2)
 
 
+_CHORDAL_ROWS = 64
+
+
 def chordal_distance_matrix(curve: CurveSample) -> np.ndarray:
     """Gauge-invariant pairwise distances sqrt(2 - 2 |sum conj(x_l) y_l|)."""
     g = curve.gamma
-    inner = projective_pairing(g[:, None], g[None, :])
-    return np.sqrt(np.maximum(2.0 - 2.0 * qc.qnorm(inner), 0.0))
+    K = g.shape[0]
+    out = np.empty((K, K))
+    # blocks of rows bound the pairing's temporaries to _CHORDAL_ROWS * K pairs
+    for i in range(0, K, _CHORDAL_ROWS):
+        inner = projective_pairing(g[i : i + _CHORDAL_ROWS, None], g[None, :])
+        out[i : i + _CHORDAL_ROWS] = np.sqrt(np.maximum(2.0 - 2.0 * qc.qnorm(inner), 0.0))
+    return out

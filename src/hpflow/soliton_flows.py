@@ -19,7 +19,11 @@ Magnus generator with the batched Taylor map.  Two spatial modes are offered:
                (sign * chi, 0, 0) at x = 0; meant for states that vanish
                near the domain seam (kink-type data).
     periodic : pick the boundary value from the kernel of (monodromy - id),
-               failing loudly when no periodic solution exists.
+               failing loudly when no periodic solution exists.  A kernel
+               of dimension > 1 (every n = 1 kernel is one) holds many
+               solutions; the one taken is the kernel's projection of a
+               coordinate axis, h_par's first, so it does not depend on
+               roundoff, and info["kernel_dim"] reports the dimension.
 
 The branch sign names the sign of the boundary h_par.  The "-" branch is the
 one whose scalar reduction obeys the classical sine-Gordon equation
@@ -431,16 +435,28 @@ def sg_solve_h(
                 "(non-finite state values or overflowing transfers)"
             )
         U, s, Vt = np.linalg.svd(monodromy - np.eye(d))
-        if s[-1] > 1e-6 * max(s[0], 1.0):
+        tol = 1e-6 * max(s[0], 1.0)
+        if s[-1] > tol:
             raise ShootingError(
                 f"no periodic -1 flow: smallest singular value of (monodromy - id) "
                 f"is {s[-1]:.3e}"
             )
-        y0 = Vt[-1]
+        # The SVD's basis of a kernel of dimension > 1 is fixed by roundoff,
+        # its projector is not: project the first coordinate axis that keeps
+        # at least half the largest projected length.  Every n = 1 kernel has
+        # dimension >= 2 (a vector fixed by L(P) R(Q) comes with a plane).
+        kernel_dim = int(np.sum(s <= tol))
+        kernel = Vt[d - kernel_dim :]
+        proj = kernel.T @ kernel
+        axis = int(np.argmax(np.diag(proj) >= 0.5 * np.max(np.diag(proj))))
+        y0 = proj[:, axis]
         y0 = y0 * (c / np.sqrt(_sg_constraint(y0)))
+        # the branch fixes the sign through h_par; where h_par vanishes the
+        # projection's own sign stands
         want = 1.0 if branch == "+" else -1.0
-        anchor = y0[0] if abs(y0[0]) > 1e-12 else np.mean(grid_prefix @ y0, axis=0)[0]
-        if anchor * want < 0:
+        small = 1e-12 * c
+        anchor = y0[0] if abs(y0[0]) > small else np.mean(grid_prefix[:, 0] @ y0)
+        if anchor * want < -small:
             y0 = -y0
     else:
         raise DomainError("mode must be 'line' or 'periodic'")
@@ -455,6 +471,8 @@ def sg_solve_h(
             np.max(np.abs(state.u.values[[0, -1]])) if mode == "line" else 0.0
         ),
     }
+    if mode == "periodic":
+        info["kernel_dim"] = kernel_dim
     if richardson_check:
         if refine < 2 or refine % 2:
             raise DomainError("richardson_check needs an even refine >= 2")

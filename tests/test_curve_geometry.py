@@ -327,11 +327,12 @@ def _reference_chordal_distance_matrix(curve):
     return out
 
 
+@pytest.mark.parametrize("K", [32, 150])  # 150 rows: two blocks of 64 and a short one
 @pytest.mark.parametrize("n", [1, 2])
-def test_chordal_distance_matrix_matches_row_loop(rng, n):
-    grid = gcalc.PeriodicGrid(32, 8.0)
+def test_chordal_distance_matrix_matches_row_loop(rng, n, K):
+    grid = gcalc.PeriodicGrid(K, 8.0)
     state = random_state(rng, grid, n, amplitude=0.5)
     curve = cg.reconstruct_curve(cg.downsample_frame(cg.transport_frame(state, refine=2), 2))
     D = cg.chordal_distance_matrix(curve)
-    assert D.shape == (32, 32)
+    assert D.shape == (K, K)
     np.testing.assert_array_equal(D, _reference_chordal_distance_matrix(curve))

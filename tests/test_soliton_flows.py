@@ -383,6 +383,12 @@ def test_sg_periodic_mode_zero_state_and_failure(rng):
     zero = bo.make_state(grid, np.zeros((32, 4)), np.zeros((32, 0, 4)))
     h, h_par, info = sf.sg_solve_h(zero, branch="-", mode="periodic")
     np.testing.assert_allclose(info["constraint"], chi(1) ** 2, rtol=1e-10)
+    # every vector is periodic; the one taken is the branch's h_par axis
+    for branch, sign in (("+", 1.0), ("-", -1.0)):
+        _, h_par, info = sf.sg_solve_h(zero, branch, "periodic")
+        assert info["kernel_dim"] == 4
+        np.testing.assert_array_equal(info["boundary"], [sign * chi(1), 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(h_par.values, sign * chi(1))
     # generic data admits no periodic -1 flow; the failure is loud
     state = random_state(rng, grid, 1, amplitude=0.5)
     with pytest.raises(ShootingError):
@@ -535,6 +541,8 @@ def _reference_expm_real(Z):
 def test_sg_transfers_and_monodromy_match_eigh_reference(rng, monkeypatch, n):
     state = random_state(rng, gcalc.PeriodicGrid(64, 16.0), n, amplitude=0.5)
     T = sf._sg_transfers(state, 8)
+    # the reference is the generic builder with the eigh exponential, for n = 1 too
+    monkeypatch.setattr(sf, "_sg_transfers", sf._sg_transfers_generic)
     monkeypatch.setattr(sf, "expm_antihermitian", _reference_expm_real)
     T_ref = sf._sg_transfers(state, 8)
     assert np.max(np.abs(T - T_ref)) <= 1e-13
@@ -557,6 +565,7 @@ def test_sg_solve_h_matches_eigh_reference(rng, monkeypatch, n, mode):
     else:
         state = sf.preset_sg_kink(gcalc.PeriodicGrid(128, 40.0), n)
     new = _solve_outputs(state, mode)
+    monkeypatch.setattr(sf, "_sg_transfers", sf._sg_transfers_generic)
     monkeypatch.setattr(sf, "expm_antihermitian", _reference_expm_real)
     ref = _solve_outputs(state, mode)
     for a, b in zip(new, ref):
@@ -689,7 +698,8 @@ def test_n1_zero_state_gives_identity_transfers_exactly():
 
 def _solve_all_outputs(state, **kw):
     """Outputs of sg_solve_h with their scale: chi for the solution, chi^2 for
-    the constraint, and the Richardson estimate when it is made."""
+    the constraint, and the Richardson estimate and kernel dimension when they
+    are reported."""
     h, h_par, info = sf.sg_solve_h(state, "-", **kw)
     c = chi(state.n)
     out = [
@@ -700,7 +710,15 @@ def _solve_all_outputs(state, **kw):
     ]
     if "richardson_error" in info:
         out.append((info["richardson_error"], c))
+    if "kernel_dim" in info:
+        out.append((info["kernel_dim"], 0.0))
     return out
+
+
+def _short_kink(n=1):
+    """On L = 16 the kink's periodic solutions span exactly the j, k plane,
+    which no transfer moves, and h_par vanishes there."""
+    return sf.preset_sg_kink(gcalc.PeriodicGrid(64, 16.0), n)
 
 
 @pytest.mark.parametrize(
@@ -710,10 +728,13 @@ def _solve_all_outputs(state, **kw):
         ("band_0.3", {"mode": "line"}),
         ("band_3", {"mode": "line", "refine": 4}),
         ("kink_a1", {"mode": "line", "richardson_check": True}),
+        ("kink_a1", {"mode": "periodic"}),
+        ("kink_a1.25", {"mode": "periodic"}),
+        ("kink_L16", {"mode": "periodic"}),
     ],
 )
 def test_n1_sg_solve_h_matches_generic_path(monkeypatch, name, kw):
-    state = N1_STATES[name]()
+    state = {**N1_STATES, "kink_L16": _short_kink}[name]()
     new = _solve_all_outputs(state, **kw)
     monkeypatch.setattr(sf, "_sg_transfers", sf._sg_transfers_generic)
     ref = _solve_all_outputs(state, **kw)
@@ -722,24 +743,57 @@ def test_n1_sg_solve_h_matches_generic_path(monkeypatch, name, kw):
         assert np.max(np.abs(a - b)) <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("name", ["kink_a1", "kink_a1.25"])
-def test_n1_sg_solve_h_periodic_matches_generic_path(monkeypatch, name):
-    # On the kink the periodic solutions span the j, k plane, which no
-    # transfer moves.  There h_par vanishes identically, so the branch cannot
-    # fix the sign of the SVD's kernel vector: the two builders (whose
-    # monodromies differ by roundoff) can return it with opposite signs.
-    # Compare up to that sign, and check that h_par is zero in both.
-    state = N1_STATES[name]()
-    new = _solve_all_outputs(state, mode="periodic")
-    monkeypatch.setattr(sf, "_sg_transfers", sf._sg_transfers_generic)
-    ref = _solve_all_outputs(state, mode="periodic")
-    (hs, c), (h_par, _), (boundary, _), (constraint, c2) = new
-    (hs_r, _), (h_par_r, _), (boundary_r, _), (constraint_r, _) = ref
-    assert np.max(np.abs(h_par)) == 0.0 and np.max(np.abs(h_par_r)) == 0.0
-    sign = np.sign(boundary @ boundary_r)
-    assert np.max(np.abs(boundary - sign * boundary_r)) <= 1e-12 * c
-    assert np.max(np.abs(hs - sign * hs_r)) <= 1e-12 * c
-    assert np.max(np.abs(constraint - constraint_r)) <= 1e-12 * c2
+@pytest.mark.parametrize("n", [1, 2])
+def test_sg_periodic_kernel_plane_gives_one_solution_for_both_branches(n):
+    # the SVD's kernel vector here is any unit vector of the j, k plane, with
+    # a sign h_par cannot fix; the projector picks j, whatever the roundoff
+    state = _short_kink(n)
+    c = chi(n)
+    expected = np.zeros(4 + 4 * (n - 1))
+    expected[2] = 2.0 * c
+    for branch in ("+", "-"):
+        h, h_par, info = sf.sg_solve_h(state, branch, "periodic")
+        assert info["kernel_dim"] == 2
+        assert np.max(np.abs(info["boundary"] - expected)) <= 1e-12 * c
+        assert np.max(np.abs(h_par.values)) <= 1e-12 * c
+        assert np.max(np.abs(h.hs.values - expected[:4])) <= 1e-12 * c
+
+
+def test_n1_sg_periodic_sign_stands_where_h_par_vanishes_off_axis(monkeypatch):
+    # a kink along (i + 2j + 3k) / sqrt(14): the kernel plane is no longer a
+    # coordinate plane, so h_par and y0[0] come out at roundoff, not exactly
+    # 0; the branch must not flip the sign on them.  The tolerance is roundoff
+    # over the kernel's gap, s = 1.3e-3
+    kink = _short_kink()
+    direction = np.array([0.0, 1.0, 2.0, 3.0]) / np.sqrt(14.0)
+    state = bo.make_state(kink.grid, kink.u.values[:, 1:2] * direction, kink.bu.values)
+    c = chi(1)
+    outs = {}
+    for builder in ("_sg_transfers", "_sg_transfers_generic"):
+        monkeypatch.setattr(sf, "_sg_transfers", getattr(sf, builder))
+        for branch in ("+", "-"):
+            h, h_par, info = sf.sg_solve_h(state, branch, "periodic")
+            assert info["kernel_dim"] == 2
+            assert np.max(np.abs(h_par.values)) <= 1e-10 * c
+            outs[builder, branch] = h.hs.values
+    ref = outs["_sg_transfers_generic", "-"]
+    for hs in outs.values():
+        assert np.max(np.abs(hs - ref)) <= 1e-10 * c
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sg_periodic_full_kernel_gives_the_line_solution(n):
+    # on L = 40 the kink's monodromy is the identity to 3e-8, so every
+    # boundary value counts as periodic: the one taken is the line mode's
+    state = sf.preset_sg_kink(gcalc.PeriodicGrid(128, 40.0), n)
+    c = chi(n)
+    for branch in ("+", "-"):
+        h, h_par, info = sf.sg_solve_h(state, branch, "periodic")
+        h_l, h_par_l, info_l = sf.sg_solve_h(state, branch, "line")
+        assert info["kernel_dim"] == 4
+        assert np.max(np.abs(info["boundary"] - info_l["boundary"])) <= 1e-12 * c
+        assert np.max(np.abs(h.hs.values - h_l.hs.values)) <= 1e-12 * c
+        assert np.max(np.abs(h_par.values - h_par_l.values)) <= 1e-12 * c
 
 
 def _kink_with(value, n):
