@@ -664,13 +664,3 @@ def equivalence_action_pair(a, A, p):
     else:
         v = p.v.values.copy()
     return type(p)(Field(p.grid, s, p.s.kind), Field(p.grid, v, "qvec"))
-
-
-def dump_pair_csv(path, state: StatePair, out: _Pair):
-    """Diagnostic dump: x, state components, output components."""
-    grid = state.grid
-    cols = [grid.x]
-    for arr in (*state.arrays(), *out.arrays()):
-        cols.append(arr.reshape(grid.num_points, -1))
-    data = np.column_stack(cols)
-    np.savetxt(path, data, delimiter=",", fmt="%.17e")

@@ -146,7 +146,7 @@ def build_sim_config(cfg) -> sf.SimConfig:
         hierarchy_level=int(flow.get("l", 1)),
         cadence=int(cfg["output"].get("cadence", 1)),
         cfl_constant=float(flow.get("cfl_constant", sf.DEFAULT_CFL_CONSTANT)),
-        project_fraction=flow.get("project_fraction", 2.0 / 3.0),
+        project_fraction=flow.get("project_fraction", sf.DEFAULT_PROJECT_FRACTION),
     )
 
 

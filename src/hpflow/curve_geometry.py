@@ -4,10 +4,12 @@ The frame is the group element psi(x) solving the right-invariant transport
 ODE psi_x = psi (e_x + omega_x), where e_x is the constant unit tangent
 representative (carrying the 1/sqrt(chi) Killing normalization) and
 omega_x = (u, bu) is the connection built from the state.  psi is stored in
-the complex embedding of quaternion matrices, where anti-Hermitian stage
-matrices exponentiate by soliton_flows.expm_antihermitian, a Taylor
-polynomial with scaling and squaring whose truncation error is below
-roundoff, so the transport preserves quaternion-unitarity to roundoff.
+the complex embedding of quaternion matrices.  Its transpose solves
+(psi^t)_x = (e_x + omega_x)^t psi^t, an x-system of the -1 flow's form
+y_x = M y, so transport reuses that flow's Magnus-4 generator, prefix scan
+and unitary Taylor exponential: quaternion-unitarity holds to roundoff.  In
+time, the state takes the flow solvers' RK4 step (2/3 rule on the +1 flow)
+and the frame one exponential at the average of the step's end states.
 
 The curve is gamma(x) = psi(x) applied to the origin column (1, 0, ..., 0)^t:
 a unit vector in H^(n+1) representing a projective point up to right unit
@@ -38,7 +40,7 @@ from . import grid_calculus as gcalc
 from . import quat_core as qc
 from . import soliton_flows as sf
 from .biham_ops import StatePair, make_state
-from .errors import BlowUpError, DomainError, GaugeAlignmentError, IntegrationAccuracyError
+from .errors import DomainError, GaugeAlignmentError
 from .grid_calculus import Field, PeriodicGrid
 from .symm_lie import chi
 
@@ -85,12 +87,6 @@ def connection_matrix(state: StatePair) -> np.ndarray:
     return h_matrix(np.zeros((K, 4)), np.zeros((K, m, m, 4)), u, bu)
 
 
-def right_prefix_products(T: np.ndarray) -> np.ndarray:
-    """Q[0] = I, Q[i] = T[0] @ T[1] @ ... @ T[i-1]."""
-    swapped = np.swapaxes(T, -1, -2)
-    return np.swapaxes(sf.prefix_products(swapped), -1, -2)
-
-
 # -- frame transport -----------------------------------------------------------
 
 @dataclass
@@ -113,7 +109,8 @@ class FrameState:
 
 
 def _transport_transfers(state: StatePair, refine: int) -> np.ndarray:
-    """Per-cell transfer exponentials for psi_x = psi * (e_x + omega_x)."""
+    """Per-cell transfers of psi^t, the transpose of psi_x = psi (e_x + omega_x):
+    T[i] carries psi^t across cell i as the -1 flow's transfers carry y."""
     grid = state.grid
     fine = 2 * refine
     u_f = gcalc.spectral_refine(state.u.values, grid, fine)
@@ -122,22 +119,15 @@ def _transport_transfers(state: StatePair, refine: int) -> np.ndarray:
     K = u_f.shape[0]
     mats = connection_matrix(make_state(grid.refined(fine), u_f, bu_f))
     mats += cartan_tangent_matrix(state.n, K)
-    A = qc.qmat_to_complex(mats)
-    A0 = A[0::2]
-    Amid = A[1::2]
-    A1 = np.roll(A0, -1, axis=0)
-    h = grid.dx / refine
-    comm = Amid @ (A1 - A0) - (A1 - A0) @ Amid
-    Omega = (h / 6.0) * (A0 + 4.0 * Amid + A1) + (h**2 / 12.0) * comm
-    return sf.expm_antihermitian(Omega)
+    A_t = np.swapaxes(qc.qmat_to_complex(mats), -1, -2)
+    return sf.expm_antihermitian(sf._magnus4(A_t, grid.dx / refine))
 
 
 def transport_frame(state: StatePair, psi0: np.ndarray | None = None, refine: int = 4) -> FrameState:
     """Integrate the frame along x on the refine-times-finer grid."""
     grid = state.grid
     size = 2 * (state.n + 1)
-    transfers = _transport_transfers(state, refine)
-    prefixes = right_prefix_products(transfers)
+    prefixes = np.swapaxes(sf.prefix_products(_transport_transfers(state, refine)), -1, -2)
     psi = prefixes[:-1]
     monodromy = prefixes[-1]
     if psi0 is not None:
@@ -522,24 +512,25 @@ def evolve_with_frame(
 ) -> FrameTrajectory:
     """Co-evolve the state and the frame field psi(t, x).
 
-    The state advances by RK4; the frame advances by the midpoint Magnus rule
-    psi <- psi exp(dt * (e_t + omega_t)) evaluated at a second-order midpoint
-    state, which keeps psi exactly unitary.
+    The state advances by the flow solvers' RK4 body, with the 2/3 rule on
+    the +1 flow and no projection on the -1 flow, as in sg_step.  The frame
+    advances by the midpoint Magnus rule psi <- psi exp(dt * (e_t + omega_t))
+    at the average of the step's end states, a second-order midpoint that
+    keeps psi exactly unitary.
     """
     grid = state.grid
 
     if flow == "mkdv":
-        def rhs(s):
-            return sf.mkdv_rhs(s, galilean_removed=False)
+        fraction = sf.DEFAULT_PROJECT_FRACTION
+        time_mats = _mkdv_time_matrices
 
-        def time_mats(s):
-            return _mkdv_time_matrices(s)
+        def step_rhs(t_end):
+            return lambda s: sf.mkdv_rhs(s, galilean_removed=False)
     elif flow == "sg":
-        inv_chi = 1.0 / chi(state.n)
+        fraction = None
 
-        def rhs(s):
-            h, _, _ = sf.sg_solve_h(s, branch, sg_mode, sg_refine)
-            return bo.make_flow(grid, inv_chi * h.hs.values, inv_chi * h.hv.values)
+        def step_rhs(t_end):
+            return sf._sg_rhs(state.n, branch, sg_mode, sg_refine, t_end)
 
         def time_mats(s):
             return _sg_time_matrices(s, branch, sg_mode, sg_refine)
@@ -553,41 +544,20 @@ def evolve_with_frame(
     t = 0.0
 
     for step in range(steps):
-        k1 = rhs(state)
-        s2 = _shift(state, k1, dt / 2)
-        k2 = rhs(s2)
-        s3 = _shift(state, k2, dt / 2)
-        k3 = rhs(s3)
-        s4 = _shift(state, k3, dt)
-        k4 = rhs(s4)
+        new = sf._rk4(state, step_rhs(t + dt), dt, t, fraction)
         mid = make_state(
             grid,
-            0.5 * (s2.u.values + s3.u.values),
-            0.5 * (s2.bu.values + s3.bu.values),
+            0.5 * (state.u.values + new.u.values),
+            0.5 * (state.bu.values + new.bu.values),
         )
-        _check_finite(mid, t + dt / 2)
         psi = psi @ sf.expm_antihermitian(dt * time_mats(mid))
-        du = (dt / 6.0) * (k1.hs.values + 2 * k2.hs.values + 2 * k3.hs.values + k4.hs.values)
-        dbu = (dt / 6.0) * (k1.hv.values + 2 * k2.hv.values + 2 * k3.hv.values + k4.hv.values)
-        state = _shift(state, bo.make_flow(grid, du, dbu), 1.0)
+        state = new
         t += dt
-        _check_finite(state, t)
         if (step + 1) % snapshot_every == 0 or step + 1 == steps:
             traj.append(
                 t, state, FrameState(grid, state.n, psi.copy(), frame0.monodromy)
             )
     return traj
-
-
-def _shift(state: StatePair, k, c) -> StatePair:
-    u = state.u.values + c * k.hs.values
-    u[:, 0] = 0.0
-    return make_state(state.grid, u, state.bu.values + c * k.hv.values)
-
-
-def _check_finite(state: StatePair, t: float):
-    if not all(np.all(np.isfinite(a)) for a in state.arrays()):
-        raise BlowUpError(t)
 
 
 def transport_consistency(frame: FrameState, state: StatePair, refine: int = 8) -> float:
@@ -596,8 +566,8 @@ def transport_consistency(frame: FrameState, state: StatePair, refine: int = 8) 
     per_cell = transfers.reshape(state.grid.num_points, refine, *transfers.shape[1:])
     acc = per_cell[:, 0]
     for j in range(1, refine):
-        acc = acc @ per_cell[:, j]
-    predicted = frame.psi @ acc
+        acc = per_cell[:, j] @ acc
+    predicted = frame.psi @ np.swapaxes(acc, -1, -2)
     defect = predicted[:-1] - frame.psi[1:]
     return float(np.max(np.abs(defect)))
 

@@ -210,21 +210,6 @@ def dealias(f: Field, fraction: float = 2.0 / 3.0) -> Field:
 _MAGIC = b"QFLD0001"
 
 
-def field_to_csv(path, f: Field, header: bool = True):
-    """Columns: x then the flattened per-point components in full precision."""
-    flat = f.values.reshape(f.grid.num_points, -1)
-    cols = np.column_stack([f.grid.x, flat])
-    names = ["x"] + [f"c{i}" for i in range(flat.shape[1])]
-    np.savetxt(
-        path,
-        cols,
-        delimiter=",",
-        header=",".join(names) if header else "",
-        comments="",
-        fmt="%.17e",
-    )
-
-
 def field_to_binary(path, f: Field, n: int):
     """Header: algebra size n, N, L, kind; payload: row-major float64 samples."""
     with open(path, "wb") as fh:

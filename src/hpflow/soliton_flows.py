@@ -13,7 +13,9 @@ constraint form's orthogonal algebra, the constraint is preserved to
 roundoff along x regardless of resolution.  For n = 1 that algebra is
 so(4) = sp(1) + sp(1), and each transfer is built in closed form as one left
 and one right multiplication by a unit quaternion; n >= 2 exponentiates the
-Magnus generator with the batched Taylor map.  Two spatial modes are offered:
+Magnus generator with the batched Taylor map.  The frame transport in
+curve_geometry shares the Magnus-4 generator, exponential and prefix scan,
+and its co-evolution in time the RK4 body.  Two spatial modes are offered:
 
     line     : integrate left to right from the boundary value
                (sign * chi, 0, 0) at x = 0; meant for states that vanish
@@ -53,6 +55,8 @@ from .grid_calculus import Field, PeriodicGrid
 from .symm_lie import chi
 
 DEFAULT_CFL_CONSTANT = 0.05
+# Orszag's 2/3 rule: the +1 flow's stage states keep the lower 2/3 of the modes
+DEFAULT_PROJECT_FRACTION = 2.0 / 3.0
 
 
 @dataclass
@@ -71,7 +75,7 @@ class SimConfig:
     hierarchy_level: int = 1
     cadence: int = 1
     cfl_constant: float = DEFAULT_CFL_CONSTANT
-    project_fraction: float | None = 2.0 / 3.0
+    project_fraction: float | None = DEFAULT_PROJECT_FRACTION
 
     def __post_init__(self):
         if self.n < 1:
@@ -172,6 +176,11 @@ def step_rk4(
     project_fraction: float | None = None,
 ) -> StatePair:
     """Classical fourth-order step; re-projects the scalar to imaginary each stage."""
+    return _rk4(state, rhs, dt, t, project_fraction)
+
+
+def _rk4(state: StatePair, rhs, dt: float, t: float, project_fraction) -> StatePair:
+    """The one RK4 body, shared by step_rk4, sg_step and the frame co-evolution."""
     grid = state.grid
     u, bu = state.arrays()
 
@@ -334,19 +343,23 @@ def _sg_transfers(state: StatePair, refine: int) -> np.ndarray:
     return _sg_transfers_generic(state, refine)
 
 
+def _magnus4(M: np.ndarray, h: float) -> np.ndarray:
+    """Magnus-4 generators of y_x = M y over periodic cells of width h, from M
+    at the cell ends (even rows) and midpoints (odd rows)."""
+    M0 = M[0::2]
+    Mmid = M[1::2]
+    M1 = np.roll(M0, -1, axis=0)
+    comm = Mmid @ (M1 - M0) - (M1 - M0) @ Mmid
+    return (h / 6.0) * (M0 + 4.0 * Mmid + M1) - (h**2 / 12.0) * comm
+
+
 def _sg_transfers_generic(state: StatePair, refine: int) -> np.ndarray:
     """Magnus-4 generators from the system matrix, exponentiated by the Taylor map."""
     grid = state.grid
     fine = 2 * refine
     u_f = gcalc.spectral_refine(state.u.values, grid, fine)
     bu_f = gcalc.spectral_refine(state.bu.values, grid, fine)
-    M = sg_system_matrix(u_f, bu_f)
-    M0 = M[0::2]
-    Mmid = M[1::2]
-    M1 = np.roll(M0, -1, axis=0)
-    h = grid.dx / refine
-    comm = Mmid @ (M1 - M0) - (M1 - M0) @ Mmid
-    Omega = (h / 6.0) * (M0 + 4.0 * Mmid + M1) - (h**2 / 12.0) * comm
+    Omega = _magnus4(sg_system_matrix(u_f, bu_f), grid.dx / refine)
     # Omega is skew w.r.t. the form diag(sqrt_form^2); the diagonal similarity
     # by sqrt_form makes it skew-symmetric
     sqrt_form = _sqrt_form(state.n - 1)
@@ -501,17 +514,23 @@ def sg_step(
     t: float = 0.0,
 ) -> StatePair:
     """Advance the -1 flow by one RK4 step, re-solving the x-system per stage."""
-    grid = state.grid
-    inv_chi = 1.0 / chi(state.n)
+    rhs = _sg_rhs(state.n, branch, mode, refine, t + dt)
+    return step_rk4(state, rhs, dt, t, project_fraction=None)
+
+
+def _sg_rhs(n: int, branch: str, mode: str, refine: int, t_end: float):
+    """The -1 flow's right side h / chi; a non-finite monodromy in a step
+    ending at t_end is reported as a blow-up there."""
+    inv_chi = 1.0 / chi(n)
 
     def rhs(s):
         try:
             h, _, _ = sg_solve_h(s, branch, mode, refine)
         except NonFiniteMonodromyError as exc:
-            raise BlowUpError(t + dt) from exc
-        return make_flow(grid, inv_chi * h.hs.values, inv_chi * h.hv.values)
+            raise BlowUpError(t_end) from exc
+        return make_flow(s.grid, inv_chi * h.hs.values, inv_chi * h.hv.values)
 
-    return step_rk4(state, rhs, dt, t, project_fraction=None)
+    return rhs
 
 
 # -- presets -------------------------------------------------------------------

@@ -399,12 +399,3 @@ def test_hierarchy_rejects_negative_level(rng):
         bo.hierarchy_flows(state, -1)
     with pytest.raises(DomainError):
         bo.hierarchy_flows(state, 1, constants="bogus")
-
-
-def test_dump_pair_csv(tmp_path, rng):
-    state = random_state(rng, GRID, 2)
-    out = bo.apply_R(state, bo.state_deriv(state), mean_tolerance=np.inf)
-    path = tmp_path / "dump.csv"
-    bo.dump_pair_csv(path, state, out)
-    data = np.loadtxt(path, delimiter=",")
-    assert data.shape[0] == GRID.num_points

@@ -207,15 +207,30 @@ def test_hierarchy_level_2_past_its_bound_is_a_config_error(tmp_path, capsys):
 
 
 def test_shipped_configs(tmp_path, capsys):
-    # mkdv_soliton's map check steps its frame co-evolution at the simulation
-    # dt, beyond RK4's stability limit there; it must fail as a typed blow-up
     assert [p.stem for p in CONFIGS] == ["mkdv_soliton", "random_n2", "sg_kink"]
     for path in CONFIGS:
         rc = cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / path.stem)])
         err = capsys.readouterr().err
         assert "Traceback" not in err
-        if path.stem == "mkdv_soliton":
-            assert rc == 1
-            assert "error: map check: solution blew up (non-finite values)" in err
-        else:
-            assert rc == 0, err
+        assert rc == 0, err
+    # the soliton's map check co-evolves the frame at the simulation dt
+    res = json.loads((tmp_path / "mkdv_soliton" / "mkdv_map_residuals.json").read_text())
+    assert res["unitarity"] <= 1e-9
+
+
+def test_simulate_map_check_blowup_exits_1(tmp_path, capsys):
+    # dt = 2 dx^3 passes the run's one step, but the map check's ten steps at
+    # that dt leave RK4's stability region
+    dx = 10.0 / 64
+    cfg = write_config(
+        tmp_path,
+        grid={"N": 64, "L": 10.0, "mode": "periodic"},
+        flow={"kind": "mkdv", "dt": 2 * dx**3, "t_end": 2 * dx**3, "cfl_constant": 2.0},
+        initial={"preset": "mkdv_soliton", "a": 1.5},
+        output={"reconstruct": True},
+    )
+    rc = cli.main(["simulate", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "error: map check: solution blew up" in err
+    assert "Traceback" not in err

@@ -240,6 +240,65 @@ def test_transport_consistency_after_evolution(rng):
     assert defect <= 1e-6
 
 
+def test_mkdv_frame_state_matches_small_dt_reference():
+    # the criterion-7 run: the co-evolved state is the dealiased RK4 solution
+    grid = gcalc.PeriodicGrid(256, 40.0)
+    state = sf.preset_mkdv_soliton(grid, n=1, a=1.0)
+    traj = cg.evolve_with_frame(state, "mkdv", 2e-3, 10, transport_refine=8)
+    ref = state
+    for i in range(200):
+        ref = sf.step_rk4(
+            ref, lambda s: sf.mkdv_rhs(s, galilean_removed=False), 1e-4, i * 1e-4,
+            project_fraction=sf.DEFAULT_PROJECT_FRACTION,
+        )
+    assert np.max(np.abs(traj.states[-1].u.values - ref.u.values)) <= 1e-8
+
+
+def test_sg_frame_states_equal_sg_step_loop():
+    grid = gcalc.PeriodicGrid(128, 40.0)
+    state = sf.preset_sg_kink(grid, n=1, a=1.0)
+    dt = 1e-4
+    traj = cg.evolve_with_frame(
+        state, "sg", dt, 4, branch="-", sg_refine=8, transport_refine=4
+    )
+    s = state
+    for i, evolved in enumerate(traj.states[1:]):
+        s = sf.sg_step(s, dt, branch="-", mode="line", refine=8, t=i * dt)
+        assert np.array_equal(evolved.u.values, s.u.values)
+        assert np.array_equal(evolved.bu.values, s.bu.values)
+
+
+def _reference_right_transport(state, refine):
+    """psi_x = psi A integrated in its own orientation: the Magnus-4 formula
+    for right multiplication and the scan of right products, written out."""
+    grid = state.grid
+    fine = 2 * refine
+    u_f = gcalc.spectral_refine(state.u.values, grid, fine)
+    u_f[:, 0] = 0.0
+    bu_f = gcalc.spectral_refine(state.bu.values, grid, fine)
+    mats = cg.connection_matrix(bo.make_state(grid.refined(fine), u_f, bu_f))
+    mats += cg.cartan_tangent_matrix(state.n, u_f.shape[0])
+    A = qc.qmat_to_complex(mats)
+    A0, Amid = A[0::2], A[1::2]
+    A1 = np.roll(A0, -1, axis=0)
+    h = grid.dx / refine
+    comm = Amid @ (A1 - A0) - (A1 - A0) @ Amid
+    T = sf.expm_antihermitian((h / 6.0) * (A0 + 4.0 * Amid + A1) + (h**2 / 12.0) * comm)
+    # Q[0] = I, Q[i] = T[0] @ T[1] @ ... @ T[i-1]
+    prefixes = np.swapaxes(sf.prefix_products(np.swapaxes(T, -1, -2)), -1, -2)
+    return prefixes[:-1], prefixes[-1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_transport_frame_matches_right_oriented_reference(rng, n):
+    grid = gcalc.PeriodicGrid(64, 12.0)
+    state = random_state(rng, grid, n, amplitude=0.5, kmax=3)
+    frame = cg.transport_frame(state, refine=4)
+    psi, monodromy = _reference_right_transport(state, 4)
+    assert np.max(np.abs(frame.psi - psi)) <= 1e-13
+    assert np.max(np.abs(frame.monodromy - monodromy)) <= 1e-13
+
+
 def test_curve_export(tmp_path, rng):
     grid = gcalc.PeriodicGrid(32, 8.0)
     state = random_state(rng, grid, 1, amplitude=0.3)

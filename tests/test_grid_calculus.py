@@ -169,17 +169,6 @@ def test_dealias_removes_high_modes():
     assert np.max(np.abs(f.values - np.cos(2 * grid.x))) <= 1e-12
 
 
-def test_csv_export(tmp_path):
-    grid = gcalc.PeriodicGrid(16, 1.0)
-    f = gcalc.Field(grid, np.arange(16 * 4, dtype=float).reshape(16, 4), "quat")
-    path = tmp_path / "f.csv"
-    gcalc.field_to_csv(path, f)
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    assert data.shape == (16, 5)
-    np.testing.assert_allclose(data[:, 0], grid.x)
-    np.testing.assert_allclose(data[:, 1:], f.values)
-
-
 def test_binary_roundtrip(tmp_path, rng):
     grid = gcalc.PeriodicGrid(16, 2.5)
     f = gcalc.Field(grid, rng.standard_normal((16, 2, 4)), "qvec")
