@@ -34,7 +34,7 @@ import numpy as np
 
 from . import grid_calculus as gcalc
 from . import quat_core as qc
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError, NonlocalityError
 from .grid_calculus import DEFAULT_MEAN_TOLERANCE, Field, PeriodicGrid
 from .symm_lie import chi
 
@@ -88,7 +88,9 @@ class StatePair(_Pair):
 
     def __post_init__(self):
         self._validate()
-        if np.max(np.abs(self.u.values[:, 0])) > 1e-9 * max(self.u.rms(), 1e-30):
+        # a scalar part of exact zeros (every RK4 stage) passes without the RMS
+        re_u = np.max(np.abs(self.u.values[:, 0]))
+        if re_u != 0.0 and re_u > 1e-9 * max(self.u.rms(), 1e-30):
             raise DomainError("state scalar must be pointwise imaginary")
 
 
@@ -156,10 +158,6 @@ def _real_times_vec(f, v):
     return f[:, None, None] * v
 
 
-def _comm_vec(x, y):
-    return qc.comm_C_vec(x, y)
-
-
 def _avec_real(x, y):
     """(1/2) A(x, y) = Re<x, y>."""
     return qc.vec_dot(x, y)
@@ -188,8 +186,6 @@ def _inv_dx(values, grid, tol, block, const=None, ref=0.0):
     scale = float(np.sqrt(np.mean(values**2))) if values.size else 0.0
     worst = float(np.max(np.abs(means))) if means.size else 0.0
     if worst > tol * max(scale, ref, 1e-300):
-        from .errors import NonlocalityError
-
         raise NonlocalityError(block, worst, scale, tol)
     out = gcalc.spectral_antideriv(values, grid)
     if const is not None:
@@ -211,7 +207,7 @@ def w_parallel(
     ws, wv = w.arrays()
     grid = state.grid
     ref = state.rms() * w.rms()
-    integrand = _comm(u, ws) - 0.5 * _comm_vec(bu, wv)
+    integrand = _comm(u, ws) - 0.5 * qc.comm_C_vec(bu, wv)
     w_par = -_inv_dx(integrand, grid, mean_tolerance, "w_parallel",
                      None if w_par_const is None else -np.asarray(w_par_const), ref)
     W_par = _inv_dx(qc.matcomm_C(bu, wv), grid, mean_tolerance, "W_parallel",
@@ -248,7 +244,7 @@ def apply_H(
     ws, wv = w.arrays()
     grid = state.grid
     w_par, W_par = w_parallel(state, w, mean_tolerance, w_par_const, W_par_const)
-    out_s = _dx(ws, grid) + _comm(u, w_par.values) + 0.5 * _comm_vec(bu, wv)
+    out_s = _dx(ws, grid) + _comm(u, w_par.values) + 0.5 * qc.comm_C_vec(bu, wv)
     out_v = (
         _dx(wv, grid)
         - _scalar_times_vec(w_par.values, bu)
@@ -270,7 +266,7 @@ def apply_J(
     hs, hv = h.arrays()
     grid = state.grid
     h_par = h_parallel(state, h, mean_tolerance, h_par_const).values
-    out_s = 0.25 * _dx(hs, grid) + 0.25 * _comm_vec(bu, hv) + h_par[:, None] * u
+    out_s = 0.25 * _dx(hs, grid) + 0.25 * qc.comm_C_vec(bu, hv) + h_par[:, None] * u
     out_v = (
         _dx(hv, grid)
         + 0.5 * _scalar_times_vec(hs, bu)
@@ -298,10 +294,10 @@ def apply_K(
     grid = state.grid
     ref = state.rms() * float(np.sqrt(np.mean(zs**2) + np.sum(np.mean(zv**2, axis=0))))
     if subspace == "hperp":
-        par_s = _comm(u, zs) - 0.5 * _comm_vec(bu, zv)
+        par_s = _comm(u, zs) - 0.5 * qc.comm_C_vec(bu, zv)
         P = _inv_dx(par_s, grid, mean_tolerance, "K.h_par.scalar", None, ref)
         PM = _inv_dx(qc.matcomm_C(zv, bu), grid, mean_tolerance, "K.h_par.matrix", None, ref)
-        out_s = _dx(zs, grid) + 0.5 * _comm_vec(bu, zv) - _comm(u, P)
+        out_s = _dx(zs, grid) + 0.5 * qc.comm_C_vec(bu, zv) - _comm(u, P)
         out_v = (
             _dx(zv, grid)
             + _scalar_times_vec(zs, bu)
@@ -313,7 +309,7 @@ def apply_K(
     if subspace == "mperp":
         par = _acomm_real(zs, u) + _avec_real(zv, bu)
         f = _inv_dx(par, grid, mean_tolerance, "K.m_par", None, ref)
-        out_s = _dx(zs, grid) - 0.5 * _comm_vec(bu, zv) - 2.0 * f[:, None] * u
+        out_s = _dx(zs, grid) - 0.5 * qc.comm_C_vec(bu, zv) - 2.0 * f[:, None] * u
         out_v = (
             _dx(zv, grid)
             - _scalar_times_vec(zs, bu)
@@ -371,7 +367,7 @@ def apply_R_blocks(state, h: FlowPair, mean_tolerance=DEFAULT_MEAN_TOLERANCE) ->
     hbu = _scalar_times_vec(hs, bu)  # R_bu hs
     f_au = ix(_acomm_real(u, hs), "R11.AuDxInvAu")  # D_x^{-1} A_u hs
     cu_dxh = ix(_comm(u, dx(hs)), "R11.CuDx")
-    cvec_hbu = 0.5 * _comm_vec(bu, hbu)  # C_bu R_bu hs
+    cvec_hbu = 0.5 * qc.comm_C_vec(bu, hbu)  # C_bu R_bu hs
 
     r11 = (
         0.25 * dx(dx(hs))
@@ -381,11 +377,11 @@ def apply_R_blocks(state, h: FlowPair, mean_tolerance=DEFAULT_MEAN_TOLERANCE) ->
         + 0.5 * _comm(u, ix(cvec_hbu, "R11.CuCbuRbu"))
     )
 
-    cvec_h = 0.5 * _comm_vec(bu, hv)  # C_bu hv
+    cvec_h = 0.5 * qc.comm_C_vec(bu, hv)  # C_bu hv
     g_avec = ix(_avec_real(bu, hv), "R12.AuDxInvAvec")  # D_x^{-1} A_bu hv
     uhv = _scalar_times_vec(u, hv)
-    cvec_dxh = 0.5 * _comm_vec(bu, dx(hv))
-    cvec_uhv = 0.5 * _comm_vec(bu, uhv)
+    cvec_dxh = 0.5 * qc.comm_C_vec(bu, dx(hv))
+    cvec_uhv = 0.5 * qc.comm_C_vec(bu, uhv)
 
     r12 = (
         0.5 * dx(cvec_h)
@@ -445,7 +441,7 @@ def _w_par1_local(state: StatePair) -> np.ndarray:
     bux = gcalc.spectral_deriv(bu, state.grid)
     return (
         -0.25 * _comm(u, ux)
-        + 0.5 * _comm_vec(bu, bux)
+        + 0.5 * qc.comm_C_vec(bu, bux)
         - 0.5 * qc.vec_normsq(bu)[:, None] * u
     )
 
@@ -469,7 +465,7 @@ def hamiltonian_local_density(state: StatePair, l: int) -> Field:
         vals = (
             -0.125 * qc.qnormsq(ux)
             - 0.5 * qc.vec_normsq(bux)
-            - 0.125 * _acomm_real(u, _comm_vec(bu, bux))
+            - 0.125 * _acomm_real(u, qc.comm_C_vec(bu, bux))
             + 0.125 * (qc.qnormsq(u) + qc.vec_normsq(bu)) ** 2
         )
         return Field(grid, vals, "real")
@@ -478,6 +474,13 @@ def hamiltonian_local_density(state: StatePair, l: int) -> Field:
 
 def hamiltonian_value(state: StatePair, l: int) -> float:
     return gcalc.integrate(hamiltonian_local_density(state, l))
+
+
+def _jet_h_par_const(state: StatePair, l: int) -> float:
+    """Jet constant of h_par in the recursion step from level l <= 1."""
+    if l == 0:
+        return float(np.mean(_h_par0_local(state)))
+    return 3.0 * hamiltonian_value(state, 1) / state.grid.length
 
 
 def hierarchy_flows(
@@ -491,16 +494,11 @@ def hierarchy_flows(
         raise DomainError("l_max must be >= 0")
     if constants not in ("jet", "zero_mean"):
         raise DomainError(f"unknown constants convention {constants!r}")
-    L = state.grid.length
     flows = [state_deriv(state)]
     for l in range(l_max):
-        h_par_const = None
-        w_par_const = None
-        W_par_const = None
+        h_par_const = w_par_const = W_par_const = None
         if constants == "jet" and l <= 1:
-            h_par_const = float(np.mean(_h_par0_local(state))) if l == 0 else (
-                3.0 * hamiltonian_value(state, 1) / L
-            )
+            h_par_const = _jet_h_par_const(state, l)
             if l == 0:
                 w_par_const = np.mean(_w_par1_local(state), axis=0)
                 W_par_const = np.mean(_W_par1_local(state), axis=0)
@@ -524,13 +522,7 @@ def hierarchy_covector(state, l, constants="jet", mean_tolerance=DEFAULT_MEAN_TO
     if l == 0:
         return make_covector(state.grid, state.u.values.copy(), state.bu.values.copy())
     flows = hierarchy_flows(state, l - 1, constants, mean_tolerance)
-    h_par_const = None
-    if constants == "jet" and l - 1 <= 1:
-        h_par_const = (
-            float(np.mean(_h_par0_local(state)))
-            if l - 1 == 0
-            else 3.0 * hamiltonian_value(state, 1) / state.grid.length
-        )
+    h_par_const = _jet_h_par_const(state, l - 1) if constants == "jet" and l <= 2 else None
     return apply_J(state, flows[l - 1], mean_tolerance, h_par_const)
 
 

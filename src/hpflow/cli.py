@@ -204,8 +204,11 @@ def cmd_simulate(args) -> int:
         _write_snapshot(outdir, index[0], t, s, formats)
 
     _write_snapshot(outdir, 0, 0.0, state, formats)
+    # no numpy warnings while stepping: every non-finite result there raises
+    # BlowUpError (a non-finite monodromy is reported as one)
     try:
-        traj = sf.run_flow(sim, state, observer=observer)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            traj = sf.run_flow(sim, state, observer=observer)
     except (BlowUpError, NonlocalityError, ShootingError, IntegrationAccuracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -222,10 +225,11 @@ def cmd_simulate(args) -> int:
             steps = 10
             dt_check = min(sim.dt, 1e-3 if sim.flow == "sg" else sim.dt)
             try:
-                ftraj = cg.evolve_with_frame(
-                    traj.states[-1], sim.flow, dt_check, steps,
-                    branch=sim.sg_branch, sg_mode=sim.sg_mode, sg_refine=sim.sg_refine,
-                )
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    ftraj = cg.evolve_with_frame(
+                        traj.states[-1], sim.flow, dt_check, steps,
+                        branch=sim.sg_branch, sg_mode=sim.sg_mode, sg_refine=sim.sg_refine,
+                    )
             except BlowUpError as exc:
                 print(f"error: map check: {exc}", file=sys.stderr)
                 return 1

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError, NonlocalityError
 
-KINDS = ("real", "iquat", "quat", "qvec", "qmat")
+_KIND_NDIM = {"real": 1, "iquat": 2, "quat": 2, "qvec": 3, "qmat": 4}
+KINDS = tuple(_KIND_NDIM)
 
 DEFAULT_MEAN_TOLERANCE = 1e-8
 
@@ -69,6 +70,19 @@ class PeriodicGrid:
                 symbols[:, -1] = 0.0
             self._deriv_symbols[orders] = symbols
         return symbols
+
+    @cached_property
+    def _dealias_cuts(self) -> dict:
+        return {}
+
+    def dealias_cut(self, fraction: float) -> int:
+        """First rfft mode the dealias filter drops: it keeps the wavenumbers
+        <= fraction * pi / dx.  Found once per grid and per fraction."""
+        cuts = self._dealias_cuts
+        if fraction not in cuts:
+            kept = self.wavenumbers <= fraction * np.pi / self.dx
+            cuts[fraction] = int(np.count_nonzero(kept))
+        return cuts[fraction]
 
     def refined(self, factor: int) -> "PeriodicGrid":
         return PeriodicGrid(self.num_points * factor, self.length)
@@ -119,9 +133,7 @@ def spectral_refine(values: np.ndarray, grid: PeriodicGrid, factor: int) -> np.n
 
 def dealias_values(values: np.ndarray, grid: PeriodicGrid, fraction: float = 2.0 / 3.0) -> np.ndarray:
     F = np.fft.rfft(values, axis=0)
-    kmax = fraction * np.pi / grid.dx
-    mask = grid.wavenumbers <= kmax
-    F[~mask] = 0.0
+    F[grid.dealias_cut(fraction):] = 0.0
     return np.fft.irfft(F, n=grid.num_points, axis=0)
 
 
@@ -140,7 +152,7 @@ class Field:
                 f"samples ({self.values.shape[0]}) do not match grid "
                 f"({self.grid.num_points})"
             )
-        expected_ndim = {"real": 1, "iquat": 2, "quat": 2, "qvec": 3, "qmat": 4}[self.kind]
+        expected_ndim = _KIND_NDIM[self.kind]
         if self.values.ndim != expected_ndim:
             raise DimensionMismatchError(
                 f"kind {self.kind!r} expects {expected_ndim} axes, got {self.values.ndim}"

@@ -112,17 +112,19 @@ def mkdv_rhs(state: StatePair, galilean_removed: bool = True) -> FlowPair:
     """Closed-form right side of the scalar-vector mKdV system.
 
     All derivatives come from one transform of the packed (N, 4 + 4m) array
-    [u | bu]; the vector-coupling terms are empty sums when m = 0 and are
-    only formed when bu has components.
+    [u | bu], or of u alone when m = 0; the vector-coupling terms are empty
+    sums when m = 0 and are only formed when bu has components.
     """
     grid = state.grid
     u, bu = state.arrays()
     N, m = bu.shape[:2]
-    derivs = gcalc.spectral_deriv(
-        np.concatenate([u, bu.reshape(N, 4 * m)], axis=1), grid, (1, 2, 3)
-    )
-    ux, u2, u3 = derivs[:, :, :4]
-    bux, bu2, bu3 = derivs[:, :, 4:].reshape(3, N, m, 4)
+    if m:
+        derivs = gcalc.spectral_deriv(_pack(u, bu), grid, (1, 2, 3))
+        ux, u2, u3 = derivs[:, :, :4]
+        bux, bu2, bu3 = derivs[:, :, 4:].reshape(3, N, m, 4)
+    else:
+        ux, u2, u3 = gcalc.spectral_deriv(u, grid, (1, 2, 3))
+        bux = bu3 = bu  # (N, 0, 4): no components to differentiate
 
     unormsq = qc.qnormsq(u)
 
@@ -153,19 +155,20 @@ def mkdv_rhs(state: StatePair, galilean_removed: bool = True) -> FlowPair:
     return make_flow(grid, out_s, out_v)
 
 
-def _project_state(grid: PeriodicGrid, u, bu, fraction) -> StatePair:
-    """Stage state from fresh arrays (u is overwritten): the scalar re-projected
-    to imaginary and, with `fraction` set, [u | bu] dealiased in one transform."""
-    u[:, 0] = 0.0
+def _pack(u, bu):
+    """The (N, 4 + 4m) array [u | bu]; u itself when m = 0."""
+    return np.concatenate([u, bu.reshape(len(u), -1)], axis=1) if bu.shape[1] else u
+
+
+def _project_state(grid: PeriodicGrid, y, bu_shape, fraction) -> StatePair:
+    """Stage state from a fresh packed array y = [u | bu] (overwritten): the
+    scalar re-projected to imaginary and, with `fraction` set, y dealiased in
+    one transform.  The state's u and bu are views into y."""
+    y[:, 0] = 0.0
     if fraction is not None:
-        N = u.shape[0]
-        packed = gcalc.dealias_values(
-            np.concatenate([u, bu.reshape(N, -1)], axis=1), grid, fraction
-        )
-        u = packed[:, :4]
-        bu = packed[:, 4:].reshape(bu.shape)
-        u[:, 0] = 0.0
-    return make_state(grid, u, bu)
+        y = gcalc.dealias_values(y, grid, fraction)
+        y[:, 0] = 0.0
+    return make_state(grid, y[:, :4], y[:, 4:].reshape(bu_shape))
 
 
 def step_rk4(
@@ -180,26 +183,25 @@ def step_rk4(
 
 
 def _rk4(state: StatePair, rhs, dt: float, t: float, project_fraction) -> StatePair:
-    """The one RK4 body, shared by step_rk4, sg_step and the frame co-evolution."""
+    """The one RK4 body, shared by step_rk4, sg_step and the frame co-evolution.
+
+    Stages and the update are formed on packed [u | bu] arrays, element for
+    element in the order of the unpacked formulas."""
     grid = state.grid
-    u, bu = state.arrays()
+    bu_shape = state.bu.values.shape
+    y = _pack(*state.arrays())
 
-    def shifted(k, c):
-        return _project_state(
-            grid, u + c * k.hs.values, bu + c * k.hv.values, project_fraction
-        )
+    def k(s):
+        return _pack(*rhs(s).arrays())
 
-    k1 = rhs(state)
-    k2 = rhs(shifted(k1, dt / 2))
-    k3 = rhs(shifted(k2, dt / 2))
-    k4 = rhs(shifted(k3, dt))
-    du = (dt / 6.0) * (
-        k1.hs.values + 2 * k2.hs.values + 2 * k3.hs.values + k4.hs.values
-    )
-    dbu = (dt / 6.0) * (
-        k1.hv.values + 2 * k2.hv.values + 2 * k3.hv.values + k4.hv.values
-    )
-    new = _project_state(grid, u + du, bu + dbu, project_fraction)
+    def stage(dy):
+        return _project_state(grid, y + dy, bu_shape, project_fraction)
+
+    k1 = k(state)
+    k2 = k(stage((dt / 2) * k1))
+    k3 = k(stage((dt / 2) * k2))
+    k4 = k(stage(dt * k3))
+    new = stage((dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
     if not (np.all(np.isfinite(new.u.values)) and np.all(np.isfinite(new.bu.values))):
         raise BlowUpError(t + dt)
     return new
@@ -639,45 +641,32 @@ def run_flow(config: SimConfig, state: StatePair, observer=None) -> Trajectory:
     """Integrate the configured flow to t_end, snapshotting every `cadence`
     steps and after the last one."""
     traj = Trajectory()
-    traj.append(0.0, state)
-    if config.flow == "sg":
-        _, _, info = sg_solve_h(state, config.sg_branch, config.sg_mode, config.sg_refine)
-        traj.sg_constraint_dev.append(info["constraint_max_dev"])
-        traj.sg_constraint_value.append(float(np.mean(info["constraint"])))
+
+    def record(t, s):
+        traj.append(t, s)
+        if config.flow == "sg":
+            _, _, info = sg_solve_h(s, config.sg_branch, config.sg_mode, config.sg_refine)
+            traj.sg_constraint_dev.append(info["constraint_max_dev"])
+            traj.sg_constraint_value.append(float(np.mean(info["constraint"])))
+
+    def rhs(s):  # the flows stepped by step_rk4
+        if config.flow == "mkdv":
+            return mkdv_rhs(s, config.galilean_removed)
+        return bo.hierarchy_flow(s, config.hierarchy_level)
+
+    record(0.0, state)
     n_full, last_dt = _step_plan(config.t_end, config.dt)
     n_steps = n_full + (last_dt > 0.0)
     t = 0.0
     for step in range(n_steps):
         dt = config.dt if step < n_full else last_dt
-        if config.flow == "mkdv":
-            state = step_rk4(
-                state,
-                lambda s: mkdv_rhs(s, config.galilean_removed),
-                dt,
-                t,
-                config.project_fraction,
-            )
-        elif config.flow == "hierarchy":
-            state = step_rk4(
-                state,
-                lambda s: bo.hierarchy_flow(s, config.hierarchy_level),
-                dt,
-                t,
-                config.project_fraction,
-            )
+        if config.flow == "sg":
+            state = sg_step(state, dt, config.sg_branch, config.sg_mode, config.sg_refine, t)
         else:
-            state = sg_step(
-                state, dt, config.sg_branch, config.sg_mode, config.sg_refine, t
-            )
+            state = step_rk4(state, rhs, dt, t, config.project_fraction)
         t = (step + 1) * config.dt if step < n_full else config.t_end
         if (step + 1) % config.cadence == 0 or step + 1 == n_steps:
-            traj.append(t, state)
-            if config.flow == "sg":
-                _, _, info = sg_solve_h(
-                    state, config.sg_branch, config.sg_mode, config.sg_refine
-                )
-                traj.sg_constraint_dev.append(info["constraint_max_dev"])
-                traj.sg_constraint_value.append(float(np.mean(info["constraint"])))
+            record(t, state)
             if observer is not None:
                 observer(t, state)
     return traj

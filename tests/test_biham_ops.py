@@ -61,6 +61,15 @@ def test_state_requires_imaginary_scalar(rng):
         bo.make_state(GRID, u, np.zeros((GRID.num_points, 1, 4)))
 
 
+def test_state_accepts_zero_scalar_with_nan_imaginary(rng):
+    # Re u == 0 passes whatever the RMS, NaN included; RK4 reports the blow-up
+    u = bandlimited(rng, GRID, (4,))
+    u[:, 0] = 0.0
+    u[3, 2] = np.nan
+    state = bo.make_state(GRID, u, np.zeros((GRID.num_points, 1, 4)))
+    assert np.isnan(state.u.values[3, 2])
+
+
 def test_apply_H_exactness(rng):
     # H applied to the state covector gives exactly the x-derivative flow
     for n in (1, 2, 3):

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -234,3 +235,22 @@ def test_simulate_map_check_blowup_exits_1(tmp_path, capsys):
     assert rc == 1
     assert "error: map check: solution blew up" in err
     assert "Traceback" not in err
+
+
+def test_simulate_map_check_blowup_warns_nothing(tmp_path, capsys):
+    # the blow-up is reported once, by its typed error, with no numpy warnings
+    dx = 10.0 / 64
+    cfg = write_config(
+        tmp_path,
+        grid={"N": 64, "L": 10.0, "mode": "periodic"},
+        flow={"kind": "mkdv", "dt": 2 * dx**3, "t_end": 2 * dx**3, "cfl_constant": 2.0},
+        initial={"preset": "mkdv_soliton", "a": 1.5},
+        output={"reconstruct": True},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["simulate", "--config", str(cfg)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: map check: solution blew up")
+    assert err.count("\n") == 1

@@ -169,6 +169,32 @@ def test_dealias_removes_high_modes():
     assert np.max(np.abs(f.values - np.cos(2 * grid.x))) <= 1e-12
 
 
+def _mask_dealias(values, grid, fraction):
+    """The boolean-mask form of the dealias filter."""
+    F = np.fft.rfft(values, axis=0)
+    F[~(grid.wavenumbers <= fraction * np.pi / grid.dx)] = 0.0
+    return np.fft.irfft(F, n=grid.num_points, axis=0)
+
+
+@pytest.mark.parametrize("N", [64, 127, 128, 256])
+@pytest.mark.parametrize("fraction", [2 / 3, 1 / 2, 1.0])
+@pytest.mark.parametrize("length", [2 * np.pi, 20.0])
+def test_dealias_cut_matches_mask(rng, N, fraction, length):
+    grid = gcalc.PeriodicGrid(N, length)
+    mask = grid.wavenumbers <= fraction * np.pi / grid.dx
+    cut = grid.dealias_cut(fraction)
+    assert np.array_equal(mask, np.arange(N // 2 + 1) < cut)
+    assert grid.dealias_cut(fraction) == cut
+    vals = rng.standard_normal((N, 8))
+    assert np.array_equal(
+        gcalc.dealias_values(vals, grid, fraction), _mask_dealias(vals, grid, fraction)
+    )
+    if fraction == 1.0 and N % 2 == 0 and length == 2 * np.pi:
+        # kmax lands exactly on the Nyquist wavenumber, which is kept
+        assert fraction * np.pi / grid.dx == grid.wavenumbers[-1]
+        assert cut == N // 2 + 1
+
+
 def test_binary_roundtrip(tmp_path, rng):
     grid = gcalc.PeriodicGrid(16, 2.5)
     f = gcalc.Field(grid, rng.standard_normal((16, 2, 4)), "qvec")

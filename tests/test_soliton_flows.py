@@ -176,14 +176,21 @@ def test_mkdv_rhs_matches_six_transform_reference(N, n, galilean_removed):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("fraction", [2 / 3, None])
-def test_step_rk4_matches_two_projection_reference(n, fraction):
-    grid = gcalc.PeriodicGrid(128, 20.0)
+def test_step_rk4_matches_two_projection_reference(n, fraction, N=128):
+    grid = gcalc.PeriodicGrid(N, 20.0)
     dt = 5e-4
     fused = ref = sf.preset_random_band(grid, n, seed=10 + n, amplitude=0.4)
     for i in range(5):
         fused = sf.step_rk4(fused, sf.mkdv_rhs, dt, i * dt, project_fraction=fraction)
         ref = _reference_step_rk4(ref, _reference_mkdv_rhs, dt, fraction)
     assert_pairs_identical(fused, ref)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("fraction", [2 / 3, None])
+def test_step_rk4_matches_two_projection_reference_odd_grid(n, fraction):
+    # the packed stages against the reference where N odd has no Nyquist mode
+    test_step_rk4_matches_two_projection_reference(n, fraction, N=127)
 
 
 def test_step_rk4_dt_zero_identity(rng):
