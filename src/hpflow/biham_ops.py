@@ -34,9 +34,9 @@ import numpy as np
 
 from . import grid_calculus as gcalc
 from . import quat_core as qc
+from . import symm_lie as sl
 from .errors import DimensionMismatchError, DomainError, NonlocalityError
 from .grid_calculus import DEFAULT_MEAN_TOLERANCE, Field, PeriodicGrid
-from .symm_lie import chi
 
 
 class _Pair:
@@ -428,17 +428,13 @@ def apply_R_blocks(state, h: FlowPair, mean_tolerance=DEFAULT_MEAN_TOLERANCE) ->
 
 # -- hierarchy with jet-normalized antiderivative constants -------------------
 
-def _h_par0_local(state: StatePair) -> np.ndarray:
+def _h_par0_local(u, bu) -> np.ndarray:
     """Jet antiderivative for the level-0 tangential part: |u|^2/2 + |bu|^2/2."""
-    u, bu = state.arrays()
     return 0.5 * qc.qnormsq(u) + 0.5 * qc.vec_normsq(bu)
 
 
-def _w_par1_local(state: StatePair) -> np.ndarray:
+def _w_par1_local(u, bu, ux, bux) -> np.ndarray:
     """Jet antiderivative of the w_parallel integrand at level 1."""
-    u, bu = state.arrays()
-    ux = gcalc.spectral_deriv(u, state.grid)
-    bux = gcalc.spectral_deriv(bu, state.grid)
     return (
         -0.25 * _comm(u, ux)
         + 0.5 * qc.comm_C_vec(bu, bux)
@@ -446,10 +442,8 @@ def _w_par1_local(state: StatePair) -> np.ndarray:
     )
 
 
-def _W_par1_local(state: StatePair) -> np.ndarray:
+def _W_par1_local(u, bu, bux) -> np.ndarray:
     """Jet antiderivative of the W_parallel integrand at level 1."""
-    u, bu = state.arrays()
-    bux = gcalc.spectral_deriv(bu, state.grid)
     return qc.matcomm_C(bu, bux) + _uut_mat(bu, u)
 
 
@@ -458,7 +452,7 @@ def hamiltonian_local_density(state: StatePair, l: int) -> Field:
     u, bu = state.arrays()
     grid = state.grid
     if l == 0:
-        return Field(grid, _h_par0_local(state), "real")
+        return Field(grid, _h_par0_local(u, bu), "real")
     if l == 1:
         ux = gcalc.spectral_deriv(u, grid)
         bux = gcalc.spectral_deriv(bu, grid)
@@ -479,7 +473,7 @@ def hamiltonian_value(state: StatePair, l: int) -> float:
 def _jet_h_par_const(state: StatePair, l: int) -> float:
     """Jet constant of h_par in the recursion step from level l <= 1."""
     if l == 0:
-        return float(np.mean(_h_par0_local(state)))
+        return float(np.mean(_h_par0_local(*state.arrays())))
     return 3.0 * hamiltonian_value(state, 1) / state.grid.length
 
 
@@ -500,8 +494,10 @@ def hierarchy_flows(
         if constants == "jet" and l <= 1:
             h_par_const = _jet_h_par_const(state, l)
             if l == 0:
-                w_par_const = np.mean(_w_par1_local(state), axis=0)
-                W_par_const = np.mean(_W_par1_local(state), axis=0)
+                u, bu = state.arrays()
+                ux, bux = flows[0].arrays()
+                w_par_const = np.mean(_w_par1_local(u, bu, ux, bux), axis=0)
+                W_par_const = np.mean(_W_par1_local(u, bu, bux), axis=0)
         try:
             w_next = apply_J(state, flows[l], mean_tolerance, h_par_const)
             flows.append(
@@ -646,13 +642,5 @@ class HierarchyFunctional:
 
 def equivalence_action_pair(a, A, p):
     """Pointwise residual-group action (s, v) -> (a s a^-1, a v A) on a pair."""
-    from .symm_lie import check_unit_quaternion, check_unitary
-
-    check_unit_quaternion(a)
-    check_unitary(A)
-    s = qc.qmul(qc.qmul(a, p.s.values), qc.qconj(a))
-    if p.v.values.shape[1]:
-        v = qc.qmat_vecmul(qc.qmul(a, p.v.values), A)
-    else:
-        v = p.v.values.copy()
-    return type(p)(Field(p.grid, s, p.s.kind), Field(p.grid, v, "qvec"))
+    x = sl.equivalence_action(a, A, sl.MPerp(p.s.values, p.v.values))
+    return type(p)(Field(p.grid, x.s, p.s.kind), Field(p.grid, x.v, "qvec"))

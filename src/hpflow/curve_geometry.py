@@ -27,6 +27,10 @@ Map verification pulls ambient vectors back to Lie-algebra components
 through the frame, where the covariant derivative is D_x + [omega_x, .] and
 the curve-flow operator acts diagonally on the tangent decomposition with
 eigenvalues 0, 4/chi, 1/chi.
+
+The algebra is symm_lie's: every frame matrix (e_x + omega_x, e_t + omega_t)
+is one LieElement whose leading batch axis is the grid, turned into matrices
+by to_matrix, and every frame bracket is symm_lie.bracket.
 """
 
 from __future__ import annotations
@@ -39,52 +43,11 @@ from . import biham_ops as bo
 from . import grid_calculus as gcalc
 from . import quat_core as qc
 from . import soliton_flows as sf
+from . import symm_lie as sl
 from .biham_ops import StatePair, make_state
 from .errors import DomainError, GaugeAlignmentError
 from .grid_calculus import Field, PeriodicGrid
 from .symm_lie import chi
-
-
-# -- batched matrix builders ---------------------------------------------------
-
-def m_matrix(s: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """m-type matrices [[0, s, v], [-conj s, 0, 0], [-conj v^t, 0, 0]]."""
-    K = s.shape[0]
-    m = v.shape[1]
-    out = np.zeros((K, m + 2, m + 2, 4))
-    out[:, 0, 1] = s
-    out[:, 1, 0] = -qc.qconj(s)
-    if m:
-        out[:, 0, 2:] = v
-        out[:, 2:, 0] = -qc.qconj(v)
-    return out
-
-
-def h_matrix(p: np.ndarray, P: np.ndarray, q: np.ndarray, qv: np.ndarray) -> np.ndarray:
-    """h-type matrices [[p+q, 0, 0], [0, p-q, qv], [0, -conj qv^t, P]]."""
-    K = p.shape[0]
-    m = qv.shape[1]
-    out = np.zeros((K, m + 2, m + 2, 4))
-    out[:, 0, 0] = p + q
-    out[:, 1, 1] = p - q
-    if m:
-        out[:, 1, 2:] = qv
-        out[:, 2:, 1] = -qc.qconj(qv)
-        out[:, 2:, 2:] = P
-    return out
-
-
-def cartan_tangent_matrix(n: int, num_points: int) -> np.ndarray:
-    s = np.zeros((num_points, 4))
-    s[:, 0] = 1.0 / np.sqrt(chi(n))
-    return m_matrix(s, np.zeros((num_points, n - 1, 4)))
-
-
-def connection_matrix(state: StatePair) -> np.ndarray:
-    u, bu = state.arrays()
-    K = u.shape[0]
-    m = bu.shape[1]
-    return h_matrix(np.zeros((K, 4)), np.zeros((K, m, m, 4)), u, bu)
 
 
 # -- frame transport -----------------------------------------------------------
@@ -116,10 +79,8 @@ def _transport_transfers(state: StatePair, refine: int) -> np.ndarray:
     u_f = gcalc.spectral_refine(state.u.values, grid, fine)
     u_f[:, 0] = 0.0
     bu_f = gcalc.spectral_refine(state.bu.values, grid, fine)
-    K = u_f.shape[0]
-    mats = connection_matrix(make_state(grid.refined(fine), u_f, bu_f))
-    mats += cartan_tangent_matrix(state.n, K)
-    A_t = np.swapaxes(qc.qmat_to_complex(mats), -1, -2)
+    A = sl.LieElement(state.n, m_par=1.0 / np.sqrt(chi(state.n)), h_perp=sl.HPerp(u_f, bu_f))
+    A_t = np.swapaxes(qc.qmat_to_complex(A.to_matrix()), -1, -2)
     return sf.expm_antihermitian(sf._magnus4(A_t, grid.dx / refine))
 
 
@@ -182,21 +143,17 @@ def _right_phase(gamma: np.ndarray, q: np.ndarray) -> np.ndarray:
     return qc.qmul(gamma, np.broadcast_to(q, gamma.shape))
 
 
-def project_horizontal(V: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Remove the radial and right-phase (vertical) components at gamma."""
-    out = V - amb_dot(V, gamma)[:, None, None] * gamma
-    for q in (qc.I, qc.J, qc.K):
-        vq = _right_phase(gamma, q)
-        out = out - amb_dot(out, vq)[:, None, None] * vq
-    return out
-
-
 def project_vertical_out(V: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     out = V.copy()
     for q in (qc.I, qc.J, qc.K):
         vq = _right_phase(gamma, q)
         out = out - amb_dot(out, vq)[:, None, None] * vq
     return out
+
+
+def project_horizontal(V: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Remove the radial and right-phase (vertical) components at gamma."""
+    return project_vertical_out(V - amb_dot(V, gamma)[:, None, None] * gamma, gamma)
 
 
 def _extend_with_monodromy(gamma: np.ndarray, monodromy: np.ndarray, halo: int) -> np.ndarray:
@@ -312,6 +269,15 @@ class MComps:
     def par_coeff(self):
         return self.s[:, 0]
 
+    def element(self, n: int) -> sl.LieElement:
+        """The m-valued LieElement batched over the grid."""
+        return sl.LieElement(n, m_par=self.s[:, 0], m_perp=sl.MPerp(qc.qim(self.s), self.v))
+
+    @staticmethod
+    def of(g: sl.LieElement) -> "MComps":
+        """Frame components of the m part of g."""
+        return MComps(qc.from_real(g.m_par) + g.m_perp.s, g.m_perp.v)
+
 
 def g_metric(a: MComps, b: MComps, n: int) -> np.ndarray:
     """Riemannian metric on frame components, g = -Killing restricted to m."""
@@ -342,91 +308,20 @@ def push_from_frame(frame: FrameState, comps: MComps) -> np.ndarray:
 
 def covariant_deriv_x(state: StatePair, comps: MComps) -> MComps:
     """Frame-native covariant derivative D_x + [omega_x, .] on m-components."""
-    grid = state.grid
     u, bu = state.arrays()
-    ds = gcalc.spectral_deriv(comps.s, grid)
-    dv = gcalc.spectral_deriv(comps.v, grid)
-    w_par = comps.s[:, 0]
-    z = qc.qim(comps.s)
-    par_rate = (
-        -2.0 * np.sum(z[:, 1:] * u[:, 1:], axis=-1) + qc.vec_dot(comps.v, bu)
+    omega_x = sl.LieElement(state.n, h_perp=sl.HPerp(u, bu))
+    ad = MComps.of(sl.bracket(omega_x, comps.element(state.n)))
+    return MComps(
+        gcalc.spectral_deriv(comps.s, state.grid) + ad.s,
+        gcalc.spectral_deriv(comps.v, state.grid) + ad.v,
     )
-    s_im = (
-        2.0 * w_par[:, None] * qc.qim(u)
-        - 0.5 * qc.comm_C_vec(bu, comps.v)
-    )
-    bracket_s = qc.from_real(par_rate) + s_im
-    m = bu.shape[1]
-    if m:
-        bracket_v = (
-            -w_par[:, None, None] * bu
-            - qc.qmul(z[:, None, :], bu)
-            + qc.qmul(u[:, None, :], comps.v)
-        )
-    else:
-        bracket_v = np.zeros_like(comps.v)
-    return MComps(ds + bracket_s, dv + bracket_v)
-
-
-@dataclass
-class HComps:
-    p: np.ndarray  # (K, 4) imaginary, h_par scalar
-    P: np.ndarray  # (K, m, m, 4)
-    q: np.ndarray  # (K, 4) imaginary, h_perp scalar
-    qv: np.ndarray  # (K, m, 4)
-
-
-def bracket_mm(a: MComps, b: MComps) -> HComps:
-    """[m, m] on packed grid fields, landing in h."""
-    a_par, b_par = a.s[:, 0], b.s[:, 0]
-    ai, bi = qc.qim(a.s), qc.qim(b.s)
-    p = qc.qmul(ai, bi) - qc.qmul(bi, ai) - 0.5 * qc.comm_C_vec(a.v, b.v)
-    P = qc.matcomm_C(b.v, a.v)
-    q = (
-        2.0 * (a_par[:, None] * bi - b_par[:, None] * ai)
-        + 0.5 * qc.comm_C_vec(b.v, a.v)
-    )
-    m = a.v.shape[1]
-    if m:
-        qv = (
-            -a_par[:, None, None] * b.v
-            + b_par[:, None, None] * a.v
-            + qc.qmul(ai[:, None, :], b.v)
-            - qc.qmul(bi[:, None, :], a.v)
-        )
-    else:
-        qv = np.zeros_like(a.v)
-    return HComps(p, P, q, qv)
-
-
-def bracket_hm(h: HComps, b: MComps) -> MComps:
-    """[h, m] on packed grid fields, landing in m."""
-    b_par = b.s[:, 0]
-    bi = qc.qim(b.s)
-    par = -2.0 * np.sum(bi[:, 1:] * h.q[:, 1:], axis=-1) + qc.vec_dot(b.v, h.qv)
-    s_im = (
-        qc.qmul(h.p, bi)
-        - qc.qmul(bi, h.p)
-        + 2.0 * b_par[:, None] * h.q
-        - 0.5 * qc.comm_C_vec(h.qv, b.v)
-    )
-    m = b.v.shape[1]
-    if m:
-        v = (
-            qc.qmul(h.p[:, None, :], b.v)
-            - qc.qmat_vecmul(b.v, h.P)
-            - b_par[:, None, None] * h.qv
-            - qc.qmul(bi[:, None, :], h.qv)
-            + qc.qmul(h.q[:, None, :], b.v)
-        )
-    else:
-        v = np.zeros_like(b.v)
-    return MComps(qc.from_real(par) + s_im, v)
 
 
 def ad_x_squared(z: MComps, w: MComps) -> MComps:
     """ad(e_z)^2 e_w = [e_z, [e_z, e_w]] on frame components."""
-    return bracket_hm(bracket_mm(z, w), z).scaled(-1.0)
+    n = z.v.shape[1] + 1
+    e_z = z.element(n)
+    return MComps.of(sl.bracket(e_z, sl.bracket(e_z, w.element(n))))
 
 
 def flow_operator_inverse(v: MComps, n: int) -> MComps:
@@ -442,46 +337,40 @@ def _mkdv_time_matrices(state: StatePair) -> np.ndarray:
     """e_t + omega_t for the full +1 flow (convective term kept)."""
     grid = state.grid
     u, bu = state.arrays()
-    K = grid.num_points
     rc = np.sqrt(chi(state.n))
     ux = gcalc.spectral_deriv(u, grid)
     u2 = gcalc.spectral_deriv(u, grid, 2)
     bux = gcalc.spectral_deriv(bu, grid)
     bu2 = gcalc.spectral_deriv(bu, grid, 2)
-    h_par0 = 0.5 * qc.qnormsq(u) + 0.5 * qc.vec_normsq(bu)
-
-    e_s = qc.from_real(h_par0 / rc) + ux / (2.0 * rc)
-    e_v = -bux / rc
-    e_t = m_matrix(e_s, e_v)
-
+    h_par0 = bo._h_par0_local(u, bu)
     # covector pair w_(1) = J(u_x, bu_x) with jet constants, all local
     w1s = 0.25 * u2 + 0.25 * qc.comm_C_vec(bu, bux) + h_par0[:, None] * u
-    if bu.shape[1]:
-        w1v = (
-            bu2
-            + 0.5 * qc.qmul(ux[:, None, :], bu)
-            + qc.qmul(u[:, None, :], bux)
-            + h_par0[:, None, None] * bu
-        )
-    else:
-        w1v = bu2
-    w_par = (
-        -0.25 * (qc.qmul(u, ux) - qc.qmul(ux, u))
-        + 0.5 * qc.comm_C_vec(bu, bux)
-        - 0.5 * qc.vec_normsq(bu)[:, None] * u
+    w1v = (
+        bu2
+        + 0.5 * qc.qmul(ux[:, None, :], bu)
+        + qc.qmul(u[:, None, :], bux)
+        + h_par0[:, None, None] * bu
     )
-    W_par = qc.matcomm_C(bu, bux) + bo._uut_mat(bu, u)
-    omega_t = h_matrix(w_par, W_par, w1s, w1v)
-    return qc.qmat_to_complex(e_t + omega_t)
+    g = sl.LieElement(
+        state.n,
+        m_par=h_par0 / rc,
+        m_perp=sl.MPerp(ux / (2.0 * rc), -bux / rc),
+        h_par=sl.HPar(bo._w_par1_local(u, bu, ux, bux), bo._W_par1_local(u, bu, bux)),
+        h_perp=sl.HPerp(w1s, w1v),
+    )
+    return qc.qmat_to_complex(g.to_matrix())
 
 
 def _sg_time_matrices(state: StatePair, branch: str, mode: str, refine: int) -> np.ndarray:
     """e_t for the -1 flow; the connection omega_t vanishes."""
     h, h_par, _ = sf.sg_solve_h(state, branch, mode, refine)
     rc = np.sqrt(chi(state.n))
-    e_s = qc.from_real(h_par.values / rc) + h.hs.values / (2.0 * rc)
-    e_v = -h.hv.values / rc
-    return qc.qmat_to_complex(m_matrix(e_s, e_v))
+    g = sl.LieElement(
+        state.n,
+        m_par=h_par.values / rc,
+        m_perp=sl.MPerp(h.hs.values / (2.0 * rc), -h.hv.values / rc),
+    )
+    return qc.qmat_to_complex(g.to_matrix())
 
 
 @dataclass
@@ -586,9 +475,7 @@ def _curve_time_velocity(traj: FrameTrajectory, idx: int) -> np.ndarray:
     gm = reconstruct_curve(traj.frames[idx - 1]).gamma
     g0 = reconstruct_curve(traj.frames[idx]).gamma
     dt2 = traj.times[idx + 1] - traj.times[idx - 1]
-    raw = (gp - gm) / dt2
-    raw = raw - amb_dot(raw, g0)[:, None, None] * g0
-    return project_vertical_out(raw, g0)
+    return project_horizontal((gp - gm) / dt2, g0)
 
 
 def _pulled_tangent_chain(traj: FrameTrajectory, idx: int):
@@ -642,7 +529,7 @@ def verify_mkdv_map(traj: FrameTrajectory, idx: int | None = None) -> dict:
     alt_residual = g_norm(alt.scaled(1.0 / c) - gamma_t, n)
 
     # tangential component identity for the parallel part of gamma_t
-    h_par0 = 0.5 * qc.qnormsq(state.u.values) + 0.5 * qc.vec_normsq(state.bu.values)
+    h_par0 = bo._h_par0_local(*state.arrays())
     tang_resid = np.abs(np.sqrt(c) * gamma_t.par_coeff() - h_par0)
 
     return {

@@ -601,13 +601,6 @@ def preset_sg_kink(
     return make_state(grid, u, np.zeros((grid.num_points, n - 1, 4)))
 
 
-PRESETS = {
-    "random_band": preset_random_band,
-    "mkdv_soliton": preset_mkdv_soliton,
-    "sg_kink": preset_sg_kink,
-}
-
-
 # -- trajectories and conservation reports ------------------------------------
 
 @dataclass

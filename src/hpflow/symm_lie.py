@@ -6,8 +6,9 @@ split g = h (+) m refines further relative to the fixed Cartan element
     e = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]     (block sizes 1, 1, n-1)
 
 into m = m_par (+) m_perp and h = h_par (+) h_perp.  The canonical storage is
-the packed component form; the full matrix is produced on demand and serves
-as the cross-check oracle for the closed-form projected brackets.
+the packed component form; the full matrix is produced on demand.  bracket
+(the matrix commutator) is the bracket the frame calculus in curve_geometry
+uses; the closed-form projected table is checked against it.
 
 Packed components (all quaternions as trailing-axis-4 arrays):
     MPar   : real coefficient of e
@@ -199,7 +200,11 @@ def element_from_parts(n: int, *parts) -> LieElement:
 
 
 def bracket(g1: LieElement, g2: LieElement) -> LieElement:
-    """Lie bracket as the matrix commutator (the definition; used as oracle)."""
+    """Lie bracket as the matrix commutator, the definition.
+
+    curve_geometry takes every frame bracket from here, batched over the
+    grid; bracket_projected's closed forms are checked against it.
+    """
     if g1.n != g2.n:
         raise DimensionMismatchError("mismatched n")
     M1, M2 = g1.to_matrix(), g2.to_matrix()

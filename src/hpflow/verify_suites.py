@@ -39,13 +39,6 @@ class CheckResult:
         return out
 
 
-def _imaginary(q):
-    """Copy of quaternions (..., 4) with the real part set to zero."""
-    q = q.copy()
-    q[..., 0] = 0.0
-    return q
-
-
 _PART_KINDS = ("m_par", "m_perp", "h_par", "h_perp")
 
 
@@ -62,9 +55,9 @@ def _part_from_draws(x, n, kind):
     if kind == "h_par":
         k = 4 * (n - 1) ** 2
         A = x[:, :k].reshape(reps, n - 1, n - 1, 4)
-        return sl.HPar(_imaginary(x[:, k:]), 0.5 * (A - qc.qmat_conj_t(A)))
+        return sl.HPar(qc.qim(x[:, k:]), 0.5 * (A - qc.qmat_conj_t(A)))
     cls = sl.MPerp if kind == "m_perp" else sl.HPerp
-    return cls(_imaginary(x[:, :4]), x[:, 4:].reshape(reps, n - 1, 4))
+    return cls(qc.qim(x[:, :4]), x[:, 4:].reshape(reps, n - 1, 4))
 
 
 def _rand_parts(rng, n, kinds, reps):
@@ -146,7 +139,7 @@ def algebra_suite(seed: int = 0, instances: int = 1000) -> list[CheckResult]:
         worst = max(worst, float(np.max(np.abs(qc.qmul(q1, q1) + qc.ONE))))
     results.append(CheckResult("quaternion generator relations", 1e-15, worst))
 
-    q = _imaginary(rng.standard_normal((instances, 3, 4)))
+    q = qc.qim(rng.standard_normal((instances, 3, 4)))
     a, b, c = q[:, 0], q[:, 1], q[:, 2]
     abc = qc.qre(qc.qmul(qc.qmul(a, b), c))
     bca = qc.qre(qc.qmul(qc.qmul(b, c), a))

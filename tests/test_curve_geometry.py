@@ -6,6 +6,7 @@ from hpflow import curve_geometry as cg
 from hpflow import grid_calculus as gcalc
 from hpflow import quat_core as qc
 from hpflow import soliton_flows as sf
+from hpflow import symm_lie as sl
 from hpflow.errors import DomainError
 from hpflow.symm_lie import chi
 
@@ -268,6 +269,134 @@ def test_sg_frame_states_equal_sg_step_loop():
         assert np.array_equal(evolved.bu.values, s.bu.values)
 
 
+def _m_matrix(s, v):
+    """Batched m-type matrices [[0, s, v], [-conj s, 0, 0], [-conj v^t, 0, 0]]."""
+    K, m = s.shape[0], v.shape[1]
+    out = np.zeros((K, m + 2, m + 2, 4))
+    out[:, 0, 1] = s
+    out[:, 1, 0] = -qc.qconj(s)
+    if m:
+        out[:, 0, 2:] = v
+        out[:, 2:, 0] = -qc.qconj(v)
+    return out
+
+
+def _h_matrix(p, P, q, qv):
+    """Batched h-type matrices [[p+q, 0, 0], [0, p-q, qv], [0, -conj qv^t, P]]."""
+    K, m = p.shape[0], qv.shape[1]
+    out = np.zeros((K, m + 2, m + 2, 4))
+    out[:, 0, 0] = p + q
+    out[:, 1, 1] = p - q
+    if m:
+        out[:, 1, 2:] = qv
+        out[:, 2:, 1] = -qc.qconj(qv)
+        out[:, 2:, 2:] = P
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mkdv_time_matrices_match_block_layout(rng, n):
+    grid = gcalc.PeriodicGrid(64, 12.0)
+    state = random_state(rng, grid, n, amplitude=0.5, kmax=3)
+    u, bu = state.arrays()
+    rc = np.sqrt(chi(n))
+    ux, u2 = gcalc.spectral_deriv(u, grid), gcalc.spectral_deriv(u, grid, 2)
+    bux, bu2 = gcalc.spectral_deriv(bu, grid), gcalc.spectral_deriv(bu, grid, 2)
+    h_par0 = bo._h_par0_local(u, bu)
+    e_t = _m_matrix(qc.from_real(h_par0 / rc) + ux / (2.0 * rc), -bux / rc)
+    w1s = 0.25 * u2 + 0.25 * qc.comm_C_vec(bu, bux) + h_par0[:, None] * u
+    w1v = (
+        bu2
+        + 0.5 * qc.qmul(ux[:, None, :], bu)
+        + qc.qmul(u[:, None, :], bux)
+        + h_par0[:, None, None] * bu
+    )
+    omega_t = _h_matrix(
+        bo._w_par1_local(u, bu, ux, bux), bo._W_par1_local(u, bu, bux), w1s, w1v
+    )
+    expected = qc.qmat_to_complex(e_t + omega_t)
+    assert np.array_equal(cg._mkdv_time_matrices(state), expected)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sg_time_matrices_match_block_layout(n):
+    state = sf.preset_sg_kink(gcalc.PeriodicGrid(128, 40.0), n=n, a=1.0)
+    h, h_par, _ = sf.sg_solve_h(state, "-", "line", 8)
+    rc = np.sqrt(chi(n))
+    e_t = _m_matrix(qc.from_real(h_par.values / rc) + h.hs.values / (2.0 * rc), -h.hv.values / rc)
+    expected = qc.qmat_to_complex(e_t)
+    assert np.array_equal(cg._sg_time_matrices(state, "-", "line", 8), expected)
+
+
+def _split(c):
+    """Frame components as the table's (MPar, MPerp) parts."""
+    return sl.MPar(c.s[:, 0]), sl.MPerp(qc.qim(c.s), c.v)
+
+
+def _of(g):
+    return cg.MComps(qc.from_real(g.m_par) + g.m_perp.s, g.m_perp.v)
+
+
+def _table_bracket_h_m(n, h_par, h_perp, c):
+    """[h, c] for h = h_par + h_perp and c in m, summed from bracket_projected."""
+    bp = sl.bracket_projected
+    c_par, c_perp = _split(c)
+    return _of(sl.element_from_parts(
+        n,
+        -bp(c_par, h_par, "m_par"),
+        -bp(c_par, h_perp, "m_perp"),
+        -bp(c_perp, h_par, "m_perp"),
+        -bp(c_perp, h_perp, "m_par"),
+        -bp(c_perp, h_perp, "m_perp"),
+    ))
+
+
+def _table_ad_x_squared(n, z, w):
+    """[z, [z, w]] summed from bracket_projected; [e, e] = 0 is left out."""
+    bp = sl.bracket_projected
+    (z_par, z_perp), (w_par, w_perp) = _split(z), _split(w)
+    zw = sl.element_from_parts(
+        n,
+        bp(z_perp, w_perp, "h_par"),
+        bp(z_par, w_perp, "h_perp"),
+        bp(z_perp, w_par, "h_perp"),
+        bp(z_perp, w_perp, "h_perp"),
+    )
+    return _table_bracket_h_m(n, zw.h_par, zw.h_perp, z).scaled(-1.0)
+
+
+def _rel_err(out, ref):
+    scale = max(np.max(np.abs(ref.s)), np.max(np.abs(ref.v), initial=0.0))
+    worst = max(np.max(np.abs(out.s - ref.s)), np.max(np.abs(out.v - ref.v), initial=0.0))
+    return worst / scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ad_x_squared_matches_bracket_table(rng, n):
+    K = 32
+    z, w = (
+        cg.MComps(rng.standard_normal((K, 4)), rng.standard_normal((K, n - 1, 4)))
+        for _ in range(2)
+    )
+    assert _rel_err(cg.ad_x_squared(z, w), _table_ad_x_squared(n, z, w)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_covariant_deriv_bracket_matches_bracket_table(rng, n):
+    grid = gcalc.PeriodicGrid(32, 12.0)
+    state = random_state(rng, grid, n, amplitude=0.5, kmax=3)
+    comps = cg.MComps(rng.standard_normal((32, 4)), rng.standard_normal((32, n - 1, 4)))
+    out = cg.covariant_deriv_x(state, comps)
+    bracket_term = cg.MComps(
+        out.s - gcalc.spectral_deriv(comps.s, grid),
+        out.v - gcalc.spectral_deriv(comps.v, grid),
+    )
+    h_perp = sl.HPerp(state.u.values, state.bu.values)
+    h_par = sl.HPar(np.zeros((32, 4)), np.zeros((32, n - 1, n - 1, 4)))
+    expected = _table_bracket_h_m(n, h_par, h_perp, comps)
+    assert _rel_err(bracket_term, expected) <= 1e-12
+
+
 def _reference_right_transport(state, refine):
     """psi_x = psi A integrated in its own orientation: the Magnus-4 formula
     for right multiplication and the scan of right products, written out."""
@@ -276,8 +405,10 @@ def _reference_right_transport(state, refine):
     u_f = gcalc.spectral_refine(state.u.values, grid, fine)
     u_f[:, 0] = 0.0
     bu_f = gcalc.spectral_refine(state.bu.values, grid, fine)
-    mats = cg.connection_matrix(bo.make_state(grid.refined(fine), u_f, bu_f))
-    mats += cg.cartan_tangent_matrix(state.n, u_f.shape[0])
+    K = u_f.shape[0]
+    tangent = qc.from_real(np.full(K, 1.0 / np.sqrt(chi(state.n))))
+    connection = _h_matrix(np.zeros((K, 4)), np.zeros((K, state.n - 1, state.n - 1, 4)), u_f, bu_f)
+    mats = connection + _m_matrix(tangent, np.zeros((K, state.n - 1, 4)))
     A = qc.qmat_to_complex(mats)
     A0, Amid = A[0::2], A[1::2]
     A1 = np.roll(A0, -1, axis=0)
