@@ -10,15 +10,14 @@ Every D_x^{-1} here is the zero-mean periodic antiderivative.  Antiderivative
 constants matter: the closed-form hierarchy formulas correspond to the "jet"
 normalization, in which each nonlocal term is the differential polynomial
 with no additive constant.  For the recursion steps up to level 1 those
-polynomial means are known in closed form and the hierarchy applies them
-(constants="jet", the default), so hierarchy_flow(state, 1) reproduces the
-local scalar-vector mKdV right side exactly and level 2 remains integrable;
-the level-2 flow then differs from its jet normalization only by multiples
-of lower flows and rigid-symmetry generators, which preserves commutation
-and scaling behavior.  Attempting level 3, or running the raw zero-mean
-convention past level 1, can produce genuinely non-exact integrands; that
-surfaces as NonlocalityError tagged with the failing level, never as a
-silent fix.
+polynomial means are known in closed form, and the hierarchy always applies
+them, so hierarchy_flow(state, 1) reproduces the local scalar-vector mKdV
+right side exactly and level 2 remains integrable; the level-2 flow then
+differs from its jet normalization only by multiples of lower flows and
+rigid-symmetry generators, which preserves commutation and scaling behavior.
+The raw zero-mean recursion operator is apply_R.  Attempting level 3 can
+produce genuinely non-exact integrands; that surfaces as NonlocalityError
+tagged with the failing level, never as a silent fix.
 
 All real pairings are the integrated Euclidean pairing of components,
 ``pairing(a, b) = integral of (Re<a_s, b_s> + Re<a_v, b_v>) dx``.  Gradients
@@ -35,7 +34,7 @@ import numpy as np
 from . import grid_calculus as gcalc
 from . import quat_core as qc
 from . import symm_lie as sl
-from .errors import DimensionMismatchError, DomainError, NonlocalityError
+from .errors import DimensionMismatchError, DomainError
 from .grid_calculus import DEFAULT_MEAN_TOLERANCE, Field, PeriodicGrid
 
 
@@ -139,29 +138,7 @@ def state_deriv(state: StatePair) -> FlowPair:
     )
 
 
-# -- pointwise kernels on raw arrays ----------------------------------------
-
-def _comm(a, b):
-    return qc.qmul(a, b) - qc.qmul(b, a)
-
-
-def _acomm_real(a, b):
-    """A(a, b) as a real array, for pointwise imaginary scalars."""
-    return -2.0 * np.sum(a[..., 1:] * b[..., 1:], axis=-1)
-
-
-def _scalar_times_vec(s, v):
-    return qc.qmul(s[:, None, :], v) if v.shape[1] else np.zeros_like(v)
-
-
-def _real_times_vec(f, v):
-    return f[:, None, None] * v
-
-
-def _avec_real(x, y):
-    """(1/2) A(x, y) = Re<x, y>."""
-    return qc.vec_dot(x, y)
-
+# -- raw-array helpers ---------------------------------------------------------
 
 def _uut_mat(bu, u):
     """Matrix with entries conj(bu_l) * u * bu_m."""
@@ -172,25 +149,10 @@ def _uut_mat(bu, u):
     return qc.qmul(left, bu[:, None, :, :])
 
 
-def _dx(values, grid):
-    return gcalc.spectral_deriv(values, grid)
-
-
 def _inv_dx(values, grid, tol, block, const=None, ref=0.0):
-    """Zero-mean antiderivative of a raw array, optionally shifted to a jet constant.
-
-    The mean check is relative to max(integrand rms, ref); the reference scale
-    lets integrands that vanish identically up to roundoff pass.
-    """
-    means = np.mean(values, axis=0)
-    scale = float(np.sqrt(np.mean(values**2))) if values.size else 0.0
-    worst = float(np.max(np.abs(means))) if means.size else 0.0
-    if worst > tol * max(scale, ref, 1e-300):
-        raise NonlocalityError(block, worst, scale, tol)
-    out = gcalc.spectral_antideriv(values, grid)
-    if const is not None:
-        out = out + const
-    return out
+    """Guarded zero-mean antiderivative of a raw array, optionally shifted to a jet constant."""
+    out = gcalc.guarded_antideriv(values, grid, tol, block, ref)
+    return out if const is None else out + const
 
 
 # -- the operator pair -------------------------------------------------------
@@ -207,7 +169,7 @@ def w_parallel(
     ws, wv = w.arrays()
     grid = state.grid
     ref = state.rms() * w.rms()
-    integrand = _comm(u, ws) - 0.5 * qc.comm_C_vec(bu, wv)
+    integrand = qc.comm_C(u, ws) - 0.5 * qc.comm_C_vec(bu, wv)
     w_par = -_inv_dx(integrand, grid, mean_tolerance, "w_parallel",
                      None if w_par_const is None else -np.asarray(w_par_const), ref)
     W_par = _inv_dx(qc.matcomm_C(bu, wv), grid, mean_tolerance, "W_parallel",
@@ -224,8 +186,8 @@ def h_parallel(
     """Tangential component h_par = -D_x^{-1}(A(u, hs)/2 - A(bu, hv)/2)."""
     u, bu = state.arrays()
     hs, hv = h.arrays()
-    # A(u, hs)/2 - A(bu, hv)/2 with _avec_real already equal to A(bu, hv)/2
-    integrand = 0.5 * _acomm_real(u, hs) - _avec_real(bu, hv)
+    # A(u, hs)/2 - A(bu, hv)/2 with vec_dot already equal to A(bu, hv)/2
+    integrand = 0.5 * qc.acomm_A_im(u, hs) - qc.vec_dot(bu, hv)
     ref = state.rms() * h.rms()
     out = -_inv_dx(integrand, state.grid, mean_tolerance, "h_parallel",
                    None if h_par_const is None else -float(h_par_const), ref)
@@ -244,13 +206,15 @@ def apply_H(
     ws, wv = w.arrays()
     grid = state.grid
     w_par, W_par = w_parallel(state, w, mean_tolerance, w_par_const, W_par_const)
-    out_s = _dx(ws, grid) + _comm(u, w_par.values) + 0.5 * qc.comm_C_vec(bu, wv)
+    out_s = (
+        gcalc.spectral_deriv(ws, grid) + qc.comm_C(u, w_par.values) + 0.5 * qc.comm_C_vec(bu, wv)
+    )
     out_v = (
-        _dx(wv, grid)
-        - _scalar_times_vec(w_par.values, bu)
+        gcalc.spectral_deriv(wv, grid)
+        - qc.scalar_vec(w_par.values, bu)
         + qc.qmat_vecmul(bu, W_par.values)
-        + _scalar_times_vec(ws, bu)
-        - _scalar_times_vec(u, wv)
+        + qc.scalar_vec(ws, bu)
+        - qc.scalar_vec(u, wv)
     )
     return make_flow(grid, out_s, out_v)
 
@@ -266,12 +230,14 @@ def apply_J(
     hs, hv = h.arrays()
     grid = state.grid
     h_par = h_parallel(state, h, mean_tolerance, h_par_const).values
-    out_s = 0.25 * _dx(hs, grid) + 0.25 * qc.comm_C_vec(bu, hv) + h_par[:, None] * u
+    out_s = (
+        0.25 * gcalc.spectral_deriv(hs, grid) + 0.25 * qc.comm_C_vec(bu, hv) + h_par[:, None] * u
+    )
     out_v = (
-        _dx(hv, grid)
-        + 0.5 * _scalar_times_vec(hs, bu)
-        + _scalar_times_vec(u, hv)
-        + _real_times_vec(h_par, bu)
+        gcalc.spectral_deriv(hv, grid)
+        + 0.5 * qc.scalar_vec(hs, bu)
+        + qc.scalar_vec(u, hv)
+        + h_par[:, None, None] * bu
     )
     return make_covector(grid, out_s, out_v)
 
@@ -294,27 +260,29 @@ def apply_K(
     grid = state.grid
     ref = state.rms() * float(np.sqrt(np.mean(zs**2) + np.sum(np.mean(zv**2, axis=0))))
     if subspace == "hperp":
-        par_s = _comm(u, zs) - 0.5 * qc.comm_C_vec(bu, zv)
-        P = _inv_dx(par_s, grid, mean_tolerance, "K.h_par.scalar", None, ref)
-        PM = _inv_dx(qc.matcomm_C(zv, bu), grid, mean_tolerance, "K.h_par.matrix", None, ref)
-        out_s = _dx(zs, grid) + 0.5 * qc.comm_C_vec(bu, zv) - _comm(u, P)
+        par_s = qc.comm_C(u, zs) - 0.5 * qc.comm_C_vec(bu, zv)
+        P = gcalc.guarded_antideriv(par_s, grid, mean_tolerance, "K.h_par.scalar", ref)
+        PM = gcalc.guarded_antideriv(
+            qc.matcomm_C(zv, bu), grid, mean_tolerance, "K.h_par.matrix", ref
+        )
+        out_s = gcalc.spectral_deriv(zs, grid) + 0.5 * qc.comm_C_vec(bu, zv) - qc.comm_C(u, P)
         out_v = (
-            _dx(zv, grid)
-            + _scalar_times_vec(zs, bu)
-            - _scalar_times_vec(u, zv)
-            + _scalar_times_vec(P, bu)
+            gcalc.spectral_deriv(zv, grid)
+            + qc.scalar_vec(zs, bu)
+            - qc.scalar_vec(u, zv)
+            + qc.scalar_vec(P, bu)
             - qc.qmat_vecmul(bu, PM)
         )
         return out_s, out_v
     if subspace == "mperp":
-        par = _acomm_real(zs, u) + _avec_real(zv, bu)
-        f = _inv_dx(par, grid, mean_tolerance, "K.m_par", None, ref)
-        out_s = _dx(zs, grid) - 0.5 * qc.comm_C_vec(bu, zv) - 2.0 * f[:, None] * u
+        par = qc.acomm_A_im(zs, u) + qc.vec_dot(zv, bu)
+        f = gcalc.guarded_antideriv(par, grid, mean_tolerance, "K.m_par", ref)
+        out_s = gcalc.spectral_deriv(zs, grid) - 0.5 * qc.comm_C_vec(bu, zv) - 2.0 * f[:, None] * u
         out_v = (
-            _dx(zv, grid)
-            - _scalar_times_vec(zs, bu)
-            + _scalar_times_vec(u, zv)
-            + _real_times_vec(f, bu)
+            gcalc.spectral_deriv(zv, grid)
+            - qc.scalar_vec(zs, bu)
+            + qc.scalar_vec(u, zv)
+            + f[:, None, None] * bu
         )
         return out_s, out_v
     raise DomainError(f"unknown subspace tag {subspace!r}")
@@ -357,29 +325,29 @@ def apply_R_blocks(state, h: FlowPair, mean_tolerance=DEFAULT_MEAN_TOLERANCE) ->
     tol = mean_tolerance
 
     def dx(a):
-        return _dx(a, grid)
+        return gcalc.spectral_deriv(a, grid)
 
     ref = state.rms() * h.rms() * (1.0 + 2.0 * np.pi * grid.num_points / grid.length)
 
     def ix(a, block):
-        return _inv_dx(a, grid, tol, block, None, ref)
+        return gcalc.guarded_antideriv(a, grid, tol, block, ref)
 
-    hbu = _scalar_times_vec(hs, bu)  # R_bu hs
-    f_au = ix(_acomm_real(u, hs), "R11.AuDxInvAu")  # D_x^{-1} A_u hs
-    cu_dxh = ix(_comm(u, dx(hs)), "R11.CuDx")
+    hbu = qc.scalar_vec(hs, bu)  # R_bu hs
+    f_au = ix(qc.acomm_A_im(u, hs), "R11.AuDxInvAu")  # D_x^{-1} A_u hs
+    cu_dxh = ix(qc.comm_C(u, dx(hs)), "R11.CuDx")
     cvec_hbu = 0.5 * qc.comm_C_vec(bu, hbu)  # C_bu R_bu hs
 
     r11 = (
         0.25 * dx(dx(hs))
         + 0.5 * cvec_hbu
         - 0.5 * dx(f_au[:, None] * u)
-        - 0.25 * _comm(u, cu_dxh)
-        + 0.5 * _comm(u, ix(cvec_hbu, "R11.CuCbuRbu"))
+        - 0.25 * qc.comm_C(u, cu_dxh)
+        + 0.5 * qc.comm_C(u, ix(cvec_hbu, "R11.CuCbuRbu"))
     )
 
     cvec_h = 0.5 * qc.comm_C_vec(bu, hv)  # C_bu hv
-    g_avec = ix(_avec_real(bu, hv), "R12.AuDxInvAvec")  # D_x^{-1} A_bu hv
-    uhv = _scalar_times_vec(u, hv)
+    g_avec = ix(qc.vec_dot(bu, hv), "R12.AuDxInvAvec")  # D_x^{-1} A_bu hv
+    uhv = qc.scalar_vec(u, hv)
     cvec_dxh = 0.5 * qc.comm_C_vec(bu, dx(hv))
     cvec_uhv = 0.5 * qc.comm_C_vec(bu, uhv)
 
@@ -388,37 +356,37 @@ def apply_R_blocks(state, h: FlowPair, mean_tolerance=DEFAULT_MEAN_TOLERANCE) ->
         + cvec_dxh
         + cvec_uhv
         + dx(g_avec[:, None] * u)
-        + _comm(u, ix(cvec_dxh, "R12.CuCbuDx"))
-        - 0.5 * _comm(u, ix(_comm(u, cvec_h), "R12.CuCuCbu"))
-        + _comm(u, ix(cvec_uhv, "R12.CuCbuLu"))
+        + qc.comm_C(u, ix(cvec_dxh, "R12.CuCbuDx"))
+        - 0.5 * qc.comm_C(u, ix(qc.comm_C(u, cvec_h), "R12.CuCuCbu"))
+        + qc.comm_C(u, ix(cvec_uhv, "R12.CuCbuLu"))
     )
 
     r21 = (
         0.5 * dx(hbu)
-        + 0.25 * _scalar_times_vec(dx(hs), bu)
-        - 0.5 * _scalar_times_vec(u, hbu)
-        + 0.25 * _scalar_times_vec(cu_dxh, bu)
-        - 0.5 * dx(_real_times_vec(f_au, bu))
-        - 0.5 * _scalar_times_vec(f_au[:, None] * u, bu)
-        - 0.5 * _scalar_times_vec(ix(cvec_hbu, "R21.CbuRbu"), bu)
+        + 0.25 * qc.scalar_vec(dx(hs), bu)
+        - 0.5 * qc.scalar_vec(u, hbu)
+        + 0.25 * qc.scalar_vec(cu_dxh, bu)
+        - 0.5 * dx(f_au[:, None, None] * bu)
+        - 0.5 * qc.scalar_vec(f_au[:, None] * u, bu)
+        - 0.5 * qc.scalar_vec(ix(cvec_hbu, "R21.CbuRbu"), bu)
         + 0.5 * qc.qmat_vecmul(bu, ix(qc.matcomm_C(bu, hbu), "R21.matC"))
-        + 0.5 * qc.qmul(u[:, None, :], _real_times_vec(f_au, bu))
+        + 0.5 * qc.scalar_vec(u, f_au[:, None, None] * bu)
     )
 
     r22 = (
         dx(dx(hv))
         + dx(uhv)
-        - _scalar_times_vec(u, dx(hv))
-        - _scalar_times_vec(u, uhv)
-        + 0.5 * _scalar_times_vec(cvec_h, bu)
-        + dx(_real_times_vec(g_avec, bu))
-        - _scalar_times_vec(ix(cvec_dxh, "R22.CbuDx"), bu)
+        - qc.scalar_vec(u, dx(hv))
+        - qc.scalar_vec(u, uhv)
+        + 0.5 * qc.scalar_vec(cvec_h, bu)
+        + dx(g_avec[:, None, None] * bu)
+        - qc.scalar_vec(ix(cvec_dxh, "R22.CbuDx"), bu)
         + qc.qmat_vecmul(bu, ix(qc.matcomm_C(bu, dx(hv)), "R22.matCDx"))
-        + 0.5 * _scalar_times_vec(ix(_comm(u, cvec_h), "R22.CuCbu"), bu)
-        + _scalar_times_vec(g_avec[:, None] * u, bu)
-        - _scalar_times_vec(ix(cvec_uhv, "R22.CbuLu"), bu)
+        + 0.5 * qc.scalar_vec(ix(qc.comm_C(u, cvec_h), "R22.CuCbu"), bu)
+        + qc.scalar_vec(g_avec[:, None] * u, bu)
+        - qc.scalar_vec(ix(cvec_uhv, "R22.CbuLu"), bu)
         + qc.qmat_vecmul(bu, ix(qc.matcomm_C(bu, uhv), "R22.matCLu"))
-        - qc.qmul(u[:, None, :], _real_times_vec(g_avec, bu))
+        - qc.scalar_vec(u, g_avec[:, None, None] * bu)
     )
 
     out_s = r11 + r12
@@ -436,7 +404,7 @@ def _h_par0_local(u, bu) -> np.ndarray:
 def _w_par1_local(u, bu, ux, bux) -> np.ndarray:
     """Jet antiderivative of the w_parallel integrand at level 1."""
     return (
-        -0.25 * _comm(u, ux)
+        -0.25 * qc.comm_C(u, ux)
         + 0.5 * qc.comm_C_vec(bu, bux)
         - 0.5 * qc.vec_normsq(bu)[:, None] * u
     )
@@ -459,7 +427,7 @@ def hamiltonian_local_density(state: StatePair, l: int) -> Field:
         vals = (
             -0.125 * qc.qnormsq(ux)
             - 0.5 * qc.vec_normsq(bux)
-            - 0.125 * _acomm_real(u, qc.comm_C_vec(bu, bux))
+            - 0.125 * qc.acomm_A_im(u, qc.comm_C_vec(bu, bux))
             + 0.125 * (qc.qnormsq(u) + qc.vec_normsq(bu)) ** 2
         )
         return Field(grid, vals, "real")
@@ -478,20 +446,15 @@ def _jet_h_par_const(state: StatePair, l: int) -> float:
 
 
 def hierarchy_flows(
-    state: StatePair,
-    l_max: int,
-    constants: str = "jet",
-    mean_tolerance: float = DEFAULT_MEAN_TOLERANCE,
+    state: StatePair, l_max: int, mean_tolerance: float = DEFAULT_MEAN_TOLERANCE
 ) -> list[FlowPair]:
-    """Flows h_(0..l_max); each level is computed once and reused."""
+    """Flows h_(0..l_max) with jet constants; each level is computed once and reused."""
     if l_max < 0:
         raise DomainError("l_max must be >= 0")
-    if constants not in ("jet", "zero_mean"):
-        raise DomainError(f"unknown constants convention {constants!r}")
     flows = [state_deriv(state)]
     for l in range(l_max):
         h_par_const = w_par_const = W_par_const = None
-        if constants == "jet" and l <= 1:
+        if l <= 1:
             h_par_const = _jet_h_par_const(state, l)
             if l == 0:
                 u, bu = state.arrays()
@@ -509,31 +472,30 @@ def hierarchy_flows(
     return flows
 
 
-def hierarchy_flow(state, l, constants="jet", mean_tolerance=DEFAULT_MEAN_TOLERANCE) -> FlowPair:
-    return hierarchy_flows(state, l, constants, mean_tolerance)[l]
+def hierarchy_flow(state, l, mean_tolerance=DEFAULT_MEAN_TOLERANCE) -> FlowPair:
+    return hierarchy_flows(state, l, mean_tolerance)[l]
 
 
-def hierarchy_covector(state, l, constants="jet", mean_tolerance=DEFAULT_MEAN_TOLERANCE) -> CovectorPair:
+def hierarchy_covector(state, l, mean_tolerance=DEFAULT_MEAN_TOLERANCE) -> CovectorPair:
     """Covector w_(l) = (R*)^l (u, bu); w_(0) is the state itself."""
     if l == 0:
         return make_covector(state.grid, state.u.values.copy(), state.bu.values.copy())
-    flows = hierarchy_flows(state, l - 1, constants, mean_tolerance)
-    h_par_const = _jet_h_par_const(state, l - 1) if constants == "jet" and l <= 2 else None
+    flows = hierarchy_flows(state, l - 1, mean_tolerance)
+    h_par_const = _jet_h_par_const(state, l - 1) if l <= 2 else None
     return apply_J(state, flows[l - 1], mean_tolerance, h_par_const)
 
 
-def hamiltonian_density(
-    state: StatePair, l: int, constants="jet", mean_tolerance=DEFAULT_MEAN_TOLERANCE
-) -> Field:
+def hamiltonian_density(state: StatePair, l: int, mean_tolerance=DEFAULT_MEAN_TOLERANCE) -> Field:
     """Zero-mean density (1/(1+2l)) D_x^{-1} Re(<u, hs_(l)> + <bu, hv_(l)>)."""
     if l < 0:
         raise DomainError("l must be >= 0")
-    h = hierarchy_flows(state, l, constants, mean_tolerance)[l]
+    h = hierarchy_flows(state, l, mean_tolerance)[l]
     u, bu = state.arrays()
     hs, hv = h.arrays()
     integrand = qc.dot4(u, hs) + qc.vec_dot(bu, hv)
     ref = state.rms() * h.rms()
-    vals = _inv_dx(integrand, state.grid, mean_tolerance, f"hamiltonian_density[{l}]", None, ref)
+    block = f"hamiltonian_density[{l}]"
+    vals = gcalc.guarded_antideriv(integrand, state.grid, mean_tolerance, block, ref)
     return Field(state.grid, vals / (1.0 + 2.0 * l), "real")
 
 

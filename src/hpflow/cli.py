@@ -288,10 +288,10 @@ def cmd_reconstruct(args) -> int:
     outdir = Path(args.out or cfg["output"].get("directory", "out"))
     outdir.mkdir(parents=True, exist_ok=True)
     state = build_state(cfg, seed_override=args.seed)
-    frame = cg.transport_frame(state, refine=8)
+    measured = cg.geometric_invariants_from_curve(state, refine=8)
+    frame = measured["frame"]
     curve = cg.reconstruct_curve(frame)
     cg.curve_to_csv(outdir / "curve.csv", curve)
-    measured = cg.geometric_invariants_from_curve(state, refine=8)
     formulas = cg.geometric_invariants(state)
     inv_dev = max(
         float(

@@ -197,13 +197,12 @@ def geometric_invariants(state: StatePair) -> dict:
     bux = gcalc.spectral_deriv(bu, grid)
     g_nn = 4.0 * qc.qnormsq(u) + qc.vec_normsq(bu)
     g_nnx = 4.0 * qc.dot4(u, ux) + qc.vec_dot(bu, bux)
-    ubu = qc.qmul(u[:, None, :], bu) if bu.shape[1] else bu
     g_nxnx = (
         4.0 * qc.qnormsq(ux)
         + qc.vec_normsq(bux)
         + g_nn**2
         + 9.0 * qc.qnormsq(u) * qc.vec_normsq(bu)
-        + 6.0 * qc.vec_dot(ubu, bux)
+        + 6.0 * qc.vec_dot(qc.scalar_vec(u, bu), bux)
     )
     return {
         "g_NN": Field(grid, g_nn, "real"),
@@ -345,12 +344,7 @@ def _mkdv_time_matrices(state: StatePair) -> np.ndarray:
     h_par0 = bo._h_par0_local(u, bu)
     # covector pair w_(1) = J(u_x, bu_x) with jet constants, all local
     w1s = 0.25 * u2 + 0.25 * qc.comm_C_vec(bu, bux) + h_par0[:, None] * u
-    w1v = (
-        bu2
-        + 0.5 * qc.qmul(ux[:, None, :], bu)
-        + qc.qmul(u[:, None, :], bux)
-        + h_par0[:, None, None] * bu
-    )
+    w1v = bu2 + 0.5 * qc.scalar_vec(ux, bu) + qc.scalar_vec(u, bux) + h_par0[:, None, None] * bu
     g = sl.LieElement(
         state.n,
         m_par=h_par0 / rc,
@@ -397,7 +391,6 @@ def evolve_with_frame(
     sg_mode: str = "line",
     sg_refine: int = 8,
     transport_refine: int = 8,
-    snapshot_every: int = 1,
 ) -> FrameTrajectory:
     """Co-evolve the state and the frame field psi(t, x).
 
@@ -442,10 +435,7 @@ def evolve_with_frame(
         psi = psi @ sf.expm_antihermitian(dt * time_mats(mid))
         state = new
         t += dt
-        if (step + 1) % snapshot_every == 0 or step + 1 == steps:
-            traj.append(
-                t, state, FrameState(grid, state.n, psi.copy(), frame0.monodromy)
-            )
+        traj.append(t, state, FrameState(grid, state.n, psi.copy(), frame0.monodromy))
     return traj
 
 

@@ -118,6 +118,23 @@ def spectral_antideriv(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     return np.fft.irfft(out, n=grid.num_points, axis=0)
 
 
+def guarded_antideriv(
+    values: np.ndarray, grid: PeriodicGrid, tol: float, block: str, ref: float = 0.0
+) -> np.ndarray:
+    """Zero-mean antiderivative of a sample array, the one D_x^{-1} mean guard.
+
+    The mean check is relative to max(integrand rms, ref); the reference scale
+    lets integrands that vanish identically up to roundoff pass.  A larger
+    mean raises NonlocalityError tagged with `block`.
+    """
+    means = np.mean(values, axis=0)
+    scale = float(np.sqrt(np.mean(values**2))) if values.size else 0.0
+    worst = float(np.max(np.abs(means))) if means.size else 0.0
+    if worst > tol * max(scale, ref, 1e-300):
+        raise NonlocalityError(block, worst, scale, tol)
+    return spectral_antideriv(values, grid)
+
+
 def spectral_refine(values: np.ndarray, grid: PeriodicGrid, factor: int) -> np.ndarray:
     """Band-limited upsampling by an integer factor."""
     if factor == 1:
@@ -199,12 +216,7 @@ def antideriv_x(
     block: str = "antideriv_x",
 ) -> Field:
     """Zero-mean periodic antiderivative; raises NonlocalityError on nonzero mean."""
-    means = np.mean(f.values, axis=0)
-    scale = f.rms()
-    worst = float(np.max(np.abs(means))) if means.size else 0.0
-    if worst > mean_tolerance * max(scale, 1e-300):
-        raise NonlocalityError(block, worst, scale, mean_tolerance)
-    return Field(f.grid, spectral_antideriv(f.values, f.grid), f.kind)
+    return Field(f.grid, guarded_antideriv(f.values, f.grid, mean_tolerance, block), f.kind)
 
 
 def integrate(f: Field):

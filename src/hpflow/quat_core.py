@@ -122,7 +122,20 @@ def acomm_A(a, b) -> np.ndarray:
     """A(a, b) = ab + ba, a real number for imaginary scalar arguments."""
     if not (is_imaginary(a, 1e-9) and is_imaginary(b, 1e-9)):
         raise DomainError("acomm_A requires imaginary quaternion arguments")
+    return acomm_A_im(a, b)
+
+
+def acomm_A_im(a, b) -> np.ndarray:
+    """A(a, b) = -2 sum_i a_i b_i from the imaginary parts alone, unchecked."""
     return -2.0 * np.sum(np.asarray(a)[..., 1:] * np.asarray(b)[..., 1:], axis=-1)
+
+
+def scalar_vec(a, v) -> np.ndarray:
+    """(a * v_l)_l for a quaternion scalar a and a vector v shaped (..., m, 4)."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[-2] == 0:
+        return v.copy()
+    return qmul(np.asarray(a, dtype=float)[..., None, :], v)
 
 
 def comm_C_vec(x, y) -> np.ndarray:

@@ -135,17 +135,10 @@ def mkdv_rhs(state: StatePair, galilean_removed: bool = True) -> FlowPair:
     if m:
         businormsq = qc.vec_normsq(bu)
         cvec = qc.comm_C_vec(bu, bux)
-        out_s = (
-            out_s
-            + 0.75 * (qc.qmul(u, cvec) - qc.qmul(cvec, u))
-            + 0.75 * qc.comm_C_vec(bu, bu2)
-        )
+        out_s = out_s + 0.75 * qc.comm_C(u, cvec) + 0.75 * qc.comm_C_vec(bu, bu2)
         fac1 = qc.from_real(businormsq + unormsq) + ux
-        a_u_ux = -2.0 * np.sum(u[:, 1:] * ux[:, 1:], axis=-1)
-        fac2 = 2.0 * businormsq[:, None] * u - qc.from_real(a_u_ux) - cvec + u2
-        out_v = bu3 + 1.5 * qc.qmul(fac1[:, None, :], bux) + 0.75 * qc.qmul(
-            fac2[:, None, :], bu
-        )
+        fac2 = 2.0 * businormsq[:, None] * u - qc.from_real(qc.acomm_A_im(u, ux)) - cvec + u2
+        out_v = bu3 + 1.5 * qc.scalar_vec(fac1, bux) + 0.75 * qc.scalar_vec(fac2, bu)
     else:
         out_v = bu3
     if not galilean_removed:
@@ -212,28 +205,22 @@ def _rk4(state: StatePair, rhs, dt: float, t: float, project_fraction) -> StateP
 _CONJ4 = np.diag([1.0, -1.0, -1.0, -1.0])
 
 
+# Entry (r, c) of L(q) is the e_r component of q e_c, and of R(q) that of e_c q:
+# one component of q times a sign, both read off the unit products e_a e_b.
+# The gather copies q's components exactly, signed zeros included.
+_UNITS = qc.qmul(np.eye(4)[:, None], np.eye(4))  # [a, b] = e_a e_b
+_L_INDEX, _L_SIGN = np.argmax(np.abs(_UNITS), axis=0).T, np.sum(_UNITS, axis=0).T
+_R_INDEX, _R_SIGN = np.argmax(np.abs(_UNITS), axis=1).T, np.sum(_UNITS, axis=1).T
+
+
 def _left_mult_matrix(q):
     """Batched L(q) with L(q) p = components of q * p; q shaped (..., 4)."""
-    q0, q1, q2, q3 = (q[..., c] for c in range(4))
-    rows = [
-        np.stack([q0, -q1, -q2, -q3], axis=-1),
-        np.stack([q1, q0, -q3, q2], axis=-1),
-        np.stack([q2, q3, q0, -q1], axis=-1),
-        np.stack([q3, -q2, q1, q0], axis=-1),
-    ]
-    return np.stack(rows, axis=-2)
+    return _L_SIGN * q[..., _L_INDEX]
 
 
 def _right_mult_matrix(q):
     """Batched R(q) with R(q) p = components of p * q."""
-    q0, q1, q2, q3 = (q[..., c] for c in range(4))
-    rows = [
-        np.stack([q0, -q1, -q2, -q3], axis=-1),
-        np.stack([q1, q0, q3, -q2], axis=-1),
-        np.stack([q2, -q3, q0, q1], axis=-1),
-        np.stack([q3, q2, -q1, q0], axis=-1),
-    ]
-    return np.stack(rows, axis=-2)
+    return _R_SIGN * q[..., _R_INDEX]
 
 
 def sg_system_matrix(u: np.ndarray, bu: np.ndarray) -> np.ndarray:
@@ -414,7 +401,6 @@ def sg_solve_h(
     branch: str = "-",
     mode: str = "line",
     refine: int = 8,
-    boundary: np.ndarray | None = None,
     richardson_check: bool = False,
     richardson_tol: float = 1e-6,
 ):
@@ -435,13 +421,8 @@ def sg_solve_h(
     grid_prefix = prefixes[: N * refine : refine]
 
     if mode == "line":
-        if boundary is None:
-            y0 = np.zeros(d)
-            y0[0] = c if branch == "+" else -c
-        else:
-            y0 = np.asarray(boundary, dtype=float)
-            if y0.shape != (d,):
-                raise DomainError(f"boundary must have shape ({d},)")
+        y0 = np.zeros(d)
+        y0[0] = c if branch == "+" else -c
     elif mode == "periodic":
         monodromy = prefixes[-1]
         if not np.all(np.isfinite(monodromy)):
@@ -477,10 +458,11 @@ def sg_solve_h(
         raise DomainError("mode must be 'line' or 'periodic'")
 
     y = grid_prefix @ y0
+    constraint = _sg_constraint(y)
     info = {
-        "constraint": _sg_constraint(y),
+        "constraint": constraint,
         "constraint_target": c**2,
-        "constraint_max_dev": float(np.max(np.abs(_sg_constraint(y) - _sg_constraint(y0)))),
+        "constraint_max_dev": float(np.max(np.abs(constraint - _sg_constraint(y0)))),
         "boundary": y0.copy(),
         "seam_state_magnitude": float(
             np.max(np.abs(state.u.values[[0, -1]])) if mode == "line" else 0.0
@@ -607,7 +589,6 @@ def preset_sg_kink(
 class Trajectory:
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
-    sg_constraint_dev: list = field(default_factory=list)
     sg_constraint_value: list = field(default_factory=list)
 
     def append(self, t, state):
@@ -639,7 +620,6 @@ def run_flow(config: SimConfig, state: StatePair, observer=None) -> Trajectory:
         traj.append(t, s)
         if config.flow == "sg":
             _, _, info = sg_solve_h(s, config.sg_branch, config.sg_mode, config.sg_refine)
-            traj.sg_constraint_dev.append(info["constraint_max_dev"])
             traj.sg_constraint_value.append(float(np.mean(info["constraint"])))
 
     def rhs(s):  # the flows stepped by step_rk4

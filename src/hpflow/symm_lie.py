@@ -211,11 +211,6 @@ def bracket(g1: LieElement, g2: LieElement) -> LieElement:
     return LieElement.from_matrix(qc.qmatmul(M1, M2) - qc.qmatmul(M2, M1))
 
 
-def _left_scalar_vec(a, v):
-    """(a * v_l)_l for scalar quaternion a, vector v."""
-    return qc.qmul(np.asarray(a)[..., None, :], v) if v.shape[-2] != 0 else v.copy()
-
-
 _TARGETS = ("m_par", "m_perp", "h_par", "h_perp")
 
 
@@ -268,7 +263,7 @@ def bracket_projected(a, b, target: str):
         if target == "m_perp":
             return MPerp(
                 qc.comm_C(a.p, b.s),
-                _left_scalar_vec(a.p, b.v) - qc.qmat_vecmul(b.v, a.mat),
+                qc.scalar_vec(a.p, b.v) - qc.qmat_vecmul(b.v, a.mat),
             )
         raise DomainError("[h_par, m_perp] lies in m_perp")
     if ta is MPerp and tb is HPar:
@@ -278,7 +273,7 @@ def bracket_projected(a, b, target: str):
         if target == "h_perp":
             return HPerp(
                 qc.comm_C(a.p, b.s),
-                _left_scalar_vec(a.p, b.v) - qc.qmat_vecmul(b.v, a.mat),
+                qc.scalar_vec(a.p, b.v) - qc.qmat_vecmul(b.v, a.mat),
             )
         raise DomainError("[h_par, h_perp] lies in h_perp")
     if ta is HPerp and tb is HPar:
@@ -293,7 +288,7 @@ def bracket_projected(a, b, target: str):
         if target == "h_perp":
             return HPerp(
                 0.5 * qc.comm_C_vec(b.v, a.v),
-                _left_scalar_vec(a.s, b.v) - _left_scalar_vec(b.s, a.v),
+                qc.scalar_vec(a.s, b.v) - qc.scalar_vec(b.s, a.v),
             )
         raise DomainError("[m_perp, m_perp] lies in h")
 
@@ -306,7 +301,7 @@ def bracket_projected(a, b, target: str):
         if target == "h_perp":
             return HPerp(
                 0.5 * qc.comm_C_vec(a.v, b.v),
-                _left_scalar_vec(b.s, a.v) - _left_scalar_vec(a.s, b.v),
+                qc.scalar_vec(b.s, a.v) - qc.scalar_vec(a.s, b.v),
             )
         raise DomainError("[h_perp, h_perp] lies in h")
 
@@ -318,7 +313,7 @@ def bracket_projected(a, b, target: str):
         if target == "m_perp":
             return MPerp(
                 0.5 * qc.comm_C_vec(b.v, a.v),
-                _left_scalar_vec(a.s, b.v) - _left_scalar_vec(b.s, a.v),
+                qc.scalar_vec(a.s, b.v) - qc.scalar_vec(b.s, a.v),
             )
         raise DomainError("[m_perp, h_perp] lies in m")
     if ta is HPerp and tb is MPerp:
@@ -405,7 +400,7 @@ def equivalence_action(a, A, x):
     check_unit_quaternion(a)
     check_unitary(A)
     s = qc.qmul(qc.qmul(a, x.s), qc.qconj(a))
-    v = qc.qmat_vecmul(_left_scalar_vec(a, x.v), A) if x.v.shape[-2] else x.v.copy()
+    v = qc.qmat_vecmul(qc.scalar_vec(a, x.v), A)
     return type(x)(s, v)
 
 

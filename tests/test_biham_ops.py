@@ -406,5 +406,3 @@ def test_hierarchy_rejects_negative_level(rng):
     state = random_state(rng, GRID, 1)
     with pytest.raises(DomainError):
         bo.hierarchy_flows(state, -1)
-    with pytest.raises(DomainError):
-        bo.hierarchy_flows(state, 1, constants="bogus")

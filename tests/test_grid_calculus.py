@@ -101,6 +101,21 @@ def test_antideriv_rejects_nonzero_mean():
     assert exc.value.mean == pytest.approx(1.0)
 
 
+def test_guarded_antideriv_reference_scale():
+    # an integrand that cancels to roundoff passes against a reference scale,
+    # and the same call without one names its block in the error
+    grid = gcalc.PeriodicGrid(32, 1.0)
+    base = 2 * np.pi / grid.length
+    big = 1e8 * np.cos(base * grid.x)
+    values = (big + 1.0) - big - 1.0
+    assert np.max(np.abs(values)) > 0.0
+    out = gcalc.guarded_antideriv(values, grid, 1e-8, "roundoff", ref=1.0)
+    assert np.array_equal(out, gcalc.spectral_antideriv(values, grid))
+    with pytest.raises(NonlocalityError) as exc:
+        gcalc.guarded_antideriv(values, grid, 1e-8, "roundoff", ref=0.0)
+    assert exc.value.block == "roundoff"
+
+
 def test_antideriv_roundtrip(rng):
     grid = gcalc.PeriodicGrid(128, 11.0)
     f = random_bandlimited(rng, grid, "qvec", m=2, zero_mean=True)

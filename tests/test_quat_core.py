@@ -152,6 +152,28 @@ def test_acomm_rejects_non_imaginary(rng):
         qc.acomm_A(qc.ONE, random_iquat(rng))
 
 
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_scalar_vec_matches_componentwise_qmul(rng, m):
+    a = rng.standard_normal((7, 4))
+    v = rng.standard_normal((7, m, 4))
+    expected = np.zeros_like(v)
+    for l in range(m):
+        expected[:, l] = qc.qmul(a, v[:, l])
+    out = qc.scalar_vec(a, v)
+    assert out.shape == (7, m, 4)
+    assert np.array_equal(out, expected)
+    # a single scalar against a single vector
+    assert np.array_equal(qc.scalar_vec(a[0], v[0]), expected[0])
+
+
+def test_acomm_A_im_equals_checked_form(rng):
+    a = np.stack([random_iquat(rng) for _ in range(5)])
+    b = np.stack([random_iquat(rng) for _ in range(5)])
+    assert np.array_equal(qc.acomm_A_im(a, b), qc.acomm_A(a, b))
+    with pytest.raises(DomainError):
+        qc.acomm_A(a + qc.ONE, b)
+
+
 def test_matcomm(rng):
     x = random_qvec(rng, 3)
     np.testing.assert_allclose(qc.matcomm_C(x, x), np.zeros((3, 3, 4)), atol=1e-15)

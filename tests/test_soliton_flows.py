@@ -652,6 +652,16 @@ def test_run_flow_dividing_t_end_keeps_full_steps():
     assert traj.times == [k * 5e-3 for k in range(21)]
 
 
+def test_mult_matrices_act_as_quaternion_products(rng):
+    q = rng.standard_normal((9, 4))
+    p = rng.standard_normal((9, 4))
+    left = (sf._left_mult_matrix(q) @ p[..., None])[..., 0]
+    right = (sf._right_mult_matrix(q) @ p[..., None])[..., 0]
+    scale = np.max(np.abs(q)) * np.max(np.abs(p))
+    assert np.max(np.abs(left - qc.qmul(q, p))) <= 1e-14 * scale
+    assert np.max(np.abs(right - qc.qmul(p, q))) <= 1e-14 * scale
+
+
 # -- n = 1 closed-form transfers ---------------------------------------------------
 
 BENCH_GRID = gcalc.PeriodicGrid(256, 40.0)
