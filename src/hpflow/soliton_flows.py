@@ -8,14 +8,16 @@ The -1 flow is nonlocal in x: at each instant the flow pair solves a linear
 ODE system in x driven by the state, with the pointwise quadratic constraint
 h_par^2 + |h_s|^2/4 + |h_v|^2 = chi^2.  The solver builds per-cell transfer
 matrices with a fourth-order Magnus scheme and composes them with a prefix
-scan; because each transfer is the exponential of an element of the
-constraint form's orthogonal algebra, the constraint is preserved to
-roundoff along x regardless of resolution.  For n = 1 that algebra is
-so(4) = sp(1) + sp(1), and each transfer is built in closed form as one left
-and one right multiplication by a unit quaternion; n >= 2 exponentiates the
-Magnus generator with the batched Taylor map.  The frame transport in
-curve_geometry shares the Magnus-4 generator, exponential and prefix scan,
-and its co-evolution in time the RK4 body.  Two spatial modes are offered:
+scan that forms only the rows the solve reads, the prefixes at the grid
+points and the monodromy; because each transfer is the exponential of an
+element of the constraint form's orthogonal algebra, the constraint is
+preserved to roundoff along x regardless of resolution.  For n = 1 that
+algebra is so(4) = sp(1) + sp(1), and each transfer is built in closed form
+as one left and one right multiplication by a unit quaternion; n >= 2
+exponentiates the Magnus generator with the batched Taylor map.  The frame
+transport in curve_geometry shares the Magnus-4 generator, exponential and
+prefix scan, and its co-evolution in time the RK4 body.  Two spatial modes
+are offered:
 
     line     : integrate left to right from the boundary value
                (sign * chi, 0, 0) at x = 0; meant for states that vanish
@@ -297,17 +299,24 @@ def expm_antihermitian(Z: np.ndarray) -> np.ndarray:
     return E
 
 
-def prefix_products(T: np.ndarray) -> np.ndarray:
-    """Cumulative products P[0] = I, P[i] = T[i-1] @ ... @ T[0], via doubling."""
+def prefix_products(T: np.ndarray, every: int = 1) -> np.ndarray:
+    """Cumulative products P[0] = I, P[i] = T[i-1] @ ... @ T[0], via doubling.
+
+    Returns the rows P[0], P[every], P[2 * every], ... up to P[K].  While
+    every is even only the paired level is scanned: its prefixes are the even
+    rows of the full scan, with the same association, so the rows are equal
+    bit for bit.
+    """
     K, d = T.shape[0], T.shape[1]
-    eye = np.broadcast_to(np.eye(d, dtype=T.dtype), (1, d, d))
-    if K == 0:
-        return eye.copy()
-    if K == 1:
-        return np.concatenate([eye, T[:1]], axis=0)
+    if K <= 1:
+        return np.concatenate([np.eye(d, dtype=T.dtype)[None], T[:K]])[::every]
+    if every % 2 and every > 1:
+        return prefix_products(T)[::every]
     even = T[0::2]
     odd = T[1::2]
     paired = odd @ even[: odd.shape[0]]
+    if every > 1:
+        return prefix_products(paired, every // 2)
     sub = prefix_products(paired)  # covers pairs; for odd K the last element dangles
     out = np.empty((K + 1, d, d), dtype=T.dtype)
     out[0::2] = sub[: (K // 2) + 1]
@@ -406,7 +415,10 @@ def sg_solve_h(
 ):
     """Solve the -1 flow's linear x-system, returning (flow pair, h_par, info).
 
-    The returned pair is normalized so the pointwise constraint equals chi^2.
+    The refine * N cell transfers are scanned only for the prefixes at the
+    grid points and the monodromy (every refine-th row); the Richardson
+    coarse solve likewise scans every (refine // 2)-th row.  The returned
+    pair is normalized so the pointwise constraint equals chi^2.
     """
     if branch not in ("+", "-"):
         raise DomainError("branch must be '+' or '-'")
@@ -416,15 +428,15 @@ def sg_solve_h(
     d = 4 + 4 * m
     c = chi(state.n)
 
-    transfers = _sg_transfers(state, refine)
-    prefixes = prefix_products(transfers)
-    grid_prefix = prefixes[: N * refine : refine]
+    # rows P[0], P[refine], ..., P[N * refine]: the grid points and the monodromy
+    prefixes = prefix_products(_sg_transfers(state, refine), refine)
+    grid_prefix = prefixes[:N]
 
     if mode == "line":
         y0 = np.zeros(d)
         y0[0] = c if branch == "+" else -c
     elif mode == "periodic":
-        monodromy = prefixes[-1]
+        monodromy = prefixes[N]
         if not np.all(np.isfinite(monodromy)):
             raise NonFiniteMonodromyError(
                 "no periodic -1 flow: the monodromy has non-finite entries "
@@ -473,8 +485,8 @@ def sg_solve_h(
     if richardson_check:
         if refine < 2 or refine % 2:
             raise DomainError("richardson_check needs an even refine >= 2")
-        coarse = prefix_products(_sg_transfers(state, refine // 2))
-        y_c = coarse[: N * (refine // 2) : refine // 2] @ y0
+        coarse = prefix_products(_sg_transfers(state, refine // 2), refine // 2)
+        y_c = coarse[:N] @ y0
         est = float(np.max(np.abs(y - y_c))) / 15.0
         info["richardson_error"] = est
         if est > richardson_tol * max(c, 1.0):

@@ -444,7 +444,7 @@ def geometry_suite(seed: int = 4) -> list[CheckResult]:
     results.append(CheckResult("mKdV map tangential component", 1e-5, out["tangential_residual"]))
 
     kink = sf.preset_sg_kink(sol_grid, n=1, a=1.0)
-    straj = cg.evolve_with_frame(kink, "sg", 1e-4, 10, branch="-", sg_refine=8, transport_refine=8)
+    straj = cg.evolve_with_frame(kink, "sg", 1e-4, 6, branch="-", sg_refine=8, transport_refine=8)
     wout = cg.verify_wave_map(straj, idx=5)
     results.append(CheckResult("wave map residual", 1e-5, wout["residual"]))
     results.append(CheckResult("wave map speed constancy in x", 1e-6, wout["speed_constancy"]))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hpflow import cli
+from hpflow import curve_geometry as cg
 from hpflow.errors import ConfigError
 
 
@@ -155,6 +156,32 @@ def test_sg_simulation_with_wave_map_residual(tmp_path):
     assert res["residual"] <= 1e-5
     report = json.loads((tmp_path / "sg" / "conservation.json").read_text())
     assert report["sg_constraint_drift"] <= 1e-7
+
+
+def test_sg_map_check_stops_at_its_snapshot(tmp_path, monkeypatch):
+    # the wave-map check reads snapshots 4-6 only: evolving 6 steps must write
+    # the residuals that 10 steps give on the same final state
+    calls = []
+    evolve = cg.evolve_with_frame
+
+    def recording(state, flow, dt, steps, **kw):
+        calls.append((state, flow, dt, steps, kw))
+        return evolve(state, flow, dt, steps, **kw)
+
+    monkeypatch.setattr(cg, "evolve_with_frame", recording)
+    cfg = write_config(
+        tmp_path,
+        grid={"N": 128, "L": 40.0, "mode": "line"},
+        flow={"kind": "sg", "dt": 5e-3, "t_end": 0.01, "sg_branch": "-", "sg_refine": 8},
+        initial={"preset": "sg_kink", "a": 1.0},
+        output={"directory": str(tmp_path / "sg"), "reconstruct": True},
+    )
+    assert cli.main(["simulate", "--config", str(cfg)]) == 0
+    (final, flow, dt_check, steps, kw), = calls
+    assert steps == 6
+    full = evolve(final, flow, dt_check, 10, **kw)
+    res = json.loads((tmp_path / "sg" / "wave_map_residuals.json").read_text())
+    assert res == cg.verify_wave_map(full, idx=5)
 
 
 def test_inline_preset(tmp_path):

@@ -421,6 +421,72 @@ def test_prefix_products(rng):
             np.testing.assert_allclose(P[i + 1], acc, atol=1e-10)
 
 
+def test_prefix_products_every_is_full_scan_rows(rng):
+    for K in (0, 1, 2, 5, 8, 13, 2048):
+        real = rng.standard_normal((K, 4, 4)) / 2.0
+        cplx = (real + 1j * rng.standard_normal((K, 4, 4)) / 2.0) / np.sqrt(2.0)
+        for T in (real, cplx):
+            full = sf.prefix_products(T)
+            for every in (1, 2, 3, 4, 6, 8):
+                assert np.array_equal(sf.prefix_products(T, every), full[::every])
+
+
+def _full_scan(T):
+    """The doubling scan over every cell, each level building its identity."""
+    K, d = T.shape[0], T.shape[1]
+    eye = np.broadcast_to(np.eye(d, dtype=T.dtype), (1, d, d))
+    if K == 0:
+        return eye.copy()
+    if K == 1:
+        return np.concatenate([eye, T[:1]], axis=0)
+    even = T[0::2]
+    paired = T[1::2] @ even[: K // 2]
+    sub = _full_scan(paired)
+    out = np.empty((K + 1, d, d), dtype=T.dtype)
+    out[0::2] = sub[: (K // 2) + 1]
+    out[1::2] = even @ sub[: (K + 1) // 2]
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("mode", ["line", "periodic"])
+def test_sg_solve_h_strided_scan_matches_full_scan(rng, monkeypatch, n, mode):
+    # the x-solve reads the grid-point rows and the monodromy of the
+    # refine * N cell scan; those rows of the full scan give its outputs
+    # bit for bit
+    if mode == "line":
+        state = random_state(rng, gcalc.PeriodicGrid(64, 16.0), n, amplitude=0.5)
+    else:
+        state = sf.preset_sg_kink(gcalc.PeriodicGrid(128, 40.0), n)
+    svd_args = []
+    svd = np.linalg.svd
+
+    def recording_svd(a, *args, **kwargs):
+        svd_args.append(a)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    h, h_par, info = sf.sg_solve_h(
+        state, "-", mode, 8, richardson_check=True, richardson_tol=1.0
+    )
+    N, m = state.grid.num_points, state.n - 1
+    y0 = info["boundary"]
+    full = _full_scan(sf._sg_transfers(state, 8))
+    y = full[: 8 * N : 8] @ y0
+    assert np.array_equal(h_par.values, y[:, 0])
+    assert np.array_equal(h.hs.values[:, 1:], y[:, 1:4])
+    assert np.array_equal(h.hv.values, y[:, 4:].reshape(N, m, 4))
+    coarse = _full_scan(sf._sg_transfers(state, 4))
+    y_c = coarse[: 4 * N : 4] @ y0
+    assert info["richardson_error"] == float(np.max(np.abs(y - y_c))) / 15.0
+    if mode == "line":
+        assert svd_args == []
+        assert np.array_equal(y0, np.eye(4 + 4 * m)[0] * -chi(state.n))
+    else:
+        (shifted,) = svd_args
+        assert np.array_equal(shifted, full[-1] - np.eye(4 + 4 * m))
+
+
 def test_run_flow_and_conservation(rng):
     grid = gcalc.PeriodicGrid(64, 20.0)
     cfg = sf.SimConfig(
