@@ -415,23 +415,29 @@ def _W_par1_local(u, bu, bux) -> np.ndarray:
     return qc.matcomm_C(bu, bux) + _uut_mat(bu, u)
 
 
-def hamiltonian_local_density(state: StatePair, l: int) -> Field:
-    """Closed-form conserved densities for levels 0 and 1."""
-    u, bu = state.arrays()
-    grid = state.grid
+def _density_values(u, bu, grid: PeriodicGrid, l: int) -> np.ndarray:
+    """Closed-form conserved densities of levels 0 and 1 on raw arrays.
+
+    The grid is axis 0 and any batch axes follow it: u (N, ..., 4) and
+    bu (N, ..., m, 4) give a density shaped (N, ...).
+    """
     if l == 0:
-        return Field(grid, _h_par0_local(u, bu), "real")
+        return _h_par0_local(u, bu)
     if l == 1:
         ux = gcalc.spectral_deriv(u, grid)
         bux = gcalc.spectral_deriv(bu, grid)
-        vals = (
+        return (
             -0.125 * qc.qnormsq(ux)
             - 0.5 * qc.vec_normsq(bux)
             - 0.125 * qc.acomm_A_im(u, qc.comm_C_vec(bu, bux))
             + 0.125 * (qc.qnormsq(u) + qc.vec_normsq(bu)) ** 2
         )
-        return Field(grid, vals, "real")
     raise DomainError("closed-form densities are available for l = 0, 1 only")
+
+
+def hamiltonian_local_density(state: StatePair, l: int) -> Field:
+    """Closed-form conserved densities for levels 0 and 1."""
+    return Field(state.grid, _density_values(*state.arrays(), state.grid, l), "real")
 
 
 def hamiltonian_value(state: StatePair, l: int) -> float:
@@ -515,34 +521,43 @@ def variational_derivative_fd(functional, state: StatePair, eps: float = 1e-5) -
     Probes every grid point and component; the result is the Riesz
     representer under ``pairing``, assembled as a covector pair.  Serves as
     the independent oracle for closed-form covectors.
+
+    The functional must provide ``values(u, bu, grid)``: the values of a
+    batch of states stacked along axis 1, u (N, P, 4) and bu (N, P, m, 4),
+    as an array (P,).  The 2N probes of one component form one batch: probe
+    i moves grid point i by +step, probe N + i by -step.  A batch holds
+    8 N^2 (1 + m) floats, which suits the small grids the oracle is for.
     """
+    if not hasattr(functional, "values"):
+        raise DomainError("the finite-difference oracle needs a functional with values(u, bu, grid)")
     grid = state.grid
     N = grid.num_points
     m = state.n - 1
     step = eps * max(state.rms(), 1.0)
-    u0 = state.u.values
-    bu0 = state.bu.values
+    u0, bu0 = state.arrays()
+    rows = np.arange(N)
 
-    def value(uv, bv):
-        return functional(make_state(grid, uv, bv))
+    def batch(base, entry=None):
+        """2N copies of base along axis 1, the probes at `entry` moved by +-step."""
+        out = np.repeat(base[:, None], 2 * N, axis=1)
+        if entry is not None:
+            out[(rows, rows) + entry] += step
+            out[(rows, N + rows) + entry] -= step
+        return out
+
+    def central(u, bu):
+        vals = functional.values(u, bu, grid)
+        return (vals[:N] - vals[N:]) / (2 * step) / grid.dx
 
     ws = np.zeros((N, 4))
+    bu_fixed = batch(bu0)
     for comp in range(1, 4):
-        for i in range(N):
-            up = u0.copy()
-            up[i, comp] += step
-            um = u0.copy()
-            um[i, comp] -= step
-            ws[i, comp] = (value(up, bu0) - value(um, bu0)) / (2 * step) / grid.dx
+        ws[:, comp] = central(batch(u0, (comp,)), bu_fixed)
     wv = np.zeros((N, m, 4))
+    u_fixed = batch(u0)
     for l in range(m):
         for comp in range(4):
-            for i in range(N):
-                bp = bu0.copy()
-                bp[i, l, comp] += step
-                bm = bu0.copy()
-                bm[i, l, comp] -= step
-                wv[i, l, comp] = (value(u0, bp) - value(u0, bm)) / (2 * step) / grid.dx
+            wv[:, l, comp] = central(u_fixed, batch(bu0, (l, comp)))
     return make_covector(grid, ws, wv)
 
 
@@ -597,6 +612,16 @@ class HierarchyFunctional:
 
     def __call__(self, state: StatePair) -> float:
         return hamiltonian_value(state, self.l)
+
+    def values(self, u, bu, grid: PeriodicGrid) -> np.ndarray:
+        """H_l of the states stacked along axis 1, u (N, P, 4) and bu (N, P, m, 4).
+
+        Each probe's density is summed along a contiguous row, in the order
+        of hamiltonian_value's sum, so value p equals hamiltonian_value of
+        state p bit for bit.
+        """
+        dens = _density_values(u, bu, grid, self.l)
+        return np.sum(np.ascontiguousarray(dens.T), axis=1) * grid.dx
 
     def gradient(self, state: StatePair) -> CovectorPair:
         return hierarchy_covector(state, self.l)

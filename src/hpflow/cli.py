@@ -217,9 +217,7 @@ def cmd_simulate(args) -> int:
     gcalc.report_to_json(outdir / "conservation.json", report.as_dict())
 
     if cfg["output"].get("reconstruct", False):
-        curve = cg.reconstruct_curve(
-            cg.downsample_frame(cg.transport_frame(traj.states[-1], refine=4), 4)
-        )
+        curve = cg.reconstruct_curve(cg.grid_frame(traj.states[-1], refine=4))
         cg.curve_to_csv(outdir / "curve_final.csv", curve)
         if cfg["output"].get("map_check", True) and sim.flow in ("mkdv", "sg"):
             # the residuals are read at snapshot idx.  The -1 flow's right side

@@ -100,13 +100,14 @@ def transport_frame(state: StatePair, psi0: np.ndarray | None = None, refine: in
     return FrameState(fine_grid, state.n, psi, monodromy)
 
 
-def downsample_frame(frame: FrameState, factor: int) -> FrameState:
-    return FrameState(
-        PeriodicGrid(frame.grid.num_points // factor, frame.grid.length),
-        frame.n,
-        frame.psi[::factor].copy(),
-        frame.monodromy.copy(),
+def grid_frame(state: StatePair, refine: int = 8) -> FrameState:
+    """The frame at the grid points alone, transported on the refine-times-finer
+    grid: the scan forms only every refine-th prefix and the monodromy, rows
+    equal bit for bit to those of transport_frame(state, refine=refine)."""
+    prefixes = np.swapaxes(
+        sf.prefix_products(_transport_transfers(state, refine), refine), -1, -2
     )
+    return FrameState(state.grid, state.n, prefixes[:-1].copy(), prefixes[-1].copy())
 
 
 # -- curve reconstruction ------------------------------------------------------
@@ -419,7 +420,7 @@ def evolve_with_frame(
     else:
         raise DomainError(f"unknown flow {flow!r} for frame evolution")
 
-    frame0 = downsample_frame(transport_frame(state, refine=transport_refine), transport_refine)
+    frame0 = grid_frame(state, transport_refine)
     traj = FrameTrajectory(n=state.n, grid=grid, flow=flow)
     traj.append(0.0, state, frame0)
     psi = frame0.psi.copy()

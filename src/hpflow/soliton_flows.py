@@ -48,6 +48,7 @@ from .biham_ops import FlowPair, StatePair, make_flow, make_state
 from .errors import (
     BlowUpError,
     ConfigError,
+    DimensionMismatchError,
     DomainError,
     IntegrationAccuracyError,
     NonFiniteMonodromyError,
@@ -181,13 +182,24 @@ def _rk4(state: StatePair, rhs, dt: float, t: float, project_fraction) -> StateP
     """The one RK4 body, shared by step_rk4, sg_step and the frame co-evolution.
 
     Stages and the update are formed on packed [u | bu] arrays, element for
-    element in the order of the unpacked formulas."""
+    element in the order of the unpacked formulas.  A right side on another
+    grid or of another shape than the state raises DimensionMismatchError."""
     grid = state.grid
     bu_shape = state.bu.values.shape
     y = _pack(*state.arrays())
 
     def k(s):
-        return _pack(*rhs(s).arrays())
+        h = rhs(s)
+        if h.grid != grid:
+            raise DimensionMismatchError(
+                f"right side lives on {h.grid}, the state on {grid}"
+            )
+        packed = _pack(*h.arrays())
+        if packed.shape != y.shape:
+            raise DimensionMismatchError(
+                f"right side packs to shape {packed.shape}, the state to {y.shape}"
+            )
+        return packed
 
     def stage(dy):
         return _project_state(grid, y + dy, bu_shape, project_fraction)
@@ -398,7 +410,10 @@ def _sg_transfers_quaternion(state: StatePair, refine: int) -> np.ndarray:
     a1 = np.concatenate([a0[:, 1:], a0[:, :1]], axis=1)
     h = state.grid.dx / refine
     simpson = (h / 6.0) * (a0 + 4.0 * am + a1)
-    cross = (h**2 / 6.0) * np.cross(am, a1 - a0, axis=0)
+    d = a1 - a0
+    cross = (h**2 / 6.0) * np.stack(
+        [am[1] * d[2] - am[2] * d[1], am[2] * d[0] - am[0] * d[2], am[0] * d[1] - am[1] * d[0]]
+    )
     p = _unit_exp(simpson - cross)
     q = _unit_exp(simpson + cross)
     pairs = (p[:, None] * q[None, :]).reshape(16, -1)

@@ -329,6 +329,71 @@ def test_fd_gradient_zero_state():
     assert np.max(np.abs(grad.wv.values)) <= 1e-12
 
 
+def _per_probe_fd_gradient(functional, state, eps=1e-5):
+    """The oracle as one functional call per +-probe, the batched oracle's reference."""
+    grid = state.grid
+    N = grid.num_points
+    m = state.n - 1
+    step = eps * max(state.rms(), 1.0)
+    u0 = state.u.values
+    bu0 = state.bu.values
+
+    def value(uv, bv):
+        return functional(bo.make_state(grid, uv, bv))
+
+    ws = np.zeros((N, 4))
+    for comp in range(1, 4):
+        for i in range(N):
+            up = u0.copy()
+            up[i, comp] += step
+            um = u0.copy()
+            um[i, comp] -= step
+            ws[i, comp] = (value(up, bu0) - value(um, bu0)) / (2 * step) / grid.dx
+    wv = np.zeros((N, m, 4))
+    for l in range(m):
+        for comp in range(4):
+            for i in range(N):
+                bp = bu0.copy()
+                bp[i, l, comp] += step
+                bm = bu0.copy()
+                bm[i, l, comp] -= step
+                wv[i, l, comp] = (value(u0, bp) - value(u0, bm)) / (2 * step) / grid.dx
+    return ws, wv
+
+
+@pytest.mark.parametrize("N", [32, 31])
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("l", [0, 1])
+def test_fd_gradient_equals_per_probe_loop(rng, N, n, l):
+    grid = gcalc.PeriodicGrid(N, 7.0)
+    f = bo.HierarchyFunctional(l)
+    zero = bo.make_state(grid, np.zeros((N, 4)), np.zeros((N, n - 1, 4)))
+    for state in (random_state(rng, grid, n, amplitude=0.5, kmax=3), zero):
+        grad = bo.variational_derivative_fd(f, state)
+        ws, wv = _per_probe_fd_gradient(f, state)
+        assert np.array_equal(grad.ws.values, ws)
+        assert np.array_equal(grad.wv.values, wv)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("l", [0, 1])
+def test_functional_values_equal_hamiltonian_value_per_state(rng, n, l):
+    grid = gcalc.PeriodicGrid(32, 7.0)
+    states = [random_state(rng, grid, n, amplitude=0.5, kmax=3) for _ in range(5)]
+    u = np.stack([s.u.values for s in states], axis=1)
+    bu = np.stack([s.bu.values for s in states], axis=1)
+    vals = bo.HierarchyFunctional(l).values(u, bu, grid)
+    assert vals.shape == (5,)
+    assert vals.tolist() == [bo.hamiltonian_value(s, l) for s in states]
+
+
+def test_fd_gradient_needs_batched_values(rng):
+    grid = gcalc.PeriodicGrid(32, 7.0)
+    state = random_state(rng, grid, 2, amplitude=0.5, kmax=3)
+    with pytest.raises(DomainError, match="values"):
+        bo.variational_derivative_fd(lambda s: bo.hamiltonian_value(s, 0), state)
+
+
 def test_poisson_bracket_antisymmetry_and_involution(rng):
     state = random_state(rng, GRID, 2)
     f0, f1 = bo.HierarchyFunctional(0), bo.HierarchyFunctional(1)

@@ -138,7 +138,7 @@ def test_invariants_gauge_independent(rng):
 def test_pull_push_roundtrip(rng):
     grid = gcalc.PeriodicGrid(48, 9.0)
     state = random_state(rng, grid, 2, amplitude=0.4)
-    frame = cg.downsample_frame(cg.transport_frame(state, refine=4), 4)
+    frame = cg.grid_frame(state, refine=4)
     comps = cg.MComps(
         rng.standard_normal((48, 4)), rng.standard_normal((48, 1, 4))
     )
@@ -183,7 +183,7 @@ def test_covariant_deriv_matches_pulled_curvature(rng):
     grid = gcalc.PeriodicGrid(128, 16.0)
     n = 2
     state = random_state(rng, grid, n, amplitude=0.4, kmax=3)
-    frame = cg.downsample_frame(cg.transport_frame(state, refine=8), 8)
+    frame = cg.grid_frame(state, refine=8)
     curve = cg.reconstruct_curve(frame)
     T_amb = cg.project_horizontal(cg.curve_tangent(curve), curve.gamma)
     T, vert = cg.pull_to_frame(frame, T_amb)
@@ -430,10 +430,22 @@ def test_transport_frame_matches_right_oriented_reference(rng, n):
     assert np.max(np.abs(frame.monodromy - monodromy)) <= 1e-13
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("refine", [2, 4, 8])
+def test_grid_frame_is_the_fine_frame_at_the_grid_points(rng, n, refine):
+    grid = gcalc.PeriodicGrid(32, 7.0)
+    state = random_state(rng, grid, n, amplitude=0.5, kmax=3)
+    fine = cg.transport_frame(state, refine=refine)
+    frame = cg.grid_frame(state, refine=refine)
+    assert frame.grid == grid and frame.n == n
+    assert np.array_equal(frame.psi, fine.psi[::refine])
+    assert np.array_equal(frame.monodromy, fine.monodromy)
+
+
 def test_curve_export(tmp_path, rng):
     grid = gcalc.PeriodicGrid(32, 8.0)
     state = random_state(rng, grid, 1, amplitude=0.3)
-    curve = cg.reconstruct_curve(cg.downsample_frame(cg.transport_frame(state, refine=2), 2))
+    curve = cg.reconstruct_curve(cg.grid_frame(state, refine=2))
     path = tmp_path / "curve.csv"
     cg.curve_to_csv(path, curve)
     data = np.loadtxt(path, delimiter=",")
@@ -473,7 +485,7 @@ def _reference_gauge_fixed(curve, threshold=0.3):
 def test_gauge_fixed_matches_loop_reference(rng, n):
     grid = gcalc.PeriodicGrid(64, 8.0)
     state = random_state(rng, grid, n, amplitude=0.8)
-    curve = cg.reconstruct_curve(cg.downsample_frame(cg.transport_frame(state, refine=2), 2))
+    curve = cg.reconstruct_curve(cg.grid_frame(state, refine=2))
     for threshold in (0.3, 0.9):
         np.testing.assert_array_equal(
             curve.gauge_fixed(threshold), _reference_gauge_fixed(curve, threshold)
@@ -522,7 +534,7 @@ def _reference_chordal_distance_matrix(curve):
 def test_chordal_distance_matrix_matches_row_loop(rng, n, K):
     grid = gcalc.PeriodicGrid(K, 8.0)
     state = random_state(rng, grid, n, amplitude=0.5)
-    curve = cg.reconstruct_curve(cg.downsample_frame(cg.transport_frame(state, refine=2), 2))
+    curve = cg.reconstruct_curve(cg.grid_frame(state, refine=2))
     D = cg.chordal_distance_matrix(curve)
     assert D.shape == (K, K)
     np.testing.assert_array_equal(D, _reference_chordal_distance_matrix(curve))

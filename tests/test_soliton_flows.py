@@ -8,6 +8,7 @@ from hpflow import soliton_flows as sf
 from hpflow.errors import (
     BlowUpError,
     ConfigError,
+    DimensionMismatchError,
     DomainError,
     NonFiniteMonodromyError,
     ShootingError,
@@ -244,6 +245,19 @@ def test_rk4_blowup_detection():
     with pytest.raises(BlowUpError) as exc:
         sf.step_rk4(state, bad_rhs, 0.5, t=1.5)
     assert exc.value.time == pytest.approx(2.0)
+
+
+def test_rk4_right_side_must_match_the_state(rng):
+    grid = gcalc.PeriodicGrid(64, 8.0)
+    state = random_state(rng, grid, 1, amplitude=0.3)
+    wrong_n = random_state(rng, grid, 2, amplitude=0.3)
+    with pytest.raises(DimensionMismatchError, match="shape"):
+        sf.step_rk4(state, lambda s: bo.state_deriv(wrong_n), 1e-3)
+    other_grid = gcalc.PeriodicGrid(64, 9.0)
+    with pytest.raises(DimensionMismatchError, match="lives on"):
+        sf.step_rk4(
+            state, lambda s: bo.make_flow(other_grid, s.u.values, s.bu.values), 1e-3
+        )
 
 
 def test_soliton_solves_real_mkdv():
