@@ -1,10 +1,12 @@
 """Command-line front end: verify, simulate, hierarchy, reconstruct.
 
 Configuration is a JSON document with sections algebra / grid / flow /
-initial / output; unknown keys anywhere are rejected.  Exit codes: 0 on
-success, 1 when a check or run fails, 2 on configuration errors.  All
-numeric output is written in full double precision so runs are
-byte-reproducible given the same config and seed.
+initial / output; unknown keys anywhere are rejected, and so is a value that
+cannot be read or builds no grid or state, by an error naming its key.  A
+hierarchy flow is stepped only at levels 0 and 1, the levels whose flows are
+local.  Exit codes: 0 on success, 1 when a check or run fails, 2 on
+configuration errors.  All numeric output is written in full double
+precision so runs are byte-reproducible given the same config and seed.
 """
 
 from __future__ import annotations
@@ -24,16 +26,46 @@ from . import verify_suites as vs
 from .errors import (
     BlowUpError,
     ConfigError,
+    DomainError,
     IntegrationAccuracyError,
     NonlocalityError,
     ShootingError,
 )
 
 
-def _check_keys(section: dict, allowed: set, where: str):
+def _check_keys(section, allowed: set, where: str):
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
     unknown = set(section) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _read(section: dict, key: str, cast, default, where: str):
+    """section[key], or the default, converted by cast; a value cast rejects
+    is a ConfigError that names the key."""
+    value = section.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}.{key} = {value!r}: {exc}") from exc
+
+
+_JSON_TYPE = {bool: "boolean", str: "string", list: "array"}
+
+
+def _optional_float(value):
+    return None if value is None else float(value)
+
+
+def _direction(value):
+    """None, or four finite quaternion components, not all zero."""
+    if value is None:
+        return None
+    q = np.asarray(value, dtype=float)
+    if q.shape != (4,) or not np.all(np.isfinite(q)) or not np.any(q):
+        raise ValueError("need four finite quaternion components, not all zero")
+    return q
 
 
 def load_config(path) -> dict:
@@ -68,21 +100,36 @@ def load_config(path) -> dict:
     )
 
     cfg = {
-        "n": int(algebra.get("n", 1)),
-        "N": int(grid_sec.get("N", 128)),
-        "L": float(grid_sec.get("L", 20.0)),
+        "n": _read(algebra, "n", int, 1, "algebra"),
+        "N": _read(grid_sec, "N", int, 128, "grid"),
+        "L": _read(grid_sec, "L", float, 20.0, "grid"),
         "mode": grid_sec.get("mode", "periodic"),
         "flow": dict(flow_sec),
         "initial": dict(init_sec),
         "output": dict(out_sec),
     }
+    if cfg["n"] < 1:
+        raise ConfigError(f"algebra.n = {cfg['n']} must be >= 1")
+    # values used as they stand, not converted: only their JSON type is checked
+    for where, section, key, kind in (
+        ("flow", flow_sec, "galilean_removed", bool),
+        ("output", out_sec, "directory", str),
+        ("output", out_sec, "formats", list),
+        ("output", out_sec, "reconstruct", bool),
+        ("output", out_sec, "map_check", bool),
+    ):
+        if key in section and not isinstance(section[key], kind):
+            raise ConfigError(f"{where}.{key} = {section[key]!r} must be a JSON {_JSON_TYPE[kind]}")
     if cfg["mode"] not in ("periodic", "line"):
         raise ConfigError("grid.mode must be 'periodic' or 'line'")
     return cfg
 
 
 def build_grid(cfg) -> gcalc.PeriodicGrid:
-    return gcalc.PeriodicGrid(cfg["N"], cfg["L"])
+    try:
+        return gcalc.PeriodicGrid(cfg["N"], cfg["L"])
+    except DomainError as exc:
+        raise ConfigError(f"grid.N = {cfg['N']}, grid.L = {cfg['L']}: {exc}") from exc
 
 
 def build_state(cfg, seed_override=None) -> bo.StatePair:
@@ -91,22 +138,24 @@ def build_state(cfg, seed_override=None) -> bo.StatePair:
     init = cfg["initial"]
     preset = init.get("preset", "random_band")
     if preset == "random_band":
-        seed = int(init.get("seed", 0)) if seed_override is None else seed_override
+        seed = _read(init, "seed", int, 0, "initial") if seed_override is None else seed_override
         return sf.preset_random_band(
             grid, n, seed=seed,
-            amplitude=float(init.get("amplitude", 0.3)),
-            kmax=int(init.get("kmax", 4)),
+            amplitude=_read(init, "amplitude", float, 0.3, "initial"),
+            kmax=_read(init, "kmax", int, 4, "initial"),
         )
-    if preset == "mkdv_soliton":
-        return sf.preset_mkdv_soliton(
-            grid, n, a=float(init.get("a", 1.5)), x0=init.get("x0"),
-            direction=init.get("direction"),
-        )
-    if preset == "sg_kink":
-        return sf.preset_sg_kink(
-            grid, n, a=float(init.get("a", 1.0)), x0=init.get("x0"),
-            direction=init.get("direction"),
-        )
+    if preset in ("mkdv_soliton", "sg_kink"):
+        make, a = {"mkdv_soliton": (sf.preset_mkdv_soliton, 1.5),
+                   "sg_kink": (sf.preset_sg_kink, 1.0)}[preset]
+        direction = _read(init, "direction", _direction, None, "initial")
+        try:
+            return make(
+                grid, n, a=_read(init, "a", float, a, "initial"),
+                x0=_read(init, "x0", _optional_float, None, "initial"),
+                direction=direction,
+            )
+        except DomainError as exc:  # a direction with a real part
+            raise ConfigError(f"initial.direction = {init['direction']!r}: {exc}") from exc
     if preset == "inline":
         return _inline_state(grid, n, init)
     raise ConfigError(f"unknown preset {preset!r}")
@@ -116,37 +165,51 @@ def _inline_state(grid, n, init) -> bo.StatePair:
     """Band-limited state from inline Fourier coefficient lists."""
     base = 2 * np.pi / grid.length
 
-    def synth(cos_rows, sin_rows, shape):
+    def synth(name, shape):
         vals = np.zeros((grid.num_points,) + shape)
-        for k, row in enumerate(cos_rows or [], start=1):
-            vals += np.cos(k * base * grid.x).reshape((-1,) + (1,) * len(shape)) * np.asarray(row, dtype=float)
-        for k, row in enumerate(sin_rows or [], start=1):
-            vals += np.sin(k * base * grid.x).reshape((-1,) + (1,) * len(shape)) * np.asarray(row, dtype=float)
+        for trig in ("cos", "sin"):
+            key = f"{name}_{trig}"
+            wave = getattr(np, trig)
+            try:
+                for k, row in enumerate(init.get(key) or [], start=1):
+                    vals += wave(k * base * grid.x).reshape((-1,) + (1,) * len(shape)) * np.asarray(row, dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"initial.{key}: {exc}") from exc
         return vals
 
-    u = synth(init.get("u_cos"), init.get("u_sin"), (4,))
+    u = synth("u", (4,))
     u[:, 0] = 0.0
-    bu = synth(init.get("bu_cos"), init.get("bu_sin"), (n - 1, 4))
+    bu = synth("bu", (n - 1, 4))
     return bo.make_state(grid, u, bu)
 
 
 def build_sim_config(cfg) -> sf.SimConfig:
     flow = cfg["flow"]
     kind = flow.get("kind", "mkdv")
+    level = _read(flow, "l", int, 1, "flow")
+    # the recursion's D_x^{-1} constants are the jet constants only up to level
+    # 1: from level 2 on the flow is measurably non-local, so it is not stepped
+    if kind == "hierarchy" and level >= 2:
+        raise ConfigError(
+            f"flow.l = {level}: hierarchy level {level} is not supported, only levels "
+            "0 and 1 are local flows ('hpflow hierarchy' still tabulates higher levels)"
+        )
     return sf.SimConfig(
         n=cfg["n"],
         grid=build_grid(cfg),
-        dt=float(flow.get("dt", 1e-3)),
-        t_end=float(flow.get("t_end", 1.0)),
+        dt=_read(flow, "dt", float, 1e-3, "flow"),
+        t_end=_read(flow, "t_end", float, 1.0, "flow"),
         flow=kind,
-        galilean_removed=bool(flow.get("galilean_removed", True)),
+        galilean_removed=flow.get("galilean_removed", True),
         sg_branch=flow.get("sg_branch", "-"),
         sg_mode="line" if cfg["mode"] == "line" else "periodic",
-        sg_refine=int(flow.get("sg_refine", 8)),
-        hierarchy_level=int(flow.get("l", 1)),
-        cadence=int(cfg["output"].get("cadence", 1)),
-        cfl_constant=float(flow.get("cfl_constant", sf.DEFAULT_CFL_CONSTANT)),
-        project_fraction=flow.get("project_fraction", sf.DEFAULT_PROJECT_FRACTION),
+        sg_refine=_read(flow, "sg_refine", int, 8, "flow"),
+        hierarchy_level=level,
+        cadence=_read(cfg["output"], "cadence", int, 1, "output"),
+        cfl_constant=_read(flow, "cfl_constant", float, sf.DEFAULT_CFL_CONSTANT, "flow"),
+        project_fraction=_read(
+            flow, "project_fraction", _optional_float, sf.DEFAULT_PROJECT_FRACTION, "flow"
+        ),
     )
 
 

@@ -26,6 +26,11 @@ class NonlocalityError(RuntimeError):
             f"tolerance {tolerance:.1e} relative to scale {scale:.3e}"
         )
 
+    def __reduce__(self):
+        # rebuild from the constructor's arguments, not the formatted message,
+        # and keep attributes set later (hierarchy_flows sets hierarchy_level)
+        return type(self), (self.block, self.mean, self.scale, self.tolerance), self.__dict__
+
 
 class BlowUpError(RuntimeError):
     """Non-finite values appeared during time integration."""
@@ -33,6 +38,9 @@ class BlowUpError(RuntimeError):
     def __init__(self, time: float):
         self.time = time
         super().__init__(f"solution blew up (non-finite values) at t = {time:.6g}")
+
+    def __reduce__(self):
+        return type(self), (self.time,), self.__dict__
 
 
 class IntegrationAccuracyError(RuntimeError):

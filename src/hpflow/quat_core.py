@@ -70,7 +70,8 @@ def qim(a) -> np.ndarray:
 
 def qnormsq(a) -> np.ndarray:
     a = np.asarray(a)
-    return np.sum(a * a, axis=-1)
+    # the reduction np.sum calls, without its dispatch: every mKdV right side runs this
+    return np.add.reduce(a * a, axis=-1)
 
 
 def qnorm(a) -> np.ndarray:

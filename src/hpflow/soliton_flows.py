@@ -83,10 +83,10 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ConfigError("n must be >= 1")
-        if self.dt <= 0:
-            raise ConfigError("dt must be positive")
-        if self.t_end < 0:
-            raise ConfigError("t_end must be >= 0")
+        if not 0 < self.dt < math.inf:
+            raise ConfigError(f"dt = {self.dt} must be positive and finite")
+        if not 0 <= self.t_end < math.inf:
+            raise ConfigError(f"t_end = {self.t_end} must be >= 0 and finite")
         if self.flow not in ("mkdv", "sg", "hierarchy"):
             raise ConfigError(f"unknown flow kind {self.flow!r}")
         if self.sg_branch not in ("+", "-"):
@@ -95,6 +95,12 @@ class SimConfig:
             raise ConfigError("sg_mode must be 'line' or 'periodic'")
         if self.cadence < 1:
             raise ConfigError("cadence must be >= 1")
+        # a fraction <= 0 keeps only the mean mode: every stage would wipe the state
+        if self.project_fraction is not None and not 0.0 < self.project_fraction <= 1.0:
+            raise ConfigError(
+                f"project_fraction = {self.project_fraction} must be in (0, 1], "
+                "or None for no dealiasing"
+            )
         if self.flow == "hierarchy" and self.hierarchy_level < 0:
             raise ConfigError("hierarchy level must be >= 0")
         # the level-l flow has leading order 2l + 1 in x; mKdV is level 1
@@ -116,7 +122,8 @@ def mkdv_rhs(state: StatePair, galilean_removed: bool = True) -> FlowPair:
 
     All derivatives come from one transform of the packed (N, 4 + 4m) array
     [u | bu], or of u alone when m = 0; the vector-coupling terms are empty
-    sums when m = 0 and are only formed when bu has components.
+    sums when m = 0 and are only formed when bu has components.  The result
+    is not re-validated: its arrays have the state's grid and shapes.
     """
     grid = state.grid
     u, bu = state.arrays()
@@ -126,7 +133,9 @@ def mkdv_rhs(state: StatePair, galilean_removed: bool = True) -> FlowPair:
         ux, u2, u3 = derivs[:, :, :4]
         bux, bu2, bu3 = derivs[:, :, 4:].reshape(3, N, m, 4)
     else:
-        ux, u2, u3 = gcalc.spectral_deriv(u, grid, (1, 2, 3))
+        # u_2x enters only the coupling terms; each order is its own inverse
+        # transform, so (1, 3) gives the bits of rows 1 and 3 of (1, 2, 3)
+        ux, u3 = gcalc.spectral_deriv(u, grid, (1, 3))
         bux = bu3 = bu  # (N, 0, 4): no components to differentiate
 
     unormsq = qc.qnormsq(u)
@@ -148,7 +157,7 @@ def mkdv_rhs(state: StatePair, galilean_removed: bool = True) -> FlowPair:
         c = 1.0 / chi(state.n)
         out_s = out_s + c * ux
         out_v = out_v + c * bux
-    return make_flow(grid, out_s, out_v)
+    return bo._unchecked_pair(FlowPair, grid, out_s, out_v)
 
 
 def _pack(u, bu):
@@ -156,15 +165,15 @@ def _pack(u, bu):
     return np.concatenate([u, bu.reshape(len(u), -1)], axis=1) if bu.shape[1] else u
 
 
-def _project_state(grid: PeriodicGrid, y, bu_shape, fraction) -> StatePair:
-    """Stage state from a fresh packed array y = [u | bu] (overwritten): the
-    scalar re-projected to imaginary and, with `fraction` set, y dealiased in
-    one transform.  The state's u and bu are views into y."""
-    y[:, 0] = 0.0
+def _project(grid: PeriodicGrid, y, fraction):
+    """A fresh packed array y = [u | bu] (overwritten) with, when `fraction`
+    is set, every column dealiased in one transform, and the scalar
+    re-projected to imaginary.  The transform treats each column on its own,
+    so the other columns do not depend on the scalar's real part."""
     if fraction is not None:
         y = gcalc.dealias_values(y, grid, fraction)
-        y[:, 0] = 0.0
-    return make_state(grid, y[:, :4], y[:, 4:].reshape(bu_shape))
+    y[:, 0] = 0.0
+    return y
 
 
 def step_rk4(
@@ -182,8 +191,10 @@ def _rk4(state: StatePair, rhs, dt: float, t: float, project_fraction) -> StateP
     """The one RK4 body, shared by step_rk4, sg_step and the frame co-evolution.
 
     Stages and the update are formed on packed [u | bu] arrays, element for
-    element in the order of the unpacked formulas.  A right side on another
-    grid or of another shape than the state raises DimensionMismatchError."""
+    element in the order of the unpacked formulas.  Only the result goes
+    through make_state; the stage states are valid by construction.  A right
+    side on another grid or of another shape than the state raises
+    DimensionMismatchError."""
     grid = state.grid
     bu_shape = state.bu.values.shape
     y = _pack(*state.arrays())
@@ -202,16 +213,19 @@ def _rk4(state: StatePair, rhs, dt: float, t: float, project_fraction) -> StateP
         return packed
 
     def stage(dy):
-        return _project_state(grid, y + dy, bu_shape, project_fraction)
+        # not re-validated: the input state's grid and shapes, and a scalar of
+        # exact zeros, so make_state's checks cannot fail; u and bu view z
+        z = _project(grid, y + dy, project_fraction)
+        return bo._unchecked_pair(StatePair, grid, z[:, :4], z[:, 4:].reshape(bu_shape))
 
     k1 = k(state)
     k2 = k(stage((dt / 2) * k1))
     k3 = k(stage((dt / 2) * k2))
     k4 = k(stage(dt * k3))
-    new = stage((dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
-    if not (np.all(np.isfinite(new.u.values)) and np.all(np.isfinite(new.bu.values))):
+    new = _project(grid, y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), project_fraction)
+    if not np.all(np.isfinite(new)):
         raise BlowUpError(t + dt)
-    return new
+    return make_state(grid, new[:, :4], new[:, 4:].reshape(bu_shape))
 
 
 # -- quaternion multiplication as 4x4 real matrices ---------------------------

@@ -234,6 +234,65 @@ def test_hierarchy_level_2_past_its_bound_is_a_config_error(tmp_path, capsys):
     assert "hierarchy level 2" in capsys.readouterr().err
 
 
+def test_hierarchy_level_2_inside_its_bound_is_a_config_error(tmp_path, capsys):
+    # dt is inside the level-2 bound 0.05 dx^5, but the level-2 flow is not
+    # local, so it is not stepped; the hierarchy command still tabulates it
+    cfg = write_config(
+        tmp_path,
+        algebra={"n": 2},
+        grid={"N": 32, "L": 20.0},
+        flow={"kind": "hierarchy", "l": 2, "dt": 1e-3, "t_end": 0.01, "cfl_constant": 0.05},
+    )
+    assert 1e-3 <= 0.05 * (20.0 / 32) ** 5
+    assert cli.main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "hierarchy level 2" in err
+    out = tmp_path / "h2"
+    assert cli.main(["hierarchy", "--config", str(cfg), "--lmax", "2", "--out", str(out)]) == 0
+    assert (out / "hierarchy.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "reconstruct", "hierarchy"])
+@pytest.mark.parametrize(
+    "raw, key",
+    [
+        ([], "config"),
+        ({"grid": 5}, "grid"),
+        ({"algebra": {"n": "two"}}, "algebra.n"),
+        ({"algebra": {"n": 0}}, "algebra.n"),
+        ({"grid": {"N": "abc"}}, "grid.N"),
+        ({"grid": {"N": 4}}, "grid.N"),
+        ({"grid": {"L": -1.0}}, "grid.L"),
+        ({"flow": {"dt": "x"}}, "flow.dt"),
+        ({"flow": {"dt": float("nan")}}, "dt"),
+        ({"flow": {"project_fraction": "x"}}, "flow.project_fraction"),
+        ({"flow": {"project_fraction": 0.0}}, "project_fraction"),
+        ({"output": {"cadence": [1]}}, "output.cadence"),
+        ({"output": {"formats": "csv"}}, "output.formats"),
+        ({"output": {"directory": 5}}, "output.directory"),
+        ({"output": {"reconstruct": "false"}}, "output.reconstruct"),
+        ({"flow": {"galilean_removed": "no"}}, "flow.galilean_removed"),
+        ({"initial": {"preset": "sg_kink", "a": "q"}}, "initial.a"),
+        ({"initial": {"preset": "mkdv_soliton", "x0": "q"}}, "initial.x0"),
+        ({"initial": {"preset": "mkdv_soliton", "direction": [0, 1]}}, "initial.direction"),
+        ({"initial": {"preset": "mkdv_soliton", "direction": [1, 1, 0, 0]}}, "initial.direction"),
+        ({"initial": {"preset": "random_band", "seed": "s"}}, "initial.seed"),
+        ({"initial": {"preset": "inline", "u_cos": [[1, 2, 3]]}}, "initial.u_cos"),
+    ],
+)
+def test_malformed_config_values_exit_2_naming_the_key(tmp_path, capsys, command, raw, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if command != "simulate" and key.endswith(("dt", "project_fraction", "cadence")):
+        assert rc == 0  # only simulate converts the flow's numbers and the cadence
+        return
+    assert rc == 2
+    assert err.startswith("configuration error: ") and key in err
+    assert "Traceback" not in err
+
+
 def test_shipped_configs(tmp_path, capsys):
     assert [p.stem for p in CONFIGS] == ["mkdv_soliton", "random_n2", "sg_kink"]
     for path in CONFIGS:

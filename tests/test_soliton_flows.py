@@ -27,6 +27,12 @@ def test_simconfig_validation():
         sf.SimConfig(n=1, grid=grid, dt=-0.1, t_end=1.0)
     with pytest.raises(ConfigError):
         sf.SimConfig(n=1, grid=grid, dt=1e-4, t_end=1.0, flow="bogus")
+    for dt, t_end in ((float("nan"), 1.0), (1e-4, float("inf")), (1e-4, float("nan"))):
+        with pytest.raises(ConfigError, match="finite"):
+            sf.SimConfig(n=1, grid=grid, dt=dt, t_end=t_end)
+    for fraction in (0.0, -1.0, 1.5):
+        with pytest.raises(ConfigError, match="project_fraction"):
+            sf.SimConfig(n=1, grid=grid, dt=1e-4, t_end=1.0, project_fraction=fraction)
     cfg = sf.SimConfig(n=1, grid=grid, dt=1e-4, t_end=0.0)
     assert cfg.cfl_constant == sf.DEFAULT_CFL_CONSTANT
 
@@ -192,6 +198,73 @@ def test_step_rk4_matches_two_projection_reference(n, fraction, N=128):
 def test_step_rk4_matches_two_projection_reference_odd_grid(n, fraction):
     # the packed stages against the reference where N odd has no Nyquist mode
     test_step_rk4_matches_two_projection_reference(n, fraction, N=127)
+
+
+def _nearly_imaginary_state(grid, n):
+    """A state make_state accepts whose scalar's real part is not exactly 0."""
+    state = sf.preset_random_band(grid, n, seed=20 + n, amplitude=0.4)
+    u = state.u.values.copy()
+    u[:, 0] = 1e-12 * np.cos(grid.x)
+    return bo.make_state(grid, u, state.bu.values)
+
+
+def _assert_valid_stage(stage, state):
+    """The stage state passes make_state's checks, its scalar exactly imaginary."""
+    assert (stage.u.kind, stage.bu.kind) == ("iquat", "qvec")
+    assert stage.grid is state.grid and stage.bu.grid is state.grid
+    assert stage.u.values.shape == state.u.values.shape
+    assert stage.bu.values.shape == state.bu.values.shape
+    assert np.all(stage.u.values[:, 0] == 0.0)
+    bo.make_state(stage.grid, stage.u.values, stage.bu.values)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("fraction", [2 / 3, None])
+def test_step_rk4_stage_states_pass_make_state(n, fraction, monkeypatch):
+    # the stage states skip make_state: each would pass it, and make_state
+    # runs once per step, for the result
+    grid = gcalc.PeriodicGrid(64, 20.0)
+    state = _nearly_imaginary_state(grid, n)
+    made = []
+
+    def counting_make_state(*args):
+        made.append(bo.make_state(*args))
+        return made[-1]
+
+    monkeypatch.setattr(sf, "make_state", counting_make_state)
+    for step in range(2):
+        seen = []
+
+        def spy(s):
+            seen.append(s)
+            if len(seen) > 1:
+                _assert_valid_stage(s, state)
+            return sf.mkdv_rhs(s)
+
+        new = sf.step_rk4(state, spy, 5e-4, step * 5e-4, project_fraction=fraction)
+        assert len(seen) == 4 and seen[0] is state
+        assert len(made) == step + 1 and made[-1] is new
+        _assert_valid_stage(new, state)
+        state = new
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sg_step_stage_states_pass_make_state(n, monkeypatch):
+    grid = gcalc.PeriodicGrid(64, 20.0)
+    state = _nearly_imaginary_state(grid, n)
+    seen = []
+    solve = sf.sg_solve_h
+
+    def spy(s, *args):
+        seen.append(s)
+        if len(seen) > 1:
+            _assert_valid_stage(s, state)
+        return solve(s, *args)
+
+    monkeypatch.setattr(sf, "sg_solve_h", spy)
+    new = sf.sg_step(state, 1e-3, refine=2)
+    assert len(seen) == 4 and seen[0] is state
+    _assert_valid_stage(new, state)
 
 
 def test_step_rk4_dt_zero_identity(rng):
