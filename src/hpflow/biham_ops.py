@@ -132,11 +132,14 @@ def _unchecked_pair(cls, grid: PeriodicGrid, s_values, v_values):
     imaginary scalar.  The pair holds the arrays themselves, as make_state
     and make_flow do for float arrays.
     """
+    s = object.__new__(Field)
+    s.grid, s.values, s.kind = grid, s_values, "iquat"
+    v = object.__new__(Field)
+    v.grid, v.values, v.kind = grid, v_values, "qvec"
     pair = object.__new__(cls)
-    for name, values, kind in zip(cls._slots, (s_values, v_values), ("iquat", "qvec")):
-        f = object.__new__(Field)
-        f.grid, f.values, f.kind = grid, values, kind
-        setattr(pair, name, f)
+    s_name, v_name = cls._slots
+    setattr(pair, s_name, s)
+    setattr(pair, v_name, v)
     return pair
 
 

@@ -54,6 +54,16 @@ def _read(section: dict, key: str, cast, default, where: str):
 _JSON_TYPE = {bool: "boolean", str: "string", list: "array"}
 
 
+def _integer(value):
+    """An integer, or a float with no fractional part; int() alone would
+    truncate 2.5 to 2 and read true as 1."""
+    if isinstance(value, bool):
+        raise TypeError("must be an integer, not a boolean")
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError("must be an integer")
+    return int(value)
+
+
 def _optional_float(value):
     return None if value is None else float(value)
 
@@ -100,8 +110,8 @@ def load_config(path) -> dict:
     )
 
     cfg = {
-        "n": _read(algebra, "n", int, 1, "algebra"),
-        "N": _read(grid_sec, "N", int, 128, "grid"),
+        "n": _read(algebra, "n", _integer, 1, "algebra"),
+        "N": _read(grid_sec, "N", _integer, 128, "grid"),
         "L": _read(grid_sec, "L", float, 20.0, "grid"),
         "mode": grid_sec.get("mode", "periodic"),
         "flow": dict(flow_sec),
@@ -138,11 +148,11 @@ def build_state(cfg, seed_override=None) -> bo.StatePair:
     init = cfg["initial"]
     preset = init.get("preset", "random_band")
     if preset == "random_band":
-        seed = _read(init, "seed", int, 0, "initial") if seed_override is None else seed_override
+        seed = _read(init, "seed", _integer, 0, "initial") if seed_override is None else seed_override
         return sf.preset_random_band(
             grid, n, seed=seed,
             amplitude=_read(init, "amplitude", float, 0.3, "initial"),
-            kmax=_read(init, "kmax", int, 4, "initial"),
+            kmax=_read(init, "kmax", _integer, 4, "initial"),
         )
     if preset in ("mkdv_soliton", "sg_kink"):
         make, a = {"mkdv_soliton": (sf.preset_mkdv_soliton, 1.5),
@@ -186,7 +196,7 @@ def _inline_state(grid, n, init) -> bo.StatePair:
 def build_sim_config(cfg) -> sf.SimConfig:
     flow = cfg["flow"]
     kind = flow.get("kind", "mkdv")
-    level = _read(flow, "l", int, 1, "flow")
+    level = _read(flow, "l", _integer, 1, "flow")
     # the recursion's D_x^{-1} constants are the jet constants only up to level
     # 1: from level 2 on the flow is measurably non-local, so it is not stepped
     if kind == "hierarchy" and level >= 2:
@@ -203,9 +213,9 @@ def build_sim_config(cfg) -> sf.SimConfig:
         galilean_removed=flow.get("galilean_removed", True),
         sg_branch=flow.get("sg_branch", "-"),
         sg_mode="line" if cfg["mode"] == "line" else "periodic",
-        sg_refine=_read(flow, "sg_refine", int, 8, "flow"),
+        sg_refine=_read(flow, "sg_refine", _integer, 8, "flow"),
         hierarchy_level=level,
-        cadence=_read(cfg["output"], "cadence", int, 1, "output"),
+        cadence=_read(cfg["output"], "cadence", _integer, 1, "output"),
         cfl_constant=_read(flow, "cfl_constant", float, sf.DEFAULT_CFL_CONSTANT, "flow"),
         project_fraction=_read(
             flow, "project_fraction", _optional_float, sf.DEFAULT_PROJECT_FRACTION, "flow"
@@ -219,12 +229,10 @@ def _write_snapshot(outdir: Path, index: int, t: float, state: bo.StatePair, for
     flat_bu = state.bu.values.reshape(grid.num_points, -1)
     data = np.column_stack([grid.x, flat_u, flat_bu])
     if "csv" in formats:
-        np.savetxt(
+        gcalc.array_to_csv(
             outdir / f"snapshot_{index:06d}.csv",
             data,
-            delimiter=",",
             header=f"t={t!r}; columns: x, u(4), bu(4 per component)",
-            fmt="%.17e",
         )
     if "binary" in formats:
         gcalc.field_to_binary(outdir / f"snapshot_u_{index:06d}.qfld", state.u, state.n)
@@ -335,13 +343,7 @@ def cmd_hierarchy(args) -> int:
         cols.append(h.hv.values.reshape(grid.num_points, -1))
         names.append(f"h{l}_scalar(4)")
         names.append(f"h{l}_vector({4 * (state.n - 1)})")
-    np.savetxt(
-        outdir / "hierarchy.csv",
-        np.column_stack(cols),
-        delimiter=",",
-        header=", ".join(names),
-        fmt="%.17e",
-    )
+    gcalc.array_to_csv(outdir / "hierarchy.csv", np.column_stack(cols), header=", ".join(names))
     values = {}
     for l in range(args.lmax + 1):
         values[f"H{l}"] = bo.hamiltonian_value(state, l) if l <= 1 else None
@@ -379,19 +381,11 @@ def cmd_reconstruct(args) -> int:
     inv_cols = np.column_stack(
         [state.grid.x] + [formulas[k].values for k in ("g_NN", "g_NNx", "g_NxNx")]
     )
-    np.savetxt(
-        outdir / "invariants.csv",
-        inv_cols,
-        delimiter=",",
-        header="x,g_NN,g_NNx,g_NxNx",
-        comments="",
-        fmt="%.17e",
+    gcalc.array_to_csv(
+        outdir / "invariants.csv", inv_cols, header="x,g_NN,g_NNx,g_NxNx", comments=""
     )
     if "chordal" in cfg["output"].get("formats", []):
-        np.savetxt(
-            outdir / "chordal.csv", cg.chordal_distance_matrix(curve), delimiter=",",
-            fmt="%.17e",
-        )
+        gcalc.array_to_csv(outdir / "chordal.csv", cg.chordal_distance_matrix(curve))
     gcalc.report_to_json(outdir / "reconstruction.json", report)
     print(f"wrote curve and invariants to {outdir}")
     return 0

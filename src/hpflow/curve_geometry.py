@@ -74,6 +74,8 @@ class FrameState:
 def _transport_transfers(state: StatePair, refine: int) -> np.ndarray:
     """Per-cell transfers of psi^t, the transpose of psi_x = psi (e_x + omega_x):
     T[i] carries psi^t across cell i as the -1 flow's transfers carry y."""
+    if refine < 1:
+        raise DomainError(f"refine = {refine} must be >= 1")
     grid = state.grid
     fine = 2 * refine
     u_f = gcalc.spectral_refine(state.u.values, grid, fine)
@@ -577,7 +579,7 @@ def verify_wave_map(traj: FrameTrajectory, idx: int | None = None) -> dict:
 def curve_to_csv(path, curve: CurveSample):
     flat = curve.gauge_fixed().reshape(curve.grid.num_points, -1)
     data = np.column_stack([curve.grid.x, flat])
-    np.savetxt(path, data, delimiter=",", fmt="%.17e")
+    gcalc.array_to_csv(path, data)
 
 
 def projective_pairing(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -57,18 +57,24 @@ class PeriodicGrid:
     def _deriv_symbols(self) -> dict:
         return {}
 
-    def deriv_symbols(self, orders: tuple) -> np.ndarray:
-        """Stacked multipliers (ik)^p on the rfft modes, shape (len(orders), N//2 + 1).
+    def deriv_symbols(self, orders: tuple, trailing: tuple = ()) -> np.ndarray:
+        """Stacked multipliers (ik)^p on the rfft modes, repeated over the
+        `trailing` axes of the sampled values: shape (len(orders), N//2 + 1)
+        + trailing, the shape of the stacked transforms they multiply.
 
         The even-N Nyquist row is zero: that mode carries no signed
-        derivative.  Built once per grid and per tuple of orders.
+        derivative.  Built once per grid, tuple of orders and trailing shape.
         """
-        symbols = self._deriv_symbols.get(orders)
+        symbols = self._deriv_symbols.get((orders, trailing))
         if symbols is None:
             symbols = np.stack([(1j * self.wavenumbers) ** p for p in orders])
             if self.num_points % 2 == 0:
                 symbols[:, -1] = 0.0
-            self._deriv_symbols[orders] = symbols
+            # stored at full shape: a product broadcast along a short axis,
+            # such as the quaternion axis, costs twice as much
+            unit_axes = symbols.reshape(symbols.shape + (1,) * len(trailing))
+            symbols = np.broadcast_to(unit_axes, symbols.shape + trailing).copy()
+            self._deriv_symbols[orders, trailing] = symbols
         return symbols
 
     @cached_property
@@ -101,9 +107,9 @@ def spectral_deriv(
     derivatives, shape (len(order),) + values.shape, from one rfft and one
     batched irfft.
     """
-    symbols = grid.deriv_symbols(order if isinstance(order, tuple) else (order,))
-    F = np.fft.rfft(values, axis=0)
-    F = F[None] * symbols.reshape(symbols.shape + (1,) * (values.ndim - 1))
+    orders = order if isinstance(order, tuple) else (order,)
+    symbols = grid.deriv_symbols(orders, values.shape[1:])
+    F = np.fft.rfft(values, axis=0)[None] * symbols
     out = np.fft.irfft(F, n=grid.num_points, axis=1)
     return out if isinstance(order, tuple) else out[0]
 
@@ -256,6 +262,27 @@ def field_from_binary(path):
         shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim))
         data = np.frombuffer(fh.read(), dtype="<f8").reshape(shape)
     return int(n), Field(PeriodicGrid(num_points, length), data.copy(), kind)
+
+
+# values formatted per % operation: a block's text stays near 200 kB however
+# large the array
+_CSV_BLOCK_VALUES = 1 << 13
+
+
+def array_to_csv(path, data, header: str = "", comments: str = "# "):
+    """Write the rows of a 2-D array as full-precision CSV, byte for byte what
+    np.savetxt(path, data, delimiter=",", fmt="%.17e", header=header,
+    comments=comments) writes for a one-line header.  Each block of rows is
+    formatted by one % operation."""
+    rows, cols = data.shape
+    row_fmt = ",".join(["%.17e"] * cols) + "\n"
+    block = max(1, _CSV_BLOCK_VALUES // cols)
+    with open(path, "w") as fh:
+        if header:
+            fh.write(comments + header + "\n")
+        for start in range(0, rows, block):
+            chunk = data[start : start + block]
+            fh.write(row_fmt * len(chunk) % tuple(chunk.ravel().tolist()))
 
 
 def report_to_json(path, report: dict):

@@ -70,8 +70,10 @@ def qim(a) -> np.ndarray:
 
 def qnormsq(a) -> np.ndarray:
     a = np.asarray(a)
-    # the reduction np.sum calls, without its dispatch: every mKdV right side runs this
-    return np.add.reduce(a * a, axis=-1)
+    sq = a * a
+    # the four squares summed left to right, the order np.add.reduce takes on a
+    # length-4 axis, so the bits are np.sum's; every mKdV right side runs this
+    return sq[..., 0] + sq[..., 1] + sq[..., 2] + sq[..., 3]
 
 
 def qnorm(a) -> np.ndarray:

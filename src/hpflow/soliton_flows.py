@@ -95,6 +95,8 @@ class SimConfig:
             raise ConfigError("sg_mode must be 'line' or 'periodic'")
         if self.cadence < 1:
             raise ConfigError("cadence must be >= 1")
+        if self.sg_refine < 1:
+            raise ConfigError(f"sg_refine = {self.sg_refine} must be >= 1")
         # a fraction <= 0 keeps only the mean mode: every stage would wipe the state
         if self.project_fraction is not None and not 0.0 < self.project_fraction <= 1.0:
             raise ConfigError(
@@ -125,8 +127,8 @@ def mkdv_rhs(state: StatePair, galilean_removed: bool = True) -> FlowPair:
     sums when m = 0 and are only formed when bu has components.  The result
     is not re-validated: its arrays have the state's grid and shapes.
     """
-    grid = state.grid
-    u, bu = state.arrays()
+    grid = state.u.grid
+    u, bu = state.u.values, state.bu.values
     N, m = bu.shape[:2]
     if m:
         derivs = gcalc.spectral_deriv(_pack(u, bu), grid, (1, 2, 3))
@@ -140,14 +142,17 @@ def mkdv_rhs(state: StatePair, galilean_removed: bool = True) -> FlowPair:
 
     unormsq = qc.qnormsq(u)
 
-    # scalar row: u3/4 - (3/2) u^2 u_x + (3/4) C(u, C(bu, bu_x)) + (3/4) C(bu, bu_2x)
-    out_s = 0.25 * u3 + 1.5 * unormsq[:, None] * ux  # -u^2 = |u|^2 pointwise
+    # scalar row: u3/4 - (3/2) u^2 u_x + (3/4) C(u, C(bu, bu_x)) + (3/4) C(bu, bu_2x),
+    # summed left to right in place
+    out_s = 0.25 * u3
+    out_s += 1.5 * unormsq[:, None] * ux  # -u^2 = |u|^2 pointwise
     # vector row: bu_3x + (3/2)(|bu|^2 - u^2 + u_x) bu_x
     #             + (3/4)(2u|bu|^2 - A(u, u_x) - C(bu, bu_x) + u_2x) bu
     if m:
         businormsq = qc.vec_normsq(bu)
         cvec = qc.comm_C_vec(bu, bux)
-        out_s = out_s + 0.75 * qc.comm_C(u, cvec) + 0.75 * qc.comm_C_vec(bu, bu2)
+        out_s += 0.75 * qc.comm_C(u, cvec)
+        out_s += 0.75 * qc.comm_C_vec(bu, bu2)
         fac1 = qc.from_real(businormsq + unormsq) + ux
         fac2 = 2.0 * businormsq[:, None] * u - qc.from_real(qc.acomm_A_im(u, ux)) - cvec + u2
         out_v = bu3 + 1.5 * qc.scalar_vec(fac1, bux) + 0.75 * qc.scalar_vec(fac2, bu)
@@ -155,25 +160,14 @@ def mkdv_rhs(state: StatePair, galilean_removed: bool = True) -> FlowPair:
         out_v = bu3
     if not galilean_removed:
         c = 1.0 / chi(state.n)
-        out_s = out_s + c * ux
-        out_v = out_v + c * bux
+        out_s += c * ux
+        out_v = out_v + c * bux  # out_v is the state's own bu when m = 0
     return bo._unchecked_pair(FlowPair, grid, out_s, out_v)
 
 
 def _pack(u, bu):
     """The (N, 4 + 4m) array [u | bu]; u itself when m = 0."""
     return np.concatenate([u, bu.reshape(len(u), -1)], axis=1) if bu.shape[1] else u
-
-
-def _project(grid: PeriodicGrid, y, fraction):
-    """A fresh packed array y = [u | bu] (overwritten) with, when `fraction`
-    is set, every column dealiased in one transform, and the scalar
-    re-projected to imaginary.  The transform treats each column on its own,
-    so the other columns do not depend on the scalar's real part."""
-    if fraction is not None:
-        y = gcalc.dealias_values(y, grid, fraction)
-    y[:, 0] = 0.0
-    return y
 
 
 def step_rk4(
@@ -191,39 +185,60 @@ def _rk4(state: StatePair, rhs, dt: float, t: float, project_fraction) -> StateP
     """The one RK4 body, shared by step_rk4, sg_step and the frame co-evolution.
 
     Stages and the update are formed on packed [u | bu] arrays, element for
-    element in the order of the unpacked formulas.  Only the result goes
-    through make_state; the stage states are valid by construction.  A right
-    side on another grid or of another shape than the state raises
+    element in the order of the unpacked formulas: each stage in one fresh
+    array, and the update accumulated in another.  No array a right side
+    returned, and no array of the input state, is written.  Only the result
+    goes through make_state; the stage states are valid by construction.  A
+    right side on another grid or of another shape than the state raises
     DimensionMismatchError."""
-    grid = state.grid
+    grid = state.u.grid
     bu_shape = state.bu.values.shape
-    y = _pack(*state.arrays())
+    y = _pack(state.u.values, state.bu.values)  # u itself when m = 0
 
     def k(s):
         h = rhs(s)
-        if h.grid != grid:
+        if h.grid is not grid and h.grid != grid:
             raise DimensionMismatchError(
                 f"right side lives on {h.grid}, the state on {grid}"
             )
-        packed = _pack(*h.arrays())
+        packed = _pack(*h.arrays())  # the right side's own hs when m = 0
         if packed.shape != y.shape:
             raise DimensionMismatchError(
                 f"right side packs to shape {packed.shape}, the state to {y.shape}"
             )
         return packed
 
-    def stage(dy):
-        # not re-validated: the input state's grid and shapes, and a scalar of
-        # exact zeros, so make_state's checks cannot fail; u and bu view z
-        z = _project(grid, y + dy, project_fraction)
+    def project(z):
+        """z (fresh, overwritten) with, when `project_fraction` is set, every
+        column dealiased in one transform, and the scalar re-projected to
+        imaginary.  The transform treats each column on its own, so the other
+        columns do not depend on the scalar's real part."""
+        if project_fraction is not None:
+            z = gcalc.dealias_values(z, grid, project_fraction)
+        z[:, 0] = 0.0
+        return z
+
+    def stage(kk, c):
+        # y + c * kk; not re-validated: the input state's grid and shapes, and
+        # a scalar of exact zeros, so make_state's checks cannot fail
+        z = kk * c
+        z += y
+        z = project(z)
         return bo._unchecked_pair(StatePair, grid, z[:, :4], z[:, 4:].reshape(bu_shape))
 
     k1 = k(state)
-    k2 = k(stage((dt / 2) * k1))
-    k3 = k(stage((dt / 2) * k2))
-    k4 = k(stage(dt * k3))
-    new = _project(grid, y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4), project_fraction)
-    if not np.all(np.isfinite(new)):
+    k2 = k(stage(k1, dt / 2))
+    k3 = k(stage(k2, dt / 2))
+    k4 = k(stage(k3, dt))
+    # y + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)
+    new = 2 * k2
+    new += k1
+    new += 2 * k3
+    new += k4
+    new *= dt / 6.0
+    new += y
+    new = project(new)
+    if not np.isfinite(new).all():
         raise BlowUpError(t + dt)
     return make_state(grid, new[:, :4], new[:, 4:].reshape(bu_shape))
 
@@ -451,6 +466,8 @@ def sg_solve_h(
     """
     if branch not in ("+", "-"):
         raise DomainError("branch must be '+' or '-'")
+    if refine < 1:
+        raise DomainError(f"refine = {refine} must be >= 1")
     grid = state.grid
     N = grid.num_points
     m = state.n - 1
@@ -730,6 +747,4 @@ def conserved_report(traj: Trajectory) -> ConservationReport:
 
 def report_to_csv(path, report: ConservationReport):
     data = np.column_stack([report.times, report.h0, report.h1])
-    np.savetxt(
-        path, data, delimiter=",", header="t,H0,H1", comments="", fmt="%.17e"
-    )
+    gcalc.array_to_csv(path, data, header="t,H0,H1", comments="")

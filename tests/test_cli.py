@@ -278,6 +278,19 @@ def test_hierarchy_level_2_inside_its_bound_is_a_config_error(tmp_path, capsys):
         ({"initial": {"preset": "mkdv_soliton", "direction": [1, 1, 0, 0]}}, "initial.direction"),
         ({"initial": {"preset": "random_band", "seed": "s"}}, "initial.seed"),
         ({"initial": {"preset": "inline", "u_cos": [[1, 2, 3]]}}, "initial.u_cos"),
+        # integer keys: a boolean or a fractional part is refused, not truncated
+        ({"algebra": {"n": True}}, "algebra.n"),
+        ({"algebra": {"n": 1.5}}, "algebra.n"),
+        ({"grid": {"N": 256.7}}, "grid.N"),
+        ({"flow": {"l": 0.5}}, "flow.l"),
+        ({"flow": {"sg_refine": 2.5}}, "flow.sg_refine"),
+        ({"flow": {"sg_refine": True}}, "flow.sg_refine"),
+        ({"flow": {"sg_refine": 0}}, "sg_refine"),
+        ({"flow": {"sg_refine": -4}}, "sg_refine"),
+        ({"output": {"cadence": 4.9}}, "output.cadence"),
+        ({"output": {"cadence": False}}, "output.cadence"),
+        ({"initial": {"preset": "random_band", "seed": 0.5}}, "initial.seed"),
+        ({"initial": {"preset": "random_band", "kmax": True}}, "initial.kmax"),
     ],
 )
 def test_malformed_config_values_exit_2_naming_the_key(tmp_path, capsys, command, raw, key):
@@ -285,7 +298,9 @@ def test_malformed_config_values_exit_2_naming_the_key(tmp_path, capsys, command
     path.write_text(json.dumps(raw))
     rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
-    if command != "simulate" and key.endswith(("dt", "project_fraction", "cadence")):
+    if command != "simulate" and key.endswith(
+        ("dt", "project_fraction", "cadence", "sg_refine", "flow.l")
+    ):
         assert rc == 0  # only simulate converts the flow's numbers and the cadence
         return
     assert rc == 2

@@ -442,6 +442,14 @@ def test_grid_frame_is_the_fine_frame_at_the_grid_points(rng, n, refine):
     assert np.array_equal(frame.monodromy, fine.monodromy)
 
 
+def test_frames_reject_refine_below_1(rng):
+    state = random_state(rng, gcalc.PeriodicGrid(16, 4.0), 1, amplitude=0.3)
+    for refine in (0, -4):
+        for frame in (cg.grid_frame, cg.transport_frame):
+            with pytest.raises(DomainError, match="refine"):
+                frame(state, refine=refine)
+
+
 def test_curve_export(tmp_path, rng):
     grid = gcalc.PeriodicGrid(32, 8.0)
     state = random_state(rng, grid, 1, amplitude=0.3)

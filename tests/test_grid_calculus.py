@@ -77,6 +77,22 @@ def test_spectral_deriv_tuple_order_stacks_int_orders(N, shape):
     assert grid.deriv_symbols(orders) is grid.deriv_symbols(orders)
 
 
+@pytest.mark.parametrize("N", [64, 63])
+@pytest.mark.parametrize("shape", [(4,), (2, 4), (2, 2, 4), (12,)])
+def test_spectral_deriv_repeated_symbols_match_the_broadcast_product(N, shape):
+    # symbols repeated over the trailing axes give the bits of the product
+    # broadcast from the (orders, modes) symbols
+    rng = np.random.default_rng(N)
+    grid = gcalc.PeriodicGrid(N, 7.0)
+    vals = rng.standard_normal((N,) + shape) * 10.0 ** rng.uniform(-8, 8, (N,) + shape)
+    orders = (1, 2, 3)
+    symbols = grid.deriv_symbols(orders).reshape((3, N // 2 + 1) + (1,) * len(shape))
+    F = np.fft.rfft(vals, axis=0)[None] * symbols
+    expected = np.fft.irfft(F, n=N, axis=1)
+    assert gcalc.spectral_deriv(vals, grid, orders).tobytes() == expected.tobytes()
+    assert grid.deriv_symbols(orders, shape).shape == (3, N // 2 + 1) + shape
+
+
 def test_deriv_of_nyquist_mode_is_zero():
     grid = gcalc.PeriodicGrid(16, 2.0)
     vals = np.cos(np.pi * np.arange(16))
@@ -220,3 +236,17 @@ def test_binary_roundtrip(tmp_path, rng):
     assert g.kind == "qvec"
     assert g.grid == grid
     np.testing.assert_array_equal(g.values, f.values)
+
+
+@pytest.mark.parametrize("shape", [(1, 6), (9, 1), (300, 300)], ids=["row", "column", "KxK"])
+@pytest.mark.parametrize("header", ["", "t=0.25; columns: x, u(4)"])
+@pytest.mark.parametrize("comments", ["", "# "])
+def test_array_to_csv_writes_the_bytes_of_savetxt(tmp_path, shape, header, comments):
+    # 300 x 300 spans more than one formatted block
+    rng = np.random.default_rng(sum(shape))
+    data = rng.standard_normal(shape) * 10.0 ** rng.integers(-300, 300, shape)
+    data.flat[:4] = [-0.0, np.nan, np.inf, -np.inf]
+    np.savetxt(tmp_path / "ref.csv", data, delimiter=",", fmt="%.17e", header=header,
+               comments=comments)
+    gcalc.array_to_csv(tmp_path / "out.csv", data, header=header, comments=comments)
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -206,3 +206,16 @@ def test_qmatmul_matches_complex_embedding(rng):
 def test_complex_embedding_roundtrip(rng):
     A = rng.standard_normal((2, 5, 4))
     np.testing.assert_array_equal(qc.qmat_from_complex(qc.qmat_to_complex(A)), A)
+
+
+@pytest.mark.parametrize("shape", [(4,), (7, 4), (256, 4), (4097, 4), (128, 3, 4)])
+def test_qnormsq_is_add_reduce_bit_for_bit(shape):
+    # entries over 1e-8..1e8, with zeros of both signs, infinities and a nan
+    rng = np.random.default_rng(shape[0])
+    a = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    for i, v in enumerate([0.0, -0.0, np.inf, -np.inf, np.nan]):
+        if 7 * i + 1 < a.size:
+            a.flat[7 * i + 1] = v
+    got, want = np.asarray(qc.qnormsq(a)), np.asarray(np.add.reduce(a * a, axis=-1))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()

@@ -37,6 +37,16 @@ def test_simconfig_validation():
     assert cfg.cfl_constant == sf.DEFAULT_CFL_CONSTANT
 
 
+def test_simconfig_and_x_solve_reject_refine_below_1():
+    grid = gcalc.PeriodicGrid(64, 10.0)
+    state = sf.preset_sg_kink(grid, 1)
+    for refine in (0, -4):
+        with pytest.raises(ConfigError, match="sg_refine"):
+            sf.SimConfig(n=1, grid=grid, dt=1e-3, t_end=0.0, flow="sg", sg_refine=refine)
+        with pytest.raises(DomainError, match="refine"):
+            sf.sg_solve_h(state, refine=refine)
+
+
 def test_simconfig_hierarchy_level_bound():
     grid = gcalc.PeriodicGrid(64, 10.0)
     # dt = 1e-2 at level 2 blows up in RK4; it must be rejected, naming the level
@@ -265,6 +275,86 @@ def test_sg_step_stage_states_pass_make_state(n, monkeypatch):
     new = sf.sg_step(state, 1e-3, refine=2)
     assert len(seen) == 4 and seen[0] is state
     _assert_valid_stage(new, state)
+
+
+def _out_of_place_rk4(state, rhs, dt, fraction):
+    """RK4 on packed arrays with every operation out of place, in the order of
+    the unpacked formulas."""
+    grid = state.grid
+    N, m = state.bu.values.shape[:2]
+
+    def pack(a, b):
+        return np.concatenate([a, b.reshape(N, -1)], axis=1)
+
+    def project(z):
+        if fraction is not None:
+            z = gcalc.dealias_values(z, grid, fraction)
+        z = z.copy()
+        z[:, 0] = 0.0
+        return z
+
+    def unpack(z):
+        return bo.make_state(grid, z[:, :4], z[:, 4:].reshape(N, m, 4))
+
+    def k(s):
+        return pack(*rhs(s).arrays())
+
+    y = pack(*state.arrays())
+    k1 = k(state)
+    k2 = k(unpack(project(y + (dt / 2) * k1)))
+    k3 = k(unpack(project(y + (dt / 2) * k2)))
+    k4 = k(unpack(project(y + dt * k3)))
+    return unpack(project(y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)))
+
+
+def _spied(fn):
+    """fn, keeping every state it is called with and a copy of its arrays."""
+    kept = []
+
+    def spy(s, *args):
+        kept.append((s, [a.copy() for a in s.arrays()]))
+        return fn(s, *args)
+
+    return spy, kept
+
+
+def _assert_unchanged(kept):
+    for s, copies in kept:
+        for a, c in zip(s.arrays(), copies):
+            assert np.array_equal(a, c)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("fraction", [2 / 3, None])
+def test_step_rk4_writes_no_state_or_right_side_array(n, fraction):
+    # u_t = u through the stage state's own arrays: an in-place update of a
+    # right side's result would also write into the state it was called with
+    grid = gcalc.PeriodicGrid(64, 20.0)
+    state = _nearly_imaginary_state(grid, n)
+    spy, kept = _spied(lambda s: bo.make_flow(s.grid, s.u.values, s.bu.values))
+    new = sf.step_rk4(state, spy, 0.1, project_fraction=fraction)
+    assert len(kept) == 4 and kept[0][0] is state
+    _assert_unchanged(kept)
+    ref = _out_of_place_rk4(state, lambda s: bo.make_flow(s.grid, s.u.values, s.bu.values),
+                            0.1, fraction)
+    assert_pairs_identical(new, ref)
+    mkdv = sf.step_rk4(state, sf.mkdv_rhs, 5e-4, project_fraction=fraction)
+    assert_pairs_identical(mkdv, _out_of_place_rk4(state, sf.mkdv_rhs, 5e-4, fraction))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_sg_step_writes_no_state_array(n, monkeypatch):
+    grid = gcalc.PeriodicGrid(64, 20.0)
+    state = _nearly_imaginary_state(grid, n)
+    reference_rhs = sf._sg_rhs(n, "-", "line", 2, 1e-3)
+    solve = sf.sg_solve_h
+    spy, kept = _spied(solve)
+    monkeypatch.setattr(sf, "sg_solve_h", spy)
+    new = sf.sg_step(state, 1e-3, refine=2)
+    assert len(kept) == 4 and kept[0][0] is state
+    _assert_unchanged(kept)
+    monkeypatch.setattr(sf, "sg_solve_h", solve)
+    assert_pairs_identical(new, _out_of_place_rk4(state, reference_rhs, 1e-3, None))
 
 
 def test_step_rk4_dt_zero_identity(rng):
