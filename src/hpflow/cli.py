@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -64,8 +65,38 @@ def _integer(value):
     return int(value)
 
 
+def _at_least(low: int):
+    """An integer cast that refuses values below `low`."""
+
+    def cast(value):
+        k = _integer(value)
+        if k < low:
+            raise ValueError(f"must be >= {low}")
+        return k
+
+    return cast
+
+
+def _finite(value):
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError("must be finite")
+    return x
+
+
+def _nonzero_finite(value):
+    x = _finite(value)
+    if x == 0.0:
+        raise ValueError("must be nonzero")
+    return x
+
+
 def _optional_float(value):
     return None if value is None else float(value)
+
+
+def _optional_finite(value):
+    return None if value is None else _finite(value)
 
 
 def _direction(value):
@@ -76,6 +107,10 @@ def _direction(value):
     if q.shape != (4,) or not np.all(np.isfinite(q)) or not np.any(q):
         raise ValueError("need four finite quaternion components, not all zero")
     return q
+
+
+# snapshot files of simulate (csv, binary) and the chordal matrix of reconstruct
+OUTPUT_FORMATS = ("csv", "binary", "chordal")
 
 
 def load_config(path) -> dict:
@@ -130,6 +165,12 @@ def load_config(path) -> dict:
     ):
         if key in section and not isinstance(section[key], kind):
             raise ConfigError(f"{where}.{key} = {section[key]!r} must be a JSON {_JSON_TYPE[kind]}")
+    unknown = [f for f in out_sec.get("formats", []) if f not in OUTPUT_FORMATS]
+    if unknown:
+        raise ConfigError(
+            f"output.formats = {out_sec['formats']!r}: unknown {unknown!r}, "
+            f"choose from {list(OUTPUT_FORMATS)}"
+        )
     if cfg["mode"] not in ("periodic", "line"):
         raise ConfigError("grid.mode must be 'periodic' or 'line'")
     return cfg
@@ -148,11 +189,14 @@ def build_state(cfg, seed_override=None) -> bo.StatePair:
     init = cfg["initial"]
     preset = init.get("preset", "random_band")
     if preset == "random_band":
-        seed = _read(init, "seed", _integer, 0, "initial") if seed_override is None else seed_override
+        if seed_override is None:
+            seed = _read(init, "seed", _at_least(0), 0, "initial")
+        else:
+            seed = seed_override
         return sf.preset_random_band(
             grid, n, seed=seed,
-            amplitude=_read(init, "amplitude", float, 0.3, "initial"),
-            kmax=_read(init, "kmax", _integer, 4, "initial"),
+            amplitude=_read(init, "amplitude", _finite, 0.3, "initial"),
+            kmax=_read(init, "kmax", _at_least(1), 4, "initial"),
         )
     if preset in ("mkdv_soliton", "sg_kink"):
         make, a = {"mkdv_soliton": (sf.preset_mkdv_soliton, 1.5),
@@ -160,8 +204,8 @@ def build_state(cfg, seed_override=None) -> bo.StatePair:
         direction = _read(init, "direction", _direction, None, "initial")
         try:
             return make(
-                grid, n, a=_read(init, "a", float, a, "initial"),
-                x0=_read(init, "x0", _optional_float, None, "initial"),
+                grid, n, a=_read(init, "a", _nonzero_finite, a, "initial"),
+                x0=_read(init, "x0", _optional_finite, None, "initial"),
                 direction=direction,
             )
         except DomainError as exc:  # a direction with a real part
@@ -430,6 +474,8 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:  # every command takes --seed
+            raise ConfigError(f"--seed = {args.seed} must be >= 0")
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -16,6 +16,7 @@ antiderivative.  Violations raise NonlocalityError, never get fixed silently.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,8 +39,8 @@ class PeriodicGrid:
     def __post_init__(self):
         if self.num_points < 8:
             raise DomainError("need at least 8 grid points")
-        if self.length <= 0:
-            raise DomainError("domain length must be positive")
+        if not 0 < self.length < math.inf:
+            raise DomainError(f"domain length {self.length} must be positive and finite")
 
     @cached_property
     def x(self) -> np.ndarray:
@@ -141,17 +142,23 @@ def guarded_antideriv(
     return spectral_antideriv(values, grid)
 
 
-def spectral_refine(values: np.ndarray, grid: PeriodicGrid, factor: int) -> np.ndarray:
-    """Band-limited upsampling by an integer factor."""
+def spectral_refine(
+    values: np.ndarray, grid: PeriodicGrid, factor: int, axis: int = 0
+) -> np.ndarray:
+    """Band-limited upsampling by an integer factor along `axis`, the axis of
+    the grid samples; every line along it is transformed on its own."""
     if factor == 1:
         return values.copy()
-    F = np.fft.rfft(values, axis=0)
+    F = np.fft.rfft(values, axis=axis)
+    lead = (slice(None),) * (axis % values.ndim)  # index along `axis`
     n_fine = grid.num_points * factor
-    pad = np.zeros((n_fine // 2 + 1,) + F.shape[1:], dtype=complex)
-    pad[: F.shape[0]] = F
+    shape = list(F.shape)
+    shape[axis] = n_fine // 2 + 1
+    pad = np.zeros(shape, dtype=complex)
+    pad[lead + (slice(F.shape[axis]),)] = F
     if grid.num_points % 2 == 0:
-        pad[F.shape[0] - 1] *= 0.5  # split the Nyquist mode symmetrically
-    return np.fft.irfft(pad, n=n_fine, axis=0) * factor
+        pad[lead + (F.shape[axis] - 1,)] *= 0.5  # split the Nyquist mode symmetrically
+    return np.fft.irfft(pad, n=n_fine, axis=axis) * factor
 
 
 def dealias_values(values: np.ndarray, grid: PeriodicGrid, fraction: float = 2.0 / 3.0) -> np.ndarray:

@@ -44,7 +44,7 @@ import numpy as np
 from . import biham_ops as bo
 from . import grid_calculus as gcalc
 from . import quat_core as qc
-from .biham_ops import FlowPair, StatePair, make_flow, make_state
+from .biham_ops import FlowPair, StatePair, make_state
 from .errors import (
     BlowUpError,
     ConfigError,
@@ -366,9 +366,17 @@ def prefix_products(T: np.ndarray, every: int = 1) -> np.ndarray:
 
 
 def _sg_constraint(y: np.ndarray) -> np.ndarray:
-    return y[..., 0] ** 2 + 0.25 * np.sum(y[..., 1:4] ** 2, axis=-1) + np.sum(
-        y[..., 4:] ** 2, axis=-1
-    )
+    """h_par^2 + |h_s|^2 / 4 + |h_v|^2 over the last axis, bit for bit as with
+    np.sum per block.  The three h_s squares are added left to right, which
+    is np.sum's order for fewer than 8 terms."""
+    sq = y**2
+    out = sq[..., 1] + sq[..., 2]
+    out += sq[..., 3]
+    out *= 0.25
+    out += sq[..., 0]
+    if sq.shape[-1] > 4:  # an empty h_v block would add +0.0 to a sum >= +0.0
+        out += np.sum(sq[..., 4:], axis=-1)
+    return out
 
 
 def _sqrt_form(m: int) -> np.ndarray:
@@ -422,29 +430,50 @@ _PAIR_TO_TRANSFER = (
 
 def _unit_exp(A: np.ndarray) -> np.ndarray:
     """exp of pure quaternions with vector parts A (3, K), as a (4, K) array."""
-    r = np.sqrt(np.sum(A * A, axis=0))
+    sq = A * A
+    r = sq[0] + sq[1]  # np.sum's order over axis 0
+    r += sq[2]
+    np.sqrt(r, out=r)
     sinc = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0.0)
-    return np.concatenate([np.cos(r)[None], sinc * A])
+    E = np.empty((4,) + r.shape)
+    np.cos(r, out=E[0])
+    np.multiply(sinc, A, out=E[1:])
+    return E
 
 
 def _sg_transfers_quaternion(state: StatePair, refine: int) -> np.ndarray:
     """The n = 1 transfers in closed form, equal to the generic ones to roundoff.
 
-    Works component-major, (3, K), so every array operation runs along K.
+    Works component-major, (3, K), so every array operation runs along K:
+    one transform refines -Im u along the rows, and the two unit quaternions
+    of every cell come from one exponential of the stacked Simpson -/+ cross
+    terms.
     """
-    fine_im_u = gcalc.spectral_refine(state.u.values[:, 1:], state.grid, 2 * refine)
-    a = -np.ascontiguousarray(fine_im_u.T)
-    a0 = a[:, 0::2]
-    am = a[:, 1::2]
-    a1 = np.concatenate([a0[:, 1:], a0[:, :1]], axis=1)
+    a = gcalc.spectral_refine(state.u.values[:, 1:].T, state.grid, 2 * refine, axis=1)
+    np.negative(a, out=a)
+    K = a.shape[1] // 2
+    # cell ends a0 and a1 (periodic: the last cell ends at the first point) and midpoints
+    ends = np.empty((3, K + 1))
+    ends[:, :K] = a[:, 0::2]
+    ends[:, K] = a[:, 0]
+    a0, a1 = ends[:, :K], ends[:, 1:]
+    am = np.ascontiguousarray(a[:, 1::2])
     h = state.grid.dx / refine
-    simpson = (h / 6.0) * (a0 + 4.0 * am + a1)
+    simpson = 4.0 * am  # (h / 6) (a0 + 4 am + a1)
+    simpson += a0
+    simpson += a1
+    simpson *= h / 6.0
     d = a1 - a0
-    cross = (h**2 / 6.0) * np.stack(
-        [am[1] * d[2] - am[2] * d[1], am[2] * d[0] - am[0] * d[2], am[0] * d[1] - am[1] * d[0]]
-    )
-    p = _unit_exp(simpson - cross)
-    q = _unit_exp(simpson + cross)
+    cross = np.empty((3, K))  # (h^2 / 6) am x d
+    for i, (j, k) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(am[j], d[k], out=cross[i])
+        cross[i] -= am[k] * d[j]
+    cross *= h**2 / 6.0
+    A = np.empty((3, 2 * K))
+    np.subtract(simpson, cross, out=A[:, :K])
+    np.add(simpson, cross, out=A[:, K:])
+    pq = _unit_exp(A)
+    p, q = pq[:, :K], pq[:, K:]
     pairs = (p[:, None] * q[None, :]).reshape(16, -1)
     return (pairs.T @ _PAIR_TO_TRANSFER).reshape(-1, 4, 4)
 
@@ -544,7 +573,8 @@ def sg_solve_h(
     hs[:, 1:4] = y[:, 1:4]
     hv = y[:, 4:].reshape(N, m, 4)
     h_par = Field(grid, y[:, 0].copy(), "real")
-    return make_flow(grid, hs, hv), h_par, info
+    # float arrays of the kinds' shapes on the state's grid: valid by construction
+    return bo._unchecked_pair(FlowPair, grid, hs, hv), h_par, info
 
 
 def sg_step(
@@ -554,23 +584,35 @@ def sg_step(
     mode: str = "line",
     refine: int = 8,
     t: float = 0.0,
+    on_state_solve=None,
 ) -> StatePair:
-    """Advance the -1 flow by one RK4 step, re-solving the x-system per stage."""
-    rhs = _sg_rhs(state.n, branch, mode, refine, t + dt)
+    """Advance the -1 flow by one RK4 step, re-solving the x-system per stage.
+
+    The first stage solves `state` itself; `on_state_solve`, when given, is
+    called with that solve's info dict, so a caller monitoring the state's
+    constraint needs no solve of its own.
+    """
+    rhs = _sg_rhs(state.n, branch, mode, refine, t + dt, state, on_state_solve)
     return step_rk4(state, rhs, dt, t, project_fraction=None)
 
 
-def _sg_rhs(n: int, branch: str, mode: str, refine: int, t_end: float):
+def _sg_rhs(
+    n: int, branch: str, mode: str, refine: int, t_end: float, watched=None, on_solve=None
+):
     """The -1 flow's right side h / chi; a non-finite monodromy in a step
-    ending at t_end is reported as a blow-up there."""
+    ending at t_end is reported as a blow-up there.  The info of the solve of
+    the state `watched` goes to `on_solve`."""
     inv_chi = 1.0 / chi(n)
 
     def rhs(s):
         try:
-            h, _, _ = sg_solve_h(s, branch, mode, refine)
+            h, _, info = sg_solve_h(s, branch, mode, refine)
         except NonFiniteMonodromyError as exc:
             raise BlowUpError(t_end) from exc
-        return make_flow(s.grid, inv_chi * h.hs.values, inv_chi * h.hv.values)
+        if on_solve is not None and s is watched:
+            on_solve(info)
+        # the solution's arrays scaled: the kinds' shapes on the state's grid
+        return bo._unchecked_pair(FlowPair, s.grid, inv_chi * h.hs.values, inv_chi * h.hv.values)
 
     return rhs
 
@@ -671,35 +713,44 @@ def _step_plan(t_end: float, dt: float) -> tuple[int, float]:
 
 def run_flow(config: SimConfig, state: StatePair, observer=None) -> Trajectory:
     """Integrate the configured flow to t_end, snapshotting every `cadence`
-    steps and after the last one."""
-    traj = Trajectory()
+    steps and after the last one.
 
-    def record(t, s):
-        traj.append(t, s)
-        if config.flow == "sg":
-            _, _, info = sg_solve_h(s, config.sg_branch, config.sg_mode, config.sg_refine)
-            traj.sg_constraint_value.append(float(np.mean(info["constraint"])))
+    On the -1 flow each snapshot's constraint comes from the x-solve of the
+    next step's first stage, which solves the snapshot state itself; only
+    the last snapshot is solved on its own.
+    """
+    traj = Trajectory()
+    sg = config.flow == "sg"
+
+    def monitor(info):
+        traj.sg_constraint_value.append(float(np.mean(info["constraint"])))
 
     def rhs(s):  # the flows stepped by step_rk4
         if config.flow == "mkdv":
             return mkdv_rhs(s, config.galilean_removed)
         return bo.hierarchy_flow(s, config.hierarchy_level)
 
-    record(0.0, state)
+    traj.append(0.0, state)
     n_full, last_dt = _step_plan(config.t_end, config.dt)
     n_steps = n_full + (last_dt > 0.0)
     t = 0.0
     for step in range(n_steps):
         dt = config.dt if step < n_full else last_dt
-        if config.flow == "sg":
-            state = sg_step(state, dt, config.sg_branch, config.sg_mode, config.sg_refine, t)
+        if sg:
+            unsolved = len(traj.sg_constraint_value) < len(traj.states)
+            state = sg_step(
+                state, dt, config.sg_branch, config.sg_mode, config.sg_refine, t,
+                on_state_solve=monitor if unsolved else None,
+            )
         else:
             state = step_rk4(state, rhs, dt, t, config.project_fraction)
         t = (step + 1) * config.dt if step < n_full else config.t_end
         if (step + 1) % config.cadence == 0 or step + 1 == n_steps:
-            record(t, state)
+            traj.append(t, state)
             if observer is not None:
                 observer(t, state)
+    if sg:
+        monitor(sg_solve_h(state, config.sg_branch, config.sg_mode, config.sg_refine)[2])
     return traj
 
 

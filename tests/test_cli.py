@@ -291,6 +291,20 @@ def test_hierarchy_level_2_inside_its_bound_is_a_config_error(tmp_path, capsys):
         ({"output": {"cadence": False}}, "output.cadence"),
         ({"initial": {"preset": "random_band", "seed": 0.5}}, "initial.seed"),
         ({"initial": {"preset": "random_band", "kmax": True}}, "initial.kmax"),
+        # non-finite or degenerate values that would build a grid or a state
+        ({"grid": {"L": float("nan")}}, "grid.L"),
+        ({"grid": {"L": float("inf")}}, "grid.L"),
+        ({"initial": {"preset": "sg_kink", "a": float("nan")}}, "initial.a"),
+        ({"initial": {"preset": "sg_kink", "a": 0}}, "initial.a"),
+        ({"initial": {"preset": "mkdv_soliton", "a": float("-inf")}}, "initial.a"),
+        ({"initial": {"preset": "random_band", "amplitude": float("inf")}}, "initial.amplitude"),
+        ({"initial": {"preset": "random_band", "amplitude": float("nan")}}, "initial.amplitude"),
+        ({"initial": {"preset": "mkdv_soliton", "x0": float("inf")}}, "initial.x0"),
+        ({"initial": {"preset": "sg_kink", "x0": float("nan")}}, "initial.x0"),
+        ({"initial": {"preset": "random_band", "kmax": -1}}, "initial.kmax"),
+        ({"initial": {"preset": "random_band", "kmax": 0}}, "initial.kmax"),
+        ({"initial": {"preset": "random_band", "seed": -5}}, "initial.seed"),
+        ({"output": {"formats": ["cvs"]}}, "output.formats"),
     ],
 )
 def test_malformed_config_values_exit_2_naming_the_key(tmp_path, capsys, command, raw, key):
@@ -306,6 +320,31 @@ def test_malformed_config_values_exit_2_naming_the_key(tmp_path, capsys, command
     assert rc == 2
     assert err.startswith("configuration error: ") and key in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "hierarchy", "reconstruct"])
+def test_negative_seed_exits_2_naming_the_option(tmp_path, capsys, command):
+    argv = [command, "--seed", "-1", "--out", str(tmp_path / "out")]
+    if command != "verify":
+        argv += ["--config", str(write_config(tmp_path))]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "--seed" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unknown_output_format_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, output={"formats": ["csv", "cvs"]})
+    for command in ("simulate", "reconstruct"):
+        out = tmp_path / command
+        assert cli.main([command, "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: output.formats") and "'cvs'" in err
+        assert not out.exists()
+    for formats in (["csv", "binary"], ["chordal"], []):
+        cfg = write_config(tmp_path, output={"formats": formats})
+        assert cli.main(["reconstruct", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
 
 
 def test_shipped_configs(tmp_path, capsys):

@@ -32,6 +32,9 @@ def test_grid_validation():
         gcalc.PeriodicGrid(4, 1.0)
     with pytest.raises(DomainError):
         gcalc.PeriodicGrid(16, -1.0)
+    for length in (0.0, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="positive and finite"):
+            gcalc.PeriodicGrid(16, length)
 
 
 def test_deriv_sine():
@@ -191,6 +194,18 @@ def test_refine_is_bandlimited_interpolation():
     xf = gcalc.PeriodicGrid(128, 5.0).x
     expected = np.cos(3 * base * xf) + 0.5 * np.sin(base * xf)
     assert np.max(np.abs(fine - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("N", [32, 33])
+@pytest.mark.parametrize("factor", [1, 2, 3, 16])
+def test_refine_along_the_last_axis_gives_the_same_bits(rng, N, factor):
+    grid = gcalc.PeriodicGrid(N, 5.0)
+    vals = rng.standard_normal((N, 3))
+    by_rows = gcalc.spectral_refine(vals, grid, factor)
+    assert by_rows.shape == (N * factor, 3)
+    for cols in (vals.T, np.ascontiguousarray(vals.T)):
+        assert np.array_equal(gcalc.spectral_refine(cols, grid, factor, axis=1), by_rows.T)
+        assert np.array_equal(gcalc.spectral_refine(cols, grid, factor, axis=-1), by_rows.T)
 
 
 def test_dealias_removes_high_modes():

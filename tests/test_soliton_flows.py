@@ -1100,3 +1100,164 @@ def test_n2_transfers_unchanged(amplitude):
         np.testing.assert_array_equal(
             sf._sg_transfers(state, refine), _reference_sg_transfers(state, refine)
         )
+
+
+# -- n = 1 transfers, -1-flow monitoring and the constraint, bit for bit -----------
+
+def _reference_unit_exp(A):
+    r = np.sqrt(np.sum(A * A, axis=0))
+    sinc = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0.0)
+    return np.concatenate([np.cos(r)[None], sinc * A])
+
+
+def _reference_quaternion_transfers(state, refine):
+    """The n = 1 closed-form builder before its component-major single pass:
+    the refine along the grid axis, strided ends and midpoints, out-of-place
+    Simpson and cross terms, and one exponential per unit quaternion."""
+    grid = state.grid
+    fine = 2 * refine
+    F = np.fft.rfft(state.u.values[:, 1:], axis=0)
+    n_fine = grid.num_points * fine
+    pad = np.zeros((n_fine // 2 + 1, 3), dtype=complex)
+    pad[: F.shape[0]] = F
+    if grid.num_points % 2 == 0:
+        pad[F.shape[0] - 1] *= 0.5
+    fine_im_u = np.fft.irfft(pad, n=n_fine, axis=0) * fine
+    a = -np.ascontiguousarray(fine_im_u.T)
+    a0 = a[:, 0::2]
+    am = a[:, 1::2]
+    a1 = np.concatenate([a0[:, 1:], a0[:, :1]], axis=1)
+    h = grid.dx / refine
+    simpson = (h / 6.0) * (a0 + 4.0 * am + a1)
+    d = a1 - a0
+    cross = (h**2 / 6.0) * np.stack(
+        [am[1] * d[2] - am[2] * d[1], am[2] * d[0] - am[0] * d[2], am[0] * d[1] - am[1] * d[0]]
+    )
+    p = _reference_unit_exp(simpson - cross)
+    q = _reference_unit_exp(simpson + cross)
+    pairs = (p[:, None] * q[None, :]).reshape(16, -1)
+    return (pairs.T @ sf._PAIR_TO_TRANSFER).reshape(-1, 4, 4)
+
+
+ODD_GRID = gcalc.PeriodicGrid(255, 40.0)
+N1_BIT_STATES = {
+    **N1_STATES,
+    "odd_kink_a1.25": lambda: sf.preset_sg_kink(ODD_GRID, 1, a=1.25),
+    "odd_band_3": lambda: sf.preset_random_band(ODD_GRID, 1, seed=7, amplitude=3.0),
+    "zero_L8": lambda: bo.make_state(
+        gcalc.PeriodicGrid(32, 8.0), np.zeros((32, 4)), np.zeros((32, 0, 4))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(N1_BIT_STATES))
+@pytest.mark.parametrize("refine", [1, 2, 3, 4, 8])
+def test_n1_transfers_equal_the_out_of_place_builder(name, refine):
+    state = N1_BIT_STATES[name]()
+    T = sf._sg_transfers(state, refine)
+    ref = _reference_quaternion_transfers(state, refine)
+    assert T.shape == ref.shape == (state.grid.num_points * refine, 4, 4)
+    # bits, signed zeros included
+    assert np.array_equal(T.view(np.uint64), ref.view(np.uint64))
+
+
+def test_unit_exp_equals_the_np_sum_form_bit_for_bit(rng):
+    A = rng.standard_normal((3, 64)) * 10.0 ** rng.integers(-200, 3, 64)
+    A[:, :4] = 0.0
+    A[:, 4:8] = -0.0
+    A[1, 8] = 1e-170  # r^2 underflows to 0: the quotient is not formed there
+    for B in (A, A[:, 8:], np.abs(A[:, 8:])):  # with and without r = 0
+        assert np.array_equal(
+            sf._unit_exp(B).view(np.uint64), _reference_unit_exp(B).view(np.uint64)
+        )
+
+
+def _reference_constraint(y):
+    return y[..., 0] ** 2 + 0.25 * np.sum(y[..., 1:4] ** 2, axis=-1) + np.sum(
+        y[..., 4:] ** 2, axis=-1
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sg_constraint_equals_the_np_sum_form_bit_for_bit(rng, n):
+    d = 4 + 4 * (n - 1)
+    for shape in ((257, d), (d,), (5, 7, d)):
+        y = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
+        y[rng.random(shape) < 0.2] = 0.0
+        y[rng.random(shape) < 0.2] = -0.0
+        got, ref = np.asarray(sf._sg_constraint(y)), np.asarray(_reference_constraint(y))
+        assert got.shape == ref.shape
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    zeros = -np.zeros(d)
+    assert np.array_equal(
+        np.asarray(sf._sg_constraint(zeros)).view(np.uint64),
+        np.asarray(_reference_constraint(zeros)).view(np.uint64),
+    )
+
+
+def _sg_run(mode, cadence, steps, n=1):
+    # on L = 40 the kink's monodromy is close enough to the identity that
+    # periodic mode finds a solution at every stage
+    grid = gcalc.PeriodicGrid(64, 40.0)
+    cfg = sf.SimConfig(
+        n=n, grid=grid, dt=2e-3, t_end=steps * 2e-3, flow="sg", sg_mode=mode, sg_refine=2,
+        cadence=cadence,
+    )
+    return cfg, sf.preset_sg_kink(grid, n)
+
+
+SG_RUNS = [
+    (mode, cadence, steps)
+    for mode in ("line", "periodic")
+    for cadence, steps in ((1, 4), (3, 6), (4, 6))  # 4 does not divide 6
+]
+
+
+@pytest.mark.parametrize("mode, cadence, steps", SG_RUNS)
+def test_run_flow_solves_the_sg_x_system_once_per_stage_and_once_at_the_end(
+    monkeypatch, mode, cadence, steps
+):
+    cfg, state = _sg_run(mode, cadence, steps)
+    solved = []
+    solve = sf.sg_solve_h
+
+    def spy(s, *args):
+        solved.append(s)
+        return solve(s, *args)
+
+    monkeypatch.setattr(sf, "sg_solve_h", spy)
+    traj = sf.run_flow(cfg, state)
+    assert len(solved) == 4 * steps + 1
+    assert solved[-1] is traj.states[-1]
+    # every snapshot but the last is the input of the step after it
+    assert all(any(s is t for t in solved[::4]) for s in traj.states)
+    assert len(traj.sg_constraint_value) == len(traj.states)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("mode, cadence, steps", SG_RUNS)
+def test_run_flow_sg_constraint_values_equal_a_solve_per_snapshot(mode, cadence, steps, n):
+    cfg, state = _sg_run(mode, cadence, steps, n)
+    traj = sf.run_flow(cfg, state)
+    expected = [
+        float(np.mean(sf.sg_solve_h(s, cfg.sg_branch, mode, cfg.sg_refine)[2]["constraint"]))
+        for s in traj.states
+    ]
+    assert len(traj.states) == 1 + steps // cadence + (steps % cadence > 0)
+    assert traj.sg_constraint_value == expected
+
+
+def test_run_flow_sg_with_no_steps_solves_the_initial_state_once(monkeypatch):
+    cfg, state = _sg_run("line", 1, 0)
+    calls = []
+    solve = sf.sg_solve_h
+
+    def spy(s, *args):
+        calls.append(s)
+        return solve(s, *args)
+
+    monkeypatch.setattr(sf, "sg_solve_h", spy)
+    traj = sf.run_flow(cfg, state)
+    assert len(calls) == 1 and calls[0] is state
+    assert len(traj.states) == 1 and traj.states[0] is state
+    assert len(traj.sg_constraint_value) == 1
