@@ -1,8 +1,9 @@
 """Command-line front end: verify, simulate, hierarchy, reconstruct.
 
 Configuration is a JSON document with sections algebra / grid / flow /
-initial / output; unknown keys anywhere are rejected, and so is a value that
-cannot be read or builds no grid or state, by an error naming its key.  A
+initial / output, whose keys are those of CONFIG_KEYS.  Every command reads
+every key a config sets; an unknown key, a value that cannot be read, or one
+that builds no grid or state is refused by an error naming its key.  A
 hierarchy flow is stepped only at levels 0 and 1, the levels whose flows are
 local.  Exit codes: 0 on success, 1 when a check or run fails, 2 on
 configuration errors.  All numeric output is written in full double
@@ -12,6 +13,7 @@ precision so runs are byte-reproducible given the same config and seed.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import sys
@@ -32,27 +34,6 @@ from .errors import (
     NonlocalityError,
     ShootingError,
 )
-
-
-def _check_keys(section, allowed: set, where: str):
-    if not isinstance(section, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def _read(section: dict, key: str, cast, default, where: str):
-    """section[key], or the default, converted by cast; a value cast rejects
-    is a ConfigError that names the key."""
-    value = section.get(key, default)
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{where}.{key} = {value!r}: {exc}") from exc
-
-
-_JSON_TYPE = {bool: "boolean", str: "string", list: "array"}
 
 
 def _integer(value):
@@ -91,179 +72,193 @@ def _nonzero_finite(value):
     return x
 
 
-def _optional_float(value):
-    return None if value is None else float(value)
+def _or_null(cast):
+    """A cast that also takes JSON null, as None: the library's 'not set'."""
+    return lambda value: None if value is None else cast(value)
 
 
-def _optional_finite(value):
-    return None if value is None else _finite(value)
+def _json(kind):
+    """A cast that takes a value of one JSON type as it stands."""
+    name = {bool: "boolean", str: "string"}[kind]
+
+    def cast(value):
+        if not isinstance(value, kind):
+            raise TypeError(f"must be a JSON {name}")
+        return value
+
+    return cast
 
 
 def _direction(value):
-    """None, or four finite quaternion components, not all zero."""
-    if value is None:
-        return None
+    """Four finite quaternion components, not all zero."""
     q = np.asarray(value, dtype=float)
     if q.shape != (4,) or not np.all(np.isfinite(q)) or not np.any(q):
         raise ValueError("need four finite quaternion components, not all zero")
     return q
 
 
+def _coefficients(value):
+    """Rows of inline Fourier coefficients, every entry finite; null is no rows."""
+    rows = np.asarray([] if value is None else value, dtype=float)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("entries must be finite")
+    return rows
+
+
+def _mode(value):
+    if value not in ("periodic", "line"):
+        raise ValueError("must be 'periodic' or 'line'")
+    return value
+
+
 # snapshot files of simulate (csv, binary) and the chordal matrix of reconstruct
 OUTPUT_FORMATS = ("csv", "binary", "chordal")
 
 
+def _formats(value):
+    if not isinstance(value, list):
+        raise TypeError("must be a JSON array")
+    unknown = [f for f in value if f not in OUTPUT_FORMATS]
+    if unknown:
+        raise ValueError(f"unknown {unknown!r}, choose from {list(OUTPUT_FORMATS)}")
+    return value
+
+
+# Every config key, and the cast that reads it whenever a config sets it.
+# Ranges that PeriodicGrid or SimConfig check (grid.N, grid.L, the flow's
+# numbers, output.cadence) are left to them.
+CONFIG_KEYS = {
+    "algebra": {"n": _at_least(1)},
+    "grid": {"N": _integer, "L": float, "mode": _mode},
+    "flow": {
+        "kind": _json(str), "l": _integer, "dt": float, "t_end": float,
+        "sg_branch": _json(str), "galilean_removed": _json(bool),
+        "cfl_constant": float, "sg_refine": _integer, "project_fraction": _or_null(float),
+    },
+    "initial": {
+        "preset": _json(str), "seed": _at_least(0), "amplitude": _finite,
+        "kmax": _at_least(1), "a": _nonzero_finite, "x0": _or_null(_finite),
+        "direction": _or_null(_direction), "u_cos": _coefficients,
+        "u_sin": _coefficients, "bu_cos": _coefficients, "bu_sin": _coefficients,
+    },
+    "output": {
+        "directory": _json(str), "cadence": _integer, "formats": _formats,
+        "reconstruct": _json(bool), "map_check": _json(bool),
+    },
+}
+
+# The defaults only the command line has.  Any other key a config leaves out
+# is not passed on, so the preset function or SimConfig uses its own default.
+CLI_DEFAULTS = {
+    "algebra": {"n": 1},
+    "grid": {"N": 128, "L": 20.0, "mode": "periodic"},
+    "flow": {"dt": 1e-3, "t_end": 1.0},
+    "initial": {"preset": "random_band"},
+    "output": {"directory": "out", "formats": ["csv"], "reconstruct": False, "map_check": True},
+}
+
+
+def _check_object(value, keys, where: str):
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {value!r}")
+    unknown = set(value) - set(keys)
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
 def load_config(path) -> dict:
+    """{section: {key: value}}: each key the config sets, read by its cast,
+    over the CLI_DEFAULTS.  A value its cast refuses is a ConfigError that
+    names the key."""
     try:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    _check_keys(raw, {"algebra", "grid", "flow", "initial", "output"}, "config")
-
-    algebra = raw.get("algebra", {})
-    _check_keys(algebra, {"n"}, "algebra")
-    grid_sec = raw.get("grid", {})
-    _check_keys(grid_sec, {"N", "L", "mode"}, "grid")
-    flow_sec = raw.get("flow", {})
-    _check_keys(
-        flow_sec,
-        {"kind", "l", "dt", "t_end", "sg_branch", "galilean_removed", "cfl_constant",
-         "sg_refine", "project_fraction"},
-        "flow",
-    )
-    init_sec = raw.get("initial", {})
-    _check_keys(
-        init_sec,
-        {"preset", "seed", "amplitude", "kmax", "a", "x0", "direction",
-         "u_cos", "u_sin", "bu_cos", "bu_sin"},
-        "initial",
-    )
-    out_sec = raw.get("output", {})
-    _check_keys(
-        out_sec, {"directory", "cadence", "formats", "reconstruct", "map_check"}, "output"
-    )
-
-    cfg = {
-        "n": _read(algebra, "n", _integer, 1, "algebra"),
-        "N": _read(grid_sec, "N", _integer, 128, "grid"),
-        "L": _read(grid_sec, "L", float, 20.0, "grid"),
-        "mode": grid_sec.get("mode", "periodic"),
-        "flow": dict(flow_sec),
-        "initial": dict(init_sec),
-        "output": dict(out_sec),
-    }
-    if cfg["n"] < 1:
-        raise ConfigError(f"algebra.n = {cfg['n']} must be >= 1")
-    # values used as they stand, not converted: only their JSON type is checked
-    for where, section, key, kind in (
-        ("flow", flow_sec, "galilean_removed", bool),
-        ("output", out_sec, "directory", str),
-        ("output", out_sec, "formats", list),
-        ("output", out_sec, "reconstruct", bool),
-        ("output", out_sec, "map_check", bool),
-    ):
-        if key in section and not isinstance(section[key], kind):
-            raise ConfigError(f"{where}.{key} = {section[key]!r} must be a JSON {_JSON_TYPE[kind]}")
-    unknown = [f for f in out_sec.get("formats", []) if f not in OUTPUT_FORMATS]
-    if unknown:
-        raise ConfigError(
-            f"output.formats = {out_sec['formats']!r}: unknown {unknown!r}, "
-            f"choose from {list(OUTPUT_FORMATS)}"
-        )
-    if cfg["mode"] not in ("periodic", "line"):
-        raise ConfigError("grid.mode must be 'periodic' or 'line'")
+    _check_object(raw, CONFIG_KEYS, "config")
+    cfg = {}
+    for name, casts in CONFIG_KEYS.items():
+        section = raw.get(name, {})
+        _check_object(section, casts, name)
+        cfg[name] = dict(CLI_DEFAULTS[name])
+        for key, value in section.items():
+            try:
+                cfg[name][key] = casts[key](value)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"{name}.{key} = {value!r}: {exc}") from exc
     return cfg
 
 
 def build_grid(cfg) -> gcalc.PeriodicGrid:
+    N, L = cfg["grid"]["N"], cfg["grid"]["L"]
     try:
-        return gcalc.PeriodicGrid(cfg["N"], cfg["L"])
+        return gcalc.PeriodicGrid(N, L)
     except DomainError as exc:
-        raise ConfigError(f"grid.N = {cfg['N']}, grid.L = {cfg['L']}: {exc}") from exc
+        raise ConfigError(f"grid.N = {N}, grid.L = {L}: {exc}") from exc
+
+
+def _inline_state(grid, n, u_cos=(), u_sin=(), bu_cos=(), bu_sin=()) -> bo.StatePair:
+    """Band-limited state from inline Fourier coefficient rows."""
+    base = 2 * np.pi / grid.length
+
+    def synth(name, shape, cos_rows, sin_rows):
+        vals = np.zeros((grid.num_points,) + shape)
+        for trig, rows in (("cos", cos_rows), ("sin", sin_rows)):
+            wave = getattr(np, trig)
+            try:
+                for k, row in enumerate(rows, start=1):
+                    vals += wave(k * base * grid.x).reshape((-1,) + (1,) * len(shape)) * row
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"initial.{name}_{trig}: {exc}") from exc
+        return vals
+
+    u = synth("u", (4,), u_cos, u_sin)
+    u[:, 0] = 0.0
+    bu = synth("bu", (n - 1, 4), bu_cos, bu_sin)
+    return bo.make_state(grid, u, bu)
+
+
+# initial.preset -> the state builder; it gets the initial.* keys named by
+# its parameters that the config sets
+PRESETS = {
+    "random_band": sf.preset_random_band,
+    "mkdv_soliton": sf.preset_mkdv_soliton,
+    "sg_kink": sf.preset_sg_kink,
+    "inline": _inline_state,
+}
 
 
 def build_state(cfg, seed_override=None) -> bo.StatePair:
-    grid = build_grid(cfg)
-    n = cfg["n"]
     init = cfg["initial"]
-    preset = init.get("preset", "random_band")
-    if preset == "random_band":
-        if seed_override is None:
-            seed = _read(init, "seed", _at_least(0), 0, "initial")
-        else:
-            seed = seed_override
-        return sf.preset_random_band(
-            grid, n, seed=seed,
-            amplitude=_read(init, "amplitude", _finite, 0.3, "initial"),
-            kmax=_read(init, "kmax", _at_least(1), 4, "initial"),
-        )
-    if preset in ("mkdv_soliton", "sg_kink"):
-        make, a = {"mkdv_soliton": (sf.preset_mkdv_soliton, 1.5),
-                   "sg_kink": (sf.preset_sg_kink, 1.0)}[preset]
-        direction = _read(init, "direction", _direction, None, "initial")
-        try:
-            return make(
-                grid, n, a=_read(init, "a", _nonzero_finite, a, "initial"),
-                x0=_read(init, "x0", _optional_finite, None, "initial"),
-                direction=direction,
-            )
-        except DomainError as exc:  # a direction with a real part
-            raise ConfigError(f"initial.direction = {init['direction']!r}: {exc}") from exc
-    if preset == "inline":
-        return _inline_state(grid, n, init)
-    raise ConfigError(f"unknown preset {preset!r}")
-
-
-def _inline_state(grid, n, init) -> bo.StatePair:
-    """Band-limited state from inline Fourier coefficient lists."""
-    base = 2 * np.pi / grid.length
-
-    def synth(name, shape):
-        vals = np.zeros((grid.num_points,) + shape)
-        for trig in ("cos", "sin"):
-            key = f"{name}_{trig}"
-            wave = getattr(np, trig)
-            try:
-                for k, row in enumerate(init.get(key) or [], start=1):
-                    vals += wave(k * base * grid.x).reshape((-1,) + (1,) * len(shape)) * np.asarray(row, dtype=float)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"initial.{key}: {exc}") from exc
-        return vals
-
-    u = synth("u", (4,))
-    u[:, 0] = 0.0
-    bu = synth("bu", (n - 1, 4))
-    return bo.make_state(grid, u, bu)
+    if init["preset"] not in PRESETS:
+        raise ConfigError(f"initial.preset = {init['preset']!r}: choose from {list(PRESETS)}")
+    make = PRESETS[init["preset"]]
+    takes = inspect.signature(make).parameters
+    params = {key: value for key, value in init.items() if key in takes}
+    if seed_override is not None and "seed" in takes:
+        params["seed"] = seed_override
+    try:
+        return make(build_grid(cfg), cfg["algebra"]["n"], **params)
+    except DomainError as exc:  # a direction with a real part
+        raise ConfigError(f"initial.direction = {init.get('direction')}: {exc}") from exc
 
 
 def build_sim_config(cfg) -> sf.SimConfig:
     flow = cfg["flow"]
-    kind = flow.get("kind", "mkdv")
-    level = _read(flow, "l", _integer, 1, "flow")
     # the recursion's D_x^{-1} constants are the jet constants only up to level
     # 1: from level 2 on the flow is measurably non-local, so it is not stepped
-    if kind == "hierarchy" and level >= 2:
+    level = flow.get("l")
+    if flow.get("kind") == "hierarchy" and level is not None and level >= 2:
         raise ConfigError(
             f"flow.l = {level}: hierarchy level {level} is not supported, only levels "
             "0 and 1 are local flows ('hpflow hierarchy' still tabulates higher levels)"
         )
+    renamed = {"kind": "flow", "l": "hierarchy_level"}  # config key -> SimConfig field
+    settings = {renamed.get(key, key): value for key, value in flow.items()}
+    if "cadence" in cfg["output"]:
+        settings["cadence"] = cfg["output"]["cadence"]
     return sf.SimConfig(
-        n=cfg["n"],
-        grid=build_grid(cfg),
-        dt=_read(flow, "dt", float, 1e-3, "flow"),
-        t_end=_read(flow, "t_end", float, 1.0, "flow"),
-        flow=kind,
-        galilean_removed=flow.get("galilean_removed", True),
-        sg_branch=flow.get("sg_branch", "-"),
-        sg_mode="line" if cfg["mode"] == "line" else "periodic",
-        sg_refine=_read(flow, "sg_refine", _integer, 8, "flow"),
-        hierarchy_level=level,
-        cadence=_read(cfg["output"], "cadence", _integer, 1, "output"),
-        cfl_constant=_read(flow, "cfl_constant", float, sf.DEFAULT_CFL_CONSTANT, "flow"),
-        project_fraction=_read(
-            flow, "project_fraction", _optional_float, sf.DEFAULT_PROJECT_FRACTION, "flow"
-        ),
+        n=cfg["algebra"]["n"], grid=build_grid(cfg), sg_mode=cfg["grid"]["mode"], **settings
     )
 
 
@@ -304,13 +299,20 @@ def cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def cmd_simulate(args) -> int:
+def _prologue(args, simulate=False):
+    """The config, its state, its SimConfig (simulate only) and the output
+    directory, made last: a configuration error leaves no directory behind."""
     cfg = load_config(args.config)
-    outdir = Path(args.out or cfg["output"].get("directory", "out"))
-    outdir.mkdir(parents=True, exist_ok=True)
-    formats = cfg["output"].get("formats", ["csv"])
     state = build_state(cfg, seed_override=args.seed)
-    sim = build_sim_config(cfg)
+    sim = build_sim_config(cfg) if simulate else None
+    outdir = Path(args.out or cfg["output"]["directory"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    return cfg, state, sim, outdir
+
+
+def cmd_simulate(args) -> int:
+    cfg, state, sim, outdir = _prologue(args, simulate=True)
+    formats = cfg["output"]["formats"]
 
     index = [0]
 
@@ -331,10 +333,10 @@ def cmd_simulate(args) -> int:
     sf.report_to_csv(outdir / "conservation.csv", report)
     gcalc.report_to_json(outdir / "conservation.json", report.as_dict())
 
-    if cfg["output"].get("reconstruct", False):
+    if cfg["output"]["reconstruct"]:
         curve = cg.reconstruct_curve(cg.grid_frame(traj.states[-1], refine=4))
         cg.curve_to_csv(outdir / "curve_final.csv", curve)
-        if cfg["output"].get("map_check", True) and sim.flow in ("mkdv", "sg"):
+        if cfg["output"]["map_check"] and sim.flow in ("mkdv", "sg"):
             # the residuals are read at snapshot idx.  The -1 flow's right side
             # is bounded by its constraint (|h_s| <= 2 chi, |h_v| <= chi), so
             # its check stops at idx + 1.  The mKdV check keeps 2 idx steps:
@@ -366,13 +368,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_hierarchy(args) -> int:
-    cfg = load_config(args.config)
-    if args.lmax < 0:
-        print("error: --lmax must be >= 0", file=sys.stderr)
-        return 2
-    outdir = Path(args.out or cfg["output"].get("directory", "out"))
-    outdir.mkdir(parents=True, exist_ok=True)
-    state = build_state(cfg, seed_override=args.seed)
+    _, state, _, outdir = _prologue(args)
     grid = state.grid
     try:
         flows = bo.hierarchy_flows(state, args.lmax)
@@ -397,10 +393,7 @@ def cmd_hierarchy(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    cfg = load_config(args.config)
-    outdir = Path(args.out or cfg["output"].get("directory", "out"))
-    outdir.mkdir(parents=True, exist_ok=True)
-    state = build_state(cfg, seed_override=args.seed)
+    cfg, state, _, outdir = _prologue(args)
     measured = cg.geometric_invariants_from_curve(state, refine=8)
     frame = measured["frame"]
     curve = cg.reconstruct_curve(frame)
@@ -428,7 +421,7 @@ def cmd_reconstruct(args) -> int:
     gcalc.array_to_csv(
         outdir / "invariants.csv", inv_cols, header="x,g_NN,g_NNx,g_NxNx", comments=""
     )
-    if "chordal" in cfg["output"].get("formats", []):
+    if "chordal" in cfg["output"]["formats"]:
         gcalc.array_to_csv(outdir / "chordal.csv", cg.chordal_distance_matrix(curve))
     gcalc.report_to_json(outdir / "reconstruction.json", report)
     print(f"wrote curve and invariants to {outdir}")
@@ -476,6 +469,8 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and args.seed < 0:  # every command takes --seed
             raise ConfigError(f"--seed = {args.seed} must be >= 0")
+        if args.command == "hierarchy" and args.lmax < 0:
+            raise ConfigError(f"--lmax = {args.lmax} must be >= 0")
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

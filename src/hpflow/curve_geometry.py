@@ -137,26 +137,17 @@ def reconstruct_curve(frame: FrameState) -> CurveSample:
     return CurveSample(frame.grid, gamma, frame.monodromy)
 
 
-def amb_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Ambient Euclidean pairing Re<a, b> of H^(n+1) columns."""
-    return np.sum(a * b, axis=(-1, -2))
-
-
-def _right_phase(gamma: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return qc.qmul(gamma, np.broadcast_to(q, gamma.shape))
-
-
 def project_vertical_out(V: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     out = V.copy()
     for q in (qc.I, qc.J, qc.K):
-        vq = _right_phase(gamma, q)
-        out = out - amb_dot(out, vq)[:, None, None] * vq
+        vq = qc.qmul(gamma, q)
+        out = out - qc.vec_dot(out, vq)[:, None, None] * vq
     return out
 
 
 def project_horizontal(V: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Remove the radial and right-phase (vertical) components at gamma."""
-    return project_vertical_out(V - amb_dot(V, gamma)[:, None, None] * gamma, gamma)
+    return project_vertical_out(V - qc.vec_dot(V, gamma)[:, None, None] * gamma, gamma)
 
 
 def _extend_with_monodromy(gamma: np.ndarray, monodromy: np.ndarray, halo: int) -> np.ndarray:
@@ -187,7 +178,7 @@ def curve_tangent(curve: CurveSample) -> np.ndarray:
 def tangent_speed(curve: CurveSample, n: int) -> np.ndarray:
     """Metric norm |gamma_x|_g, which equals 1 for non-stretching data."""
     T = project_horizontal(curve_tangent(curve), curve.gamma)
-    return np.sqrt(chi(n) * amb_dot(T, T))
+    return np.sqrt(chi(n) * qc.vec_dot(T, T))
 
 
 # -- geometric invariants ------------------------------------------------------
@@ -239,10 +230,10 @@ def geometric_invariants_from_curve(state: StatePair, refine: int = 8) -> dict:
     NX = horizontal_derivative(N)
     c = chi(state.n)
     return {
-        "g_NN": c * amb_dot(N, N),
-        "g_NNx": c * amb_dot(N, NX),
-        "g_NxNx": c * amb_dot(NX, NX),
-        "speed": np.sqrt(c * amb_dot(T, T)),
+        "g_NN": c * qc.vec_dot(N, N),
+        "g_NNx": c * qc.vec_dot(N, NX),
+        "g_NxNx": c * qc.vec_dot(NX, NX),
+        "speed": np.sqrt(c * qc.vec_dot(T, T)),
         "frame": frame,
     }
 
@@ -561,10 +552,10 @@ def verify_wave_map(traj: FrameTrajectory, idx: int | None = None) -> dict:
     dt2 = times[idx + 1] - times[idx - 1]
     dT = (tangent_field(idx + 1) - tangent_field(idx - 1)) / dt2
     nabla_t_T = project_horizontal(dT, g0)
-    residual = np.sqrt(c * amb_dot(nabla_t_T, nabla_t_T))
+    residual = np.sqrt(c * qc.vec_dot(nabla_t_T, nabla_t_T))
 
     gamma_t = _curve_time_velocity(traj, idx)
-    speed = np.sqrt(c * amb_dot(gamma_t, gamma_t))
+    speed = np.sqrt(c * qc.vec_dot(gamma_t, gamma_t))
 
     return {
         "residual": float(np.max(residual)),

@@ -97,6 +97,8 @@ class SimConfig:
             raise ConfigError("cadence must be >= 1")
         if self.sg_refine < 1:
             raise ConfigError(f"sg_refine = {self.sg_refine} must be >= 1")
+        if not 0 < self.cfl_constant < math.inf:
+            raise ConfigError(f"cfl_constant = {self.cfl_constant} must be positive and finite")
         # a fraction <= 0 keeps only the mean mode: every stage would wipe the state
         if self.project_fraction is not None and not 0.0 < self.project_fraction <= 1.0:
             raise ConfigError(
@@ -719,6 +721,11 @@ def run_flow(config: SimConfig, state: StatePair, observer=None) -> Trajectory:
     next step's first stage, which solves the snapshot state itself; only
     the last snapshot is solved on its own.
     """
+    if config.grid != state.grid or config.n != state.n:
+        raise DimensionMismatchError(
+            f"config is for n = {config.n} on {config.grid}, "
+            f"the state is n = {state.n} on {state.grid}"
+        )
     traj = Trajectory()
     sg = config.flow == "sg"
 

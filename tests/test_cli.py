@@ -7,6 +7,7 @@ import pytest
 
 from hpflow import cli
 from hpflow import curve_geometry as cg
+from hpflow import soliton_flows as sf
 from hpflow.errors import ConfigError
 
 
@@ -88,11 +89,13 @@ def test_config_rejects_unknown_keys(tmp_path):
     raw["grid"]["bogus_key"] = 1
     cfg.write_text(json.dumps(raw))
     assert cli.main(["simulate", "--config", str(cfg)]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_rejects_bad_flow_kind(tmp_path):
     cfg = write_config(tmp_path, flow={"kind": "nope", "dt": 1e-3, "t_end": 0.1})
     assert cli.main(["simulate", "--config", str(cfg)]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_hierarchy_command(tmp_path):
@@ -198,7 +201,9 @@ def test_inline_preset(tmp_path):
 
 
 def test_missing_config_file(tmp_path):
-    assert cli.main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_config_accepts_every_documented_key(tmp_path):
@@ -232,6 +237,7 @@ def test_hierarchy_level_2_past_its_bound_is_a_config_error(tmp_path, capsys):
     )
     assert cli.main(["simulate", "--config", str(cfg)]) == 2
     assert "hierarchy level 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_hierarchy_level_2_inside_its_bound_is_a_config_error(tmp_path, capsys):
@@ -247,6 +253,7 @@ def test_hierarchy_level_2_inside_its_bound_is_a_config_error(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "hierarchy level 2" in err
+    assert not (tmp_path / "out").exists()
     out = tmp_path / "h2"
     assert cli.main(["hierarchy", "--config", str(cfg), "--lmax", "2", "--out", str(out)]) == 0
     assert (out / "hierarchy.csv").exists()
@@ -305,6 +312,26 @@ def test_hierarchy_level_2_inside_its_bound_is_a_config_error(tmp_path, capsys):
         ({"initial": {"preset": "random_band", "kmax": 0}}, "initial.kmax"),
         ({"initial": {"preset": "random_band", "seed": -5}}, "initial.seed"),
         ({"output": {"formats": ["cvs"]}}, "output.formats"),
+        ({"grid": {"mode": "ring"}}, "grid.mode"),
+        ({"flow": {"kind": 5}}, "flow.kind"),
+        ({"flow": {"sg_branch": ["-"]}}, "flow.sg_branch"),
+        ({"initial": {"preset": "nope"}}, "initial.preset"),
+        ({"output": {"map_check": 1}}, "output.map_check"),
+        # non-finite inline Fourier coefficients
+        ({"initial": {"preset": "inline", "u_cos": [[0, float("nan"), 0, 0]]}}, "initial.u_cos"),
+        ({"initial": {"preset": "inline", "u_sin": [[0, float("inf"), 0, 0]]}}, "initial.u_sin"),
+        ({"algebra": {"n": 2}, "initial": {"preset": "inline", "bu_cos": [[[float("-inf"), 0, 0, 0]]]}},
+         "initial.bu_cos"),
+        ({"algebra": {"n": 2}, "initial": {"preset": "inline", "bu_sin": [[[0, 0, float("nan"), 0]]]}},
+         "initial.bu_sin"),
+        # values of the right JSON type that only SimConfig rejects, like the
+        # unprefixed dt, project_fraction and sg_refine cases above
+        ({"flow": {"dt": 1.0}}, "dt"),
+        ({"flow": {"cfl_constant": float("nan")}}, "cfl_constant"),
+        ({"flow": {"cfl_constant": float("inf")}}, "cfl_constant"),
+        ({"flow": {"cfl_constant": float("-inf")}}, "cfl_constant"),
+        ({"flow": {"cfl_constant": 0.0}}, "cfl_constant"),
+        ({"flow": {"cfl_constant": -1.0}}, "cfl_constant"),
     ],
 )
 def test_malformed_config_values_exit_2_naming_the_key(tmp_path, capsys, command, raw, key):
@@ -312,14 +339,13 @@ def test_malformed_config_values_exit_2_naming_the_key(tmp_path, capsys, command
     path.write_text(json.dumps(raw))
     rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
-    if command != "simulate" and key.endswith(
-        ("dt", "project_fraction", "cadence", "sg_refine", "flow.l")
-    ):
-        assert rc == 0  # only simulate converts the flow's numbers and the cadence
+    if command != "simulate" and key in ("dt", "project_fraction", "sg_refine", "cfl_constant"):
+        assert rc == 0  # every command reads the key, only simulate builds a SimConfig
         return
     assert rc == 2
     assert err.startswith("configuration error: ") and key in err
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["verify", "simulate", "hierarchy", "reconstruct"])
@@ -332,6 +358,35 @@ def test_negative_seed_exits_2_naming_the_option(tmp_path, capsys, command):
     assert err.startswith("configuration error: ") and "--seed" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_negative_lmax_exits_2_naming_the_option(tmp_path, capsys):
+    out = tmp_path / "h"
+    argv = ["hierarchy", "--config", str(write_config(tmp_path)), "--lmax", "-1", "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: --lmax = -1 must be >= 0\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("preset", ["random_band", "mkdv_soliton", "sg_kink"])
+def test_unset_keys_take_the_library_defaults(tmp_path, preset):
+    # a config that sets no preset or flow parameter builds what the library
+    # builds from its own defaults
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({
+        "algebra": {"n": 2},
+        "grid": {"N": 64, "L": 30.0, "mode": "line"},
+        "flow": {"dt": 1e-5, "t_end": 0.0},
+        "initial": {"preset": preset},
+    }))
+    cfg = cli.load_config(path)
+    grid = cli.build_grid(cfg)
+    expected = getattr(sf, f"preset_{preset}")(grid, 2)
+    state = cli.build_state(cfg)
+    assert np.array_equal(state.u.values, expected.u.values)
+    assert np.array_equal(state.bu.values, expected.bu.values)
+    assert cli.build_sim_config(cfg) == sf.SimConfig(n=2, grid=grid, dt=1e-5, t_end=0.0)
 
 
 def test_unknown_output_format_exits_2(tmp_path, capsys):

@@ -33,6 +33,11 @@ def test_simconfig_validation():
     for fraction in (0.0, -1.0, 1.5):
         with pytest.raises(ConfigError, match="project_fraction"):
             sf.SimConfig(n=1, grid=grid, dt=1e-4, t_end=1.0, project_fraction=fraction)
+    # a NaN or infinite constant would switch the dispersive bound off; on every flow
+    for flow in ("mkdv", "sg"):
+        for c in (float("nan"), float("inf"), float("-inf"), 0.0, -1.0):
+            with pytest.raises(ConfigError, match="cfl_constant"):
+                sf.SimConfig(n=1, grid=grid, dt=1e-4, t_end=1.0, flow=flow, cfl_constant=c)
     cfg = sf.SimConfig(n=1, grid=grid, dt=1e-4, t_end=0.0)
     assert cfg.cfl_constant == sf.DEFAULT_CFL_CONSTANT
 
@@ -677,6 +682,16 @@ def test_run_flow_and_conservation(rng):
     assert rep.h0_drift <= 1e-8
     assert rep.h1_drift <= 1e-7
     assert rep.max_re_u <= 1e-12
+
+
+def test_run_flow_rejects_a_config_for_another_state():
+    # a config on N = 32 would check the dispersive bound on the wrong grid
+    grid = gcalc.PeriodicGrid(256, 10.0)
+    state = sf.preset_mkdv_soliton(grid, 1)
+    for n, cfg_grid in ((1, gcalc.PeriodicGrid(32, 10.0)), (2, grid)):
+        cfg = sf.SimConfig(n=n, grid=cfg_grid, dt=1e-6, t_end=1e-5)
+        with pytest.raises(DimensionMismatchError, match=f"n = {n} on .* n = 1 on "):
+            sf.run_flow(cfg, state)
 
 
 def test_conserved_report_zero_state():
