@@ -15,7 +15,6 @@ from .biham_ops import (
     apply_J,
     apply_K,
     apply_R,
-    apply_R_adjoint,
     apply_R_blocks,
     h_parallel,
     hamiltonian_density,
@@ -43,7 +42,7 @@ from .curve_geometry import (
     verify_mkdv_map,
     verify_wave_map,
 )
-from .grid_calculus import Field, PeriodicGrid, antideriv_x, dealias, deriv_x, integrate
+from .grid_calculus import Field, PeriodicGrid, integrate
 from .soliton_flows import (
     ConservationReport,
     SimConfig,
@@ -66,7 +65,6 @@ from .symm_lie import (
     MPerp,
     ad_e,
     ad_e_inv,
-    basis_m,
     bracket,
     bracket_projected,
     cartan_element,

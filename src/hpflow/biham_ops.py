@@ -70,9 +70,6 @@ class _Pair:
     def arrays(self):
         return self.s.values, self.v.values
 
-    def copy(self):
-        return type(self)(self.s.copy(), self.v.copy())
-
     def rms(self) -> float:
         return float(
             np.sqrt(np.mean(self.s.values**2) + np.sum(np.mean(self.v.values**2, axis=0)))
@@ -145,10 +142,6 @@ def _unchecked_pair(cls, grid: PeriodicGrid, s_values, v_values):
 
 def make_covector(grid, s_values, v_values) -> CovectorPair:
     return CovectorPair(Field(grid, s_values, "iquat"), Field(grid, v_values, "qvec"))
-
-
-def zero_flow(grid, n) -> FlowPair:
-    return make_flow(grid, np.zeros((grid.num_points, 4)), np.zeros((grid.num_points, n - 1, 4)))
 
 
 def state_deriv(state: StatePair) -> FlowPair:
@@ -316,21 +309,16 @@ def apply_H_via_K(state, w: CovectorPair, mean_tolerance=DEFAULT_MEAN_TOLERANCE)
 
 
 def apply_J_via_K(state, h: FlowPair, mean_tolerance=DEFAULT_MEAN_TOLERANCE) -> CovectorPair:
-    # inner ad(e)^{-1}: h_perp -> m_perp is (s, v) -> (s/2, -v); outer map with the
-    # overall minus sign sends the K output (s, v) to (s/2, -v) again.
-    zs, zv = 0.5 * h.hs.values, -h.hv.values
-    out_s, out_v = apply_K(state, zs, zv, "mperp", mean_tolerance)
-    return make_covector(state.grid, 0.5 * out_s, -out_v)
+    """J = -ad(e)^{-1} o K o ad(e)^{-1}, with K on m_perp-valued fields."""
+    z = sl.ad_e_inv(sl.HPerp(h.hs.values, h.hv.values))
+    out_s, out_v = apply_K(state, z.s, z.v, "mperp", mean_tolerance)
+    w = -sl.ad_e_inv(sl.MPerp(out_s, out_v))
+    return make_covector(state.grid, w.s, w.v)
 
 
 def apply_R(state, h: FlowPair, mean_tolerance=DEFAULT_MEAN_TOLERANCE) -> FlowPair:
     """Recursion operator R = H o J (zero-mean antiderivative convention)."""
     return apply_H(state, apply_J(state, h, mean_tolerance), mean_tolerance)
-
-
-def apply_R_adjoint(state, w: CovectorPair, mean_tolerance=DEFAULT_MEAN_TOLERANCE) -> CovectorPair:
-    """Adjoint recursion operator R* = J o H."""
-    return apply_J(state, apply_H(state, w, mean_tolerance), mean_tolerance)
 
 
 def apply_R_blocks(state, h: FlowPair, mean_tolerance=DEFAULT_MEAN_TOLERANCE) -> FlowPair:

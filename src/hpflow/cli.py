@@ -58,8 +58,16 @@ def _at_least(low: int):
     return cast
 
 
+def _real(value):
+    """A JSON number as a float; float() alone would read true as 1.0 and
+    "0.5" as 0.5."""
+    if isinstance(value, (bool, str)):
+        raise TypeError("must be a number")
+    return float(value)
+
+
 def _finite(value):
-    x = float(value)
+    x = _real(value)
     if not math.isfinite(x):
         raise ValueError("must be finite")
     return x
@@ -129,11 +137,11 @@ def _formats(value):
 # numbers, output.cadence) are left to them.
 CONFIG_KEYS = {
     "algebra": {"n": _at_least(1)},
-    "grid": {"N": _integer, "L": float, "mode": _mode},
+    "grid": {"N": _integer, "L": _real, "mode": _mode},
     "flow": {
-        "kind": _json(str), "l": _integer, "dt": float, "t_end": float,
+        "kind": _json(str), "l": _integer, "dt": _real, "t_end": _real,
         "sg_branch": _json(str), "galilean_removed": _json(bool),
-        "cfl_constant": float, "sg_refine": _integer, "project_fraction": _or_null(float),
+        "cfl_constant": _real, "sg_refine": _integer, "project_fraction": _or_null(_real),
     },
     "initial": {
         "preset": _json(str), "seed": _at_least(0), "amplitude": _finite,
@@ -280,8 +288,7 @@ def _write_snapshot(outdir: Path, index: int, t: float, state: bo.StatePair, for
 
 def cmd_verify(args) -> int:
     if args.scope not in vs.SCOPES:
-        print(f"error: unknown scope {args.scope!r}; choose from {vs.SCOPES}", file=sys.stderr)
-        return 2
+        raise ConfigError(f"--scope = {args.scope!r}: choose from {list(vs.SCOPES)}")
     checks = vs.run_scope(args.scope, seed=args.seed)
     report = {
         "scope": args.scope,

@@ -86,20 +86,11 @@ def _transport_transfers(state: StatePair, refine: int) -> np.ndarray:
     return sf.expm_antihermitian(sf._magnus4(A_t, grid.dx / refine))
 
 
-def transport_frame(state: StatePair, psi0: np.ndarray | None = None, refine: int = 4) -> FrameState:
-    """Integrate the frame along x on the refine-times-finer grid."""
-    grid = state.grid
-    size = 2 * (state.n + 1)
+def transport_frame(state: StatePair, refine: int = 4) -> FrameState:
+    """Integrate the frame along x on the refine-times-finer grid, from the
+    identity at x = 0."""
     prefixes = np.swapaxes(sf.prefix_products(_transport_transfers(state, refine)), -1, -2)
-    psi = prefixes[:-1]
-    monodromy = prefixes[-1]
-    if psi0 is not None:
-        psi0 = np.asarray(psi0)
-        if psi0.shape != (size, size):
-            raise DomainError(f"psi0 must be {size} x {size} complex")
-        psi = psi0 @ psi
-    fine_grid = grid.refined(refine)
-    return FrameState(fine_grid, state.n, psi, monodromy)
+    return FrameState(state.grid.refined(refine), state.n, prefixes[:-1], prefixes[-1])
 
 
 def grid_frame(state: StatePair, refine: int = 8) -> FrameState:
@@ -246,9 +237,6 @@ class MComps:
 
     s: np.ndarray  # (K, 4); real part is the m_par coefficient
     v: np.ndarray  # (K, m, 4)
-
-    def __add__(self, other):
-        return MComps(self.s + other.s, self.v + other.v)
 
     def __sub__(self, other):
         return MComps(self.s - other.s, self.v - other.v)

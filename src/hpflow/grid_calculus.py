@@ -188,58 +188,14 @@ class Field:
                 f"kind {self.kind!r} expects {expected_ndim} axes, got {self.values.ndim}"
             )
 
-    def _binary_check(self, other: "Field"):
-        if not isinstance(other, Field):
-            raise DomainError("field arithmetic needs another Field")
-        if other.grid != self.grid:
-            raise DimensionMismatchError("fields live on different grids")
-        if other.kind != self.kind:
-            raise DimensionMismatchError(f"kind mismatch {self.kind} vs {other.kind}")
-
-    def __add__(self, other):
-        self._binary_check(other)
-        return Field(self.grid, self.values + other.values, self.kind)
-
-    def __sub__(self, other):
-        self._binary_check(other)
-        return Field(self.grid, self.values - other.values, self.kind)
-
-    def __mul__(self, scalar):
-        return Field(self.grid, float(scalar) * self.values, self.kind)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return Field(self.grid, -self.values, self.kind)
-
-    def copy(self):
-        return Field(self.grid, self.values.copy(), self.kind)
-
     def rms(self) -> float:
         return float(np.sqrt(np.mean(self.values**2)))
-
-
-def deriv_x(f: Field, order: int = 1) -> Field:
-    return Field(f.grid, spectral_deriv(f.values, f.grid, order), f.kind)
-
-
-def antideriv_x(
-    f: Field,
-    mean_tolerance: float = DEFAULT_MEAN_TOLERANCE,
-    block: str = "antideriv_x",
-) -> Field:
-    """Zero-mean periodic antiderivative; raises NonlocalityError on nonzero mean."""
-    return Field(f.grid, guarded_antideriv(f.values, f.grid, mean_tolerance, block), f.kind)
 
 
 def integrate(f: Field):
     """Rectangle quadrature, exact for trigonometric polynomials below Nyquist."""
     out = np.sum(f.values, axis=0) * f.grid.dx
     return float(out) if f.kind == "real" else out
-
-
-def dealias(f: Field, fraction: float = 2.0 / 3.0) -> Field:
-    return Field(f.grid, dealias_values(f.values, f.grid, fraction), f.kind)
 
 
 # -- serialization -----------------------------------------------------------
@@ -257,18 +213,6 @@ def field_to_binary(path, f: Field, n: int):
         fh.write(struct.pack("<q", f.values.ndim))
         fh.write(struct.pack(f"<{f.values.ndim}q", *f.values.shape))
         fh.write(np.ascontiguousarray(f.values, dtype="<f8").tobytes())
-
-
-def field_from_binary(path):
-    with open(path, "rb") as fh:
-        if fh.read(8) != _MAGIC:
-            raise DomainError("not a field snapshot file")
-        n, num_points, length = struct.unpack("<qqd", fh.read(24))
-        kind = fh.read(16).rstrip(b"\0").decode("ascii")
-        (ndim,) = struct.unpack("<q", fh.read(8))
-        shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim))
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(shape)
-    return int(n), Field(PeriodicGrid(num_points, length), data.copy(), kind)
 
 
 # values formatted per % operation: a block's text stays near 200 kB however

@@ -26,7 +26,7 @@ results stay Python floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,15 +160,6 @@ class LieElement:
             m_perp=MPerp(qc.qim(m_scalar), M[..., 0, 2:, :].copy()),
             h_par=HPar(0.5 * (p_plus_q + p_minus_q), M[..., 2:, 2:, :].copy()),
             h_perp=HPerp(0.5 * (p_plus_q - p_minus_q), M[..., 1, 2:, :].copy()),
-        )
-
-    def scaled(self, c: float) -> "LieElement":
-        return LieElement(
-            self.n,
-            c * self.m_par,
-            MPerp(c * self.m_perp.s, c * self.m_perp.v),
-            HPar(c * self.h_par.p, c * self.h_par.mat),
-            HPerp(c * self.h_perp.s, c * self.h_perp.v),
         )
 
     def add(self, other: "LieElement") -> "LieElement":
@@ -343,11 +334,6 @@ def killing_m(n, mpar1, mperp1, mpar2, mperp2) -> float | np.ndarray:
     )
 
 
-def killing_hperp(n, a: HPerp, b: HPerp) -> float | np.ndarray:
-    """Component formula for the Killing form restricted to h_perp."""
-    return _float_or_batch(-chi(n) * (qc.dot4(a.s, b.s) + qc.vec_dot(a.v, b.v)))
-
-
 def killing_components(g1: LieElement, g2: LieElement) -> float | np.ndarray:
     """Killing form assembled from packed parts (m and h blocks are orthogonal)."""
     n = g1.n
@@ -407,17 +393,3 @@ def equivalence_action(a, A, x):
 def cartan_element(n: int) -> LieElement:
     return LieElement(n, m_par=1.0)
 
-
-def basis_m(n: int) -> list[LieElement]:
-    """e plus the 4n-1 perp basis elements; pairwise Killing-orthogonal."""
-    if n < 1:
-        raise DomainError("n must be >= 1")
-    out = [cartan_element(n)]
-    for q in (qc.I, qc.J, qc.K):
-        out.append(element_from_parts(n, MPerp(q.copy(), np.zeros((n - 1, 4)))))
-    for l in range(n - 1):
-        for q in (qc.ONE, qc.I, qc.J, qc.K):
-            v = np.zeros((n - 1, 4))
-            v[l] = q
-            out.append(element_from_parts(n, MPerp(np.zeros(4), v)))
-    return out

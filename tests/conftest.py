@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -65,3 +67,18 @@ def random_element(rng, n, scale=1.0):
         random_part(rng, n, "h_par", scale),
         random_part(rng, n, "h_perp", scale),
     )
+
+
+def read_qfld(path):
+    """(n, N, L, kind, values) of a field snapshot written by
+    grid_calculus.field_to_binary: the magic b"QFLD0001", then n, N and L
+    packed "<qqd", the kind in 16 NUL-padded ASCII bytes, ndim and the shape
+    as little-endian int64, and the samples as little-endian float64."""
+    with open(path, "rb") as fh:
+        assert fh.read(8) == b"QFLD0001"
+        n, num_points, length = struct.unpack("<qqd", fh.read(24))
+        kind = fh.read(16).rstrip(b"\0").decode("ascii")
+        (ndim,) = struct.unpack("<q", fh.read(8))
+        shape = struct.unpack(f"<{ndim}q", fh.read(8 * ndim))
+        values = np.frombuffer(fh.read(), dtype="<f8").reshape(shape)
+    return n, num_points, length, kind, values

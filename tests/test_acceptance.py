@@ -263,10 +263,6 @@ def test_criterion_4_hierarchy_consistency():
         np.max(np.abs(g0.wv.values - small.bu.values)),
     )
     g1 = bo.variational_derivative_fd(bo.HierarchyFunctional(1), small)
-    w1 = bo.apply_R_adjoint(
-        small, bo.make_covector(small.grid, small.u.values, small.bu.values),
-        mean_tolerance=np.inf,
-    )
     w1_jet = bo.hierarchy_covector(small, 1)
     d_w1 = max(
         np.max(np.abs(g1.ws.values - w1_jet.ws.values)),

@@ -80,13 +80,17 @@ def test_apply_H_exactness(rng):
         assert pair_diff(out, target) <= 1e-10 * max(1.0, pair_max(target))
 
 
+def zero_flow(grid, n):
+    return bo.make_flow(grid, np.zeros((grid.num_points, 4)), np.zeros((grid.num_points, n - 1, 4)))
+
+
 def test_apply_H_linearity_zero(rng):
     state = random_state(rng, GRID, 2)
     zero_w = bo.make_covector(
         GRID, np.zeros((GRID.num_points, 4)), np.zeros((GRID.num_points, 1, 4))
     )
     assert pair_max(bo.apply_H(state, zero_w)) == 0.0
-    assert pair_max(bo.apply_J(state, bo.zero_flow(GRID, 2))) == 0.0
+    assert pair_max(bo.apply_J(state, zero_flow(GRID, 2))) == 0.0
 
 
 def test_scalar_reduction_operators(rng):
@@ -124,6 +128,19 @@ def test_H_via_K_and_J_via_K(rng):
         assert pair_diff(direct, via_k) <= 1e-10 * max(1.0, pair_max(direct))
 
 
+def test_J_via_K_takes_the_bits_of_the_explicit_maps(rng):
+    # ad(e)^{-1} sends h_perp (s, v) to m_perp (s/2, -v); -ad(e)^{-1} sends
+    # m_perp (s, v) to (s/2, -v)
+    for n in (1, 2, 3):
+        state = random_state(rng, GRID, n)
+        h = random_flow(rng, GRID, n)
+        zs, zv = 0.5 * h.hs.values, -h.hv.values
+        out_s, out_v = bo.apply_K(state, zs, zv, "mperp", mean_tolerance=np.inf)
+        via_k = bo.apply_J_via_K(state, h, mean_tolerance=np.inf)
+        assert via_k.ws.values.tobytes() == (0.5 * out_s).tobytes()
+        assert via_k.wv.values.tobytes() == (-out_v).tobytes()
+
+
 def test_K_zero_input(rng):
     state = random_state(rng, GRID, 2)
     zs, zv = bo.apply_K(
@@ -148,7 +165,7 @@ def test_R_blocks_match_composition(rng):
 
 def test_R_zero(rng):
     state = random_state(rng, GRID, 2)
-    assert pair_max(bo.apply_R(state, bo.zero_flow(GRID, 2))) == 0.0
+    assert pair_max(bo.apply_R(state, zero_flow(GRID, 2))) == 0.0
 
 
 def test_skew_adjointness(rng):
@@ -292,7 +309,7 @@ def test_h_parallel_level0(rng):
     expected = local - np.mean(local)
     assert np.max(np.abs(hpar.values - expected)) <= 1e-10
     # zero flow gives zero h_par
-    z = bo.h_parallel(state, bo.zero_flow(GRID, 2))
+    z = bo.h_parallel(state, zero_flow(GRID, 2))
     assert np.max(np.abs(z.values)) == 0.0
 
 

@@ -10,6 +10,8 @@ from hpflow import curve_geometry as cg
 from hpflow import soliton_flows as sf
 from hpflow.errors import ConfigError
 
+from conftest import read_qfld
+
 
 CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
@@ -39,8 +41,12 @@ def test_verify_algebra_scope(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
-def test_verify_invalid_scope():
+def test_verify_invalid_scope(capsys):
     assert cli.main(["verify", "--scope", "bogus"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: --scope = 'bogus': choose from "
+        "['algebra', 'operators', 'flows', 'geometry', 'all']\n"
+    )
 
 
 def test_verify_writes_report(tmp_path, capsys):
@@ -227,6 +233,27 @@ def test_config_accepts_every_documented_key(tmp_path):
     assert any((tmp_path / "full").glob("*.qfld"))
 
 
+def test_binary_snapshots_hold_the_csv_snapshot_values(tmp_path):
+    # %.17e round-trips float64, so the CSV columns give the binary's bits
+    cfg = write_config(
+        tmp_path, algebra={"n": 2}, output={"cadence": 5, "formats": ["csv", "binary"]}
+    )
+    assert cli.main(["simulate", "--config", str(cfg)]) == 0
+    out = tmp_path / "out"
+    snaps = sorted(out.glob("snapshot_*.csv"))
+    assert len(snaps) == 3
+    for index, path in enumerate(snaps):
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        csv = np.array([[float(v) for v in row] for row in rows])
+        n, N, L, kind, u = read_qfld(out / f"snapshot_u_{index:06d}.qfld")
+        assert (n, N, L, kind) == (2, 64, 20.0, "iquat")
+        assert u.tobytes() == np.ascontiguousarray(csv[:, 1:5]).tobytes()
+        n, N, L, kind, bu = read_qfld(out / f"snapshot_bu_{index:06d}.qfld")
+        assert (n, N, L, kind) == (2, 64, 20.0, "qvec")
+        assert bu.shape == (64, 1, 4)
+        assert bu.tobytes() == np.ascontiguousarray(csv[:, 5:9]).tobytes()
+
+
 def test_hierarchy_level_2_past_its_bound_is_a_config_error(tmp_path, capsys):
     # without the per-level bound this run blew up and reported a NonlocalityError
     cfg = write_config(
@@ -332,6 +359,23 @@ def test_hierarchy_level_2_inside_its_bound_is_a_config_error(tmp_path, capsys):
         ({"flow": {"cfl_constant": float("-inf")}}, "cfl_constant"),
         ({"flow": {"cfl_constant": 0.0}}, "cfl_constant"),
         ({"flow": {"cfl_constant": -1.0}}, "cfl_constant"),
+        # real keys: a boolean or a string is refused, not read as a number
+        ({"grid": {"L": True}}, "grid.L"),
+        ({"grid": {"L": "0.5"}}, "grid.L"),
+        ({"flow": {"dt": True}}, "flow.dt"),
+        ({"flow": {"dt": "0.5"}}, "flow.dt"),
+        ({"flow": {"t_end": True}}, "flow.t_end"),
+        ({"flow": {"t_end": "0.5"}}, "flow.t_end"),
+        ({"flow": {"cfl_constant": True}}, "flow.cfl_constant"),
+        ({"flow": {"cfl_constant": "0.5"}}, "flow.cfl_constant"),
+        ({"flow": {"project_fraction": True}}, "flow.project_fraction"),
+        ({"flow": {"project_fraction": "0.5"}}, "flow.project_fraction"),
+        ({"initial": {"preset": "random_band", "amplitude": True}}, "initial.amplitude"),
+        ({"initial": {"preset": "random_band", "amplitude": "0.5"}}, "initial.amplitude"),
+        ({"initial": {"preset": "mkdv_soliton", "x0": True}}, "initial.x0"),
+        ({"initial": {"preset": "mkdv_soliton", "x0": "0.5"}}, "initial.x0"),
+        ({"initial": {"preset": "sg_kink", "a": True}}, "initial.a"),
+        ({"initial": {"preset": "sg_kink", "a": "0.5"}}, "initial.a"),
     ],
 )
 def test_malformed_config_values_exit_2_naming_the_key(tmp_path, capsys, command, raw, key):

@@ -278,6 +278,11 @@ def test_ad_e_zero():
     np.testing.assert_array_equal(out.s, np.zeros(4))
 
 
+def killing_hperp(n, a, b):
+    """Component formula for the Killing form restricted to h_perp."""
+    return -sl.chi(n) * (qc.dot4(a.s, b.s) + qc.vec_dot(a.v, b.v))
+
+
 def test_equivalence_action(rng):
     for n in NS:
         x = random_part(rng, n, "h_perp")
@@ -289,8 +294,8 @@ def test_equivalence_action(rng):
         a = random_unit_quat(rng)
         A = random_unitary(rng, n - 1)
         out = sl.equivalence_action(a, A, x)
-        k1 = sl.killing_hperp(n, x, x)
-        k2 = sl.killing_hperp(n, out, out)
+        k1 = killing_hperp(n, x, x)
+        k2 = killing_hperp(n, out, out)
         assert abs(k1 - k2) <= 1e-12 * (1 + abs(k1))
 
 
@@ -306,30 +311,6 @@ def test_equivalence_action_rejects_bad_group_elements(rng):
         sl.equivalence_action(2.0 * qc.ONE, qc.qmat_identity(1), x)
     with pytest.raises(DomainError):
         sl.equivalence_action(qc.ONE, 2.0 * qc.qmat_identity(1), x)
-
-
-def test_basis_m(rng):
-    for n in NS:
-        basis = sl.basis_m(n)
-        assert len(basis) == 4 * n
-        gram = np.array(
-            [[sl.killing(a, b) for b in basis] for a in basis]
-        )
-        off = gram - np.diag(np.diag(gram))
-        assert np.max(np.abs(off)) < 1e-12
-        assert np.all(np.diag(gram) < 0.0)
-
-
-def test_basis_m_n1():
-    basis = sl.basis_m(1)
-    assert len(basis) == 4
-    assert basis[0].m_par == 1.0
-    np.testing.assert_array_equal(basis[1].m_perp.s, qc.I)
-
-
-def test_basis_m_rejects_bad_n():
-    with pytest.raises(DomainError):
-        sl.basis_m(0)
 
 
 # -- a leading batch axis: each instance equals the unbatched call -------------

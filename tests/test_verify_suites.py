@@ -15,6 +15,29 @@ def test_all_scopes_listed():
     assert set(vs.SCOPES) == {"algebra", "operators", "flows", "geometry", "all"}
 
 
+SUITES = ["algebra_suite", "bracket_table_suite", "operator_suite", "flow_suite", "geometry_suite"]
+
+
+@pytest.mark.parametrize(
+    "scope, expected",
+    [
+        ("algebra", SUITES[:2]),
+        ("operators", SUITES[2:3]),
+        ("flows", SUITES[3:4]),
+        ("geometry", SUITES[4:]),
+        ("all", SUITES),
+    ],
+)
+def test_run_scope_runs_its_suites_in_order_at_their_seed_offsets(monkeypatch, scope, expected):
+    # the suites are looked up when run_scope runs, so a replaced module
+    # function is the one called
+    calls = []
+    for name in SUITES:
+        monkeypatch.setattr(vs, name, lambda seed, name=name: calls.append((name, seed)) or [name])
+    assert vs.run_scope(scope, seed=10) == expected
+    assert calls == [(name, 10 + SUITES.index(name)) for name in expected]
+
+
 def test_algebra_suite_passes():
     checks = vs.algebra_suite(seed=5, instances=200)
     assert checks and all(c.passed for c in checks)
