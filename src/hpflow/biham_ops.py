@@ -454,11 +454,14 @@ def hamiltonian_value(state: StatePair, l: int) -> float:
     return gcalc.integrate(hamiltonian_local_density(state, l))
 
 
-def _jet_h_par_const(state: StatePair, l: int) -> float:
-    """Jet constant of h_par in the recursion step from level l <= 1."""
+def _jet_h_par_const(state: StatePair, l: int) -> float | None:
+    """Jet constant of h_par in the recursion step from level l: known for
+    l <= 1, None (the zero mean) above."""
     if l == 0:
         return float(np.mean(_h_par0_local(*state.arrays())))
-    return 3.0 * hamiltonian_value(state, 1) / state.grid.length
+    if l == 1:
+        return 3.0 * hamiltonian_value(state, 1) / state.grid.length
+    return None
 
 
 def hierarchy_flows(
@@ -469,14 +472,13 @@ def hierarchy_flows(
         raise DomainError("l_max must be >= 0")
     flows = [state_deriv(state)]
     for l in range(l_max):
-        h_par_const = w_par_const = W_par_const = None
-        if l <= 1:
-            h_par_const = _jet_h_par_const(state, l)
-            if l == 0:
-                u, bu = state.arrays()
-                ux, bux = flows[0].arrays()
-                w_par_const = np.mean(_w_par1_local(u, bu, ux, bux), axis=0)
-                W_par_const = np.mean(_W_par1_local(u, bu, bux), axis=0)
+        h_par_const = _jet_h_par_const(state, l)
+        w_par_const = W_par_const = None
+        if l == 0:
+            u, bu = state.arrays()
+            ux, bux = flows[0].arrays()
+            w_par_const = np.mean(_w_par1_local(u, bu, ux, bux), axis=0)
+            W_par_const = np.mean(_W_par1_local(u, bu, bux), axis=0)
         try:
             w_next = apply_J(state, flows[l], mean_tolerance, h_par_const)
             flows.append(
@@ -497,8 +499,7 @@ def hierarchy_covector(state, l, mean_tolerance=DEFAULT_MEAN_TOLERANCE) -> Covec
     if l == 0:
         return make_covector(state.grid, state.u.values.copy(), state.bu.values.copy())
     flows = hierarchy_flows(state, l - 1, mean_tolerance)
-    h_par_const = _jet_h_par_const(state, l - 1) if l <= 2 else None
-    return apply_J(state, flows[l - 1], mean_tolerance, h_par_const)
+    return apply_J(state, flows[l - 1], mean_tolerance, _jet_h_par_const(state, l - 1))
 
 
 def hamiltonian_density(state: StatePair, l: int, mean_tolerance=DEFAULT_MEAN_TOLERANCE) -> Field:

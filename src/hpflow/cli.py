@@ -97,20 +97,26 @@ def _json(kind):
     return cast
 
 
+def _finite_array(value):
+    """Nested JSON arrays as a float array, every entry read by _finite."""
+
+    def entries(v):
+        return [entries(e) for e in v] if isinstance(v, list) else _finite(v)
+
+    return np.asarray(entries(value), dtype=float)
+
+
 def _direction(value):
     """Four finite quaternion components, not all zero."""
-    q = np.asarray(value, dtype=float)
-    if q.shape != (4,) or not np.all(np.isfinite(q)) or not np.any(q):
+    q = _finite_array(value)
+    if q.shape != (4,) or not np.any(q):
         raise ValueError("need four finite quaternion components, not all zero")
     return q
 
 
 def _coefficients(value):
     """Rows of inline Fourier coefficients, every entry finite; null is no rows."""
-    rows = np.asarray([] if value is None else value, dtype=float)
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("entries must be finite")
-    return rows
+    return _finite_array([] if value is None else value)
 
 
 def _mode(value):

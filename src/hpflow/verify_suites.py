@@ -437,7 +437,7 @@ def geometry_suite(seed: int = 4) -> list[CheckResult]:
     soliton = sf.preset_mkdv_soliton(sol_grid, n=1, a=1.0)
     traj = cg.evolve_with_frame(soliton, "mkdv", 2e-3, 10, transport_refine=8)
     out = cg.verify_mkdv_map(traj, idx=5)
-    results.append(CheckResult("mKdV map residual", 1e-4, out["residual"]))
+    results.append(CheckResult("mKdV map residual", 1e-6, out["residual"]))
     results.append(CheckResult("mKdV map tangential component", 1e-5, out["tangential_residual"]))
 
     kink = sf.preset_sg_kink(sol_grid, n=1, a=1.0)

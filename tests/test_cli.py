@@ -376,6 +376,18 @@ def test_hierarchy_level_2_inside_its_bound_is_a_config_error(tmp_path, capsys):
         ({"initial": {"preset": "mkdv_soliton", "x0": "0.5"}}, "initial.x0"),
         ({"initial": {"preset": "sg_kink", "a": True}}, "initial.a"),
         ({"initial": {"preset": "sg_kink", "a": "0.5"}}, "initial.a"),
+        # array keys: every entry is read as a number, so a boolean or a
+        # string entry is refused
+        ({"initial": {"preset": "mkdv_soliton", "direction": ["0", True, "0", 0]}},
+         "initial.direction"),
+        ({"initial": {"preset": "mkdv_soliton", "direction": [0, True, 0, 0]}}, "initial.direction"),
+        ({"initial": {"preset": "sg_kink", "direction": [0, "1", 0, 0]}}, "initial.direction"),
+        ({"initial": {"preset": "inline", "u_cos": [["0", "0.5", True, 0]]}}, "initial.u_cos"),
+        ({"initial": {"preset": "inline", "u_sin": [[0, True, 0, 0]]}}, "initial.u_sin"),
+        ({"algebra": {"n": 2}, "initial": {"preset": "inline", "bu_cos": [[[0, "1", 0, 0]]]}},
+         "initial.bu_cos"),
+        ({"algebra": {"n": 2}, "initial": {"preset": "inline", "bu_sin": [[[False, 0, 0, 1]]]}},
+         "initial.bu_sin"),
     ],
 )
 def test_malformed_config_values_exit_2_naming_the_key(tmp_path, capsys, command, raw, key):
