@@ -164,12 +164,6 @@ def _uut_mat(bu, u):
     return qc.qmul(left, bu[:, None, :, :])
 
 
-def _inv_dx(values, grid, tol, block, const=None, ref=0.0):
-    """Guarded zero-mean antiderivative of a raw array, optionally shifted to a jet constant."""
-    out = gcalc.guarded_antideriv(values, grid, tol, block, ref)
-    return out if const is None else out + const
-
-
 # -- the operator pair -------------------------------------------------------
 
 def w_parallel(
@@ -185,11 +179,13 @@ def w_parallel(
     grid = state.grid
     ref = state.rms() * w.rms()
     integrand = qc.comm_C(u, ws) - 0.5 * qc.comm_C_vec(bu, wv)
-    w_par = -_inv_dx(integrand, grid, mean_tolerance, "w_parallel",
-                     None if w_par_const is None else -np.asarray(w_par_const), ref)
-    W_par = _inv_dx(qc.matcomm_C(bu, wv), grid, mean_tolerance, "W_parallel",
-                    W_par_const, ref)
-    return Field(grid, w_par, "iquat"), Field(grid, W_par, "qmat")
+    w_par = gcalc.guarded_antideriv(integrand, grid, mean_tolerance, "w_parallel", ref)
+    W_par = gcalc.guarded_antideriv(qc.matcomm_C(bu, wv), grid, mean_tolerance, "W_parallel", ref)
+    if w_par_const is not None:
+        w_par -= w_par_const
+    if W_par_const is not None:
+        W_par += W_par_const
+    return Field(grid, -w_par, "iquat"), Field(grid, W_par, "qmat")
 
 
 def h_parallel(
@@ -204,9 +200,10 @@ def h_parallel(
     # A(u, hs)/2 - A(bu, hv)/2 with vec_dot already equal to A(bu, hv)/2
     integrand = 0.5 * qc.acomm_A_im(u, hs) - qc.vec_dot(bu, hv)
     ref = state.rms() * h.rms()
-    out = -_inv_dx(integrand, state.grid, mean_tolerance, "h_parallel",
-                   None if h_par_const is None else -float(h_par_const), ref)
-    return Field(state.grid, out, "real")
+    out = gcalc.guarded_antideriv(integrand, state.grid, mean_tolerance, "h_parallel", ref)
+    if h_par_const is not None:
+        out -= float(h_par_const)
+    return Field(state.grid, -out, "real")
 
 
 def apply_H(

@@ -45,7 +45,7 @@ from . import quat_core as qc
 from . import soliton_flows as sf
 from . import symm_lie as sl
 from .biham_ops import StatePair, make_state
-from .errors import DomainError, GaugeAlignmentError
+from .errors import DimensionMismatchError, DomainError, GaugeAlignmentError
 from .grid_calculus import Field, PeriodicGrid
 from .symm_lie import chi
 
@@ -230,6 +230,32 @@ def geometric_invariants_from_curve(state: StatePair, refine: int = 8) -> dict:
     }
 
 
+def reconstruction_errors(state: StatePair) -> tuple[dict, FrameState, dict]:
+    """How well the curve reconstructed at refine 8 reproduces the state, with
+    the frame it was read from and the closed-form invariants.
+
+    unitarity_defect is the frame's, speed_max_deviation is max |gamma_x| - 1|,
+    and invariant_max_deviation is the largest deviation of the measured
+    curvature invariants from their closed forms, each relative to
+    max(1, max |closed form|).
+    """
+    measured = geometric_invariants_from_curve(state)
+    formulas = geometric_invariants(state)
+    deviation = 0.0
+    for key in ("g_NN", "g_NNx", "g_NxNx"):
+        target = gcalc.spectral_refine(formulas[key].values, state.grid, 8)
+        deviation = max(
+            deviation,
+            float(np.max(np.abs(measured[key] - target))) / max(1.0, np.max(np.abs(target))),
+        )
+    errors = {
+        "unitarity_defect": measured["frame"].unitarity_defect(),
+        "speed_max_deviation": float(np.max(np.abs(measured["speed"] - 1.0))),
+        "invariant_max_deviation": deviation,
+    }
+    return errors, measured["frame"], formulas
+
+
 # -- frame-native covariant calculus -------------------------------------------
 
 @dataclass
@@ -376,15 +402,16 @@ class FrameTrajectory:
 
 def evolve_with_frame(
     state: StatePair,
+    frame0: FrameState,
     flow: str,
     dt: float,
     steps: int,
     branch: str = "-",
     sg_mode: str = "line",
     sg_refine: int = 8,
-    transport_refine: int = 8,
 ) -> FrameTrajectory:
-    """Co-evolve the state and the frame field psi(t, x).
+    """Co-evolve the state and the frame field psi(t, x), from frame0, the
+    frame of state at the grid points (grid_frame(state, refine)).
 
     The state advances by the flow solvers' RK4 body, with the 2/3 rule on
     the +1 flow and no projection on the -1 flow, as in sg_step.  The frame
@@ -393,6 +420,8 @@ def evolve_with_frame(
     keeps psi exactly unitary.
     """
     grid = state.grid
+    if frame0.grid != grid or frame0.n != state.n:
+        raise DimensionMismatchError("frame0 is not a frame of state")
 
     if flow == "mkdv":
         fraction = sf.DEFAULT_PROJECT_FRACTION
@@ -411,7 +440,6 @@ def evolve_with_frame(
     else:
         raise DomainError(f"unknown flow {flow!r} for frame evolution")
 
-    frame0 = grid_frame(state, transport_refine)
     traj = FrameTrajectory(n=state.n, grid=grid, flow=flow)
     traj.append(0.0, state, frame0)
     psi = frame0.psi.copy()

@@ -678,11 +678,9 @@ def sg_kink_profile(grid: PeriodicGrid, a: float, x0: float, t: float = 0.0):
 def preset_sg_kink(
     grid: PeriodicGrid, n: int, a: float = 1.0, x0: float | None = None, direction=None
 ) -> StatePair:
-    if x0 is None:
-        x0 = grid.length / 2.0
-    q = qc.I if direction is None else np.asarray(direction) / qc.qnorm(direction)
-    u = sg_kink_profile(grid, a, x0)[:, None] * q
-    return make_state(grid, u, np.zeros((grid.num_points, n - 1, 4)))
+    """The kink's covariant at t = 0, a sech(a(x - x0)): the soliton preset's
+    profile, with a = 1 by default."""
+    return preset_mkdv_soliton(grid, n, a, x0, direction)
 
 
 # -- trajectories and conservation reports ------------------------------------

@@ -202,115 +202,75 @@ def bracket(g1: LieElement, g2: LieElement) -> LieElement:
     return LieElement.from_matrix(qc.qmatmul(M1, M2) - qc.qmatmul(M2, M1))
 
 
-_TARGETS = ("m_par", "m_perp", "h_par", "h_perp")
+# part class -> kind name, in the order an element's parts are drawn in verify
+_KIND_OF = {MPar: "m_par", MPerp: "m_perp", HPar: "h_par", HPerp: "h_perp"}
+KINDS = tuple(_KIND_OF.values())
+
+
+def _m_par_m_par(a, b):
+    batch = np.broadcast_shapes(np.shape(a.coeff), np.shape(b.coeff))
+    return HPar(np.zeros(batch + (4,)), np.zeros(batch + (0, 0, 4)))
+
+
+def _perp_perp_h_par(a, b):
+    return HPar(qc.comm_C(a.s, b.s) - 0.5 * qc.comm_C_vec(a.v, b.v), qc.matcomm_C(b.v, a.v))
+
+
+# (kind of a, kind of b, target) -> the target part of [a, b] in closed form,
+# in the order bracket_table_suite draws its cases.  A pair of distinct kinds
+# is listed in one order; bracket_projected takes the other from [b, a] = -[a, b].
+BRACKET_TABLE = {
+    ("m_par", "m_par", "h_par"): _m_par_m_par,
+    ("m_par", "h_par", "m_par"): lambda a, b: MPar(_float_or_batch(np.zeros(
+        np.broadcast_shapes(np.shape(a.coeff), b.p.shape[:-1], b.mat.shape[:-3])
+    ))),
+    ("h_par", "h_par", "h_par"): lambda a, b: HPar(
+        qc.comm_C(a.p, b.p), qc.qmatmul(a.mat, b.mat) - qc.qmatmul(b.mat, a.mat)
+    ),
+    ("m_par", "m_perp", "h_perp"): lambda a, b: HPerp(
+        2.0 * _coeff(a, 1) * b.s, -_coeff(a, 2) * b.v
+    ),
+    ("m_par", "h_perp", "m_perp"): lambda a, b: MPerp(
+        -2.0 * _coeff(a, 1) * b.s, _coeff(a, 2) * b.v
+    ),
+    ("h_par", "m_perp", "m_perp"): lambda a, b: MPerp(
+        qc.comm_C(a.p, b.s), qc.scalar_vec(a.p, b.v) - qc.qmat_vecmul(b.v, a.mat)
+    ),
+    ("h_par", "h_perp", "h_perp"): lambda a, b: HPerp(
+        qc.comm_C(a.p, b.s), qc.scalar_vec(a.p, b.v) - qc.qmat_vecmul(b.v, a.mat)
+    ),
+    ("m_perp", "m_perp", "h_par"): _perp_perp_h_par,
+    ("m_perp", "m_perp", "h_perp"): lambda a, b: HPerp(
+        0.5 * qc.comm_C_vec(b.v, a.v), qc.scalar_vec(a.s, b.v) - qc.scalar_vec(b.s, a.v)
+    ),
+    ("h_perp", "h_perp", "h_par"): _perp_perp_h_par,
+    ("h_perp", "h_perp", "h_perp"): lambda a, b: HPerp(
+        0.5 * qc.comm_C_vec(a.v, b.v), qc.scalar_vec(b.s, a.v) - qc.scalar_vec(a.s, b.v)
+    ),
+    ("m_perp", "h_perp", "m_par"): lambda a, b: MPar(
+        _float_or_batch(-qc.acomm_A(a.s, b.s) - 0.5 * qc.acomm_A_vec(a.v, b.v))
+    ),
+    ("m_perp", "h_perp", "m_perp"): lambda a, b: MPerp(
+        0.5 * qc.comm_C_vec(b.v, a.v), qc.scalar_vec(a.s, b.v) - qc.scalar_vec(b.s, a.v)
+    ),
+}
 
 
 def bracket_projected(a, b, target: str):
-    """Closed-form projection of [a, b] onto a named subspace.
+    """Closed-form projection of [a, b] onto the named target subspace.
 
-    Supported (type(a), type(b), target) combinations follow the symmetric-space
-    bracket table; wrong tags raise DomainError.  Each form must agree with
-    projecting the matrix commutator, which the test suite enforces.
+    The form comes from BRACKET_TABLE, directly or negated from the reversed
+    pair; a combination in neither order raises DomainError.  Each form must
+    agree with projecting the matrix commutator, which the test suite enforces.
     """
-    if target not in _TARGETS:
-        raise DomainError(f"unknown target subspace {target!r}")
-    ta, tb = type(a), type(b)
-
-    if ta is MPar and tb is MPar:
-        if target == "h_par":
-            batch = np.broadcast_shapes(np.shape(a.coeff), np.shape(b.coeff))
-            return HPar(np.zeros(batch + (4,)), np.zeros(batch + (0, 0, 4)))
-        raise DomainError("[m_par, m_par] lies in h_par")
-    if ta is MPar and tb is HPar:
-        if target == "m_par":
-            batch = np.broadcast_shapes(np.shape(a.coeff), b.p.shape[:-1], b.mat.shape[:-3])
-            return MPar(_float_or_batch(np.zeros(batch)))
-        raise DomainError("[m_par, h_par] lies in m_par")
-    if ta is HPar and tb is MPar:
-        return -bracket_projected(b, a, target)
-    if ta is HPar and tb is HPar:
-        if target == "h_par":
-            return HPar(
-                qc.comm_C(a.p, b.p),
-                qc.qmatmul(a.mat, b.mat) - qc.qmatmul(b.mat, a.mat),
-            )
-        raise DomainError("[h_par, h_par] lies in h_par")
-
-    if ta is MPar and tb is MPerp:
-        if target == "h_perp":
-            return HPerp(2.0 * _coeff(a, 1) * b.s, -_coeff(a, 2) * b.v)
-        raise DomainError("[m_par, m_perp] lies in h_perp")
-    if ta is MPerp and tb is MPar:
-        return -bracket_projected(b, a, target)
-
-    if ta is MPar and tb is HPerp:
-        if target == "m_perp":
-            return MPerp(-2.0 * _coeff(a, 1) * b.s, _coeff(a, 2) * b.v)
-        raise DomainError("[m_par, h_perp] lies in m_perp")
-    if ta is HPerp and tb is MPar:
-        return -bracket_projected(b, a, target)
-
-    if ta is HPar and tb is MPerp:
-        if target == "m_perp":
-            return MPerp(
-                qc.comm_C(a.p, b.s),
-                qc.scalar_vec(a.p, b.v) - qc.qmat_vecmul(b.v, a.mat),
-            )
-        raise DomainError("[h_par, m_perp] lies in m_perp")
-    if ta is MPerp and tb is HPar:
-        return -bracket_projected(b, a, target)
-
-    if ta is HPar and tb is HPerp:
-        if target == "h_perp":
-            return HPerp(
-                qc.comm_C(a.p, b.s),
-                qc.scalar_vec(a.p, b.v) - qc.qmat_vecmul(b.v, a.mat),
-            )
-        raise DomainError("[h_par, h_perp] lies in h_perp")
-    if ta is HPerp and tb is HPar:
-        return -bracket_projected(b, a, target)
-
-    if ta is MPerp and tb is MPerp:
-        if target == "h_par":
-            return HPar(
-                qc.comm_C(a.s, b.s) - 0.5 * qc.comm_C_vec(a.v, b.v),
-                qc.matcomm_C(b.v, a.v),
-            )
-        if target == "h_perp":
-            return HPerp(
-                0.5 * qc.comm_C_vec(b.v, a.v),
-                qc.scalar_vec(a.s, b.v) - qc.scalar_vec(b.s, a.v),
-            )
-        raise DomainError("[m_perp, m_perp] lies in h")
-
-    if ta is HPerp and tb is HPerp:
-        if target == "h_par":
-            return HPar(
-                qc.comm_C(a.s, b.s) - 0.5 * qc.comm_C_vec(a.v, b.v),
-                qc.matcomm_C(b.v, a.v),
-            )
-        if target == "h_perp":
-            return HPerp(
-                0.5 * qc.comm_C_vec(a.v, b.v),
-                qc.scalar_vec(b.s, a.v) - qc.scalar_vec(a.s, b.v),
-            )
-        raise DomainError("[h_perp, h_perp] lies in h")
-
-    if ta is MPerp and tb is HPerp:
-        if target == "m_par":
-            return MPar(
-                _float_or_batch(-qc.acomm_A(a.s, b.s) - 0.5 * qc.acomm_A_vec(a.v, b.v))
-            )
-        if target == "m_perp":
-            return MPerp(
-                0.5 * qc.comm_C_vec(b.v, a.v),
-                qc.scalar_vec(a.s, b.v) - qc.scalar_vec(b.s, a.v),
-            )
-        raise DomainError("[m_perp, h_perp] lies in m")
-    if ta is HPerp and tb is MPerp:
-        return -bracket_projected(b, a, target)
-
-    raise DomainError(f"unsupported subspace pair ({ta.__name__}, {tb.__name__})")
+    ka, kb = (_KIND_OF.get(type(x), type(x).__name__) for x in (a, b))
+    form = BRACKET_TABLE.get((ka, kb, target))
+    if form is not None:
+        return form(a, b)
+    form = BRACKET_TABLE.get((kb, ka, target))
+    if form is not None:
+        return -form(b, a)
+    raise DomainError(f"[{ka}, {kb}] has no closed-form part in {target!r}")
 
 
 def killing(g1: LieElement, g2: LieElement) -> float | np.ndarray:

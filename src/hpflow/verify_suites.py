@@ -36,9 +36,6 @@ class CheckResult:
         return out
 
 
-_PART_KINDS = ("m_par", "m_perp", "h_par", "h_perp")
-
-
 def _part_size(n, kind):
     """Number of normal draws behind one random part."""
     return {"m_par": 1, "m_perp": 4 * n, "h_par": 4 * (n - 1) ** 2 + 4, "h_perp": 4 * n}[kind]
@@ -74,7 +71,7 @@ def _rand_parts(rng, n, kinds, reps):
 
 def _rand_elements(rng, n, count, reps):
     """count batched random elements of reps instances each, from one draw."""
-    parts = _rand_parts(rng, n, _PART_KINDS * count, reps)
+    parts = _rand_parts(rng, n, sl.KINDS * count, reps)
     return [sl.element_from_parts(n, *parts[4 * i : 4 * i + 4]) for i in range(count)]
 
 
@@ -97,23 +94,6 @@ def _part_deviation(a, b):
         else:
             worst = max(worst, _max_abs(u - v))
     return worst
-
-
-_TABLE_CASES = [
-    ("m_par", "m_par", "h_par"),
-    ("m_par", "h_par", "m_par"),
-    ("h_par", "h_par", "h_par"),
-    ("m_par", "m_perp", "h_perp"),
-    ("m_par", "h_perp", "m_perp"),
-    ("h_par", "m_perp", "m_perp"),
-    ("h_par", "h_perp", "h_perp"),
-    ("m_perp", "m_perp", "h_par"),
-    ("m_perp", "m_perp", "h_perp"),
-    ("h_perp", "h_perp", "h_par"),
-    ("h_perp", "h_perp", "h_perp"),
-    ("m_perp", "h_perp", "m_par"),
-    ("m_perp", "h_perp", "m_perp"),
-]
 
 
 def _project(g, target):
@@ -190,7 +170,7 @@ def algebra_suite(seed: int = 0, instances: int = 1000) -> list[CheckResult]:
 def bracket_table_suite(seed: int = 1, instances: int = 500) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     results = []
-    for ka, kb, target in _TABLE_CASES:
+    for ka, kb, target in sl.BRACKET_TABLE:
         worst = 0.0
         for n in (1, 2, 3):
             pa, pb = _rand_parts(rng, n, (ka, kb), instances // 3 + 1)
@@ -412,36 +392,30 @@ def geometry_suite(seed: int = 4) -> list[CheckResult]:
     grid = gcalc.PeriodicGrid(128, 16.0)
     for n in (1, 2):
         state = sf.preset_random_band(grid, n, seed=rng, amplitude=0.4, kmax=3)
-        measured = cg.geometric_invariants_from_curve(state, refine=8)
-        results.append(
-            CheckResult(f"frame unitarity (n={n})", 1e-9, measured["frame"].unitarity_defect())
-        )
-        results.append(
+        errors = cg.reconstruction_errors(state)[0]
+        results += [
+            CheckResult(f"frame unitarity (n={n})", 1e-9, errors["unitarity_defect"]),
             CheckResult(
-                f"non-stretching |gamma_x| = 1 (n={n})",
-                1e-8,
-                float(np.max(np.abs(measured["speed"] - 1.0))),
-            )
-        )
-        formulas = cg.geometric_invariants(state)
-        worst = 0.0
-        for key in ("g_NN", "g_NNx", "g_NxNx"):
-            target = gcalc.spectral_refine(formulas[key].values, grid, 8)
-            worst = max(
-                worst,
-                float(np.max(np.abs(measured[key] - target))) / max(1.0, np.max(np.abs(target))),
-            )
-        results.append(CheckResult(f"curvature invariants vs reconstruction (n={n})", 1e-5, worst))
+                f"non-stretching |gamma_x| = 1 (n={n})", 1e-8, errors["speed_max_deviation"]
+            ),
+            CheckResult(
+                f"curvature invariants vs reconstruction (n={n})",
+                1e-5,
+                errors["invariant_max_deviation"],
+            ),
+        ]
 
     sol_grid = gcalc.PeriodicGrid(256, 40.0)
     soliton = sf.preset_mkdv_soliton(sol_grid, n=1, a=1.0)
-    traj = cg.evolve_with_frame(soliton, "mkdv", 2e-3, 10, transport_refine=8)
+    traj = cg.evolve_with_frame(soliton, cg.grid_frame(soliton, 8), "mkdv", 2e-3, 10)
     out = cg.verify_mkdv_map(traj, idx=5)
     results.append(CheckResult("mKdV map residual", 1e-6, out["residual"]))
     results.append(CheckResult("mKdV map tangential component", 1e-5, out["tangential_residual"]))
 
     kink = sf.preset_sg_kink(sol_grid, n=1, a=1.0)
-    straj = cg.evolve_with_frame(kink, "sg", 1e-4, 6, branch="-", sg_refine=8, transport_refine=8)
+    straj = cg.evolve_with_frame(
+        kink, cg.grid_frame(kink, 8), "sg", 1e-4, 6, branch="-", sg_refine=8
+    )
     wout = cg.verify_wave_map(straj, idx=5)
     results.append(CheckResult("wave map residual", 1e-5, wout["residual"]))
     results.append(CheckResult("wave map speed constancy in x", 1e-6, wout["speed_constancy"]))

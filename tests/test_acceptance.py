@@ -110,7 +110,7 @@ def kink_run():
 def mkdv_geometry_traj():
     grid = gcalc.PeriodicGrid(256, 40.0)
     state = sf.preset_mkdv_soliton(grid, n=1, a=1.0)
-    return cg.evolve_with_frame(state, "mkdv", 2e-3, 10, transport_refine=8)
+    return cg.evolve_with_frame(state, cg.grid_frame(state, 8), "mkdv", 2e-3, 10)
 
 
 @pytest.fixture(scope="module")
@@ -118,7 +118,7 @@ def sg_geometry_traj():
     grid = gcalc.PeriodicGrid(256, 40.0)
     state = sf.preset_sg_kink(grid, n=1, a=1.0)
     return cg.evolve_with_frame(
-        state, "sg", 1e-4, 10, branch="-", sg_refine=8, transport_refine=8
+        state, cg.grid_frame(state, 8), "sg", 1e-4, 10, branch="-", sg_refine=8
     )
 
 

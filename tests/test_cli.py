@@ -173,9 +173,9 @@ def test_sg_map_check_stops_at_its_snapshot(tmp_path, monkeypatch):
     calls = []
     evolve = cg.evolve_with_frame
 
-    def recording(state, flow, dt, steps, **kw):
-        calls.append((state, flow, dt, steps, kw))
-        return evolve(state, flow, dt, steps, **kw)
+    def recording(state, frame, flow, dt, steps, **kw):
+        calls.append((state, frame, flow, dt, steps, kw))
+        return evolve(state, frame, flow, dt, steps, **kw)
 
     monkeypatch.setattr(cg, "evolve_with_frame", recording)
     cfg = write_config(
@@ -186,11 +186,37 @@ def test_sg_map_check_stops_at_its_snapshot(tmp_path, monkeypatch):
         output={"directory": str(tmp_path / "sg"), "reconstruct": True},
     )
     assert cli.main(["simulate", "--config", str(cfg)]) == 0
-    (final, flow, dt_check, steps, kw), = calls
+    (final, frame, flow, dt_check, steps, kw), = calls
     assert steps == 6
-    full = evolve(final, flow, dt_check, 10, **kw)
+    full = evolve(final, frame, flow, dt_check, 10, **kw)
     res = json.loads((tmp_path / "sg" / "wave_map_residuals.json").read_text())
     assert res == cg.verify_wave_map(full, idx=5)
+
+
+def test_simulate_transports_the_final_state_once(tmp_path, monkeypatch):
+    # curve_final.csv and the map check read one refine-8 frame of the final state
+    made, started = [], []
+    grid_frame, evolve = cg.grid_frame, cg.evolve_with_frame
+
+    def frame_spy(state, refine=8):
+        made.append((state, refine, grid_frame(state, refine)))
+        return made[-1][2]
+
+    def evolve_spy(state, frame, *args, **kw):
+        started.append(frame)
+        return evolve(state, frame, *args, **kw)
+
+    monkeypatch.setattr(cg, "grid_frame", frame_spy)
+    monkeypatch.setattr(cg, "evolve_with_frame", evolve_spy)
+    cfg = write_config(tmp_path, output={"reconstruct": True, "map_check": True})
+    assert cli.main(["simulate", "--config", str(cfg)]) == 0
+    (final, refine, frame), = made
+    assert refine == 8
+    assert len(started) == 1 and started[0] is frame
+    assert (tmp_path / "out" / "mkdv_map_residuals.json").exists()
+    cg.curve_to_csv(tmp_path / "expected.csv", cg.reconstruct_curve(frame))
+    expected = (tmp_path / "expected.csv").read_bytes()
+    assert (tmp_path / "out" / "curve_final.csv").read_bytes() == expected
 
 
 def test_inline_preset(tmp_path):
@@ -486,6 +512,7 @@ def test_simulate_map_check_blowup_exits_1(tmp_path, capsys):
     assert rc == 1
     assert "error: map check: solution blew up" in err
     assert "Traceback" not in err
+    assert (tmp_path / "out" / "curve_final.csv").exists()
 
 
 def test_simulate_map_check_blowup_warns_nothing(tmp_path, capsys):

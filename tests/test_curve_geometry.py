@@ -7,7 +7,7 @@ from hpflow import grid_calculus as gcalc
 from hpflow import quat_core as qc
 from hpflow import soliton_flows as sf
 from hpflow import symm_lie as sl
-from hpflow.errors import DomainError
+from hpflow.errors import DimensionMismatchError, DomainError
 from hpflow.symm_lie import chi
 
 from conftest import random_unit_quat
@@ -198,16 +198,24 @@ def test_covariant_deriv_matches_pulled_curvature(rng):
 def test_mkdv_map_zero_state():
     grid = gcalc.PeriodicGrid(64, 20.0)
     state = zero_state(grid, 1)
-    traj = cg.evolve_with_frame(state, "mkdv", 1e-3, 4, transport_refine=4)
+    traj = cg.evolve_with_frame(state, cg.grid_frame(state, 4), "mkdv", 1e-3, 4)
     out = cg.verify_mkdv_map(traj, idx=2)
     assert out["residual"] <= 1e-10
     assert out["gamma_t_norm"] <= 1e-12
 
 
+def test_evolve_with_frame_rejects_a_frame_of_another_state():
+    grid = gcalc.PeriodicGrid(64, 20.0)
+    state = zero_state(grid, 1)
+    for other in (zero_state(gcalc.PeriodicGrid(64, 30.0), 1), zero_state(grid, 2)):
+        with pytest.raises(DimensionMismatchError):
+            cg.evolve_with_frame(state, cg.grid_frame(other, 2), "mkdv", 1e-3, 1)
+
+
 def test_mkdv_map_soliton():
     grid = gcalc.PeriodicGrid(256, 40.0)
     state = sf.preset_mkdv_soliton(grid, n=1, a=1.0)
-    traj = cg.evolve_with_frame(state, "mkdv", 2e-3, 10, transport_refine=8)
+    traj = cg.evolve_with_frame(state, cg.grid_frame(state, 8), "mkdv", 2e-3, 10)
     out = cg.verify_mkdv_map(traj, idx=5)
     assert out["unitarity"] <= 1e-9
     # speed from the coarse evolved frame is differencing-limited; the
@@ -230,8 +238,9 @@ def test_mkdv_map_residual_falls_with_dt_squared(n):
         grid = gcalc.PeriodicGrid(128, 20.0)
         state = sf.preset_random_band(grid, n, seed=42, amplitude=0.25, kmax=3)
         dt = 1e-3
+    frame = cg.grid_frame(state, 8)
     coarse, fine = (
-        cg.verify_mkdv_map(cg.evolve_with_frame(state, "mkdv", h, 10), idx=5)["residual"]
+        cg.verify_mkdv_map(cg.evolve_with_frame(state, frame, "mkdv", h, 10), idx=5)["residual"]
         for h in (dt, dt / 2)
     )
     assert 3.5 <= coarse / fine <= 4.5
@@ -241,7 +250,7 @@ def test_wave_map_kink():
     grid = gcalc.PeriodicGrid(256, 40.0)
     state = sf.preset_sg_kink(grid, n=1, a=1.0)
     traj = cg.evolve_with_frame(
-        state, "sg", 1e-4, 10, branch="-", sg_refine=8, transport_refine=8
+        state, cg.grid_frame(state, 8), "sg", 1e-4, 10, branch="-", sg_refine=8
     )
     out = cg.verify_wave_map(traj, idx=5)
     assert out["unitarity"] <= 1e-9
@@ -253,7 +262,7 @@ def test_wave_map_kink():
 def test_transport_consistency_after_evolution(rng):
     grid = gcalc.PeriodicGrid(128, 30.0)
     state = sf.preset_mkdv_soliton(grid, n=1, a=1.0)
-    traj = cg.evolve_with_frame(state, "mkdv", 2e-3, 5, transport_refine=8)
+    traj = cg.evolve_with_frame(state, cg.grid_frame(state, 8), "mkdv", 2e-3, 5)
     defect = cg.transport_consistency(traj.frames[-1], traj.states[-1], refine=8)
     assert defect <= 1e-6
 
@@ -262,7 +271,7 @@ def test_mkdv_frame_state_matches_small_dt_reference():
     # the criterion-7 run: the co-evolved state is the dealiased RK4 solution
     grid = gcalc.PeriodicGrid(256, 40.0)
     state = sf.preset_mkdv_soliton(grid, n=1, a=1.0)
-    traj = cg.evolve_with_frame(state, "mkdv", 2e-3, 10, transport_refine=8)
+    traj = cg.evolve_with_frame(state, cg.grid_frame(state, 8), "mkdv", 2e-3, 10)
     ref = state
     for i in range(200):
         ref = sf.step_rk4(
@@ -277,7 +286,7 @@ def test_sg_frame_states_equal_sg_step_loop():
     state = sf.preset_sg_kink(grid, n=1, a=1.0)
     dt = 1e-4
     traj = cg.evolve_with_frame(
-        state, "sg", dt, 4, branch="-", sg_refine=8, transport_refine=4
+        state, cg.grid_frame(state, 4), "sg", dt, 4, branch="-", sg_refine=8
     )
     s = state
     for i, evolved in enumerate(traj.states[1:]):
@@ -487,7 +496,7 @@ def test_curve_export(tmp_path, rng):
 def test_verify_map_flow_kind_guard(rng):
     grid = gcalc.PeriodicGrid(64, 20.0)
     state = zero_state(grid, 1)
-    traj = cg.evolve_with_frame(state, "mkdv", 1e-3, 4, transport_refine=2)
+    traj = cg.evolve_with_frame(state, cg.grid_frame(state, 2), "mkdv", 1e-3, 4)
     with pytest.raises(DomainError):
         cg.verify_wave_map(traj, idx=2)
 

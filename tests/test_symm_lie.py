@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -372,6 +374,38 @@ def test_batched_bracket_table_equals_single_calls(rng, ka, kb, target):
             _assert_part_at(closed, i, sl.bracket_projected(pa, pb, target))
             single = sl.bracket(sl.element_from_parts(n, pa), sl.element_from_parts(n, pb))
             _assert_element_at(full, i, single)
+
+
+def test_table_lists_the_cases_in_order():
+    assert list(sl.BRACKET_TABLE) == _CASES
+    assert sl.KINDS == ("m_par", "m_perp", "h_par", "h_perp")
+
+
+@pytest.mark.parametrize("batched", [False, True])
+def test_every_kind_combination_follows_the_table(rng, batched):
+    # a combination has a closed form exactly when it or its reverse is a table
+    # key, and a pair of distinct kinds in the unlisted order gives minus the
+    # listed one, bit for bit
+    def draw(n, kind):
+        if not batched:
+            return random_part(rng, n, kind)
+        return _stack_parts([random_part(rng, n, kind) for _ in range(BATCH)])
+
+    for n in NS:
+        for ka, kb, target in itertools.product(sl.KINDS, repeat=3):
+            pa, pb = draw(n, ka), draw(n, kb)
+            if (ka, kb, target) not in sl.BRACKET_TABLE:
+                if (kb, ka, target) not in sl.BRACKET_TABLE:
+                    with pytest.raises(DomainError, match=f"{ka}, {kb}.*{target}"):
+                        sl.bracket_projected(pa, pb, target)
+                continue
+            forward = sl.bracket_projected(pa, pb, target)
+            if ka == kb:
+                continue
+            reverse = sl.bracket_projected(pb, pa, target)
+            assert type(reverse) is type(forward)
+            for f, r in zip(_part_arrays(forward), _part_arrays(reverse)):
+                assert f.shape == r.shape and np.negative(f).tobytes() == r.tobytes()
 
 
 def test_batched_matrix_killing_and_ad_e_equal_single_calls(rng):

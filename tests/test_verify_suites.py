@@ -190,7 +190,7 @@ def _loop_part_deviation(a, b):
 
 def _loop_bracket_table_suite(rng, instances):
     results = []
-    for ka, kb, target in vs._TABLE_CASES:
+    for ka, kb, target in sl.BRACKET_TABLE:
         worst = 0.0
         for n in (1, 2, 3):
             for _ in range(instances // 3 + 1):
