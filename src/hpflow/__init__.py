@@ -32,7 +32,6 @@ from .biham_ops import (
     w_parallel,
 )
 from .curve_geometry import (
-    CurveSample,
     FrameState,
     evolve_with_frame,
     geometric_invariants,

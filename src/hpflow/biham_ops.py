@@ -569,18 +569,10 @@ def variational_derivative_fd(functional, state: StatePair, eps: float = 1e-5) -
     return make_covector(grid, ws, wv)
 
 
-def _gradient_of(functional, state, eps):
-    if hasattr(functional, "gradient"):
-        return functional.gradient(state)
-    return variational_derivative_fd(functional, state, eps)
-
-
-def poisson_bracket(state, f1, f2, eps: float = 1e-5,
-                    mean_tolerance: float = DEFAULT_MEAN_TOLERANCE) -> float:
-    """{f1, f2} = pairing(grad f1, H grad f2)."""
-    g1 = _gradient_of(f1, state, eps)
-    g2 = _gradient_of(f2, state, eps)
-    return pairing(g1, apply_H(state, g2, mean_tolerance))
+def poisson_bracket(state, f1, f2, mean_tolerance: float = DEFAULT_MEAN_TOLERANCE) -> float:
+    """{f1, f2} = pairing(grad f1, H grad f2), from the functionals' closed-form
+    gradients."""
+    return pairing(f1.gradient(state), apply_H(state, f2.gradient(state), mean_tolerance))
 
 
 def symplectic_pairing(state, X1: FlowPair, X2: FlowPair,

@@ -350,7 +350,7 @@ def cmd_simulate(args) -> int:
         # the map check starts from this frame; the curve is written first, so
         # a map check that blows up still leaves it behind
         frame = cg.grid_frame(traj.states[-1], refine=8)
-        cg.curve_to_csv(outdir / "curve_final.csv", cg.reconstruct_curve(frame))
+        cg.curve_to_csv(outdir / "curve_final.csv", frame)
         if cfg["output"]["map_check"] and sim.flow in ("mkdv", "sg"):
             # the residuals are read at snapshot idx.  The -1 flow's right side
             # is bounded by its constraint (|h_s| <= 2 chi, |h_v| <= chi), so
@@ -410,8 +410,7 @@ def cmd_hierarchy(args) -> int:
 def cmd_reconstruct(args) -> int:
     cfg, state, _, outdir = _prologue(args)
     report, frame, formulas = cg.reconstruction_errors(state)
-    curve = cg.reconstruct_curve(frame)
-    cg.curve_to_csv(outdir / "curve.csv", curve)
+    cg.curve_to_csv(outdir / "curve.csv", frame)
     inv_cols = np.column_stack(
         [state.grid.x] + [formulas[k].values for k in ("g_NN", "g_NNx", "g_NxNx")]
     )
@@ -419,7 +418,8 @@ def cmd_reconstruct(args) -> int:
         outdir / "invariants.csv", inv_cols, header="x,g_NN,g_NNx,g_NxNx", comments=""
     )
     if "chordal" in cfg["output"]["formats"]:
-        gcalc.array_to_csv(outdir / "chordal.csv", cg.chordal_distance_matrix(curve))
+        chordal = cg.chordal_distance_matrix(cg.reconstruct_curve(frame))
+        gcalc.array_to_csv(outdir / "chordal.csv", chordal)
     gcalc.report_to_json(outdir / "reconstruction.json", report)
     print(f"wrote curve and invariants to {outdir}")
     return 0

@@ -11,10 +11,11 @@ and unitary Taylor exponential: quaternion-unitarity holds to roundoff.  In
 time, the state takes the flow solvers' RK4 step (2/3 rule on the +1 flow)
 and the frame one exponential at the average of the step's end states.
 
-The curve is gamma(x) = psi(x) applied to the origin column (1, 0, ..., 0)^t:
-a unit vector in H^(n+1) representing a projective point up to right unit
-quaternion phase.  Ambient checks (tangent norm, curvature invariants) use
-the quotient-metric dictionary
+The curve is gamma(x) = psi(x) applied to the origin column (1, 0, ..., 0)^t,
+psi's first column: a unit vector in H^(n+1) representing a projective point
+up to right unit quaternion phase.  Its unit tangent gamma_x is psi's second
+column times -1/sqrt(chi).  Ambient checks (tangent norm, curvature
+invariants) use the quotient-metric dictionary
 
     vertical at gamma   : span{gamma i, gamma j, gamma k}
     g(V, W)             : chi * Re<V_amb, W_amb> on horizontal vectors,
@@ -61,10 +62,6 @@ class FrameState:
     psi: np.ndarray  # (K, 2(n+1), 2(n+1)) complex
     monodromy: np.ndarray  # psi(x0)^-1 psi(x0 + L)
 
-    @property
-    def psi_quat(self) -> np.ndarray:
-        return qc.qmat_from_complex(self.psi)
-
     def unitarity_defect(self) -> float:
         eye = np.eye(self.psi.shape[-1])
         defect = self.psi @ np.conj(np.swapaxes(self.psi, -1, -2)) - eye
@@ -86,7 +83,7 @@ def _transport_transfers(state: StatePair, refine: int) -> np.ndarray:
     return sf.expm_antihermitian(sf._magnus4(A_t, grid.dx / refine))
 
 
-def transport_frame(state: StatePair, refine: int = 4) -> FrameState:
+def transport_frame(state: StatePair, refine: int) -> FrameState:
     """Integrate the frame along x on the refine-times-finer grid, from the
     identity at x = 0."""
     prefixes = np.swapaxes(sf.prefix_products(_transport_transfers(state, refine)), -1, -2)
@@ -105,27 +102,28 @@ def grid_frame(state: StatePair, refine: int = 8) -> FrameState:
 
 # -- curve reconstruction ------------------------------------------------------
 
-@dataclass
-class CurveSample:
-    """Points of the reconstructed curve as unit vectors in H^(n+1)."""
-
-    grid: PeriodicGrid
-    gamma: np.ndarray  # (K, n+1, 4)
-    monodromy: np.ndarray  # complex embedding, for seam extension
-
-    def gauge_fixed(self, threshold: float = 0.3) -> np.ndarray:
-        """Representative with the first sizable component made positive real."""
-        norms = qc.qnorm(self.gamma)
-        sizable = norms > threshold
-        idx = np.where(sizable.any(axis=1), sizable.argmax(axis=1), norms.argmax(axis=1))
-        rows = np.arange(len(idx))
-        lam = qc.qconj(self.gamma[rows, idx]) / norms[rows, idx][:, None]
-        return qc.qmul(self.gamma, lam[:, None, :])
+def _frame_column(frame: FrameState, j: int) -> np.ndarray:
+    """Column j of psi as quaternions, (K, n+1, 4), read from the A and B
+    blocks of the complex embedding [[A, B], [-conj B, conj A]]."""
+    r = frame.n + 1
+    A = frame.psi[:, :r, j]
+    B = frame.psi[:, :r, r + j]
+    return np.stack([A.real, A.imag, B.real, B.imag], axis=-1)
 
 
-def reconstruct_curve(frame: FrameState) -> CurveSample:
-    gamma = frame.psi_quat[:, :, 0, :].copy()
-    return CurveSample(frame.grid, gamma, frame.monodromy)
+def reconstruct_curve(frame: FrameState) -> np.ndarray:
+    """The curve gamma, psi's first column, as unit vectors in H^(n+1)."""
+    return _frame_column(frame, 0)
+
+
+def gauge_fixed(gamma: np.ndarray, threshold: float = 0.3) -> np.ndarray:
+    """Representative with the first sizable component made positive real."""
+    norms = qc.qnorm(gamma)
+    sizable = norms > threshold
+    idx = np.where(sizable.any(axis=1), sizable.argmax(axis=1), norms.argmax(axis=1))
+    rows = np.arange(len(idx))
+    lam = qc.qconj(gamma[rows, idx]) / norms[rows, idx][:, None]
+    return qc.qmul(gamma, lam[:, None, :])
 
 
 def project_vertical_out(V: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -159,18 +157,18 @@ def fd6_x(values_ext: np.ndarray, dx: float) -> np.ndarray:
     ) / (60.0 * dx)
 
 
-def curve_tangent(curve: CurveSample) -> np.ndarray:
+def curve_tangent(frame: FrameState) -> np.ndarray:
     """Ambient tangent (vertical part removed) by sixth-order differencing of
-    the samples; the map checks take the exact e_x from the frame instead."""
-    ext = _extend_with_monodromy(curve.gamma, curve.monodromy, 3)
-    raw = fd6_x(ext, curve.grid.dx)
-    return project_vertical_out(raw, curve.gamma)
+    the curve; the map checks read the exact gamma_x from the frame instead."""
+    gamma = reconstruct_curve(frame)
+    raw = fd6_x(_extend_with_monodromy(gamma, frame.monodromy, 3), frame.grid.dx)
+    return project_vertical_out(raw, gamma)
 
 
-def tangent_speed(curve: CurveSample, n: int) -> np.ndarray:
+def tangent_speed(frame: FrameState) -> np.ndarray:
     """Metric norm |gamma_x|_g, which equals 1 for non-stretching data."""
-    T = project_horizontal(curve_tangent(curve), curve.gamma)
-    return np.sqrt(chi(n) * qc.vec_dot(T, T))
+    T = project_horizontal(curve_tangent(frame), reconstruct_curve(frame))
+    return np.sqrt(chi(frame.n) * qc.vec_dot(T, T))
 
 
 # -- geometric invariants ------------------------------------------------------
@@ -205,16 +203,13 @@ def geometric_invariants_from_curve(state: StatePair, refine: int = 8) -> dict:
     projecting.
     """
     frame = transport_frame(state, refine=refine)
-    curve = reconstruct_curve(frame)
-    fine_grid = frame.grid
     u_f = gcalc.spectral_refine(state.u.values, state.grid, refine)
 
-    gamma = curve.gamma
-    T = project_horizontal(curve_tangent(curve), gamma)
+    gamma = reconstruct_curve(frame)
+    T = project_horizontal(curve_tangent(frame), gamma)
 
     def horizontal_derivative(W):
-        ext = _extend_with_monodromy(W, curve.monodromy, 3)
-        raw = fd6_x(ext, fine_grid.dx)
+        raw = fd6_x(_extend_with_monodromy(W, frame.monodromy, 3), frame.grid.dx)
         dragged = raw - qc.qmul(W, u_f[:, None, :])
         return project_horizontal(dragged, gamma)
 
@@ -239,11 +234,12 @@ def reconstruction_errors(state: StatePair) -> tuple[dict, FrameState, dict]:
     curvature invariants from their closed forms, each relative to
     max(1, max |closed form|).
     """
-    measured = geometric_invariants_from_curve(state)
+    refine = 8
+    measured = geometric_invariants_from_curve(state, refine)
     formulas = geometric_invariants(state)
     deviation = 0.0
     for key in ("g_NN", "g_NNx", "g_NxNx"):
-        target = gcalc.spectral_refine(formulas[key].values, state.grid, 8)
+        target = gcalc.spectral_refine(formulas[key].values, state.grid, refine)
         deviation = max(
             deviation,
             float(np.max(np.abs(measured[key] - target))) / max(1.0, np.max(np.abs(target))),
@@ -307,20 +303,11 @@ def g_norm(a: MComps, n: int) -> np.ndarray:
 
 def pull_to_frame(frame: FrameState, V: np.ndarray) -> tuple[MComps, np.ndarray]:
     """Frame components of ambient vectors; also returns the verticality column."""
-    psi_q = frame.psi_quat
+    psi_q = qc.qmat_from_complex(frame.psi)
     col = qc.qmatmul(qc.qmat_conj_t(psi_q), V[..., None, :])[..., 0, :]
     s = -qc.qconj(col[:, 1])
     v = -qc.qconj(col[:, 2:])
     return MComps(s, v), col[:, 0]
-
-
-def push_from_frame(frame: FrameState, comps: MComps) -> np.ndarray:
-    K = comps.s.shape[0]
-    col = np.zeros((K, frame.n + 1, 4))
-    col[:, 1] = -qc.qconj(comps.s)
-    if comps.v.shape[1]:
-        col[:, 2:] = -qc.qconj(comps.v)
-    return qc.qmatmul(frame.psi_quat, col[..., None, :])[..., 0, :]
 
 
 def covariant_deriv_x(state: StatePair, comps: MComps) -> MComps:
@@ -355,10 +342,8 @@ def _mkdv_time_matrices(state: StatePair) -> np.ndarray:
     grid = state.grid
     u, bu = state.arrays()
     rc = np.sqrt(chi(state.n))
-    ux = gcalc.spectral_deriv(u, grid)
-    u2 = gcalc.spectral_deriv(u, grid, 2)
-    bux = gcalc.spectral_deriv(bu, grid)
-    bu2 = gcalc.spectral_deriv(bu, grid, 2)
+    ux, u2 = gcalc.spectral_deriv(u, grid, (1, 2))
+    bux, bu2 = gcalc.spectral_deriv(bu, grid, (1, 2))
     h_par0 = bo._h_par0_local(u, bu)
     # covector pair w_(1) = J(u_x, bu_x) with jet constants, all local
     w1s = 0.25 * u2 + 0.25 * qc.comm_C_vec(bu, bux) + h_par0[:, None] * u
@@ -390,8 +375,6 @@ class FrameTrajectory:
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
     frames: list = field(default_factory=list)
-    n: int = 1
-    grid: PeriodicGrid = None
     flow: str = "mkdv"
 
     def append(self, t, state, frame):
@@ -440,9 +423,9 @@ def evolve_with_frame(
     else:
         raise DomainError(f"unknown flow {flow!r} for frame evolution")
 
-    traj = FrameTrajectory(n=state.n, grid=grid, flow=flow)
+    traj = FrameTrajectory(flow=flow)
     traj.append(0.0, state, frame0)
-    psi = frame0.psi.copy()
+    psi = frame0.psi
     t = 0.0
 
     for step in range(steps):
@@ -455,7 +438,7 @@ def evolve_with_frame(
         psi = psi @ sf.expm_antihermitian(dt * time_mats(mid))
         state = new
         t += dt
-        traj.append(t, state, FrameState(grid, state.n, psi.copy(), frame0.monodromy))
+        traj.append(t, state, FrameState(grid, state.n, psi, frame0.monodromy))
     return traj
 
 
@@ -481,14 +464,14 @@ def _curve_time_velocity(traj: FrameTrajectory, idx: int) -> np.ndarray:
         (traj.times[idx + 1] - traj.times[idx]) - (traj.times[idx] - traj.times[idx - 1])
     ) > 1e-12:
         raise GaugeAlignmentError("snapshots are not equispaced in time")
-    gp = reconstruct_curve(traj.frames[idx + 1]).gamma
-    gm = reconstruct_curve(traj.frames[idx - 1]).gamma
-    g0 = reconstruct_curve(traj.frames[idx]).gamma
+    gp = reconstruct_curve(traj.frames[idx + 1])
+    gm = reconstruct_curve(traj.frames[idx - 1])
+    g0 = reconstruct_curve(traj.frames[idx])
     dt2 = traj.times[idx + 1] - traj.times[idx - 1]
     return project_horizontal((gp - gm) / dt2, g0)
 
 
-def verify_mkdv_map(traj: FrameTrajectory, idx: int | None = None) -> dict:
+def verify_mkdv_map(traj: FrameTrajectory, idx: int) -> dict:
     """Residual of the geometric mKdV map along a +1-flow trajectory.
 
     The right side inverts the curve-flow operator on the perp part and is
@@ -499,17 +482,16 @@ def verify_mkdv_map(traj: FrameTrajectory, idx: int | None = None) -> dict:
     """
     if traj.flow != "mkdv":
         raise DomainError("verify_mkdv_map expects a +1-flow trajectory")
-    if idx is None:
-        idx = len(traj.times) // 2
+    velocity = _curve_time_velocity(traj, idx)
     state = traj.states[idx]
     frame = traj.frames[idx]
-    n = traj.n
+    n = state.n
     c = chi(n)
     T = frame_tangent(state.grid.num_points, n)
     N = covariant_deriv_x(state, T)
     NN = covariant_deriv_x(state, N)
 
-    gamma_t, _ = pull_to_frame(frame, _curve_time_velocity(traj, idx))
+    gamma_t, _ = pull_to_frame(frame, velocity)
 
     ad2_NT = ad_x_squared(N, T)
     inner = (NN.scaled(1.0 / c) - ad2_NT.scaled(0.5)).perp()
@@ -531,35 +513,29 @@ def verify_mkdv_map(traj: FrameTrajectory, idx: int | None = None) -> dict:
     return {
         "residual": float(np.max(residual)),
         "tangential_residual": float(np.max(tang_resid)),
-        "speed_error": float(np.max(np.abs(tangent_speed(reconstruct_curve(frame), n) - 1.0))),
+        "speed_error": float(np.max(np.abs(tangent_speed(frame) - 1.0))),
         "unitarity": frame.unitarity_defect(),
         "gamma_t_norm": float(np.max(g_norm(gamma_t, n))),
     }
 
 
-def verify_wave_map(traj: FrameTrajectory, idx: int | None = None) -> dict:
-    """Residuals of the non-stretching wave map along a -1-flow trajectory."""
+def verify_wave_map(traj: FrameTrajectory, idx: int) -> dict:
+    """Residuals of the non-stretching wave map along a -1-flow trajectory.
+
+    The unit tangent gamma_x is psi's second column times -1/sqrt(chi): the
+    frame's constant e_x pushed to the ambient space."""
     if traj.flow != "sg":
         raise DomainError("verify_wave_map expects a -1-flow trajectory")
-    if idx is None:
-        idx = len(traj.times) // 2
-    n = traj.n
-    c = chi(n)
+    gamma_t = _curve_time_velocity(traj, idx)
     frames = traj.frames
     times = traj.times
-    if idx < 1 or idx > len(times) - 2:
-        raise DomainError("need an interior snapshot")
-
-    def tangent_field(k):
-        return push_from_frame(frames[k], frame_tangent(frames[k].grid.num_points, n))
-
-    g0 = reconstruct_curve(frames[idx]).gamma
+    c = chi(frames[idx].n)
+    scale = -(1.0 / np.sqrt(c))
+    prev, nxt = (scale * _frame_column(frames[k], 1) for k in (idx - 1, idx + 1))
     dt2 = times[idx + 1] - times[idx - 1]
-    dT = (tangent_field(idx + 1) - tangent_field(idx - 1)) / dt2
-    nabla_t_T = project_horizontal(dT, g0)
+    nabla_t_T = project_horizontal((nxt - prev) / dt2, reconstruct_curve(frames[idx]))
     residual = np.sqrt(c * qc.vec_dot(nabla_t_T, nabla_t_T))
 
-    gamma_t = _curve_time_velocity(traj, idx)
     speed = np.sqrt(c * qc.vec_dot(gamma_t, gamma_t))
 
     return {
@@ -572,10 +548,10 @@ def verify_wave_map(traj: FrameTrajectory, idx: int | None = None) -> dict:
 
 # -- export ----------------------------------------------------------------------
 
-def curve_to_csv(path, curve: CurveSample):
-    flat = curve.gauge_fixed().reshape(curve.grid.num_points, -1)
-    data = np.column_stack([curve.grid.x, flat])
-    gcalc.array_to_csv(path, data)
+def curve_to_csv(path, frame: FrameState):
+    """The gauge-fixed curve of frame, one row x, gamma per grid point."""
+    flat = gauge_fixed(reconstruct_curve(frame)).reshape(frame.grid.num_points, -1)
+    gcalc.array_to_csv(path, np.column_stack([frame.grid.x, flat]))
 
 
 def projective_pairing(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -586,9 +562,9 @@ def projective_pairing(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 _CHORDAL_ROWS = 64
 
 
-def chordal_distance_matrix(curve: CurveSample) -> np.ndarray:
-    """Gauge-invariant pairwise distances sqrt(2 - 2 |sum conj(x_l) y_l|)."""
-    g = curve.gamma
+def chordal_distance_matrix(g: np.ndarray) -> np.ndarray:
+    """Gauge-invariant pairwise distances sqrt(2 - 2 |sum conj(x_l) y_l|)
+    between the points of the curve g."""
     K = g.shape[0]
     out = np.empty((K, K))
     # blocks of rows bound the pairing's temporaries to _CHORDAL_ROWS * K pairs

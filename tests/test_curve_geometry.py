@@ -25,11 +25,11 @@ def test_transport_zero_covariants_is_geodesic_circle():
     state = zero_state(grid, 1)
     frame = cg.transport_frame(state, refine=4)
     assert frame.unitarity_defect() <= 1e-12
-    curve = cg.reconstruct_curve(frame)
+    gamma = cg.reconstruct_curve(frame)
     # gamma = (cos(x/sqrt(chi)), -sin(x/sqrt(chi))) in the first two slots
     theta = frame.grid.x / np.sqrt(chi(1))
-    np.testing.assert_allclose(curve.gamma[:, 0, 0], np.cos(theta), atol=1e-9)
-    np.testing.assert_allclose(curve.gamma[:, 1, 0], -np.sin(theta), atol=1e-9)
+    np.testing.assert_allclose(gamma[:, 0, 0], np.cos(theta), atol=1e-9)
+    np.testing.assert_allclose(gamma[:, 1, 0], -np.sin(theta), atol=1e-9)
     # the domain length is one full period, so the curve closes
     np.testing.assert_allclose(
         qc.qmat_from_complex(frame.monodromy)[..., 0] , np.eye(2), atol=1e-9
@@ -42,7 +42,7 @@ def test_transport_unitarity_random_state(rng):
         state = random_state(rng, grid, n, amplitude=0.5)
         frame = cg.transport_frame(state, refine=4)
         assert frame.unitarity_defect() <= 1e-9
-        gamma = cg.reconstruct_curve(frame).gamma
+        gamma = cg.reconstruct_curve(frame)
         np.testing.assert_allclose(np.sqrt(qc.qnormsq(gamma).sum(axis=-1)), 1.0, atol=1e-9)
 
 
@@ -62,9 +62,7 @@ def test_nonstretching_tangent_speed(rng):
     grid = gcalc.PeriodicGrid(128, 16.0)
     for n in (1, 2):
         state = random_state(rng, grid, n, amplitude=0.4, kmax=3)
-        frame = cg.transport_frame(state, refine=8)
-        curve = cg.reconstruct_curve(frame)
-        speed = cg.tangent_speed(curve, n)
+        speed = cg.tangent_speed(cg.transport_frame(state, refine=8))
         assert np.max(np.abs(speed - 1.0)) <= 1e-8
 
 
@@ -135,6 +133,16 @@ def test_invariants_gauge_independent(rng):
         assert np.max(np.abs(inv1[key].values - inv2[key].values)) <= 1e-10
 
 
+def _push_from_frame(frame, comps):
+    """Ambient vectors psi (0, -conj s, -conj v)^t of frame components."""
+    K = comps.s.shape[0]
+    col = np.zeros((K, frame.n + 1, 4))
+    col[:, 1] = -qc.qconj(comps.s)
+    if comps.v.shape[1]:
+        col[:, 2:] = -qc.qconj(comps.v)
+    return qc.qmatmul(qc.qmat_from_complex(frame.psi), col[..., None, :])[..., 0, :]
+
+
 def test_pull_push_roundtrip(rng):
     grid = gcalc.PeriodicGrid(48, 9.0)
     state = random_state(rng, grid, 2, amplitude=0.4)
@@ -142,11 +150,36 @@ def test_pull_push_roundtrip(rng):
     comps = cg.MComps(
         rng.standard_normal((48, 4)), rng.standard_normal((48, 1, 4))
     )
-    amb = cg.push_from_frame(frame, comps)
+    amb = _push_from_frame(frame, comps)
     back, vert = cg.pull_to_frame(frame, amb)
     np.testing.assert_allclose(back.s, comps.s, atol=1e-10)
     np.testing.assert_allclose(back.v, comps.v, atol=1e-10)
     np.testing.assert_allclose(vert, 0.0, atol=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_frame_column_matches_whole_frame_conversion(rng, n):
+    state = random_state(rng, gcalc.PeriodicGrid(32, 7.0), n, amplitude=0.5, kmax=3)
+    for frame in (cg.grid_frame(state, refine=2), cg.transport_frame(state, refine=2)):
+        psi_q = qc.qmat_from_complex(frame.psi)
+        assert np.array_equal(cg.reconstruct_curve(frame), psi_q[:, :, 0])
+        assert np.array_equal(cg._frame_column(frame, 1), psi_q[:, :, 1])
+        # psi's second column times -1/sqrt(chi) is e_x pushed to the ambient space
+        pushed = _push_from_frame(frame, cg.frame_tangent(len(frame.psi), n))
+        assert np.array_equal(-(1.0 / np.sqrt(chi(n))) * cg._frame_column(frame, 1), pushed)
+
+
+def test_wave_map_tangent_matches_pushed_e_x():
+    # verify_wave_map's gamma_x, bit for bit against e_x pushed through the frame
+    state = sf.preset_sg_kink(gcalc.PeriodicGrid(128, 40.0), n=1, a=1.0)
+    traj = cg.evolve_with_frame(state, cg.grid_frame(state, 4), "sg", 1e-4, 4, sg_refine=8)
+    idx = 2
+    frames, g0 = traj.frames, cg.reconstruct_curve(traj.frames[idx])
+    tangent = [_push_from_frame(f, cg.frame_tangent(128, 1)) for f in frames]
+    dT = (tangent[idx + 1] - tangent[idx - 1]) / (traj.times[idx + 1] - traj.times[idx - 1])
+    nabla_t_T = cg.project_horizontal(dT, g0)
+    residual = np.max(np.sqrt(chi(1) * qc.vec_dot(nabla_t_T, nabla_t_T)))
+    assert cg.verify_wave_map(traj, idx)["residual"] == float(residual)
 
 
 def test_flow_operator_eigenvalues(rng):
@@ -182,8 +215,7 @@ def test_covariant_deriv_matches_pulled_curvature(rng):
     n = 2
     state = random_state(rng, grid, n, amplitude=0.4, kmax=3)
     frame = cg.grid_frame(state, refine=8)
-    curve = cg.reconstruct_curve(frame)
-    T_amb = cg.project_horizontal(cg.curve_tangent(curve), curve.gamma)
+    T_amb = cg.project_horizontal(cg.curve_tangent(frame), cg.reconstruct_curve(frame))
     T, vert = cg.pull_to_frame(frame, T_amb)
     assert np.max(np.abs(vert)) <= 1e-8
     rc = np.sqrt(chi(n))
@@ -479,17 +511,18 @@ def test_frames_reject_refine_below_1(rng):
 def test_curve_export(tmp_path, rng):
     grid = gcalc.PeriodicGrid(32, 8.0)
     state = random_state(rng, grid, 1, amplitude=0.3)
-    curve = cg.reconstruct_curve(cg.grid_frame(state, refine=2))
+    frame = cg.grid_frame(state, refine=2)
+    gamma = cg.reconstruct_curve(frame)
     path = tmp_path / "curve.csv"
-    cg.curve_to_csv(path, curve)
+    cg.curve_to_csv(path, frame)
     data = np.loadtxt(path, delimiter=",")
     assert data.shape == (32, 1 + 8)
-    D = cg.chordal_distance_matrix(curve)
+    D = cg.chordal_distance_matrix(gamma)
     assert np.allclose(np.diag(D), 0.0, atol=1e-6)
     assert np.all(D >= 0.0) and np.allclose(D, D.T, atol=1e-12)
     # gauge fixing leaves the projective point unchanged
-    fixed = curve.gauge_fixed()
-    inner = cg.projective_pairing(fixed, curve.gamma)
+    fixed = cg.gauge_fixed(gamma)
+    inner = cg.projective_pairing(fixed, gamma)
     np.testing.assert_allclose(qc.qnorm(inner), 1.0, atol=1e-10)
 
 
@@ -501,17 +534,28 @@ def test_verify_map_flow_kind_guard(rng):
         cg.verify_wave_map(traj, idx=2)
 
 
-def _reference_gauge_fixed(curve, threshold=0.3):
+def test_map_checks_need_an_interior_snapshot():
+    grid = gcalc.PeriodicGrid(64, 20.0)
+    state = zero_state(grid, 1)
+    mkdv = cg.evolve_with_frame(state, cg.grid_frame(state, 2), "mkdv", 1e-3, 4)
+    sg = cg.FrameTrajectory(mkdv.times, mkdv.states, mkdv.frames, flow="sg")
+    for check, traj in ((cg.verify_mkdv_map, mkdv), (cg.verify_wave_map, sg)):
+        for idx in (0, 4, 5):
+            with pytest.raises(DomainError, match="interior"):
+                check(traj, idx)
+
+
+def _reference_gauge_fixed(gamma, threshold=0.3):
     """The per-point loop gauge_fixed replaced."""
-    K, rows, _ = curve.gamma.shape
-    out = curve.gamma.copy()
-    norms = qc.qnorm(curve.gamma)
+    K, rows, _ = gamma.shape
+    out = gamma.copy()
+    norms = qc.qnorm(gamma)
     for i in range(K):
         idx = next(
             (l for l in range(rows) if norms[i, l] > threshold), int(np.argmax(norms[i]))
         )
-        lam = qc.qconj(curve.gamma[i, idx]) / norms[i, idx]
-        out[i] = qc.qmul(curve.gamma[i], lam[None, :])
+        lam = qc.qconj(gamma[i, idx]) / norms[i, idx]
+        out[i] = qc.qmul(gamma[i], lam[None, :])
     return out
 
 
@@ -520,41 +564,37 @@ def test_gauge_fixed_matches_loop_reference(rng, n):
     grid = gcalc.PeriodicGrid(64, 8.0)
     state = random_state(rng, grid, n, amplitude=0.8)
     curve = cg.reconstruct_curve(cg.grid_frame(state, refine=2))
-    for threshold in (0.3, 0.9):
-        np.testing.assert_array_equal(
-            curve.gauge_fixed(threshold), _reference_gauge_fixed(curve, threshold)
-        )
     # random unit vectors: at threshold 0.9 some points have no sizable
     # component and take the argmax fallback
-    gamma = rng.standard_normal((64, n + 1, 4))
-    gamma /= np.sqrt(np.sum(gamma**2, axis=(-1, -2)))[:, None, None]
-    scattered = cg.CurveSample(grid, gamma, curve.monodromy)
+    scattered = rng.standard_normal((64, n + 1, 4))
+    scattered /= np.sqrt(np.sum(scattered**2, axis=(-1, -2)))[:, None, None]
     if n > 1:
-        assert not np.all(np.any(qc.qnorm(gamma) > 0.9, axis=1))
-    for threshold in (0.3, 0.9):
-        np.testing.assert_array_equal(
-            scattered.gauge_fixed(threshold), _reference_gauge_fixed(scattered, threshold)
-        )
+        assert not np.all(np.any(qc.qnorm(scattered) > 0.9, axis=1))
+    for gamma in (curve, scattered):
+        for threshold in (0.3, 0.9):
+            np.testing.assert_array_equal(
+                cg.gauge_fixed(gamma, threshold), _reference_gauge_fixed(gamma, threshold)
+            )
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_extend_with_monodromy_matches_per_point_loop(rng, n):
     grid = gcalc.PeriodicGrid(48, 12.0)
-    curve = cg.reconstruct_curve(cg.transport_frame(random_state(rng, grid, n), refine=4))
-    Mq = qc.qmat_from_complex(curve.monodromy)
+    frame = cg.transport_frame(random_state(rng, grid, n), refine=4)
+    gamma = cg.reconstruct_curve(frame)
+    Mq = qc.qmat_from_complex(frame.monodromy)
     Mq_inv = qc.qmat_conj_t(Mq)
-    for values in (curve.gamma, rng.standard_normal(curve.gamma.shape)):
+    for values in (gamma, rng.standard_normal(gamma.shape)):
         for halo in (1, 3):
             right = np.stack([qc.qmatmul(Mq, values[j]) for j in range(halo)])
             left = np.stack([qc.qmatmul(Mq_inv, values[-halo + j]) for j in range(halo)])
             expected = np.concatenate([left, values, right], axis=0)
-            out = cg._extend_with_monodromy(values, curve.monodromy, halo)
+            out = cg._extend_with_monodromy(values, frame.monodromy, halo)
             assert np.array_equal(out, expected)
 
 
-def _reference_chordal_distance_matrix(curve):
+def _reference_chordal_distance_matrix(g):
     """The row loop chordal_distance_matrix used before it was vectorized."""
-    g = curve.gamma
     K = g.shape[0]
     out = np.zeros((K, K))
     for i in range(K):
@@ -568,7 +608,7 @@ def _reference_chordal_distance_matrix(curve):
 def test_chordal_distance_matrix_matches_row_loop(rng, n, K):
     grid = gcalc.PeriodicGrid(K, 8.0)
     state = random_state(rng, grid, n, amplitude=0.5)
-    curve = cg.reconstruct_curve(cg.grid_frame(state, refine=2))
-    D = cg.chordal_distance_matrix(curve)
+    gamma = cg.reconstruct_curve(cg.grid_frame(state, refine=2))
+    D = cg.chordal_distance_matrix(gamma)
     assert D.shape == (K, K)
-    np.testing.assert_array_equal(D, _reference_chordal_distance_matrix(curve))
+    np.testing.assert_array_equal(D, _reference_chordal_distance_matrix(gamma))
