@@ -35,7 +35,6 @@ from .curve_geometry import (
     FrameState,
     evolve_with_frame,
     geometric_invariants,
-    geometric_invariants_from_curve,
     reconstruct_curve,
     transport_frame,
     verify_mkdv_map,

@@ -352,29 +352,17 @@ def cmd_simulate(args) -> int:
         frame = cg.grid_frame(traj.states[-1], refine=8)
         cg.curve_to_csv(outdir / "curve_final.csv", frame)
         if cfg["output"]["map_check"] and sim.flow in ("mkdv", "sg"):
-            # the residuals are read at snapshot idx.  The -1 flow's right side
-            # is bounded by its constraint (|h_s| <= 2 chi, |h_v| <= chi), so
-            # its check stops at idx + 1.  The mKdV check keeps 2 idx steps:
-            # they are its only probe of RK4 stability at the run's dt
-            # (tests/test_cli.py::test_simulate_map_check_blowup_exits_1).
-            idx = 5
-            steps = idx + 1 if sim.flow == "sg" else 2 * idx
-            dt_check = min(sim.dt, 1e-3 if sim.flow == "sg" else sim.dt)
             try:
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    ftraj = cg.evolve_with_frame(
-                        traj.states[-1], frame, sim.flow, dt_check, steps,
+                    res = cg.map_residuals(
+                        traj.states[-1], frame, sim.flow, sim.dt,
                         branch=sim.sg_branch, sg_mode=sim.sg_mode, sg_refine=sim.sg_refine,
                     )
             except BlowUpError as exc:
                 print(f"error: map check: {exc}", file=sys.stderr)
                 return 1
-            if sim.flow == "mkdv":
-                res = cg.verify_mkdv_map(ftraj, idx=idx)
-                gcalc.report_to_json(outdir / "mkdv_map_residuals.json", res)
-            else:
-                res = cg.verify_wave_map(ftraj, idx=idx)
-                gcalc.report_to_json(outdir / "wave_map_residuals.json", res)
+            name = "mkdv_map" if sim.flow == "mkdv" else "wave_map"
+            gcalc.report_to_json(outdir / f"{name}_residuals.json", res)
     print(f"wrote {index[0] + 1} snapshots to {outdir}")
     print(
         f"conservation drift: H0 {report.h0_drift:.3e}, H1 {report.h1_drift:.3e}"

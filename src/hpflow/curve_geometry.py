@@ -27,7 +27,11 @@ derivatives of horizontal fields are hor(W_x - W u).
 Map verification works in frame components, where the tangent gamma_x is
 the constant e_x (frame_tangent), the covariant derivative is
 D_x + [omega_x, .] and the curve-flow operator acts diagonally on the
-tangent decomposition with eigenvalues 0, 4/chi, 1/chi.
+tangent decomposition with eigenvalues 0, 4/chi, 1/chi.  Frame components
+are packed like the RK4 state, one (K, 4 + 4m) array [s | v]: column 0 the
+m_par coefficient, columns 1-3 the imaginary m_perp scalar, the rest the
+m_perp vector.  map_residuals is the one map judgment: it co-evolves the
+state and frame and reads the residuals at its snapshot.
 
 The algebra is symm_lie's: every frame matrix (e_x + omega_x, e_t + omega_t)
 is one LieElement whose leading batch axis is the grid, turned into matrices
@@ -195,13 +199,18 @@ def geometric_invariants(state: StatePair) -> dict:
     }
 
 
-def geometric_invariants_from_curve(state: StatePair, refine: int = 8) -> dict:
-    """The same invariants measured on the reconstructed curve.
+def reconstruction_errors(state: StatePair) -> tuple[dict, FrameState, dict]:
+    """How well the curve reconstructed at refine 8 reproduces the state, with
+    the frame it was read from and the closed-form invariants.
 
-    Differentiation of the representative drags the vertical phase velocity
-    gamma*u; horizontal covariant derivatives therefore subtract W*u before
-    projecting.
+    unitarity_defect is the frame's, speed_max_deviation is max |gamma_x| - 1|,
+    and invariant_max_deviation is the largest deviation of the curvature
+    invariants measured on the curve from their closed forms, each relative to
+    max(1, max |closed form|).  Differentiation of the representative drags
+    the vertical phase velocity gamma*u; horizontal covariant derivatives
+    therefore subtract W*u before projecting.
     """
+    refine = 8
     frame = transport_frame(state, refine=refine)
     u_f = gcalc.spectral_refine(state.u.values, state.grid, refine)
 
@@ -216,123 +225,88 @@ def geometric_invariants_from_curve(state: StatePair, refine: int = 8) -> dict:
     N = horizontal_derivative(T)
     NX = horizontal_derivative(N)
     c = chi(state.n)
-    return {
+    measured = {
         "g_NN": c * qc.vec_dot(N, N),
         "g_NNx": c * qc.vec_dot(N, NX),
         "g_NxNx": c * qc.vec_dot(NX, NX),
-        "speed": np.sqrt(c * qc.vec_dot(T, T)),
-        "frame": frame,
     }
-
-
-def reconstruction_errors(state: StatePair) -> tuple[dict, FrameState, dict]:
-    """How well the curve reconstructed at refine 8 reproduces the state, with
-    the frame it was read from and the closed-form invariants.
-
-    unitarity_defect is the frame's, speed_max_deviation is max |gamma_x| - 1|,
-    and invariant_max_deviation is the largest deviation of the measured
-    curvature invariants from their closed forms, each relative to
-    max(1, max |closed form|).
-    """
-    refine = 8
-    measured = geometric_invariants_from_curve(state, refine)
     formulas = geometric_invariants(state)
     deviation = 0.0
-    for key in ("g_NN", "g_NNx", "g_NxNx"):
+    for key, values in measured.items():
         target = gcalc.spectral_refine(formulas[key].values, state.grid, refine)
         deviation = max(
             deviation,
-            float(np.max(np.abs(measured[key] - target))) / max(1.0, np.max(np.abs(target))),
+            float(np.max(np.abs(values - target))) / max(1.0, np.max(np.abs(target))),
         )
+    speed = np.sqrt(c * qc.vec_dot(T, T))
     errors = {
-        "unitarity_defect": measured["frame"].unitarity_defect(),
-        "speed_max_deviation": float(np.max(np.abs(measured["speed"] - 1.0))),
+        "unitarity_defect": frame.unitarity_defect(),
+        "speed_max_deviation": float(np.max(np.abs(speed - 1.0))),
         "invariant_max_deviation": deviation,
     }
-    return errors, measured["frame"], formulas
+    return errors, frame, formulas
 
 
 # -- frame-native covariant calculus -------------------------------------------
 
-@dataclass
-class MComps:
-    """Tangent vector in frame components: full quaternion scalar + vector slot."""
-
-    s: np.ndarray  # (K, 4); real part is the m_par coefficient
-    v: np.ndarray  # (K, m, 4)
-
-    def __sub__(self, other):
-        return MComps(self.s - other.s, self.v - other.v)
-
-    def scaled(self, c):
-        return MComps(c * self.s, c * self.v)
-
-    def perp(self):
-        return MComps(qc.qim(self.s), self.v.copy())
-
-    def par_coeff(self):
-        return self.s[:, 0]
-
-    def element(self, n: int) -> sl.LieElement:
-        """The m-valued LieElement batched over the grid."""
-        return sl.LieElement(n, m_par=self.s[:, 0], m_perp=sl.MPerp(qc.qim(self.s), self.v))
-
-    @staticmethod
-    def of(g: sl.LieElement) -> "MComps":
-        """Frame components of the m part of g."""
-        return MComps(qc.from_real(g.m_par) + g.m_perp.s, g.m_perp.v)
+def _element(comps: np.ndarray, n: int) -> sl.LieElement:
+    """The m-valued LieElement of packed components, batched over the grid."""
+    v = comps[:, 4:].reshape(len(comps), n - 1, 4)
+    return sl.LieElement(n, m_par=comps[:, 0], m_perp=sl.MPerp(qc.qim(comps[:, :4]), v))
 
 
-def frame_tangent(num_points: int, n: int) -> MComps:
+def _components(g: sl.LieElement) -> np.ndarray:
+    """Packed frame components of the m part of g."""
+    return sf._pack(qc.from_real(g.m_par) + g.m_perp.s, g.m_perp.v)
+
+
+def frame_tangent(num_points: int, n: int) -> np.ndarray:
     """The curve's unit tangent gamma_x in frame components: the constant
     e_x = (1/sqrt(chi), 0) at every point, exact where differencing is not."""
-    return MComps(
-        qc.from_real(np.full(num_points, 1.0 / np.sqrt(chi(n)))),
-        np.zeros((num_points, n - 1, 4)),
-    )
+    comps = np.zeros((num_points, 4 * n))
+    comps[:, 0] = 1.0 / np.sqrt(chi(n))
+    return comps
 
 
-def g_metric(a: MComps, b: MComps, n: int) -> np.ndarray:
-    """Riemannian metric on frame components, g = -Killing restricted to m."""
-    return chi(n) * (qc.dot4(a.s, b.s) + qc.vec_dot(a.v, b.v))
+def g_metric(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """Riemannian metric on frame components, g = -Killing restricted to m.
+    The s and v blocks are summed apart: one sum over all columns would
+    regroup the additions and move n >= 2 results by roundoff."""
+    ab = a * b
+    return chi(n) * (np.sum(ab[:, :4], axis=-1) + np.sum(ab[:, 4:], axis=-1))
 
 
-def g_norm(a: MComps, n: int) -> np.ndarray:
+def g_norm(a: np.ndarray, n: int) -> np.ndarray:
     return np.sqrt(np.maximum(g_metric(a, a, n), 0.0))
 
 
-def pull_to_frame(frame: FrameState, V: np.ndarray) -> tuple[MComps, np.ndarray]:
+def pull_to_frame(frame: FrameState, V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Frame components of ambient vectors; also returns the verticality column."""
     psi_q = qc.qmat_from_complex(frame.psi)
     col = qc.qmatmul(qc.qmat_conj_t(psi_q), V[..., None, :])[..., 0, :]
-    s = -qc.qconj(col[:, 1])
-    v = -qc.qconj(col[:, 2:])
-    return MComps(s, v), col[:, 0]
+    return -qc.qconj(col[:, 1:]).reshape(len(col), -1), col[:, 0]
 
 
-def covariant_deriv_x(state: StatePair, comps: MComps) -> MComps:
+def covariant_deriv_x(state: StatePair, comps: np.ndarray) -> np.ndarray:
     """Frame-native covariant derivative D_x + [omega_x, .] on m-components."""
     u, bu = state.arrays()
     omega_x = sl.LieElement(state.n, h_perp=sl.HPerp(u, bu))
-    ad = MComps.of(sl.bracket(omega_x, comps.element(state.n)))
-    return MComps(
-        gcalc.spectral_deriv(comps.s, state.grid) + ad.s,
-        gcalc.spectral_deriv(comps.v, state.grid) + ad.v,
-    )
+    ad = _components(sl.bracket(omega_x, _element(comps, state.n)))
+    return gcalc.spectral_deriv(comps, state.grid) + ad
 
 
-def ad_x_squared(z: MComps, w: MComps) -> MComps:
+def ad_x_squared(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """ad(e_z)^2 e_w = [e_z, [e_z, e_w]] on frame components."""
-    n = z.v.shape[1] + 1
-    e_z = z.element(n)
-    return MComps.of(sl.bracket(e_z, sl.bracket(e_z, w.element(n))))
+    n = z.shape[1] // 4
+    e_z = _element(z, n)
+    return _components(sl.bracket(e_z, sl.bracket(e_z, _element(w, n))))
 
 
-def flow_operator_inverse(v: MComps, n: int) -> MComps:
-    """Inverse of -ad_x^2(gamma_x) on the perp part: chi/4 on the scalar block,
-    chi on the vector block."""
+def flow_operator_inverse(n: int) -> np.ndarray:
+    """The diagonal of the inverse of -ad_x^2(gamma_x) on the perp part: 0 on
+    m_par, chi/4 on the scalar block, chi on the vector block."""
     c = chi(n)
-    return MComps(0.25 * c * qc.qim(v.s), c * v.v)
+    return np.array([0.0] + [0.25 * c] * 3 + [c] * (4 * n - 4))
 
 
 # -- frame evolution in time -----------------------------------------------------
@@ -493,22 +467,17 @@ def verify_mkdv_map(traj: FrameTrajectory, idx: int) -> dict:
 
     gamma_t, _ = pull_to_frame(frame, velocity)
 
-    ad2_NT = ad_x_squared(N, T)
-    inner = (NN.scaled(1.0 / c) - ad2_NT.scaled(0.5)).perp()
-    term1 = flow_operator_inverse(inner, n)
-    xinv_n = flow_operator_inverse(N.perp(), n)
+    # the inverse's diagonal is 0 on m_par, so it also takes the perp part
+    x_inv = flow_operator_inverse(n)
+    term1 = x_inv * ((1.0 / c) * NN - 0.5 * ad_x_squared(N, T))
     # tangential factor +g(X^-1 N, N)/(2 chi); with the positive-definite
     # metric this reproduces the parallel component (|N_s|^2/8 + |N_v|^2/2)
-    tangential = 0.5 / c * g_metric(xinv_n, N, n)
-    rhs = MComps(
-        term1.s + tangential[:, None] * T.s,
-        term1.v + tangential[:, None, None] * T.v,
-    )
-    residual = g_norm(rhs - gamma_t, n)
+    tangential = 0.5 / c * g_metric(x_inv * N, N, n)
+    residual = g_norm(term1 + tangential[:, None] * T - gamma_t, n)
 
     # tangential component identity for the parallel part of gamma_t
     h_par0 = bo._h_par0_local(*state.arrays())
-    tang_resid = np.abs(np.sqrt(c) * gamma_t.par_coeff() - h_par0)
+    tang_resid = np.abs(np.sqrt(c) * gamma_t[:, 0] - h_par0)
 
     return {
         "residual": float(np.max(residual)),
@@ -544,6 +513,30 @@ def verify_wave_map(traj: FrameTrajectory, idx: int) -> dict:
         "speed_value": float(np.mean(speed)),
         "unitarity": frames[idx].unitarity_defect(),
     }
+
+
+def map_residuals(
+    state: StatePair, frame: FrameState, flow: str, dt: float,
+    branch: str = "-", sg_mode: str = "line", sg_refine: int = 8,
+) -> dict:
+    """The map check of flow from state and its frame: co-evolve both and read
+    verify_mkdv_map or verify_wave_map at snapshot 5.
+
+    The -1 flow steps at min(dt, 1e-3); its right side is bounded by its
+    constraint (|h_s| <= 2 chi, |h_v| <= chi), so its check stops at
+    snapshot 6.  The mKdV check steps at dt and keeps 10 steps: they are its
+    only probe of RK4 stability at the run's dt
+    (tests/test_cli.py::test_simulate_map_check_blowup_exits_1).
+    """
+    idx = 5
+    if flow == "sg":
+        dt, steps, check = min(dt, 1e-3), idx + 1, verify_wave_map
+    else:
+        steps, check = 2 * idx, verify_mkdv_map
+    traj = evolve_with_frame(
+        state, frame, flow, dt, steps, branch=branch, sg_mode=sg_mode, sg_refine=sg_refine
+    )
+    return check(traj, idx)
 
 
 # -- export ----------------------------------------------------------------------

@@ -107,19 +107,17 @@ def kink_run():
 
 
 @pytest.fixture(scope="module")
-def mkdv_geometry_traj():
+def mkdv_geometry_map():
     grid = gcalc.PeriodicGrid(256, 40.0)
     state = sf.preset_mkdv_soliton(grid, n=1, a=1.0)
-    return cg.evolve_with_frame(state, cg.grid_frame(state, 8), "mkdv", 2e-3, 10)
+    return cg.map_residuals(state, cg.grid_frame(state, 8), "mkdv", 2e-3)
 
 
 @pytest.fixture(scope="module")
-def sg_geometry_traj():
+def sg_geometry_map():
     grid = gcalc.PeriodicGrid(256, 40.0)
     state = sf.preset_sg_kink(grid, n=1, a=1.0)
-    return cg.evolve_with_frame(
-        state, cg.grid_frame(state, 8), "sg", 1e-4, 10, branch="-", sg_refine=8
-    )
+    return cg.map_residuals(state, cg.grid_frame(state, 8), "sg", 1e-4)
 
 
 # -- criteria -------------------------------------------------------------------
@@ -326,23 +324,16 @@ def test_criterion_6_sg_dynamics(kink_run):
     )
 
 
-def test_criterion_7_geometry(mkdv_geometry_traj, sg_geometry_traj):
+def test_criterion_7_geometry(mkdv_geometry_map, sg_geometry_map):
     grid = gcalc.PeriodicGrid(128, 16.0)
     worst_unit, worst_speed, worst_inv = 0.0, 0.0, 0.0
     for n in (1, 2):
         state = _band_state(31 + n, grid, n, amplitude=0.4, kmax=3)
-        measured = cg.geometric_invariants_from_curve(state, refine=8)
-        worst_unit = max(worst_unit, measured["frame"].unitarity_defect())
-        worst_speed = max(worst_speed, float(np.max(np.abs(measured["speed"] - 1.0))))
-        formulas = cg.geometric_invariants(state)
-        for key in ("g_NN", "g_NNx", "g_NxNx"):
-            target = gcalc.spectral_refine(formulas[key].values, grid, 8)
-            worst_inv = max(
-                worst_inv,
-                float(np.max(np.abs(measured[key] - target))) / max(1.0, np.max(np.abs(target))),
-            )
-    mk = cg.verify_mkdv_map(mkdv_geometry_traj, idx=5)
-    wv = cg.verify_wave_map(sg_geometry_traj, idx=5)
+        errors = cg.reconstruction_errors(state)[0]
+        worst_unit = max(worst_unit, errors["unitarity_defect"])
+        worst_speed = max(worst_speed, errors["speed_max_deviation"])
+        worst_inv = max(worst_inv, errors["invariant_max_deviation"])
+    mk, wv = mkdv_geometry_map, sg_geometry_map
     worst_unit = max(worst_unit, mk["unitarity"], wv["unitarity"])
     ok = (
         worst_unit <= 1e-9

@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hpflow import biham_ops as bo
 from hpflow import cli
 from hpflow import curve_geometry as cg
 from hpflow import soliton_flows as sf
+from hpflow import verify_suites as vs
 from hpflow.errors import ConfigError
 
 from conftest import read_qfld
@@ -532,3 +534,55 @@ def test_simulate_map_check_blowup_warns_nothing(tmp_path, capsys):
     assert rc == 1
     assert err.startswith("error: map check: solution blew up")
     assert err.count("\n") == 1
+
+
+def _simulate_quietly(cfg, capsys):
+    """Run simulate with warnings as errors; return the exit code and stderr."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(["simulate", "--config", str(cfg)])
+    return rc, capsys.readouterr().err
+
+
+def test_simulate_run_blowup_exits_1(tmp_path, capsys):
+    # 20 steps at dt = 2 dx^3 leave RK4's stability region in the run itself
+    dx = 10.0 / 64
+    cfg = write_config(
+        tmp_path,
+        grid={"N": 64, "L": 10.0, "mode": "periodic"},
+        flow={"kind": "mkdv", "dt": 2 * dx**3, "t_end": 40 * dx**3, "cfl_constant": 2.0},
+        initial={"preset": "mkdv_soliton", "a": 1.5},
+    )
+    rc, err = _simulate_quietly(cfg, capsys)
+    assert rc == 1
+    assert err.startswith("error: solution blew up")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_simulate_without_periodic_flow_exits_1(tmp_path, capsys):
+    cfg = write_config(
+        tmp_path,
+        grid={"N": 64, "L": 2 * np.pi, "mode": "periodic"},
+        flow={"kind": "sg", "dt": 1e-3, "t_end": 2e-3},
+        initial={"preset": "random_band", "seed": 3},
+    )
+    rc, err = _simulate_quietly(cfg, capsys)
+    assert rc == 1
+    assert err.startswith("error: no periodic -1 flow")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_verify_negative_control_fails_without_vector_coupling(monkeypatch, capsys):
+    # a right side whose u-row vanishes at u = 0 must fail the negative control
+    rhs = sf.mkdv_rhs
+
+    def uncoupled(state, *args, **kw):
+        out = rhs(state, *args, **kw)
+        return bo.make_flow(state.grid, np.zeros_like(out.hs.values), out.hv.values)
+
+    monkeypatch.setattr(sf, "mkdv_rhs", uncoupled)
+    name = "no consistent non-commutative vector reduction (negative control)"
+    control, = (c for c in vs.flow_suite(3) if c.name == name)
+    assert not control.passed
+    assert cli.main(["verify", "--scope", "flows"]) == 1
+    assert f"[FAIL] {name}" in capsys.readouterr().out

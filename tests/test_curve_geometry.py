@@ -70,12 +70,8 @@ def test_invariant_formulas_vs_curve(rng):
     grid = gcalc.PeriodicGrid(128, 16.0)
     for n in (1, 2):
         state = random_state(rng, grid, n, amplitude=0.4, kmax=3)
-        formulas = cg.geometric_invariants(state)
-        measured = cg.geometric_invariants_from_curve(state, refine=8)
-        for key in ("g_NN", "g_NNx", "g_NxNx"):
-            target = gcalc.spectral_refine(formulas[key].values, grid, 8)
-            scale = max(1.0, np.max(np.abs(target)))
-            assert np.max(np.abs(measured[key] - target)) <= 1e-5 * scale
+        errors = cg.reconstruction_errors(state)[0]
+        assert errors["invariant_max_deviation"] <= 1e-5
 
 
 def test_invariants_zero_state():
@@ -134,12 +130,10 @@ def test_invariants_gauge_independent(rng):
 
 
 def _push_from_frame(frame, comps):
-    """Ambient vectors psi (0, -conj s, -conj v)^t of frame components."""
-    K = comps.s.shape[0]
+    """Ambient vectors psi (0, -conj s, -conj v)^t of packed frame components."""
+    K = len(comps)
     col = np.zeros((K, frame.n + 1, 4))
-    col[:, 1] = -qc.qconj(comps.s)
-    if comps.v.shape[1]:
-        col[:, 2:] = -qc.qconj(comps.v)
+    col[:, 1:] = -qc.qconj(comps.reshape(K, frame.n, 4))
     return qc.qmatmul(qc.qmat_from_complex(frame.psi), col[..., None, :])[..., 0, :]
 
 
@@ -147,13 +141,13 @@ def test_pull_push_roundtrip(rng):
     grid = gcalc.PeriodicGrid(48, 9.0)
     state = random_state(rng, grid, 2, amplitude=0.4)
     frame = cg.grid_frame(state, refine=4)
-    comps = cg.MComps(
+    comps = sf._pack(
         rng.standard_normal((48, 4)), rng.standard_normal((48, 1, 4))
     )
     amb = _push_from_frame(frame, comps)
     back, vert = cg.pull_to_frame(frame, amb)
-    np.testing.assert_allclose(back.s, comps.s, atol=1e-10)
-    np.testing.assert_allclose(back.v, comps.v, atol=1e-10)
+    np.testing.assert_allclose(back[:, :4], comps[:, :4], atol=1e-10)
+    np.testing.assert_allclose(back[:, 4:], comps[:, 4:], atol=1e-10)
     np.testing.assert_allclose(vert, 0.0, atol=1e-10)
 
 
@@ -188,24 +182,24 @@ def test_flow_operator_eigenvalues(rng):
     n = 3
     c = chi(n)
     e_comps = cg.frame_tangent(K, n)
-    probe = cg.MComps(
+    probe = sf._pack(
         np.concatenate(
             [np.zeros((K, 1)), np.ones((K, 3))], axis=1
         ),
         np.ones((K, n - 1, 4)),
     )
-    out = cg.ad_x_squared(e_comps, probe).scaled(-1.0)
-    np.testing.assert_allclose(qc.qim(out.s), (4.0 / c) * qc.qim(probe.s), atol=1e-12)
-    np.testing.assert_allclose(out.v, (1.0 / c) * probe.v, atol=1e-12)
-    np.testing.assert_allclose(out.s[:, 0], 0.0, atol=1e-12)
+    out = -1.0 * cg.ad_x_squared(e_comps, probe)
+    np.testing.assert_allclose(qc.qim(out[:, :4]), (4.0 / c) * qc.qim(probe[:, :4]), atol=1e-12)
+    np.testing.assert_allclose(out[:, 4:], (1.0 / c) * probe[:, 4:], atol=1e-12)
+    np.testing.assert_allclose(out[:, 0], 0.0, atol=1e-12)
     # parallel probe is annihilated
-    par_probe = cg.MComps(qc.from_real(np.ones(K)), np.zeros((K, n - 1, 4)))
+    par_probe = sf._pack(qc.from_real(np.ones(K)), np.zeros((K, n - 1, 4)))
     out_par = cg.ad_x_squared(e_comps, par_probe)
-    np.testing.assert_allclose(out_par.s, 0.0, atol=1e-12)
+    np.testing.assert_allclose(out_par[:, :4], 0.0, atol=1e-12)
     # inverse map composes to the identity on the perp part
-    back = cg.flow_operator_inverse(out.perp(), n)
-    np.testing.assert_allclose(back.s, qc.qim(probe.s), atol=1e-12)
-    np.testing.assert_allclose(back.v, probe.v, atol=1e-12)
+    back = cg.flow_operator_inverse(n) * out
+    np.testing.assert_allclose(back[:, :4], qc.qim(probe[:, :4]), atol=1e-12)
+    np.testing.assert_allclose(back[:, 4:], probe[:, 4:], atol=1e-12)
 
 
 def test_covariant_deriv_matches_pulled_curvature(rng):
@@ -219,12 +213,14 @@ def test_covariant_deriv_matches_pulled_curvature(rng):
     T, vert = cg.pull_to_frame(frame, T_amb)
     assert np.max(np.abs(vert)) <= 1e-8
     rc = np.sqrt(chi(n))
-    np.testing.assert_allclose(T.s, qc.from_real(np.full(grid.num_points, 1 / rc)), atol=1e-7)
+    np.testing.assert_allclose(
+        T[:, :4], qc.from_real(np.full(grid.num_points, 1 / rc)), atol=1e-7
+    )
     N = cg.covariant_deriv_x(state, T)
     expected_s = 2.0 * state.u.values / rc
     expected_v = -state.bu.values / rc
-    assert np.max(np.abs(N.s - expected_s)) <= 1e-6
-    assert np.max(np.abs(N.v - expected_v)) <= 1e-6
+    assert np.max(np.abs(N[:, :4] - expected_s)) <= 1e-6
+    assert np.max(np.abs(N[:, 4:] - expected_v.reshape(grid.num_points, -1))) <= 1e-6
 
 
 def test_mkdv_map_zero_state():
@@ -289,6 +285,68 @@ def test_wave_map_kink():
     assert out["residual"] <= 1e-5
     assert out["speed_constancy"] <= 1e-6
     assert abs(out["speed_value"] - chi(1)) <= 1e-6 * chi(1)
+
+
+def _recording_evolve(monkeypatch):
+    calls, evolve = [], cg.evolve_with_frame
+
+    def recording(state, frame, flow, dt, steps, **kw):
+        calls.append((dt, steps))
+        return evolve(state, frame, flow, dt, steps, **kw)
+
+    monkeypatch.setattr(cg, "evolve_with_frame", recording)
+    return calls, evolve
+
+
+def test_map_residuals_mkdv_takes_ten_steps_at_dt(monkeypatch):
+    state = sf.preset_mkdv_soliton(gcalc.PeriodicGrid(64, 20.0), n=1, a=1.0)
+    frame = cg.grid_frame(state, 8)
+    calls, evolve = _recording_evolve(monkeypatch)
+    out = cg.map_residuals(state, frame, "mkdv", 1e-3)
+    assert calls == [(1e-3, 10)]
+    assert out == cg.verify_mkdv_map(evolve(state, frame, "mkdv", 1e-3, 10), 5)
+
+
+def test_map_residuals_sg_clamps_dt_and_stops_at_snapshot_6(monkeypatch):
+    state = sf.preset_sg_kink(gcalc.PeriodicGrid(128, 40.0), n=1, a=1.0)
+    frame = cg.grid_frame(state, 8)
+    calls, evolve = _recording_evolve(monkeypatch)
+    out = cg.map_residuals(state, frame, "sg", 5e-3)
+    assert calls == [(1e-3, 6)]
+    assert out == cg.verify_wave_map(evolve(state, frame, "sg", 1e-3, 6), 5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_packed_components_round_trip_lie_element(rng, n):
+    K = 16
+    comps = rng.standard_normal((K, 4 * n))
+    assert np.array_equal(cg._components(cg._element(comps, n)), comps)
+    g = sl.LieElement(
+        n,
+        m_par=rng.standard_normal(K),
+        m_perp=sl.MPerp(qc.qim(rng.standard_normal((K, 4))), rng.standard_normal((K, n - 1, 4))),
+    )
+    back = cg._element(cg._components(g), n)
+    assert np.array_equal(back.m_par, g.m_par)
+    assert np.array_equal(back.m_perp.s, g.m_perp.s)
+    assert np.array_equal(back.m_perp.v, g.m_perp.v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_covariant_deriv_x_matches_two_transform_reference(rng, n):
+    # one transform of the packed [s | v] gives the bits of one per block
+    grid = gcalc.PeriodicGrid(32, 12.0)
+    state = random_state(rng, grid, n, amplitude=0.5, kmax=3)
+    s, v = rng.standard_normal((32, 4)), rng.standard_normal((32, n - 1, 4))
+    u, bu = state.arrays()
+    ad = sl.bracket(
+        sl.LieElement(n, h_perp=sl.HPerp(u, bu)),
+        sl.LieElement(n, m_par=s[:, 0], m_perp=sl.MPerp(qc.qim(s), v)),
+    )
+    ref_s = gcalc.spectral_deriv(s, grid) + (qc.from_real(ad.m_par) + ad.m_perp.s)
+    ref_v = gcalc.spectral_deriv(v, grid) + ad.m_perp.v
+    expected = np.concatenate([ref_s, ref_v.reshape(32, -1)], axis=1)
+    assert np.array_equal(cg.covariant_deriv_x(state, sf._pack(s, v)), expected)
 
 
 def test_transport_consistency_after_evolution(rng):
@@ -387,12 +445,14 @@ def test_sg_time_matrices_match_block_layout(n):
 
 
 def _split(c):
-    """Frame components as the table's (MPar, MPerp) parts."""
-    return sl.MPar(c.s[:, 0]), sl.MPerp(qc.qim(c.s), c.v)
+    """Packed frame components as the table's (MPar, MPerp) parts."""
+    v = c[:, 4:].reshape(len(c), c.shape[1] // 4 - 1, 4)
+    return sl.MPar(c[:, 0]), sl.MPerp(qc.qim(c[:, :4]), v)
 
 
 def _of(g):
-    return cg.MComps(qc.from_real(g.m_par) + g.m_perp.s, g.m_perp.v)
+    s = qc.from_real(g.m_par) + g.m_perp.s
+    return np.concatenate([s, g.m_perp.v.reshape(len(s), -1)], axis=1)
 
 
 def _table_bracket_h_m(n, h_par, h_perp, c):
@@ -420,20 +480,18 @@ def _table_ad_x_squared(n, z, w):
         bp(z_perp, w_par, "h_perp"),
         bp(z_perp, w_perp, "h_perp"),
     )
-    return _table_bracket_h_m(n, zw.h_par, zw.h_perp, z).scaled(-1.0)
+    return -1.0 * _table_bracket_h_m(n, zw.h_par, zw.h_perp, z)
 
 
 def _rel_err(out, ref):
-    scale = max(np.max(np.abs(ref.s)), np.max(np.abs(ref.v), initial=0.0))
-    worst = max(np.max(np.abs(out.s - ref.s)), np.max(np.abs(out.v - ref.v), initial=0.0))
-    return worst / scale
+    return np.max(np.abs(out - ref)) / np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_ad_x_squared_matches_bracket_table(rng, n):
     K = 32
     z, w = (
-        cg.MComps(rng.standard_normal((K, 4)), rng.standard_normal((K, n - 1, 4)))
+        sf._pack(rng.standard_normal((K, 4)), rng.standard_normal((K, n - 1, 4)))
         for _ in range(2)
     )
     assert _rel_err(cg.ad_x_squared(z, w), _table_ad_x_squared(n, z, w)) <= 1e-12
@@ -443,12 +501,9 @@ def test_ad_x_squared_matches_bracket_table(rng, n):
 def test_covariant_deriv_bracket_matches_bracket_table(rng, n):
     grid = gcalc.PeriodicGrid(32, 12.0)
     state = random_state(rng, grid, n, amplitude=0.5, kmax=3)
-    comps = cg.MComps(rng.standard_normal((32, 4)), rng.standard_normal((32, n - 1, 4)))
+    comps = sf._pack(rng.standard_normal((32, 4)), rng.standard_normal((32, n - 1, 4)))
     out = cg.covariant_deriv_x(state, comps)
-    bracket_term = cg.MComps(
-        out.s - gcalc.spectral_deriv(comps.s, grid),
-        out.v - gcalc.spectral_deriv(comps.v, grid),
-    )
+    bracket_term = out - gcalc.spectral_deriv(comps, grid)
     h_perp = sl.HPerp(state.u.values, state.bu.values)
     h_par = sl.HPar(np.zeros((32, 4)), np.zeros((32, n - 1, n - 1, 4)))
     expected = _table_bracket_h_m(n, h_par, h_perp, comps)
