@@ -6,10 +6,13 @@ representative (carrying the 1/sqrt(chi) Killing normalization) and
 omega_x = (u, bu) is the connection built from the state.  psi is stored in
 the complex embedding of quaternion matrices.  Its transpose solves
 (psi^t)_x = (e_x + omega_x)^t psi^t, an x-system of the -1 flow's form
-y_x = M y, so transport reuses that flow's Magnus-4 generator, prefix scan
-and unitary Taylor exponential: quaternion-unitarity holds to roundoff.  In
-time, the state takes the flow solvers' RK4 step (2/3 rule on the +1 flow)
-and the frame one exponential at the average of the step's end states.
+y_x = M y, so transport reuses that flow's transfer build and prefix scan:
+soliton_flows.magnus4_transfers forms the Magnus-4 generators and their
+unitary Taylor exponentials a block of fine cells at a time, building the
+frame matrices only for the block's points, and quaternion-unitarity holds
+to roundoff.  In time, the state takes the flow solvers' RK4 step (2/3 rule
+on the +1 flow) and the frame one exponential at the average of the step's
+end states.
 
 The curve is gamma(x) = psi(x) applied to the origin column (1, 0, ..., 0)^t,
 psi's first column: a unit vector in H^(n+1) representing a projective point
@@ -82,9 +85,14 @@ def _transport_transfers(state: StatePair, refine: int) -> np.ndarray:
     u_f = gcalc.spectral_refine(state.u.values, grid, fine)
     u_f[:, 0] = 0.0
     bu_f = gcalc.spectral_refine(state.bu.values, grid, fine)
-    A = sl.LieElement(state.n, m_par=1.0 / np.sqrt(chi(state.n)), h_perp=sl.HPerp(u_f, bu_f))
-    A_t = np.swapaxes(qc.qmat_to_complex(A.to_matrix()), -1, -2)
-    return sf.expm_antihermitian(sf._magnus4(A_t, grid.dx / refine))
+    n = state.n
+    tangent = 1.0 / np.sqrt(chi(n))
+
+    def system(rows):
+        A = sl.LieElement(n, m_par=tangent, h_perp=sl.HPerp(u_f[rows], bu_f[rows]))
+        return np.swapaxes(qc.qmat_to_complex(A.to_matrix()), -1, -2)
+
+    return sf.magnus4_transfers(system, u_f.shape[0] // 2, 2 * (n + 1), grid.dx / refine, complex)
 
 
 def transport_frame(state: StatePair, refine: int) -> FrameState:

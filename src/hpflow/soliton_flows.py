@@ -14,10 +14,10 @@ element of the constraint form's orthogonal algebra, the constraint is
 preserved to roundoff along x regardless of resolution.  For n = 1 that
 algebra is so(4) = sp(1) + sp(1), and each transfer is built in closed form
 as one left and one right multiplication by a unit quaternion; n >= 2
-exponentiates the Magnus generator with the batched Taylor map.  The frame
-transport in curve_geometry shares the Magnus-4 generator, exponential and
-prefix scan, and its co-evolution in time the RK4 body.  Two spatial modes
-are offered:
+exponentiates the Magnus generator with the batched Taylor map, a block of
+cells at a time (magnus4_transfers).  The frame transport in curve_geometry
+shares that build and the prefix scan, and its co-evolution in time the RK4
+body.  Two spatial modes are offered:
 
     line     : integrate left to right from the boundary value
                (sign * chi, 0, 0) at x = 0; meant for states that vanish
@@ -311,6 +311,19 @@ _EXPM_THETA = 0.3
 _EXPM_COEFFS = 1.0 / np.cumprod([1.0] + list(range(1, 13)))  # 1/k!, k = 0..12
 
 
+def _max_norm(Z: np.ndarray) -> float:
+    """The batch's largest Frobenius norm; NaN if any entry is NaN."""
+    return float(np.sqrt(np.max(np.sum(np.abs(Z) ** 2, axis=(-2, -1)), initial=0.0)))
+
+
+def _expm_squarings(norm: float) -> int:
+    """Squarings s that bring the Frobenius norm `norm` to theta or below; 0
+    for a non-finite norm, whose exponential is non-finite anyway."""
+    if math.isfinite(norm) and norm > _EXPM_THETA:
+        return math.ceil(math.log2(norm / _EXPM_THETA))
+    return 0
+
+
 def expm_antihermitian(Z: np.ndarray) -> np.ndarray:
     """Batched exponential of real skew-symmetric or complex anti-Hermitian
     matrices (..., d, d), from matrix products alone.
@@ -320,10 +333,8 @@ def expm_antihermitian(Z: np.ndarray) -> np.ndarray:
     s times; s comes from the batch's largest Frobenius norm.  Non-finite
     input gives non-finite output.
     """
-    norm = float(np.sqrt(np.max(np.sum(np.abs(Z) ** 2, axis=(-2, -1)), initial=0.0)))
-    s = 0
-    if np.isfinite(norm) and norm > _EXPM_THETA:
-        s = math.ceil(math.log2(norm / _EXPM_THETA))
+    s = _expm_squarings(_max_norm(Z))
+    if s:
         Z = Z * 2.0**-s
     c = _EXPM_COEFFS
     eye = np.eye(Z.shape[-1])
@@ -392,14 +403,52 @@ def _sg_transfers(state: StatePair, refine: int) -> np.ndarray:
     return _sg_transfers_generic(state, refine)
 
 
-def _magnus4(M: np.ndarray, h: float) -> np.ndarray:
-    """Magnus-4 generators of y_x = M y over periodic cells of width h, from M
-    at the cell ends (even rows) and midpoints (odd rows)."""
-    M0 = M[0::2]
-    Mmid = M[1::2]
-    M1 = np.roll(M0, -1, axis=0)
-    comm = Mmid @ (M1 - M0) - (M1 - M0) @ Mmid
-    return (h / 6.0) * (M0 + 4.0 * Mmid + M1) - (h**2 / 12.0) * comm
+# Bytes of generators per block of the transfer build; the block's matrices
+# and Magnus and Taylor temporaries are a small multiple of it, whatever the
+# grid.  64 KB is the largest power of two that keeps the n = 1 frame's build
+# under 2 MB (N = 256, refine 8); larger blocks saved at most 15% of its time.
+_BLOCK_BYTES = 1 << 16
+
+
+def magnus4_transfers(system, cells: int, d: int, h: float, dtype=float, scale=None):
+    """Transfers exp(Omega) of y_x = M(x) y over `cells` periodic cells of width h.
+
+    Omega = (h/6)(M0 + 4 Mmid + M1) - (h^2/12)[Mmid, M1 - M0] from M at cell
+    i's ends, fine points 2i and 2i + 2 (mod 2 * cells), and its midpoint
+    2i + 1; `system(rows)` gives M at the fine points `rows`, (len(rows), d, d),
+    one block of cells at a time.  The generators fill the returned array,
+    and each block is then exponentiated in place with the squarings of the
+    largest norm over all cells: for finite input, the arithmetic of one
+    whole-stack expm_antihermitian call, without its whole-grid temporaries.
+    With `scale`, Omega is skew with respect to diag(scale^2) and is
+    exponentiated after the similarity by scale, which makes it skew-symmetric.
+    """
+    out = np.empty((cells, d, d), dtype)
+    step = max(1, _BLOCK_BYTES // (d * d * out.itemsize))
+    blocks = [slice(i, min(i + step, cells)) for i in range(0, cells, step)]
+    norms = []
+    for b in blocks:
+        M = system(np.arange(2 * b.start, 2 * b.stop + 1) % (2 * cells))
+        M0, Mmid, M1 = M[:-1:2], M[1::2], M[2::2]
+        D = M1 - M0
+        comm = Mmid @ D - D @ Mmid
+        Z = np.subtract((h / 6.0) * (M0 + 4.0 * Mmid + M1), (h**2 / 12.0) * comm, out=out[b])
+        if scale is not None:
+            np.multiply(scale[:, None], Z, out=Z)
+            Z /= scale
+        norms.append(_max_norm(Z))
+    s = _expm_squarings(float(np.max(norms)))
+    for b in blocks:
+        # the scaled block's norm is at most theta: expm_antihermitian squares nothing
+        E = expm_antihermitian(out[b] * 2.0**-s if s else out[b])
+        for _ in range(s):
+            E = E @ E
+        if scale is None:
+            out[b] = E
+        else:
+            np.multiply(E, scale, out=out[b])
+            out[b] /= scale[:, None]
+    return out
 
 
 def _sg_transfers_generic(state: StatePair, refine: int) -> np.ndarray:
@@ -408,12 +457,13 @@ def _sg_transfers_generic(state: StatePair, refine: int) -> np.ndarray:
     fine = 2 * refine
     u_f = gcalc.spectral_refine(state.u.values, grid, fine)
     bu_f = gcalc.spectral_refine(state.bu.values, grid, fine)
-    Omega = _magnus4(sg_system_matrix(u_f, bu_f), grid.dx / refine)
-    # Omega is skew w.r.t. the form diag(sqrt_form^2); the diagonal similarity
-    # by sqrt_form makes it skew-symmetric
-    sqrt_form = _sqrt_form(state.n - 1)
-    E = expm_antihermitian(sqrt_form[:, None] * Omega / sqrt_form)
-    return E * sqrt_form / sqrt_form[:, None]
+    return magnus4_transfers(
+        lambda rows: sg_system_matrix(u_f[rows], bu_f[rows]),
+        u_f.shape[0] // 2,
+        4 + 4 * (state.n - 1),
+        grid.dx / refine,
+        scale=_sqrt_form(state.n - 1),
+    )
 
 
 # n = 1: in the coordinates scaled by sqrt_form the system matrix is

@@ -10,7 +10,6 @@ from hpflow import cli
 from hpflow import curve_geometry as cg
 from hpflow import soliton_flows as sf
 from hpflow import verify_suites as vs
-from hpflow.errors import ConfigError
 
 from conftest import read_qfld
 

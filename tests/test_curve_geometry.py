@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from hpflow.symm_lie import chi
 
 from conftest import random_unit_quat
 from test_biham_ops import random_state
+from test_soliton_flows import _whole_array_transfers, cells_per_block
 
 
 def zero_state(grid, n=1):
@@ -541,6 +544,57 @@ def test_transport_frame_matches_right_oriented_reference(rng, n):
     psi, monodromy = _reference_right_transport(state, 4)
     assert np.max(np.abs(frame.psi - psi)) <= 1e-13
     assert np.max(np.abs(frame.monodromy - monodromy)) <= 1e-13
+
+
+def _reference_transport_transfers(state, refine):
+    """The frame transfers built for all fine cells at once, as before the
+    blocked build."""
+    grid = state.grid
+    fine = 2 * refine
+    u_f = gcalc.spectral_refine(state.u.values, grid, fine)
+    u_f[:, 0] = 0.0
+    bu_f = gcalc.spectral_refine(state.bu.values, grid, fine)
+    A = sl.LieElement(state.n, m_par=1.0 / np.sqrt(chi(state.n)), h_perp=sl.HPerp(u_f, bu_f))
+    A_t = np.swapaxes(qc.qmat_to_complex(A.to_matrix()), -1, -2)
+    return _whole_array_transfers(A_t, grid.dx / refine)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("refine", [1, 2, 3, 8])
+@pytest.mark.parametrize("block", [None, 7])
+def test_blocked_frame_transfers_equal_the_whole_array_build(monkeypatch, n, refine, block):
+    # odd N; 7 cells a block divide none of K = 45, 90, 135, 360; at refine 1
+    # the amplitude-3 band's cells pass theta, so the blocks share squarings
+    grid = gcalc.PeriodicGrid(45, 20.0)
+    if block:
+        cells_per_block(monkeypatch, block, 2 * (n + 1), complex)
+    for state in (
+        sf.preset_random_band(grid, n, seed=12, amplitude=3.0),
+        zero_state(grid, n),
+    ):
+        T = cg._transport_transfers(state, refine)
+        assert np.array_equal(T, _reference_transport_transfers(state, refine))
+
+
+def _peak_allocation(f):
+    """Peak bytes tracemalloc sees allocated during f(), after a warm-up call."""
+    f()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_transfer_builds_hold_a_block_not_the_grid():
+    # the whole-grid builds peaked at 5.1 MB (frame, n = 1) and 19.3 MB
+    # (the n = 3 x-solve's transfers) at N = 256, refine 8
+    grid = gcalc.PeriodicGrid(256, 40.0)
+    kink = sf.preset_sg_kink(grid, 1)
+    assert _peak_allocation(lambda: cg.grid_frame(kink, 8)) <= 2e6
+    kink3 = sf.preset_sg_kink(grid, 3)
+    assert _peak_allocation(lambda: sf._sg_transfers_generic(kink3, 8)) <= 19.3e6 / 2
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

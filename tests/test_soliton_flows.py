@@ -223,6 +223,30 @@ def _nearly_imaginary_state(grid, n):
     return bo.make_state(grid, u, state.bu.values)
 
 
+def test_make_state_checks_keep_their_verdicts():
+    grid = gcalc.PeriodicGrid(64, 20.0)
+    state = _nearly_imaginary_state(grid, 2)  # Re u at 1e-12 passes
+    u, bu = state.u.values, state.bu.values
+    # equal grids that are distinct objects pass; distinct grids raise
+    twin = gcalc.PeriodicGrid(64, 20.0)
+    assert twin is not grid
+    pair = bo.StatePair(gcalc.Field(grid, u, "iquat"), gcalc.Field(twin, bu, "qvec"))
+    assert pair.grid is grid
+    other = gcalc.PeriodicGrid(64, 21.0)
+    with pytest.raises(DimensionMismatchError):
+        bo.StatePair(gcalc.Field(grid, u, "iquat"), gcalc.Field(other, bu, "qvec"))
+    # the scalar's bound is 1e-9 relative to the RMS of u
+    rms = state.u.rms()
+    for re, ok in ((0.5e-9 * rms, True), (2e-9 * rms, False), (-2e-9 * rms, False)):
+        v = u.copy()
+        v[7, 0] = re
+        if ok:
+            bo.make_state(grid, v, bu)
+        else:
+            with pytest.raises(DomainError, match="imaginary"):
+                bo.make_state(grid, v, bu)
+
+
 def _assert_valid_stage(stage, state):
     """The stage state passes make_state's checks, its scalar exactly imaginary."""
     assert (stage.u.kind, stage.bu.kind) == ("iquat", "qvec")
@@ -950,17 +974,18 @@ def test_n1_transfers_match_generic_builder(name, refine):
 
 def test_n1_large_band_takes_the_squaring_branch(monkeypatch):
     # guards the comment on N1_STATES: at amplitude 3 the generic builder
-    # hands the Taylor exponential cell Omegas past theta
+    # finds cell Omegas past theta, so the Taylor exponential squares
     norms = []
-    expm = sf.expm_antihermitian
+    squarings = sf._expm_squarings
 
-    def spy(Z):
-        norms.append(np.max(np.linalg.norm(Z, axis=(-2, -1))))
-        return expm(Z)
+    def spy(norm):
+        norms.append(norm)
+        return squarings(norm)
 
-    monkeypatch.setattr(sf, "expm_antihermitian", spy)
+    monkeypatch.setattr(sf, "_expm_squarings", spy)
     sf._sg_transfers_generic(N1_STATES["band_3"](), 2)
     assert norms[0] > sf._EXPM_THETA
+    assert squarings(norms[0]) > 0
 
 
 def test_n1_zero_state_gives_identity_transfers_exactly():
@@ -1090,6 +1115,21 @@ def test_sg_inf_state_raises_the_nan_errors(n):
             assert exc.value.time == pytest.approx(0.501)
 
 
+def _whole_array_transfers(M, h, scale=None):
+    """Magnus-4 transfers from M at the 2K fine points, built for all K cells
+    at once and exponentiated by one expm_antihermitian call: the build the
+    blocked magnus4_transfers replaced."""
+    M0 = M[0::2]
+    Mmid = M[1::2]
+    M1 = np.roll(M0, -1, axis=0)
+    comm = Mmid @ (M1 - M0) - (M1 - M0) @ Mmid
+    Omega = (h / 6.0) * (M0 + 4.0 * Mmid + M1) - (h**2 / 12.0) * comm
+    if scale is None:
+        return sf.expm_antihermitian(Omega)
+    E = sf.expm_antihermitian(scale[:, None] * Omega / scale)
+    return E * scale / scale[:, None]
+
+
 def _reference_sg_transfers(state, refine):
     """The transfer builder every n used before the n = 1 closed form."""
     grid = state.grid
@@ -1097,15 +1137,62 @@ def _reference_sg_transfers(state, refine):
     u_f = gcalc.spectral_refine(state.u.values, grid, fine)
     bu_f = gcalc.spectral_refine(state.bu.values, grid, fine)
     M = sf.sg_system_matrix(u_f, bu_f)
-    M0 = M[0::2]
-    Mmid = M[1::2]
-    M1 = np.roll(M0, -1, axis=0)
-    h = grid.dx / refine
-    comm = Mmid @ (M1 - M0) - (M1 - M0) @ Mmid
-    Omega = (h / 6.0) * (M0 + 4.0 * Mmid + M1) - (h**2 / 12.0) * comm
-    sqrt_form = _sqrt_form(state.n - 1)
-    E = sf.expm_antihermitian(sqrt_form[:, None] * Omega / sqrt_form)
-    return E * sqrt_form / sqrt_form[:, None]
+    return _whole_array_transfers(M, grid.dx / refine, _sqrt_form(state.n - 1))
+
+
+def cells_per_block(monkeypatch, cells, d, dtype=float):
+    """Make magnus4_transfers take `cells` cells of (d, d) matrices a block."""
+    monkeypatch.setattr(sf, "_BLOCK_BYTES", cells * d * d * np.dtype(dtype).itemsize)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("refine", [1, 2, 3, 8])
+@pytest.mark.parametrize("block", [None, 7])
+def test_blocked_sg_transfers_equal_the_whole_array_build(monkeypatch, n, refine, block):
+    # N = 45 is odd, and 7 cells a block divide none of K = 45, 90, 135, 360;
+    # at refine 1 the cells' Omegas pass theta, so the blocks share squarings
+    state = sf.preset_random_band(gcalc.PeriodicGrid(45, 20.0), n, seed=11, amplitude=0.8)
+    if block:
+        cells_per_block(monkeypatch, block, 4 + 4 * (n - 1))
+    T = sf._sg_transfers_generic(state, refine)
+    assert np.array_equal(T, _reference_sg_transfers(state, refine))
+
+
+def _skew_stack(rng, K, d):
+    A = rng.standard_normal((2 * K, d, d))
+    return A - np.swapaxes(A, -1, -2)
+
+
+@pytest.mark.parametrize("scale", [None, _sqrt_form(1)])
+def test_magnus4_transfers_share_the_squarings_of_the_largest_cell(monkeypatch, rng, scale):
+    # one block of large cells: the whole grid takes their squarings, which
+    # the small cells' own norm would not pick
+    K, d, h = 45, 8, 0.01
+    M = _skew_stack(rng, K, d)
+    M[29:42:2] *= 400.0  # the midpoints of cells 14..20, block 2 of 7 cells
+    cells_per_block(monkeypatch, 7, d)
+    T = sf.magnus4_transfers(lambda rows: M[rows], K, d, h, scale=scale)
+    assert np.array_equal(T, _whole_array_transfers(M, h, scale))
+    small = _whole_array_transfers(M[:14], h, scale)[:7]  # cells 0..6 on their own
+    assert sf._expm_squarings(sf._max_norm(M[1:14:2] * h)) == 0
+    assert not np.array_equal(T[:7], small)
+
+
+def test_magnus4_transfers_zero_and_non_finite_input(monkeypatch, rng):
+    K, d = 45, 8
+    cells_per_block(monkeypatch, 7, d)
+    zero = sf.magnus4_transfers(lambda rows: np.zeros((len(rows), d, d)), K, d, 0.1)
+    np.testing.assert_array_equal(zero, np.broadcast_to(np.eye(d), (K, d, d)))
+    # a NaN at fine point 60 is an end of cells 29 and 30: their transfers
+    # are non-finite, the others finite, as in the whole-array build
+    M = _skew_stack(rng, K, d)
+    M[60, 2, 5] = np.nan
+    with np.errstate(invalid="ignore"):
+        T = sf.magnus4_transfers(lambda rows: M[rows], K, d, 0.1)
+        ref = _whole_array_transfers(M, 0.1)
+    finite = np.all(np.isfinite(T), axis=(-2, -1))
+    assert np.flatnonzero(~finite).tolist() == [29, 30]
+    assert np.array_equal(finite, np.all(np.isfinite(ref), axis=(-2, -1)))
 
 
 @pytest.mark.parametrize("amplitude", [0.3, 3.0])
