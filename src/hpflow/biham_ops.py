@@ -83,6 +83,10 @@ class StatePair(_Pair):
     u: Field
     bu: Field
     _slots = ("u", "bu")
+    # stacked x-derivatives of the packed [u | bu], of the orders
+    # soliton_flows.mkdv_rhs reads, or None: only RK4 stage states carry
+    # them, from their dealiasing transform
+    x_derivs = None
 
     def __post_init__(self):
         self._validate()

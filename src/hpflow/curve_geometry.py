@@ -323,9 +323,12 @@ def _mkdv_time_matrices(state: StatePair) -> np.ndarray:
     """e_t + omega_t for the full +1 flow (convective term kept)."""
     grid = state.grid
     u, bu = state.arrays()
+    N, m = bu.shape[:2]
     rc = np.sqrt(chi(state.n))
-    ux, u2 = gcalc.spectral_deriv(u, grid, (1, 2))
-    bux, bu2 = gcalc.spectral_deriv(bu, grid, (1, 2))
+    # both fields' derivatives from one transform of [u | bu], u alone when m = 0
+    derivs = gcalc.spectral_deriv(sf._pack(u, bu), grid, (1, 2))
+    ux, u2 = derivs[:, :, :4]
+    bux, bu2 = derivs[:, :, 4:].reshape(2, N, m, 4)
     h_par0 = bo._h_par0_local(u, bu)
     # covector pair w_(1) = J(u_x, bu_x) with jet constants, all local
     w1s = 0.25 * u2 + 0.25 * qc.comm_C_vec(bu, bux) + h_par0[:, None] * u

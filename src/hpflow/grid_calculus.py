@@ -161,10 +161,25 @@ def spectral_refine(
     return np.fft.irfft(pad, n=n_fine, axis=axis) * factor
 
 
-def dealias_values(values: np.ndarray, grid: PeriodicGrid, fraction: float = 2.0 / 3.0) -> np.ndarray:
+def dealias_values(
+    values: np.ndarray, grid: PeriodicGrid, fraction: float = 2.0 / 3.0, orders: tuple = ()
+) -> np.ndarray:
+    """The values with every rfft mode above the dealias cut set to zero.
+
+    With derivative `orders`, the result is the stack [dealiased values,
+    their x-derivatives of those orders], shape (1 + len(orders),) +
+    values.shape, from the one masked spectrum: one rfft and one batched
+    irfft.  Each line is its own inverse transform, so the first row equals
+    the values alone bit for bit.
+    """
     F = np.fft.rfft(values, axis=0)
     F[grid.dealias_cut(fraction):] = 0.0
-    return np.fft.irfft(F, n=grid.num_points, axis=0)
+    if not orders:
+        return np.fft.irfft(F, n=grid.num_points, axis=0)
+    stack = np.empty((1 + len(orders),) + F.shape, complex)
+    stack[0] = F
+    np.multiply(F, grid.deriv_symbols(orders, values.shape[1:]), out=stack[1:])
+    return np.fft.irfft(stack, n=grid.num_points, axis=1)
 
 
 @dataclass

@@ -2,7 +2,10 @@
 
 The mKdV system is local and is stepped with classical RK4 on the periodic
 grid; the scalar part of the state is re-projected to its imaginary part
-after every stage.
+after every stage.  Under the 2/3 rule each stage is dealiased by one
+transform pair that also gives its x-derivatives, which the stage state
+carries to mkdv_rhs: a step makes 5 transform pairs, one for the step's
+first right side, one per later stage and one for the final projection.
 
 The -1 flow is nonlocal in x: at each instant the flow pair solves a linear
 ODE system in x driven by the state, with the pointwise quadratic constraint
@@ -124,22 +127,25 @@ class SimConfig:
 def mkdv_rhs(state: StatePair, galilean_removed: bool = True) -> FlowPair:
     """Closed-form right side of the scalar-vector mKdV system.
 
-    All derivatives come from one transform of the packed (N, 4 + 4m) array
-    [u | bu], or of u alone when m = 0; the vector-coupling terms are empty
-    sums when m = 0 and are only formed when bu has components.  The result
-    is not re-validated: its arrays have the state's grid and shapes.
+    The derivatives, of the orders _mkdv_orders names, are the state's own
+    x_derivs when it carries them (an RK4 stage state's, from the transform
+    that dealiased it).  A plain state takes them from one transform of the
+    packed (N, 4 + 4m) array [u | bu], or of u alone when m = 0.  The
+    vector-coupling terms are empty sums when m = 0 and are only formed when
+    bu has components.  The result is not re-validated: its arrays have the
+    state's grid and shapes.
     """
     grid = state.u.grid
     u, bu = state.u.values, state.bu.values
     N, m = bu.shape[:2]
+    derivs = state.x_derivs
+    if derivs is None:
+        derivs = gcalc.spectral_deriv(_pack(u, bu), grid, _mkdv_orders(m))
     if m:
-        derivs = gcalc.spectral_deriv(_pack(u, bu), grid, (1, 2, 3))
         ux, u2, u3 = derivs[:, :, :4]
         bux, bu2, bu3 = derivs[:, :, 4:].reshape(3, N, m, 4)
     else:
-        # u_2x enters only the coupling terms; each order is its own inverse
-        # transform, so (1, 3) gives the bits of rows 1 and 3 of (1, 2, 3)
-        ux, u3 = gcalc.spectral_deriv(u, grid, (1, 3))
+        ux, u3 = derivs
         bux = bu3 = bu  # (N, 0, 4): no components to differentiate
 
     unormsq = qc.qnormsq(u)
@@ -147,7 +153,9 @@ def mkdv_rhs(state: StatePair, galilean_removed: bool = True) -> FlowPair:
     # scalar row: u3/4 - (3/2) u^2 u_x + (3/4) C(u, C(bu, bu_x)) + (3/4) C(bu, bu_2x),
     # summed left to right in place
     out_s = 0.25 * u3
-    out_s += 1.5 * unormsq[:, None] * ux  # -u^2 = |u|^2 pointwise
+    # -u^2 = |u|^2 pointwise; the factor repeated to full shape, as a product
+    # broadcast along the quaternion axis costs more
+    out_s += (1.5 * unormsq).repeat(4).reshape(N, 4) * ux
     # vector row: bu_3x + (3/2)(|bu|^2 - u^2 + u_x) bu_x
     #             + (3/4)(2u|bu|^2 - A(u, u_x) - C(bu, bu_x) + u_2x) bu
     if m:
@@ -165,6 +173,14 @@ def mkdv_rhs(state: StatePair, galilean_removed: bool = True) -> FlowPair:
         out_s += c * ux
         out_v = out_v + c * bux  # out_v is the state's own bu when m = 0
     return bo._unchecked_pair(FlowPair, grid, out_s, out_v)
+
+
+def _mkdv_orders(m: int) -> tuple:
+    """The derivative orders of [u | bu] that mkdv_rhs reads.  u_2x enters
+    only the coupling terms, so m = 0 takes (1, 3); each order is its own
+    inverse transform, so those rows have the bits of rows 1 and 3 of
+    (1, 2, 3)."""
+    return (1, 2, 3) if m else (1, 3)
 
 
 def _pack(u, bu):
@@ -192,9 +208,18 @@ def _rk4(state: StatePair, rhs, dt: float, t: float, project_fraction) -> StateP
     returned, and no array of the input state, is written.  Only the result
     goes through make_state; the stage states are valid by construction.  A
     right side on another grid or of another shape than the state raises
-    DimensionMismatchError."""
+    DimensionMismatchError.
+
+    When `project_fraction` is set, each stage is dealiased by one
+    dealias_values call that also gives its x-derivatives of the orders
+    mkdv_rhs reads from the same masked spectrum; the stage state carries
+    them as x_derivs, for mkdv_rhs to read instead of transforming again.
+    The stage values are those of dealiasing alone, bit for bit, so a right
+    side that reads no derivatives steps as before.  The result carries no
+    derivatives."""
     grid = state.u.grid
     bu_shape = state.bu.values.shape
+    orders = _mkdv_orders(bu_shape[1])
     y = _pack(state.u.values, state.bu.values)  # u itself when m = 0
 
     def k(s):
@@ -210,23 +235,24 @@ def _rk4(state: StatePair, rhs, dt: float, t: float, project_fraction) -> StateP
             )
         return packed
 
-    def project(z):
-        """z (fresh, overwritten) with, when `project_fraction` is set, every
-        column dealiased in one transform, and the scalar re-projected to
-        imaginary.  The transform treats each column on its own, so the other
-        columns do not depend on the scalar's real part."""
-        if project_fraction is not None:
-            z = gcalc.dealias_values(z, grid, project_fraction)
-        z[:, 0] = 0.0
-        return z
-
     def stage(kk, c):
-        # y + c * kk; not re-validated: the input state's grid and shapes, and
-        # a scalar of exact zeros, so make_state's checks cannot fail
+        # y + c * kk, the scalar re-projected to imaginary; not re-validated:
+        # the input state's grid and shapes, and a scalar of exact zeros, so
+        # make_state's checks cannot fail
         z = kk * c
         z += y
-        z = project(z)
-        return bo._unchecked_pair(StatePair, grid, z[:, :4], z[:, 4:].reshape(bu_shape))
+        # zeroed before the transform as well as after it, so the derivatives
+        # are the stage state's; the transform treats each column on its own,
+        # so the other columns do not depend on the scalar's real part
+        z[:, 0] = 0.0
+        derivs = None
+        if project_fraction is not None:
+            rows = gcalc.dealias_values(z, grid, project_fraction, orders)
+            z, derivs = rows[0], rows[1:]
+            z[:, 0] = 0.0
+        s = bo._unchecked_pair(StatePair, grid, z[:, :4], z[:, 4:].reshape(bu_shape))
+        s.x_derivs = derivs
+        return s
 
     k1 = k(state)
     k2 = k(stage(k1, dt / 2))
@@ -239,7 +265,9 @@ def _rk4(state: StatePair, rhs, dt: float, t: float, project_fraction) -> StateP
     new += k4
     new *= dt / 6.0
     new += y
-    new = project(new)
+    if project_fraction is not None:
+        new = gcalc.dealias_values(new, grid, project_fraction)
+    new[:, 0] = 0.0
     if not np.isfinite(new).all():
         raise BlowUpError(t + dt)
     return make_state(grid, new[:, :4], new[:, 4:].reshape(bu_shape))

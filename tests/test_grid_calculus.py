@@ -235,6 +235,23 @@ def test_dealias_cut_matches_mask(rng, N, fraction, length):
         assert cut == N // 2 + 1
 
 
+@pytest.mark.parametrize("N", [128, 127])
+@pytest.mark.parametrize("fraction", [2 / 3, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_dealias_values_with_orders_stacks_the_values_and_their_derivatives(rng, N, fraction, n):
+    # the packed [u | bu] width of an RK4 stage
+    grid = gcalc.PeriodicGrid(N, 20.0)
+    vals = rng.standard_normal((N, 4 * n))
+    rows = gcalc.dealias_values(vals, grid, fraction, (1, 2, 3))
+    assert rows.shape == (4, N, 4 * n)
+    assert np.array_equal(rows[0], gcalc.dealias_values(vals, grid, fraction))
+    # the derivatives of the dealiased values, without transforming them again
+    again = gcalc.spectral_deriv(rows[0], grid, (1, 2, 3))
+    for got, want in zip(rows[1:], again):
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+
 def test_binary_roundtrip(tmp_path, rng):
     grid = gcalc.PeriodicGrid(16, 2.5)
     f = gcalc.Field(grid, rng.standard_normal((16, 2, 4)), "qvec")

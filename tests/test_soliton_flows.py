@@ -116,15 +116,24 @@ def test_mkdv_galilean_term(rng):
 
 
 def _reference_mkdv_rhs(state, galilean_removed=True):
-    """Six-transform right side: one spectral_deriv call per field and order."""
+    """Six-transform right side: one spectral_deriv call per field and order,
+    or the packed derivatives a stage state carries."""
     grid = state.grid
     u, bu = state.arrays()
-    ux = gcalc.spectral_deriv(u, grid)
-    u2 = gcalc.spectral_deriv(u, grid, 2)
-    u3 = gcalc.spectral_deriv(u, grid, 3)
-    bux = gcalc.spectral_deriv(bu, grid)
-    bu2 = gcalc.spectral_deriv(bu, grid, 2)
-    bu3 = gcalc.spectral_deriv(bu, grid, 3)
+    if state.x_derivs is None:
+        ux = gcalc.spectral_deriv(u, grid)
+        u2 = gcalc.spectral_deriv(u, grid, 2)
+        u3 = gcalc.spectral_deriv(u, grid, 3)
+        bux = gcalc.spectral_deriv(bu, grid)
+        bu2 = gcalc.spectral_deriv(bu, grid, 2)
+        bu3 = gcalc.spectral_deriv(bu, grid, 3)
+    elif bu.shape[1]:
+        ux, u2, u3 = state.x_derivs[:, :, :4]
+        bux, bu2, bu3 = state.x_derivs[:, :, 4:].reshape((3,) + bu.shape)
+    else:  # orders 1 and 3: u_2x enters only the coupling terms, empty here
+        ux, u3 = state.x_derivs
+        u2 = np.zeros_like(ux)
+        bux = bu2 = bu3 = bu
     unormsq = qc.qnormsq(u)
     businormsq = qc.vec_normsq(bu)
     cvec = qc.comm_C_vec(bu, bux)
@@ -150,19 +159,41 @@ def _reference_mkdv_rhs(state, galilean_removed=True):
     return bo.make_flow(grid, out_s, out_v)
 
 
-def _reference_step_rk4(state, rhs, dt, project_fraction):
-    """RK4 that validates each stage twice and dealiases u and bu separately."""
-    grid = state.grid
+def _masked_spectrum_derivs(values, grid, fraction, orders):
+    """x-derivatives of the dealiased values, each order its own inverse
+    transform of the masked spectrum."""
+    F = np.fft.rfft(values, axis=0)
+    F[grid.dealias_cut(fraction):] = 0.0
+    return np.stack([
+        np.fft.irfft(F * grid.deriv_symbols((p,), values.shape[1:])[0], n=grid.num_points, axis=0)
+        for p in orders
+    ])
 
-    def project(s):
+
+def _reference_step_rk4(state, rhs, dt, project_fraction):
+    """RK4 that validates each stage twice and dealiases u and bu separately;
+    each dealiased stage carries the derivatives of its masked spectrum."""
+    grid = state.grid
+    N, m = state.bu.values.shape[:2]
+    orders = sf._mkdv_orders(m)
+
+    def project(s, stage=True):
         u, bu = s.arrays()
         u = u.copy()
         u[:, 0] = 0.0
+        derivs = None
         if project_fraction is not None:
+            if stage:
+                derivs = _masked_spectrum_derivs(u, grid, project_fraction, orders)
+                if m:
+                    bu_derivs = _masked_spectrum_derivs(bu, grid, project_fraction, orders)
+                    derivs = np.concatenate([derivs, bu_derivs.reshape(3, N, -1)], axis=2)
             u = gcalc.dealias_values(u, grid, project_fraction)
             bu = gcalc.dealias_values(bu, grid, project_fraction)
             u[:, 0] = 0.0
-        return bo.make_state(grid, u, bu)
+        out = bo.make_state(grid, u, bu)
+        out.x_derivs = derivs
+        return out
 
     def shifted(k, c):
         return project(
@@ -177,7 +208,7 @@ def _reference_step_rk4(state, rhs, dt, project_fraction):
     k4 = rhs(shifted(k3, dt))
     du = (dt / 6.0) * (k1.hs.values + 2 * k2.hs.values + 2 * k3.hs.values + k4.hs.values)
     dbu = (dt / 6.0) * (k1.hv.values + 2 * k2.hv.values + 2 * k3.hv.values + k4.hv.values)
-    return project(bo.make_state(grid, state.u.values + du, state.bu.values + dbu))
+    return project(bo.make_state(grid, state.u.values + du, state.bu.values + dbu), stage=False)
 
 
 def assert_pairs_identical(a, b):
@@ -306,34 +337,45 @@ def test_sg_step_stage_states_pass_make_state(n, monkeypatch):
     _assert_valid_stage(new, state)
 
 
-def _out_of_place_rk4(state, rhs, dt, fraction):
+def _out_of_place_rk4(state, rhs, dt, fraction, stage_derivs=True):
     """RK4 on packed arrays with every operation out of place, in the order of
-    the unpacked formulas."""
+    the unpacked formulas.  With `stage_derivs`, each dealiased stage carries
+    its x-derivatives from its masked spectrum, as step_rk4's stages do.
+    Without, this is the transform-twice stepping: a right side transforms
+    the dealiased stage again."""
     grid = state.grid
     N, m = state.bu.values.shape[:2]
+    orders = sf._mkdv_orders(m) if stage_derivs else ()
 
     def pack(a, b):
         return np.concatenate([a, b.reshape(N, -1)], axis=1)
 
-    def project(z):
-        if fraction is not None:
-            z = gcalc.dealias_values(z, grid, fraction)
+    def project(z, orders=()):
+        """The stage (or result) with the scalar zeroed before and after the
+        transform, and its derivatives when `orders` are given."""
         z = z.copy()
         z[:, 0] = 0.0
-        return z
+        if fraction is None:
+            return unpack(z)
+        rows = gcalc.dealias_values(z, grid, fraction, orders)
+        z = (rows[0] if orders else rows).copy()
+        z[:, 0] = 0.0
+        return unpack(z, rows[1:] if orders else None)
 
-    def unpack(z):
-        return bo.make_state(grid, z[:, :4], z[:, 4:].reshape(N, m, 4))
+    def unpack(z, derivs=None):
+        s = bo.make_state(grid, z[:, :4], z[:, 4:].reshape(N, m, 4))
+        s.x_derivs = derivs
+        return s
 
     def k(s):
         return pack(*rhs(s).arrays())
 
     y = pack(*state.arrays())
     k1 = k(state)
-    k2 = k(unpack(project(y + (dt / 2) * k1)))
-    k3 = k(unpack(project(y + (dt / 2) * k2)))
-    k4 = k(unpack(project(y + dt * k3)))
-    return unpack(project(y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)))
+    k2 = k(project(y + (dt / 2) * k1, orders))
+    k3 = k(project(y + (dt / 2) * k2, orders))
+    k4 = k(project(y + dt * k3, orders))
+    return project(y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4))
 
 
 def _spied(fn):
@@ -369,6 +411,61 @@ def test_step_rk4_writes_no_state_or_right_side_array(n, fraction):
     assert_pairs_identical(new, ref)
     mkdv = sf.step_rk4(state, sf.mkdv_rhs, 5e-4, project_fraction=fraction)
     assert_pairs_identical(mkdv, _out_of_place_rk4(state, sf.mkdv_rhs, 5e-4, fraction))
+
+
+def _relative_distance(a, b):
+    diff = max(np.max(np.abs(x - y), initial=0.0) for x, y in zip(a.arrays(), b.arrays()))
+    return diff / max(np.max(np.abs(y), initial=0.0) for y in b.arrays())
+
+
+@pytest.mark.parametrize("N", [128, 127])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_step_rk4_stays_near_the_transform_twice_stepping(N, n):
+    # the stage derivatives from the masked spectrum against a right side
+    # that transforms the dealiased stage again: roundoff apart, 500 steps on
+    grid = gcalc.PeriodicGrid(N, 20.0)
+    dt = 5e-4
+    new = ref = sf.preset_random_band(grid, n, seed=10 + n, amplitude=0.4)
+    for i in range(500):
+        new = sf.step_rk4(new, sf.mkdv_rhs, dt, i * dt, project_fraction=2 / 3)
+        ref = _out_of_place_rk4(ref, sf.mkdv_rhs, dt, 2 / 3, stage_derivs=False)
+    assert _relative_distance(new, ref) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_right_sides_that_read_no_derivatives_step_as_before(n):
+    # the stage values are the dealiased values bit for bit, so a right side
+    # that ignores the carried derivatives steps as the transform-twice RK4
+    grid = gcalc.PeriodicGrid(48, 15.0)
+    state = sf.preset_random_band(grid, n, seed=5, amplitude=0.2, kmax=2)
+    for rhs in (lambda s: bo.make_flow(s.grid, s.u.values, s.bu.values),
+                lambda s: bo.hierarchy_flow(s, 1)):
+        new = ref = state
+        for i in range(3):
+            new = sf.step_rk4(new, rhs, 2e-3, i * 2e-3, project_fraction=2 / 3)
+            ref = _out_of_place_rk4(ref, rhs, 2e-3, 2 / 3, stage_derivs=False)
+        assert_pairs_identical(new, ref)
+
+
+@pytest.mark.parametrize("fraction, calls, transform_twice_calls", [(2 / 3, 10, 16), (None, 8, 8)])
+def test_mkdv_step_transform_calls(monkeypatch, fraction, calls, transform_twice_calls):
+    # one rfft and one irfft for the step's first right side, per later stage
+    # and for the final projection; unprojected, one pair per right side
+    grid = gcalc.PeriodicGrid(64, 20.0)
+    state = sf.preset_mkdv_soliton(grid, 1)
+    made = []
+    for name in ("rfft", "irfft"):
+        def spy(*args, _fft=getattr(np.fft, name), **kwargs):
+            made.append(1)
+            return _fft(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, spy)
+    new = sf.step_rk4(state, sf.mkdv_rhs, 1e-4, project_fraction=fraction)
+    assert len(made) == calls
+    # the result carries no derivatives: the next step transforms it
+    assert new.x_derivs is None and "x_derivs" not in vars(new)
+    made.clear()
+    _out_of_place_rk4(state, sf.mkdv_rhs, 1e-4, fraction, stage_derivs=False)
+    assert len(made) == transform_twice_calls
 
 
 @pytest.mark.parametrize("n", [1, 2])
