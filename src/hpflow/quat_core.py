@@ -9,9 +9,18 @@ The scalar algebra follows the generator relations i^2 = j^2 = k^2 = -1,
 ij = -ji = k, jk = -kj = i, ki = -ik = j.  The Hermitian inner product on
 vectors is <x, y> = sum_l x_l * conj(y_l); its real part is the Euclidean
 inner product of the 4m real components.
+
+Quaternion multiplication is linear in each factor: q p = L(q) p and
+p q = R(q) p for 4x4 real matrices L(q) and R(q), whose entries are signed
+components of q (left_mult_matrix, right_mult_matrix).  A quaternion matrix
+product is one real matrix product through them: the left factor becomes the
+real matrix of blocks L(a_ij) (F. Zhang, Linear Algebra Appl. 251 (1997)
+21-57).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -49,6 +58,24 @@ def qmul(a, b) -> np.ndarray:
         ],
         axis=-1,
     )
+
+
+# Entry (r, c) of L(q) is the e_r component of q e_c, and of R(q) that of e_c q:
+# one component of q times a sign, both read off the unit products e_a e_b.
+# The gather copies q's components exactly, signed zeros included.
+_UNITS = qmul(np.eye(4)[:, None], np.eye(4))  # [a, b] = e_a e_b
+_L_INDEX, _L_SIGN = np.argmax(np.abs(_UNITS), axis=0).T, np.sum(_UNITS, axis=0).T
+_R_INDEX, _R_SIGN = np.argmax(np.abs(_UNITS), axis=1).T, np.sum(_UNITS, axis=1).T
+
+
+def left_mult_matrix(q) -> np.ndarray:
+    """Batched L(q) with L(q) p = components of q * p; q shaped (..., 4)."""
+    return _L_SIGN * np.asarray(q, dtype=float)[..., _L_INDEX]
+
+
+def right_mult_matrix(q) -> np.ndarray:
+    """Batched R(q) with R(q) p = components of p * q."""
+    return _R_SIGN * np.asarray(q, dtype=float)[..., _R_INDEX]
 
 
 def qconj(a) -> np.ndarray:
@@ -117,8 +144,19 @@ def hermitian_inner(x, y) -> np.ndarray:
 
 
 def comm_C(a, b) -> np.ndarray:
-    """C(a, b) = ab - ba; purely imaginary for imaginary arguments."""
-    return qmul(a, b) - qmul(b, a)
+    """C(a, b) = ab - ba = (0, 2 Im a x Im b): real parts commute.
+
+    For imaginary arguments this is qmul(a, b) - qmul(b, a) bit for bit, up
+    to the sign of a zero: each component of either is twice one
+    cross-product term, a2 b3 - a3 b2 and so on, rounded once."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    a1, a2, a3 = a[..., 1], a[..., 2], a[..., 3]
+    b1, b2, b3 = b[..., 1], b[..., 2], b[..., 3]
+    c1 = a2 * b3 - a3 * b2
+    out = np.stack([np.zeros_like(c1), c1, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1], axis=-1)
+    out *= 2.0
+    return out
 
 
 def acomm_A(a, b) -> np.ndarray:
@@ -176,30 +214,59 @@ def qmat_conj_t(a) -> np.ndarray:
     return np.swapaxes(qconj(a), -3, -2)
 
 
+@functools.lru_cache(maxsize=64)
+def _left_blocks(r: int, c: int):
+    """Flat indices into an (r, c, 4) quaternion matrix, and signs, that
+    gather it into the (4r, 4c) real matrix of blocks L(a_ij).  Read-only:
+    every caller shares them."""
+    rows = np.arange(r).repeat(4)[:, None]
+    cols = np.arange(c).repeat(4)[None, :]
+    index = (rows * c + cols) * 4 + np.tile(_L_INDEX, (r, c))
+    sign = np.tile(_L_SIGN, (r, c))
+    index.flags.writeable = sign.flags.writeable = False
+    return index, sign
+
+
+def _qmatmul(a, b) -> np.ndarray:
+    """(..., r, c, 4) times (..., c, k, 4) float arrays, as one real product.
+
+    Block row i of the gathered left factor times the components of column
+    k of b, (4c,), is sum_j L(a_ij) b_jk.  Both operands of the real product
+    are C-contiguous, so a batch takes the same BLAS calls, and gives the
+    same bits, as each of its members."""
+    r, c, k = a.shape[-3], a.shape[-2], b.shape[-2]
+    index, sign = _left_blocks(r, c)
+    left = np.take(a.reshape(a.shape[:-3] + (4 * r * c,)), index, axis=-1)
+    left *= sign
+    right = np.ascontiguousarray(np.swapaxes(b, -1, -2)).reshape(b.shape[:-3] + (4 * c, k))
+    out = left @ right
+    return np.swapaxes(out.reshape(out.shape[:-2] + (r, 4, k)), -1, -2)
+
+
 def qmatmul(a, b) -> np.ndarray:
-    """Matrix product of quaternion matrices via 16 real matmuls."""
+    """Matrix product of quaternion matrices (..., r, c, 4) and (..., c, k, 4),
+    broadcast over the leading axes as np.matmul does.
+
+    A 2-D operand, (c, 4), is a quaternion vector, as np.matmul reads a 1-D
+    one: a row vector on the left, a column vector on the right, and its
+    axis is dropped from the result."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    a0, a1, a2, a3 = (a[..., c] for c in range(4))
-    b0, b1, b2, b3 = (b[..., c] for c in range(4))
-    return np.stack(
-        [
-            a0 @ b0 - a1 @ b1 - a2 @ b2 - a3 @ b3,
-            a0 @ b1 + a1 @ b0 + a2 @ b3 - a3 @ b2,
-            a0 @ b2 - a1 @ b3 + a2 @ b0 + a3 @ b1,
-            a0 @ b3 + a1 @ b2 - a2 @ b1 + a3 @ b0,
-        ],
-        axis=-1,
-    )
+    row, col = a.ndim == 2, b.ndim == 2
+    out = _qmatmul(a[None] if row else a, b[:, None] if col else b)
+    if row:
+        out = out[..., 0, :, :]
+    return out[..., 0, :] if col else out
 
 
 def qmat_vecmul(v, a) -> np.ndarray:
-    """Row vector (..., m, 4) times matrix (..., m, m, 4)."""
+    """Row vector (..., m, 4) times matrix (..., m, m, 4).
+
+    Calls the product kernel, not qmatmul, so qmatmul's calls are the matrix
+    products alone."""
     v = np.asarray(v, dtype=float)
     a = np.asarray(a, dtype=float)
-    if v.shape[-2] == 0:
-        return v.copy()
-    return np.sum(qmul(v[..., :, None, :], a), axis=-3)
+    return _qmatmul(v[..., None, :, :], a)[..., 0, :, :]
 
 
 def qmat_trace(a) -> np.ndarray:

@@ -6,6 +6,8 @@ after every stage.  Under the 2/3 rule each stage is dealiased by one
 transform pair that also gives its x-derivatives, which the stage state
 carries to mkdv_rhs: a step makes 5 transform pairs, one for the step's
 first right side, one per later stage and one for the final projection.
+For n >= 2 the right side's vector-coupling terms make one call of each
+quat_core kernel they use, on stacked operands.
 
 The -1 flow is nonlocal in x: at each instant the flow pair solves a linear
 ODE system in x driven by the state, with the pointwise quadratic constraint
@@ -16,7 +18,8 @@ points and the monodromy; because each transfer is the exponential of an
 element of the constraint form's orthogonal algebra, the constraint is
 preserved to roundoff along x regardless of resolution.  For n = 1 that
 algebra is so(4) = sp(1) + sp(1), and each transfer is built in closed form
-as one left and one right multiplication by a unit quaternion; n >= 2
+as one left and one right multiplication by a unit quaternion (quat_core's
+L and R matrices, which also build the n >= 2 system matrix); n >= 2
 exponentiates the Magnus generator with the batched Taylor map, a block of
 cells at a time (magnus4_transfers).  The frame transport in curve_geometry
 shares that build and the prefix scan, and its co-evolution in time the RK4
@@ -143,7 +146,8 @@ def mkdv_rhs(state: StatePair, galilean_removed: bool = True) -> FlowPair:
         derivs = gcalc.spectral_deriv(_pack(u, bu), grid, _mkdv_orders(m))
     if m:
         ux, u2, u3 = derivs[:, :, :4]
-        bux, bu2, bu3 = derivs[:, :, 4:].reshape(3, N, m, 4)
+        bu_derivs = derivs[:, :, 4:].reshape(3, N, m, 4)  # bu_x, bu_2x, bu_3x
+        bux, bu3 = bu_derivs[0], bu_derivs[2]
     else:
         ux, u3 = derivs
         bux = bu3 = bu  # (N, 0, 4): no components to differentiate
@@ -158,14 +162,17 @@ def mkdv_rhs(state: StatePair, galilean_removed: bool = True) -> FlowPair:
     out_s += (1.5 * unormsq).repeat(4).reshape(N, 4) * ux
     # vector row: bu_3x + (3/2)(|bu|^2 - u^2 + u_x) bu_x
     #             + (3/4)(2u|bu|^2 - A(u, u_x) - C(bu, bu_x) + u_2x) bu
+    # one call per kernel on stacked operands: each kernel works elementwise or
+    # sums over the vector axis in order, so a row has the bits of its own call
     if m:
         businormsq = qc.vec_normsq(bu)
-        cvec = qc.comm_C_vec(bu, bux)
+        cvec, cvec_2x = qc.comm_C_vec(bu, bu_derivs[:2])  # C(bu, bu_x), C(bu, bu_2x)
         out_s += 0.75 * qc.comm_C(u, cvec)
-        out_s += 0.75 * qc.comm_C_vec(bu, bu2)
+        out_s += 0.75 * cvec_2x
         fac1 = qc.from_real(businormsq + unormsq) + ux
         fac2 = 2.0 * businormsq[:, None] * u - qc.from_real(qc.acomm_A_im(u, ux)) - cvec + u2
-        out_v = bu3 + 1.5 * qc.scalar_vec(fac1, bux) + 0.75 * qc.scalar_vec(fac2, bu)
+        fac_bux, fac_bu = qc.scalar_vec(np.stack([fac1, fac2]), np.stack([bux, bu]))
+        out_v = bu3 + 1.5 * fac_bux + 0.75 * fac_bu
     else:
         out_v = bu3
     if not galilean_removed:
@@ -273,27 +280,9 @@ def _rk4(state: StatePair, rhs, dt: float, t: float, project_fraction) -> StateP
     return make_state(grid, new[:, :4], new[:, 4:].reshape(bu_shape))
 
 
-# -- quaternion multiplication as 4x4 real matrices ---------------------------
+# -- the -1 flow's x-system ----------------------------------------------------
 
 _CONJ4 = np.diag([1.0, -1.0, -1.0, -1.0])
-
-
-# Entry (r, c) of L(q) is the e_r component of q e_c, and of R(q) that of e_c q:
-# one component of q times a sign, both read off the unit products e_a e_b.
-# The gather copies q's components exactly, signed zeros included.
-_UNITS = qc.qmul(np.eye(4)[:, None], np.eye(4))  # [a, b] = e_a e_b
-_L_INDEX, _L_SIGN = np.argmax(np.abs(_UNITS), axis=0).T, np.sum(_UNITS, axis=0).T
-_R_INDEX, _R_SIGN = np.argmax(np.abs(_UNITS), axis=1).T, np.sum(_UNITS, axis=1).T
-
-
-def _left_mult_matrix(q):
-    """Batched L(q) with L(q) p = components of q * p; q shaped (..., 4)."""
-    return _L_SIGN * q[..., _L_INDEX]
-
-
-def _right_mult_matrix(q):
-    """Batched R(q) with R(q) p = components of p * q."""
-    return _R_SIGN * q[..., _R_INDEX]
 
 
 def sg_system_matrix(u: np.ndarray, bu: np.ndarray) -> np.ndarray:
@@ -312,19 +301,19 @@ def sg_system_matrix(u: np.ndarray, bu: np.ndarray) -> np.ndarray:
     # h_par row: dot3(u, h_s) + sum_l dot4(bu_l, h_v_l)
     M[:, 0, 1:4] = u[:, 1:4]
     if m:
-        Lu = _left_mult_matrix(u)
+        Lu = qc.left_mult_matrix(u)
     for l in range(m):
         c0 = 4 + 4 * l
         M[:, 0, c0 : c0 + 4] = bu[:, l, :]
         # h_s rows: -C(bu, h_v) = -(L(bu_l) C4 - R(conj bu_l)) h_v_l, imaginary rows
         map4 = -(
-            _left_mult_matrix(bu[:, l, :]) @ _CONJ4
-            - _right_mult_matrix(qc.qconj(bu[:, l, :]))
+            qc.left_mult_matrix(bu[:, l, :]) @ _CONJ4
+            - qc.right_mult_matrix(qc.qconj(bu[:, l, :]))
         )
         M[:, 1:4, c0 : c0 + 4] = map4[:, 1:4, :]
         # h_v rows
         M[:, c0 : c0 + 4, 0] = -bu[:, l, :]
-        M[:, c0 : c0 + 4, 1:4] = -0.5 * _right_mult_matrix(bu[:, l, :])[:, :, 1:4]
+        M[:, c0 : c0 + 4, 1:4] = -0.5 * qc.right_mult_matrix(bu[:, l, :])[:, :, 1:4]
         M[:, c0 : c0 + 4, c0 : c0 + 4] -= Lu
     M[:, 1:4, 0] = -4.0 * u[:, 1:4]
     return M
@@ -352,16 +341,18 @@ def _expm_squarings(norm: float) -> int:
     return 0
 
 
-def expm_antihermitian(Z: np.ndarray) -> np.ndarray:
+def expm_antihermitian(Z: np.ndarray, squarings: int | None = None) -> np.ndarray:
     """Batched exponential of real skew-symmetric or complex anti-Hermitian
     matrices (..., d, d), from matrix products alone.
 
     The degree-12 Taylor polynomial is evaluated by Paterson-Stockmeyer
     (Z^2, Z^3, Z^4 and two Horner products in Z^4) on Z / 2^s, then squared
-    s times; s comes from the batch's largest Frobenius norm.  Non-finite
+    s times.  s is `squarings` when given, which must be at least the count
+    for the batch's largest Frobenius norm (magnus4_transfers passes the
+    count of a larger batch); otherwise it comes from that norm.  Non-finite
     input gives non-finite output.
     """
-    s = _expm_squarings(_max_norm(Z))
+    s = _expm_squarings(_max_norm(Z)) if squarings is None else squarings
     if s:
         Z = Z * 2.0**-s
     c = _EXPM_COEFFS
@@ -467,10 +458,7 @@ def magnus4_transfers(system, cells: int, d: int, h: float, dtype=float, scale=N
         norms.append(_max_norm(Z))
     s = _expm_squarings(float(np.max(norms)))
     for b in blocks:
-        # the scaled block's norm is at most theta: expm_antihermitian squares nothing
-        E = expm_antihermitian(out[b] * 2.0**-s if s else out[b])
-        for _ in range(s):
-            E = E @ E
+        E = expm_antihermitian(out[b], s)
         if scale is None:
             out[b] = E
         else:
@@ -503,7 +491,7 @@ def _sg_transfers_generic(state: StatePair, refine: int) -> np.ndarray:
 # sqrt_form similarity, so (p_a q_b) @ it is the transfer L(p) R(q).
 _SQRT_FORM_1 = _sqrt_form(0)
 _PAIR_TO_TRANSFER = (
-    (_left_mult_matrix(np.eye(4))[:, None] @ _right_mult_matrix(np.eye(4))[None, :])
+    (qc.left_mult_matrix(np.eye(4))[:, None] @ qc.right_mult_matrix(np.eye(4))[None, :])
     * (_SQRT_FORM_1 / _SQRT_FORM_1[:, None])
 ).reshape(16, 16)
 
@@ -553,7 +541,10 @@ def _sg_transfers_quaternion(state: StatePair, refine: int) -> np.ndarray:
     np.subtract(simpson, cross, out=A[:, :K])
     np.add(simpson, cross, out=A[:, K:])
     pq = _unit_exp(A)
-    p, q = pq[:, :K], pq[:, K:]
+    # q in an array of its own: the product of the two halves of pq ran 4-7 us
+    # (about 15%) slower inside simulate runs of the kink config (K = 2048),
+    # more than the copy costs
+    p, q = pq[:, :K], pq[:, K:].copy()
     pairs = (p[:, None] * q[None, :]).reshape(16, -1)
     return (pairs.T @ _PAIR_TO_TRANSFER).reshape(-1, 4, 4)
 

@@ -134,6 +134,25 @@ def test_comm_imaginary_for_imaginary(rng):
     assert abs(qc.comm_C(a, b)[0]) < 1e-14
 
 
+def _commutator_by_products(a, b):
+    return qc.qmul(a, b) - qc.qmul(b, a)
+
+
+def test_comm_C_is_the_product_commutator(rng):
+    # imaginary arguments over 1e-8..1e8: the cross product has the bits of
+    # ab - ba; general arguments agree to roundoff, their real parts commute
+    shape = (64, 3, 4)
+    a, b = (rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape) for _ in range(2))
+    a[..., 0] = b[..., 0] = 0.0
+    assert qc.comm_C(a, b).tobytes() == _commutator_by_products(a, b).tobytes()
+    assert qc.comm_C(a[0, 0], b).tobytes() == _commutator_by_products(a[0, 0], b).tobytes()
+    a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+    scale = qc.qnorm(a) * qc.qnorm(b)
+    err = qc.qnorm(qc.comm_C(a, b) - _commutator_by_products(a, b))
+    assert np.all(err <= 1e-15 * scale)
+    assert np.all(qc.comm_C(a, b)[..., 0] == 0.0)
+
+
 def test_acomm_examples(rng):
     assert abs(qc.acomm_A(qc.I, qc.I) + 2.0) < 1e-15
     a = random_iquat(rng)
@@ -193,6 +212,86 @@ def test_empty_vectors_return_additive_identity():
     np.testing.assert_allclose(qc.comm_C_vec(x, x), np.zeros(4), atol=0)
     assert qc.acomm_A_vec(x, x) == 0.0
     assert qc.matcomm_C(x, x).shape == (0, 0, 4)
+
+
+def _sixteen_matmul_qmatmul(a, b):
+    """The quaternion matrix product as 16 real matmuls, one per component pair."""
+    a0, a1, a2, a3 = (a[..., c] for c in range(4))
+    b0, b1, b2, b3 = (b[..., c] for c in range(4))
+    return np.stack(
+        [
+            a0 @ b0 - a1 @ b1 - a2 @ b2 - a3 @ b3,
+            a0 @ b1 + a1 @ b0 + a2 @ b3 - a3 @ b2,
+            a0 @ b2 - a1 @ b3 + a2 @ b0 + a3 @ b1,
+            a0 @ b3 + a1 @ b2 - a2 @ b1 + a3 @ b0,
+        ],
+        axis=-1,
+    )
+
+
+QMATMUL_SHAPES = [
+    ((3, 3, 4), (3, 3, 4)),
+    ((2, 3, 4), (3, 5, 4)),  # r, c and k all differ
+    ((1, 2, 3, 4), (6, 3, 4, 4)),  # batch axes broadcast, 1 against K
+    ((6, 2, 3, 4), (1, 3, 1, 4)),
+    ((5, 1, 2, 3, 4), (4, 3, 2, 4)),
+    ((2, 3, 4), (3, 4)),  # a vector right operand
+    ((7, 2, 3, 4), (3, 4)),
+    ((3, 4), (3, 2, 4)),  # a vector left operand
+    ((3, 4), (3, 4)),
+    ((0, 0, 4), (0, 0, 4)),  # the empty blocks of n = 1
+    ((9, 0, 0, 4), (9, 0, 0, 4)),
+    ((2, 0, 4), (0, 3, 4)),
+]
+
+
+@pytest.mark.parametrize("shape_a, shape_b", QMATMUL_SHAPES)
+def test_qmatmul_matches_sixteen_matmul_form(rng, shape_a, shape_b):
+    a, b = rng.standard_normal(shape_a), rng.standard_normal(shape_b)
+    got, want = qc.qmatmul(a, b), _sixteen_matmul_qmatmul(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    # relative to sum_j |a_ij| |b_jk|, the size of each entry's terms
+    scale = np.max(qc.qnorm(a) @ qc.qnorm(b), initial=0.0)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("r, c, k", [(3, 3, 3), (2, 1, 5), (4, 3, 1), (1, 4, 2), (2, 2, 0)])
+def test_batched_qmatmul_equals_single_calls(rng, r, c, k):
+    a, b = rng.standard_normal((5, r, c, 4)), rng.standard_normal((5, c, k, 4))
+    batched = qc.qmatmul(a, b)
+    for i in range(5):
+        assert batched[i].tobytes() == qc.qmatmul(a[i], b[i]).tobytes()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_qmatmul_non_finite_entry(rng, bad):
+    a, b = rng.standard_normal((4, 3, 3, 4)), rng.standard_normal((4, 3, 2, 4))
+    a[1, 2, 0, 3] = bad
+    with np.errstate(invalid="ignore"):
+        got, want = qc.qmatmul(a, b), _sixteen_matmul_qmatmul(a, b)
+    # row 2 of batch 1 is non-finite, as in the 16-matmul form, and nothing else
+    assert not np.any(np.isfinite(got[1, 2]))
+    np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+
+
+def test_qmat_vecmul_is_a_one_row_product(rng):
+    for m in (0, 1, 3):
+        v, a = rng.standard_normal((5, m, 4)), rng.standard_normal((5, m, m, 4))
+        want = np.sum(qc.qmul(v[..., :, None, :], a), axis=-3)
+        got = qc.qmat_vecmul(v, a)
+        assert got.shape == want.shape
+        scale = np.max(np.sum(qc.qnorm(v)[..., None] * qc.qnorm(a), axis=-2), initial=0.0)
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-14 * scale
+
+
+def test_mult_matrices_act_as_quaternion_products(rng):
+    q = rng.standard_normal((9, 4))
+    p = rng.standard_normal((9, 4))
+    left = (qc.left_mult_matrix(q) @ p[..., None])[..., 0]
+    right = (qc.right_mult_matrix(q) @ p[..., None])[..., 0]
+    scale = np.max(np.abs(q)) * np.max(np.abs(p))
+    assert np.max(np.abs(left - qc.qmul(q, p))) <= 1e-14 * scale
+    assert np.max(np.abs(right - qc.qmul(p, q))) <= 1e-14 * scale
 
 
 def test_qmatmul_matches_complex_embedding(rng):

@@ -919,7 +919,9 @@ def test_expm_antihermitian_zero_and_unbatched():
     assert np.max(np.abs(sf.expm_antihermitian(Z) - rot)) <= 1e-15
 
 
-def _reference_expm_real(Z):
+def _reference_expm_real(Z, squarings=None):
+    """The eigh exponential in expm_antihermitian's place; it needs no
+    squaring count and ignores one."""
     return _reference_expm_antihermitian(Z).real
 
 
@@ -1029,16 +1031,6 @@ def test_run_flow_dividing_t_end_keeps_full_steps():
     _, _, traj = _small_mkdv_run(0.1, 5e-3)
     assert len(traj.times) == 21
     assert traj.times == [k * 5e-3 for k in range(21)]
-
-
-def test_mult_matrices_act_as_quaternion_products(rng):
-    q = rng.standard_normal((9, 4))
-    p = rng.standard_normal((9, 4))
-    left = (sf._left_mult_matrix(q) @ p[..., None])[..., 0]
-    right = (sf._right_mult_matrix(q) @ p[..., None])[..., 0]
-    scale = np.max(np.abs(q)) * np.max(np.abs(p))
-    assert np.max(np.abs(left - qc.qmul(q, p))) <= 1e-14 * scale
-    assert np.max(np.abs(right - qc.qmul(p, q))) <= 1e-14 * scale
 
 
 # -- n = 1 closed-form transfers ---------------------------------------------------
@@ -1268,7 +1260,12 @@ def test_magnus4_transfers_share_the_squarings_of_the_largest_cell(monkeypatch, 
     M = _skew_stack(rng, K, d)
     M[29:42:2] *= 400.0  # the midpoints of cells 14..20, block 2 of 7 cells
     cells_per_block(monkeypatch, 7, d)
+    norms, max_norm = [], sf._max_norm
+    monkeypatch.setattr(sf, "_max_norm", lambda Z: norms.append(len(Z)) or max_norm(Z))
     T = sf.magnus4_transfers(lambda rows: M[rows], K, d, h, scale=scale)
+    # each block's norm is taken once: the exponential is handed the count
+    assert norms == [7, 7, 7, 7, 7, 7, 3]
+    monkeypatch.setattr(sf, "_max_norm", max_norm)
     assert np.array_equal(T, _whole_array_transfers(M, h, scale))
     small = _whole_array_transfers(M[:14], h, scale)[:7]  # cells 0..6 on their own
     assert sf._expm_squarings(sf._max_norm(M[1:14:2] * h)) == 0
