@@ -15,8 +15,8 @@ them, so hierarchy_flow(state, 1) reproduces the local scalar-vector mKdV
 right side exactly.  The flows are local only up to level 1: from level 2 on
 the remaining D_x^{-1} constants are the zero mean, not the jet constants,
 and the level-2 flow is measurably non-local (two separated bumps give a
-relative non-additivity of about 1e-3, against 1e-10 at level 1).  The CLI's
-build_sim_config therefore rejects stepping a hierarchy flow of level >= 2.
+relative non-additivity of about 1e-3, against 1e-10 at level 1).  So the
+hierarchy row of soliton_flows.FLOWS caps the level the CLI steps at 1.
 The raw zero-mean recursion operator is apply_R.  Attempting level 3 can
 produce genuinely non-exact integrands; that surfaces as NonlocalityError
 tagged with the failing level, never as a silent fix.

@@ -3,11 +3,12 @@
 Configuration is a JSON document with sections algebra / grid / flow /
 initial / output, whose keys are those of CONFIG_KEYS.  Every command reads
 every key a config sets; an unknown key, a value that cannot be read, or one
-that builds no grid or state is refused by an error naming its key.  A
-hierarchy flow is stepped only at levels 0 and 1, the levels whose flows are
-local.  Exit codes: 0 on success, 1 when a check or run fails, 2 on
-configuration errors.  All numeric output is written in full double
-precision so runs are byte-reproducible given the same config and seed.
+that builds no grid or state is refused by an error naming its key.
+soliton_flows.FLOWS gives the flow kinds and the highest level simulate
+steps; curve_geometry.MAP_CHECKS the kinds with a map check and its file.
+Exit codes: 0 on success, 1 when a check or run fails, 2 on configuration errors.
+All numeric output is written in full double precision so runs are
+byte-reproducible given the same config and seed.
 """
 
 from __future__ import annotations
@@ -259,13 +260,12 @@ def build_state(cfg, seed_override=None) -> bo.StatePair:
 
 def build_sim_config(cfg) -> sf.SimConfig:
     flow = cfg["flow"]
-    # the recursion's D_x^{-1} constants are the jet constants only up to level
-    # 1: from level 2 on the flow is measurably non-local, so it is not stepped
-    level = flow.get("l")
-    if flow.get("kind") == "hierarchy" and level is not None and level >= 2:
+    kind = sf.FLOWS.get(flow.get("kind"))  # SimConfig refuses an unknown kind
+    top, level = kind and kind.max_level, flow.get("l")
+    if top is not None and level is not None and level > top:
         raise ConfigError(
             f"flow.l = {level}: hierarchy level {level} is not supported, only levels "
-            "0 and 1 are local flows ('hpflow hierarchy' still tabulates higher levels)"
+            f"0 to {top} are local flows ('hpflow hierarchy' still tabulates higher levels)"
         )
     renamed = {"kind": "flow", "l": "hierarchy_level"}  # config key -> SimConfig field
     settings = {renamed.get(key, key): value for key, value in flow.items()}
@@ -351,7 +351,8 @@ def cmd_simulate(args) -> int:
         # a map check that blows up still leaves it behind
         frame = cg.grid_frame(traj.states[-1], refine=8)
         cg.curve_to_csv(outdir / "curve_final.csv", frame)
-        if cfg["output"]["map_check"] and sim.flow in ("mkdv", "sg"):
+        check = cg.MAP_CHECKS.get(sim.flow) if cfg["output"]["map_check"] else None
+        if check is not None:
             try:
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     res = cg.map_residuals(
@@ -361,12 +362,9 @@ def cmd_simulate(args) -> int:
             except BlowUpError as exc:
                 print(f"error: map check: {exc}", file=sys.stderr)
                 return 1
-            name = "mkdv_map" if sim.flow == "mkdv" else "wave_map"
-            gcalc.report_to_json(outdir / f"{name}_residuals.json", res)
+            gcalc.report_to_json(outdir / check.file, res)
     print(f"wrote {index[0] + 1} snapshots to {outdir}")
-    print(
-        f"conservation drift: H0 {report.h0_drift:.3e}, H1 {report.h1_drift:.3e}"
-    )
+    print(f"conservation drift: H0 {report.h0_drift:.3e}, H1 {report.h1_drift:.3e}")
     return 0
 
 

@@ -6,13 +6,10 @@ representative (carrying the 1/sqrt(chi) Killing normalization) and
 omega_x = (u, bu) is the connection built from the state.  psi is stored in
 the complex embedding of quaternion matrices.  Its transpose solves
 (psi^t)_x = (e_x + omega_x)^t psi^t, an x-system of the -1 flow's form
-y_x = M y, so transport reuses that flow's transfer build and prefix scan:
-soliton_flows.magnus4_transfers forms the Magnus-4 generators and their
-unitary Taylor exponentials a block of fine cells at a time, building the
-frame matrices only for the block's points, and quaternion-unitarity holds
-to roundoff.  In time, the state takes the flow solvers' RK4 step (2/3 rule
-on the +1 flow) and the frame one exponential at the average of the step's
-end states.
+y_x = M y, so transport reuses that flow's Magnus-4 transfer build
+(soliton_flows.magnus4_transfers) and prefix scan, and quaternion-unitarity
+holds to roundoff.  In time, the state takes the flow solvers' RK4 step and
+the frame one exponential at the average of the step's end states.
 
 The curve is gamma(x) = psi(x) applied to the origin column (1, 0, ..., 0)^t,
 psi's first column: a unit vector in H^(n+1) representing a projective point
@@ -34,7 +31,9 @@ tangent decomposition with eigenvalues 0, 4/chi, 1/chi.  Frame components
 are packed like the RK4 state, one (K, 4 + 4m) array [s | v]: column 0 the
 m_par coefficient, columns 1-3 the imaginary m_perp scalar, the rest the
 m_perp vector.  map_residuals is the one map judgment: it co-evolves the
-state and frame and reads the residuals at its snapshot.
+state and frame and reads the residuals at its snapshot.  MAP_CHECKS holds
+each flow kind's co-evolution and check; a kind it lacks (hierarchy) has
+neither.
 
 The algebra is symm_lie's: every frame matrix (e_x + omega_x, e_t + omega_t)
 is one LieElement whose leading batch axis is the grid, turned into matrices
@@ -43,6 +42,8 @@ by to_matrix, and every frame bracket is symm_lie.bracket.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -368,59 +369,73 @@ class FrameTrajectory:
         self.frames.append(frame)
 
 
+@dataclass(frozen=True)
+class MapCheck:
+    """One flow kind's frame co-evolution and map check; sg is the -1 flow's
+    (branch, mode, refine)."""
+
+    rhs: Callable  # (n, t_end, sg) -> the state's right side in a step ending at t_end
+    fraction: float | None  # the projection of its RK4 stages
+    time_matrices: Callable  # (state, sg) -> the frame's e_t + omega_t
+    steps: int  # the check's steps, at min(dt, max_dt); it reads snapshot 5
+    max_dt: float
+    judge: Callable  # (traj, idx) -> residuals, which simulate writes to `file`
+    file: str
+
+
+# The builders call through module names, so a wrapper bound to a name sees
+# every call.  The mKdV co-evolution keeps the convective term; its 10 steps
+# at the run's dt are its only probe of RK4 stability there.  The -1 flow's
+# right side is bounded by its constraint (|h_s| <= 2 chi, |h_v| <= chi).
+MAP_CHECKS = {
+    "mkdv": MapCheck(
+        rhs=lambda n, t_end, sg: lambda s: sf.mkdv_rhs(s, galilean_removed=False),
+        fraction=sf.DEFAULT_PROJECT_FRACTION, steps=10, max_dt=math.inf,
+        time_matrices=lambda s, sg: _mkdv_time_matrices(s),
+        judge=lambda traj, idx: verify_mkdv_map(traj, idx), file="mkdv_map_residuals.json",
+    ),
+    "sg": MapCheck(
+        rhs=lambda n, t_end, sg: sf._sg_rhs(n, *sg, t_end), fraction=None, steps=6, max_dt=1e-3,
+        time_matrices=lambda s, sg: _sg_time_matrices(s, *sg),
+        judge=lambda traj, idx: verify_wave_map(traj, idx), file="wave_map_residuals.json",
+    ),
+}
+
+
+def _map_check(flow: str) -> MapCheck:
+    if flow not in MAP_CHECKS:
+        raise DomainError(f"flow kind {flow!r} has no frame co-evolution: only {list(MAP_CHECKS)}")
+    return MAP_CHECKS[flow]
+
+
 def evolve_with_frame(
-    state: StatePair,
-    frame0: FrameState,
-    flow: str,
-    dt: float,
-    steps: int,
-    branch: str = "-",
-    sg_mode: str = "line",
-    sg_refine: int = 8,
+    state: StatePair, frame0: FrameState, flow: str, dt: float, steps: int,
+    branch: str = "-", sg_mode: str = "line", sg_refine: int = 8,
 ) -> FrameTrajectory:
     """Co-evolve the state and the frame field psi(t, x), from frame0, the
     frame of state at the grid points (grid_frame(state, refine)).
 
-    The state advances by the flow solvers' RK4 body, with the 2/3 rule on
-    the +1 flow and no projection on the -1 flow, as in sg_step.  The frame
-    advances by the midpoint Magnus rule psi <- psi exp(dt * (e_t + omega_t))
-    at the average of the step's end states, a second-order midpoint that
-    keeps psi exactly unitary.
+    The state advances by the flow solvers' RK4 body, on the right side and
+    projection of the kind's MAP_CHECKS row.  The frame advances by the
+    midpoint Magnus rule psi <- psi exp(dt * (e_t + omega_t)) at the average
+    of the step's end states, which keeps psi exactly unitary.
     """
     grid = state.grid
     if frame0.grid != grid or frame0.n != state.n:
         raise DimensionMismatchError("frame0 is not a frame of state")
-
-    if flow == "mkdv":
-        fraction = sf.DEFAULT_PROJECT_FRACTION
-        time_mats = _mkdv_time_matrices
-
-        def step_rhs(t_end):
-            return lambda s: sf.mkdv_rhs(s, galilean_removed=False)
-    elif flow == "sg":
-        fraction = None
-
-        def step_rhs(t_end):
-            return sf._sg_rhs(state.n, branch, sg_mode, sg_refine, t_end)
-
-        def time_mats(s):
-            return _sg_time_matrices(s, branch, sg_mode, sg_refine)
-    else:
-        raise DomainError(f"unknown flow {flow!r} for frame evolution")
+    check = _map_check(flow)
+    sg = (branch, sg_mode, sg_refine)
 
     traj = FrameTrajectory(flow=flow)
     traj.append(0.0, state, frame0)
     psi = frame0.psi
     t = 0.0
-
     for step in range(steps):
-        new = sf._rk4(state, step_rhs(t + dt), dt, t, fraction)
+        new = sf._rk4(state, check.rhs(state.n, t + dt, sg), dt, t, check.fraction)
         mid = make_state(
-            grid,
-            0.5 * (state.u.values + new.u.values),
-            0.5 * (state.bu.values + new.bu.values),
+            grid, 0.5 * (state.u.values + new.u.values), 0.5 * (state.bu.values + new.bu.values)
         )
-        psi = psi @ sf.expm_antihermitian(dt * time_mats(mid))
+        psi = psi @ sf.expm_antihermitian(dt * check.time_matrices(mid, sg))
         state = new
         t += dt
         traj.append(t, state, FrameState(grid, state.n, psi, frame0.monodromy))
@@ -530,24 +545,15 @@ def map_residuals(
     state: StatePair, frame: FrameState, flow: str, dt: float,
     branch: str = "-", sg_mode: str = "line", sg_refine: int = 8,
 ) -> dict:
-    """The map check of flow from state and its frame: co-evolve both and read
-    verify_mkdv_map or verify_wave_map at snapshot 5.
-
-    The -1 flow steps at min(dt, 1e-3); its right side is bounded by its
-    constraint (|h_s| <= 2 chi, |h_v| <= chi), so its check stops at
-    snapshot 6.  The mKdV check steps at dt and keeps 10 steps: they are its
-    only probe of RK4 stability at the run's dt
-    (tests/test_cli.py::test_simulate_map_check_blowup_exits_1).
-    """
-    idx = 5
-    if flow == "sg":
-        dt, steps, check = min(dt, 1e-3), idx + 1, verify_wave_map
-    else:
-        steps, check = 2 * idx, verify_mkdv_map
+    """The map check of flow from state and its frame: co-evolve both by the
+    protocol of the kind's MAP_CHECKS row and judge the trajectory at
+    snapshot 5."""
+    check = _map_check(flow)
     traj = evolve_with_frame(
-        state, frame, flow, dt, steps, branch=branch, sg_mode=sg_mode, sg_refine=sg_refine
+        state, frame, flow, min(dt, check.max_dt), check.steps,
+        branch=branch, sg_mode=sg_mode, sg_refine=sg_refine,
     )
-    return check(traj, idx)
+    return check.judge(traj, 5)
 
 
 # -- export ----------------------------------------------------------------------

@@ -1,29 +1,24 @@
 """Time integration of the quaternionic mKdV (+1) and sine-Gordon (-1) flows.
 
-The mKdV system is local and is stepped with classical RK4 on the periodic
-grid; the scalar part of the state is re-projected to its imaginary part
-after every stage.  Under the 2/3 rule each stage is dealiased by one
-transform pair that also gives its x-derivatives, which the stage state
-carries to mkdv_rhs: a step makes 5 transform pairs, one for the step's
-first right side, one per later stage and one for the final projection.
-For n >= 2 the right side's vector-coupling terms make one call of each
-quat_core kernel they use, on stacked operands.
+Each flow kind is one row of FLOWS, which SimConfig, run_flow and the CLI
+read: mkdv, sg (the -1 flow) and hierarchy (a level of the recursion).  A
+row gives the kind's right side, whether the 2/3 rule applies, the x-order
+of its dt bound and the highest level the CLI steps.  Every kind steps by
+one classical RK4 body, which re-projects the scalar part of the state to
+imaginary after every stage.  Under the 2/3 rule each stage is dealiased by
+one transform pair that also gives the x-derivatives mkdv_rhs reads: an
+mKdV step makes 5 transform pairs.
 
 The -1 flow is nonlocal in x: at each instant the flow pair solves a linear
 ODE system in x driven by the state, with the pointwise quadratic constraint
-h_par^2 + |h_s|^2/4 + |h_v|^2 = chi^2.  The solver builds per-cell transfer
-matrices with a fourth-order Magnus scheme and composes them with a prefix
-scan that forms only the rows the solve reads, the prefixes at the grid
-points and the monodromy; because each transfer is the exponential of an
-element of the constraint form's orthogonal algebra, the constraint is
-preserved to roundoff along x regardless of resolution.  For n = 1 that
-algebra is so(4) = sp(1) + sp(1), and each transfer is built in closed form
-as one left and one right multiplication by a unit quaternion (quat_core's
-L and R matrices, which also build the n >= 2 system matrix); n >= 2
-exponentiates the Magnus generator with the batched Taylor map, a block of
-cells at a time (magnus4_transfers).  The frame transport in curve_geometry
-shares that build and the prefix scan, and its co-evolution in time the RK4
-body.  Two spatial modes are offered:
+h_par^2 + |h_s|^2/4 + |h_v|^2 = chi^2.  Its Magnus-4 cell transfers are
+exponentials in the constraint form's orthogonal algebra, so the constraint
+holds to roundoff along x at any resolution, and a prefix scan composes
+them.  n = 1 builds each transfer in closed form, one left and one right
+multiplication by a unit quaternion; n >= 2 exponentiates by the batched
+Taylor map (magnus4_transfers).  The frame transport in curve_geometry
+shares that build and scan, and its co-evolution the RK4 body.  Two spatial
+modes are offered:
 
     line     : integrate left to right from the boundary value
                (sign * chi, 0, 0) at x = 0; meant for states that vanish
@@ -43,6 +38,7 @@ psi_xt = 4 sin(psi) under u = (psi_x / 2) q; it is the default.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,8 +89,8 @@ class SimConfig:
             raise ConfigError(f"dt = {self.dt} must be positive and finite")
         if not 0 <= self.t_end < math.inf:
             raise ConfigError(f"t_end = {self.t_end} must be >= 0 and finite")
-        if self.flow not in ("mkdv", "sg", "hierarchy"):
-            raise ConfigError(f"unknown flow kind {self.flow!r}")
+        if self.flow not in FLOWS:
+            raise ConfigError(f"unknown flow kind {self.flow!r}: choose from {list(FLOWS)}")
         if self.sg_branch not in ("+", "-"):
             raise ConfigError("sg_branch must be '+' or '-'")
         if self.sg_mode not in ("line", "periodic"):
@@ -111,18 +107,47 @@ class SimConfig:
                 f"project_fraction = {self.project_fraction} must be in (0, 1], "
                 "or None for no dealiasing"
             )
-        if self.flow == "hierarchy" and self.hierarchy_level < 0:
+        kind = FLOWS[self.flow]
+        leveled = kind.max_level is not None
+        if leveled and self.hierarchy_level < 0:
             raise ConfigError("hierarchy level must be >= 0")
-        # the level-l flow has leading order 2l + 1 in x; mKdV is level 1
-        if self.flow in ("mkdv", "hierarchy"):
-            l = self.hierarchy_level if self.flow == "hierarchy" else 1
-            bound = self.cfl_constant * self.grid.dx ** (2 * l + 1)
+        if kind.order is not None:
+            order = kind.order(self)
+            bound = self.cfl_constant * self.grid.dx**order
             if self.dt > bound:
-                where = f" of hierarchy level {l}" if self.flow == "hierarchy" else ""
+                where = f" of hierarchy level {self.hierarchy_level}" if leveled else ""
                 raise ConfigError(
                     f"dt = {self.dt:.3e} exceeds the dispersive bound{where} "
-                    f"{bound:.3e} = cfl_constant * dx^{2 * l + 1}"
+                    f"{bound:.3e} = cfl_constant * dx^{order}"
                 )
+
+
+@dataclass(frozen=True)
+class FlowKind:
+    """How run_flow steps one flow kind; FLOWS holds one for each."""
+
+    rhs: Callable  # (config, t_end, watched, on_solve) -> right side; see _sg_rhs
+    projected: bool = True  # config.project_fraction dealiases the stages
+    order: Callable | None = None  # config -> x-order of the dt bound; None when nonlocal
+    max_level: int | None = None  # the highest flow.l the CLI steps, for the kind reading it
+    x_solve: Callable | None = None  # (config, state) -> x-solve info, for the -1 constraint
+
+
+# The builders call through module names, so a wrapper bound to a name (a
+# monkeypatch, the benchmark's tracer) sees every call.  biham_ops says why
+# max_level is 1.
+FLOWS = {
+    "mkdv": FlowKind(lambda c, *_: lambda s: mkdv_rhs(s, c.galilean_removed), order=lambda c: 3),
+    "sg": FlowKind(
+        lambda c, *watch: _sg_rhs(c.n, c.sg_branch, c.sg_mode, c.sg_refine, *watch),
+        projected=False,
+        x_solve=lambda c, s: sg_solve_h(s, c.sg_branch, c.sg_mode, c.sg_refine)[2],
+    ),
+    "hierarchy": FlowKind(
+        lambda c, *_: lambda s: bo.hierarchy_flow(s, c.hierarchy_level),
+        order=lambda c: 2 * c.hierarchy_level + 1, max_level=1,
+    ),
+}
 
 
 # -- mKdV ---------------------------------------------------------------------
@@ -649,20 +674,13 @@ def sg_solve_h(
 
 
 def sg_step(
-    state: StatePair,
-    dt: float,
-    branch: str = "-",
-    mode: str = "line",
-    refine: int = 8,
-    t: float = 0.0,
-    on_state_solve=None,
+    state: StatePair, dt: float, branch: str = "-", mode: str = "line", refine: int = 8,
+    t: float = 0.0, on_state_solve=None,
 ) -> StatePair:
     """Advance the -1 flow by one RK4 step, re-solving the x-system per stage.
-
-    The first stage solves `state` itself; `on_state_solve`, when given, is
-    called with that solve's info dict, so a caller monitoring the state's
-    constraint needs no solve of its own.
-    """
+    The first stage solves `state` itself; `on_state_solve`, when given, gets
+    that solve's info dict, so a caller monitoring the state's constraint
+    needs no solve of its own."""
     rhs = _sg_rhs(state.n, branch, mode, refine, t + dt, state, on_state_solve)
     return step_rk4(state, rhs, dt, t, project_fraction=None)
 
@@ -782,27 +800,24 @@ def _step_plan(t_end: float, dt: float) -> tuple[int, float]:
 
 def run_flow(config: SimConfig, state: StatePair, observer=None) -> Trajectory:
     """Integrate the configured flow to t_end, snapshotting every `cadence`
-    steps and after the last one.
+    steps and after the last one: one step_rk4 call per step, on the right
+    side and projection that the kind's FLOWS row gives.
 
     On the -1 flow each snapshot's constraint comes from the x-solve of the
     next step's first stage, which solves the snapshot state itself; only
-    the last snapshot is solved on its own.
+    the last snapshot is solved on its own, by its row's x_solve.
     """
     if config.grid != state.grid or config.n != state.n:
         raise DimensionMismatchError(
             f"config is for n = {config.n} on {config.grid}, "
             f"the state is n = {state.n} on {state.grid}"
         )
+    kind = FLOWS[config.flow]
+    fraction = config.project_fraction if kind.projected else None
     traj = Trajectory()
-    sg = config.flow == "sg"
 
     def monitor(info):
         traj.sg_constraint_value.append(float(np.mean(info["constraint"])))
-
-    def rhs(s):  # the flows stepped by step_rk4
-        if config.flow == "mkdv":
-            return mkdv_rhs(s, config.galilean_removed)
-        return bo.hierarchy_flow(s, config.hierarchy_level)
 
     traj.append(0.0, state)
     n_full, last_dt = _step_plan(config.t_end, config.dt)
@@ -810,21 +825,16 @@ def run_flow(config: SimConfig, state: StatePair, observer=None) -> Trajectory:
     t = 0.0
     for step in range(n_steps):
         dt = config.dt if step < n_full else last_dt
-        if sg:
-            unsolved = len(traj.sg_constraint_value) < len(traj.states)
-            state = sg_step(
-                state, dt, config.sg_branch, config.sg_mode, config.sg_refine, t,
-                on_state_solve=monitor if unsolved else None,
-            )
-        else:
-            state = step_rk4(state, rhs, dt, t, config.project_fraction)
+        unsolved = len(traj.sg_constraint_value) < len(traj.states)
+        rhs = kind.rhs(config, t + dt, state, monitor if unsolved else None)
+        state = step_rk4(state, rhs, dt, t, fraction)
         t = (step + 1) * config.dt if step < n_full else config.t_end
         if (step + 1) % config.cadence == 0 or step + 1 == n_steps:
             traj.append(t, state)
             if observer is not None:
                 observer(t, state)
-    if sg:
-        monitor(sg_solve_h(state, config.sg_branch, config.sg_mode, config.sg_refine)[2])
+    if kind.x_solve is not None:
+        monitor(kind.x_solve(config, state))
     return traj
 
 

@@ -99,10 +99,28 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_config_rejects_bad_flow_kind(tmp_path):
+def test_config_rejects_bad_flow_kind(tmp_path, capsys):
     cfg = write_config(tmp_path, flow={"kind": "nope", "dt": 1e-3, "t_end": 0.1})
     assert cli.main(["simulate", "--config", str(cfg)]) == 2
     assert not (tmp_path / "out").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: unknown flow kind 'nope': choose from")
+    assert all(repr(kind) in err for kind in sf.FLOWS)
+
+
+def test_simulate_hierarchy_with_map_check_writes_the_curve_and_no_residuals(tmp_path):
+    # hierarchy has no frame co-evolution: reconstruct and map_check both on
+    # write its curve and no map-residual file
+    assert "hierarchy" not in cg.MAP_CHECKS
+    cfg = write_config(
+        tmp_path,
+        flow={"kind": "hierarchy", "l": 1, "dt": 1e-3, "t_end": 0.005},
+        output={"reconstruct": True, "map_check": True},
+    )
+    out = tmp_path / "h"
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    assert (out / "curve_final.csv").exists()
+    assert not any((out / check.file).exists() for check in cg.MAP_CHECKS.values())
 
 
 def test_hierarchy_command(tmp_path):

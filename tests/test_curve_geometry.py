@@ -243,6 +243,46 @@ def test_evolve_with_frame_rejects_a_frame_of_another_state():
             cg.evolve_with_frame(state, cg.grid_frame(other, 2), "mkdv", 1e-3, 1)
 
 
+@pytest.mark.parametrize("kind", ["hierarchy", "nope"])
+def test_a_kind_without_a_frame_co_evolution_is_a_domain_error(kind):
+    grid = gcalc.PeriodicGrid(64, 20.0)
+    state = zero_state(grid, 1)
+    frame = cg.grid_frame(state, 2)
+    for run in (
+        lambda: cg.evolve_with_frame(state, frame, kind, 1e-3, 1),
+        lambda: cg.map_residuals(state, frame, kind, 1e-3),
+    ):
+        with pytest.raises(DomainError, match="has no frame co-evolution") as info:
+            run()
+        assert "unknown" not in str(info.value)
+        assert all(repr(k) in str(info.value) for k in cg.MAP_CHECKS)
+
+
+@pytest.mark.parametrize("kind", list(sf.FLOWS))
+def test_every_flow_kind_steps_by_step_rk4_once_per_step_and_its_map_check_never(
+    kind, monkeypatch
+):
+    # the benchmark's per-step counts are made inside step_rk4: run_flow calls
+    # it once per step for every kind, and the frame co-evolution not at all
+    grid = gcalc.PeriodicGrid(64, 40.0)
+    cfg = sf.SimConfig(n=1, grid=grid, dt=1e-3, t_end=3e-3, flow=kind, sg_refine=2)
+    state = sf.preset_sg_kink(grid, 1)
+    calls, step = [], sf.step_rk4
+
+    def counting(s, *args, **kw):
+        calls.append(s)
+        return step(s, *args, **kw)
+
+    monkeypatch.setattr(sf, "step_rk4", counting)
+    traj = sf.run_flow(cfg, state)
+    assert len(calls) == 3 and calls[0] is state
+    if kind in cg.MAP_CHECKS:
+        calls.clear()
+        final = traj.states[-1]
+        out = cg.map_residuals(final, cg.grid_frame(final, 2), kind, cfg.dt, sg_refine=2)
+        assert calls == [] and np.isfinite(out["residual"])
+
+
 def test_mkdv_map_soliton():
     grid = gcalc.PeriodicGrid(256, 40.0)
     state = sf.preset_mkdv_soliton(grid, n=1, a=1.0)
