@@ -3,11 +3,12 @@
 Configuration is a JSON document with sections algebra / grid / flow /
 initial / output, whose keys are those of CONFIG_KEYS.  Every command reads
 every key a config sets; an unknown key, a value that cannot be read, or one
-that builds no grid or state is refused by an error naming its key.
-soliton_flows.FLOWS gives the flow kinds and the highest level simulate
-steps; curve_geometry.MAP_CHECKS the kinds with a map check and its file.
-Exit codes: 0 on success, 1 when a check or run fails, 2 on configuration errors.
-All numeric output is written in full double precision so runs are
+that builds no grid or state is refused by an error naming its key.  A
+hierarchy flow is stepped only at levels 0 and 1, the levels whose flows are
+local: the highest is its soliton_flows.FLOWS row's max_level.  The kinds
+with a map check, and the file it writes, are curve_geometry.MAP_CHECKS.
+Exit codes: 0 on success, 1 when a check or run fails, 2 on configuration
+errors.  All numeric output is written in full double precision so runs are
 byte-reproducible given the same config and seed.
 """
 
@@ -260,8 +261,11 @@ def build_state(cfg, seed_override=None) -> bo.StatePair:
 
 def build_sim_config(cfg) -> sf.SimConfig:
     flow = cfg["flow"]
+    # the recursion's D_x^{-1} constants are the jet constants only up to level
+    # 1: from level 2 on the flow is measurably non-local, so it is not stepped
     kind = sf.FLOWS.get(flow.get("kind"))  # SimConfig refuses an unknown kind
-    top, level = kind and kind.max_level, flow.get("l")
+    top = None if kind is None else kind.max_level
+    level = flow.get("l")
     if top is not None and level is not None and level > top:
         raise ConfigError(
             f"flow.l = {level}: hierarchy level {level} is not supported, only levels "
@@ -364,7 +368,9 @@ def cmd_simulate(args) -> int:
                 return 1
             gcalc.report_to_json(outdir / check.file, res)
     print(f"wrote {index[0] + 1} snapshots to {outdir}")
-    print(f"conservation drift: H0 {report.h0_drift:.3e}, H1 {report.h1_drift:.3e}")
+    print(
+        f"conservation drift: H0 {report.h0_drift:.3e}, H1 {report.h1_drift:.3e}"
+    )
     return 0
 
 

@@ -6,10 +6,13 @@ representative (carrying the 1/sqrt(chi) Killing normalization) and
 omega_x = (u, bu) is the connection built from the state.  psi is stored in
 the complex embedding of quaternion matrices.  Its transpose solves
 (psi^t)_x = (e_x + omega_x)^t psi^t, an x-system of the -1 flow's form
-y_x = M y, so transport reuses that flow's Magnus-4 transfer build
-(soliton_flows.magnus4_transfers) and prefix scan, and quaternion-unitarity
-holds to roundoff.  In time, the state takes the flow solvers' RK4 step and
-the frame one exponential at the average of the step's end states.
+y_x = M y, so transport reuses that flow's transfer build and prefix scan:
+soliton_flows.magnus4_transfers forms the Magnus-4 generators and their
+unitary Taylor exponentials a block of fine cells at a time, building the
+frame matrices only for the block's points, and quaternion-unitarity holds
+to roundoff.  In time, the state takes the flow solvers' RK4 step (2/3 rule
+on the +1 flow) and the frame one exponential at the average of the step's
+end states.
 
 The curve is gamma(x) = psi(x) applied to the origin column (1, 0, ..., 0)^t,
 psi's first column: a unit vector in H^(n+1) representing a projective point
@@ -384,9 +387,8 @@ class MapCheck:
 
 
 # The builders call through module names, so a wrapper bound to a name sees
-# every call.  The mKdV co-evolution keeps the convective term; its 10 steps
-# at the run's dt are its only probe of RK4 stability there.  The -1 flow's
-# right side is bounded by its constraint (|h_s| <= 2 chi, |h_v| <= chi).
+# every call.  The mKdV co-evolution keeps the convective term; map_residuals
+# says why each protocol takes its steps and dt.
 MAP_CHECKS = {
     "mkdv": MapCheck(
         rhs=lambda n, t_end, sg: lambda s: sf.mkdv_rhs(s, galilean_removed=False),
@@ -409,16 +411,24 @@ def _map_check(flow: str) -> MapCheck:
 
 
 def evolve_with_frame(
-    state: StatePair, frame0: FrameState, flow: str, dt: float, steps: int,
-    branch: str = "-", sg_mode: str = "line", sg_refine: int = 8,
+    state: StatePair,
+    frame0: FrameState,
+    flow: str,
+    dt: float,
+    steps: int,
+    branch: str = "-",
+    sg_mode: str = "line",
+    sg_refine: int = 8,
 ) -> FrameTrajectory:
     """Co-evolve the state and the frame field psi(t, x), from frame0, the
     frame of state at the grid points (grid_frame(state, refine)).
 
-    The state advances by the flow solvers' RK4 body, on the right side and
-    projection of the kind's MAP_CHECKS row.  The frame advances by the
+    The state advances by the flow solvers' RK4 body on the right side and
+    projection of the kind's MAP_CHECKS row: the 2/3 rule on the +1 flow and
+    no projection on the -1 flow, as in sg_step.  The frame advances by the
     midpoint Magnus rule psi <- psi exp(dt * (e_t + omega_t)) at the average
-    of the step's end states, which keeps psi exactly unitary.
+    of the step's end states, a second-order midpoint that keeps psi exactly
+    unitary.
     """
     grid = state.grid
     if frame0.grid != grid or frame0.n != state.n:
@@ -430,10 +440,13 @@ def evolve_with_frame(
     traj.append(0.0, state, frame0)
     psi = frame0.psi
     t = 0.0
+
     for step in range(steps):
         new = sf._rk4(state, check.rhs(state.n, t + dt, sg), dt, t, check.fraction)
         mid = make_state(
-            grid, 0.5 * (state.u.values + new.u.values), 0.5 * (state.bu.values + new.bu.values)
+            grid,
+            0.5 * (state.u.values + new.u.values),
+            0.5 * (state.bu.values + new.bu.values),
         )
         psi = psi @ sf.expm_antihermitian(dt * check.time_matrices(mid, sg))
         state = new
@@ -546,8 +559,15 @@ def map_residuals(
     branch: str = "-", sg_mode: str = "line", sg_refine: int = 8,
 ) -> dict:
     """The map check of flow from state and its frame: co-evolve both by the
-    protocol of the kind's MAP_CHECKS row and judge the trajectory at
-    snapshot 5."""
+    protocol of the kind's MAP_CHECKS row and read verify_mkdv_map or
+    verify_wave_map at snapshot 5.
+
+    The -1 flow steps at min(dt, 1e-3); its right side is bounded by its
+    constraint (|h_s| <= 2 chi, |h_v| <= chi), so its check stops at
+    snapshot 6.  The mKdV check steps at dt and keeps 10 steps: they are its
+    only probe of RK4 stability at the run's dt
+    (tests/test_cli.py::test_simulate_map_check_blowup_exits_1).
+    """
     check = _map_check(flow)
     traj = evolve_with_frame(
         state, frame, flow, min(dt, check.max_dt), check.steps,

@@ -95,6 +95,10 @@ class PeriodicGrid:
         return PeriodicGrid(self.num_points * factor, self.length)
 
 
+def _kshape(k, values):
+    return k.reshape((-1,) + (1,) * (values.ndim - 1))
+
+
 def spectral_deriv(
     values: np.ndarray, grid: PeriodicGrid, order: int | tuple = 1
 ) -> np.ndarray:
@@ -113,7 +117,7 @@ def spectral_deriv(
 
 def spectral_antideriv(values: np.ndarray, grid: PeriodicGrid) -> np.ndarray:
     F = np.fft.rfft(values, axis=0)
-    k = grid.wavenumbers.reshape((-1,) + (1,) * (values.ndim - 1))
+    k = _kshape(grid.wavenumbers, values)
     out = np.zeros_like(F)
     out[1:] = F[1:] / (1j * k[1:])
     if grid.num_points % 2 == 0:

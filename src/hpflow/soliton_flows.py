@@ -2,23 +2,33 @@
 
 Each flow kind is one row of FLOWS, which SimConfig, run_flow and the CLI
 read: mkdv, sg (the -1 flow) and hierarchy (a level of the recursion).  A
-row gives the kind's right side, whether the 2/3 rule applies, the x-order
-of its dt bound and the highest level the CLI steps.  Every kind steps by
-one classical RK4 body, which re-projects the scalar part of the state to
-imaginary after every stage.  Under the 2/3 rule each stage is dealiased by
-one transform pair that also gives the x-derivatives mkdv_rhs reads: an
-mKdV step makes 5 transform pairs.
+row gives the kind's one RK4 step, the level that sets its dt bound, the
+highest level the CLI steps and, for the -1 flow, the closing x-solve.
+
+The mKdV system is local and is stepped with classical RK4 on the periodic
+grid; the scalar part of the state is re-projected to its imaginary part
+after every stage.  Under the 2/3 rule each stage is dealiased by one
+transform pair that also gives its x-derivatives, which the stage state
+carries to mkdv_rhs: a step makes 5 transform pairs, one for the step's
+first right side, one per later stage and one for the final projection.
+For n >= 2 the right side's vector-coupling terms make one call of each
+quat_core kernel they use, on stacked operands.
 
 The -1 flow is nonlocal in x: at each instant the flow pair solves a linear
 ODE system in x driven by the state, with the pointwise quadratic constraint
-h_par^2 + |h_s|^2/4 + |h_v|^2 = chi^2.  Its Magnus-4 cell transfers are
-exponentials in the constraint form's orthogonal algebra, so the constraint
-holds to roundoff along x at any resolution, and a prefix scan composes
-them.  n = 1 builds each transfer in closed form, one left and one right
-multiplication by a unit quaternion; n >= 2 exponentiates by the batched
-Taylor map (magnus4_transfers).  The frame transport in curve_geometry
-shares that build and scan, and its co-evolution the RK4 body.  Two spatial
-modes are offered:
+h_par^2 + |h_s|^2/4 + |h_v|^2 = chi^2.  The solver builds per-cell transfer
+matrices with a fourth-order Magnus scheme and composes them with a prefix
+scan that forms only the rows the solve reads, the prefixes at the grid
+points and the monodromy; because each transfer is the exponential of an
+element of the constraint form's orthogonal algebra, the constraint is
+preserved to roundoff along x regardless of resolution.  For n = 1 that
+algebra is so(4) = sp(1) + sp(1), and each transfer is built in closed form
+as one left and one right multiplication by a unit quaternion (quat_core's
+L and R matrices, which also build the n >= 2 system matrix); n >= 2
+exponentiates the Magnus generator with the batched Taylor map, a block of
+cells at a time (magnus4_transfers).  The frame transport in curve_geometry
+shares that build and the prefix scan, and its co-evolution in time the RK4
+body.  Two spatial modes are offered:
 
     line     : integrate left to right from the boundary value
                (sign * chi, 0, 0) at x = 0; meant for states that vanish
@@ -107,18 +117,18 @@ class SimConfig:
                 f"project_fraction = {self.project_fraction} must be in (0, 1], "
                 "or None for no dealiasing"
             )
-        kind = FLOWS[self.flow]
-        leveled = kind.max_level is not None
-        if leveled and self.hierarchy_level < 0:
+        if self.hierarchy_level < 0:
             raise ConfigError("hierarchy level must be >= 0")
-        if kind.order is not None:
-            order = kind.order(self)
-            bound = self.cfl_constant * self.grid.dx**order
+        # the level-l flow has leading order 2l + 1 in x
+        kind = FLOWS[self.flow]
+        if kind.local:
+            l = self.hierarchy_level if kind.level is None else kind.level
+            bound = self.cfl_constant * self.grid.dx ** (2 * l + 1)
             if self.dt > bound:
-                where = f" of hierarchy level {self.hierarchy_level}" if leveled else ""
+                where = f" of hierarchy level {l}" if kind.level is None else ""
                 raise ConfigError(
                     f"dt = {self.dt:.3e} exceeds the dispersive bound{where} "
-                    f"{bound:.3e} = cfl_constant * dx^{order}"
+                    f"{bound:.3e} = cfl_constant * dx^{2 * l + 1}"
                 )
 
 
@@ -126,26 +136,36 @@ class SimConfig:
 class FlowKind:
     """How run_flow steps one flow kind; FLOWS holds one for each."""
 
-    rhs: Callable  # (config, t_end, watched, on_solve) -> right side; see _sg_rhs
-    projected: bool = True  # config.project_fraction dealiases the stages
-    order: Callable | None = None  # config -> x-order of the dt bound; None when nonlocal
-    max_level: int | None = None  # the highest flow.l the CLI steps, for the kind reading it
-    x_solve: Callable | None = None  # (config, state) -> x-solve info, for the -1 constraint
+    step: Callable  # (config, state, dt, t, on_solve) -> the state after one RK4 step
+    local: bool = True  # dt is bounded by cfl_constant * dx^(2l + 1) at its level l
+    level: int | None = None  # that level l; None reads config.hierarchy_level
+    max_level: int | None = None  # the highest flow.l the CLI steps
+    x_solve: Callable | None = None  # (config, state) -> the info of the -1 flow's x-solve
 
 
-# The builders call through module names, so a wrapper bound to a name (a
-# monkeypatch, the benchmark's tracer) sees every call.  biham_ops says why
-# max_level is 1.
+# The steps call through module names, so a wrapper bound to a name (a
+# monkeypatch, the benchmark's tracer) sees every call.  The -1 flow steps by
+# sg_step, which hands the solve of the step's start state to on_solve and
+# takes no projection.  biham_ops says why the hierarchy's max_level is 1.
 FLOWS = {
-    "mkdv": FlowKind(lambda c, *_: lambda s: mkdv_rhs(s, c.galilean_removed), order=lambda c: 3),
+    "mkdv": FlowKind(
+        lambda c, s, dt, t, _: step_rk4(
+            s, lambda x: mkdv_rhs(x, c.galilean_removed), dt, t, c.project_fraction
+        ),
+        level=1,
+    ),
     "sg": FlowKind(
-        lambda c, *watch: _sg_rhs(c.n, c.sg_branch, c.sg_mode, c.sg_refine, *watch),
-        projected=False,
+        lambda c, s, dt, t, on_solve: sg_step(
+            s, dt, c.sg_branch, c.sg_mode, c.sg_refine, t, on_state_solve=on_solve
+        ),
+        local=False,
         x_solve=lambda c, s: sg_solve_h(s, c.sg_branch, c.sg_mode, c.sg_refine)[2],
     ),
     "hierarchy": FlowKind(
-        lambda c, *_: lambda s: bo.hierarchy_flow(s, c.hierarchy_level),
-        order=lambda c: 2 * c.hierarchy_level + 1, max_level=1,
+        lambda c, s, dt, t, _: step_rk4(
+            s, lambda x: bo.hierarchy_flow(x, c.hierarchy_level), dt, t, c.project_fraction
+        ),
+        max_level=1,
     ),
 }
 
@@ -674,13 +694,20 @@ def sg_solve_h(
 
 
 def sg_step(
-    state: StatePair, dt: float, branch: str = "-", mode: str = "line", refine: int = 8,
-    t: float = 0.0, on_state_solve=None,
+    state: StatePair,
+    dt: float,
+    branch: str = "-",
+    mode: str = "line",
+    refine: int = 8,
+    t: float = 0.0,
+    on_state_solve=None,
 ) -> StatePair:
     """Advance the -1 flow by one RK4 step, re-solving the x-system per stage.
-    The first stage solves `state` itself; `on_state_solve`, when given, gets
-    that solve's info dict, so a caller monitoring the state's constraint
-    needs no solve of its own."""
+
+    The first stage solves `state` itself; `on_state_solve`, when given, is
+    called with that solve's info dict, so a caller monitoring the state's
+    constraint needs no solve of its own.
+    """
     rhs = _sg_rhs(state.n, branch, mode, refine, t + dt, state, on_state_solve)
     return step_rk4(state, rhs, dt, t, project_fraction=None)
 
@@ -799,9 +826,8 @@ def _step_plan(t_end: float, dt: float) -> tuple[int, float]:
 
 
 def run_flow(config: SimConfig, state: StatePair, observer=None) -> Trajectory:
-    """Integrate the configured flow to t_end, snapshotting every `cadence`
-    steps and after the last one: one step_rk4 call per step, on the right
-    side and projection that the kind's FLOWS row gives.
+    """Integrate the configured flow to t_end by its FLOWS row's step,
+    snapshotting every `cadence` steps and after the last one.
 
     On the -1 flow each snapshot's constraint comes from the x-solve of the
     next step's first stage, which solves the snapshot state itself; only
@@ -813,7 +839,6 @@ def run_flow(config: SimConfig, state: StatePair, observer=None) -> Trajectory:
             f"the state is n = {state.n} on {state.grid}"
         )
     kind = FLOWS[config.flow]
-    fraction = config.project_fraction if kind.projected else None
     traj = Trajectory()
 
     def monitor(info):
@@ -826,8 +851,7 @@ def run_flow(config: SimConfig, state: StatePair, observer=None) -> Trajectory:
     for step in range(n_steps):
         dt = config.dt if step < n_full else last_dt
         unsolved = len(traj.sg_constraint_value) < len(traj.states)
-        rhs = kind.rhs(config, t + dt, state, monitor if unsolved else None)
-        state = step_rk4(state, rhs, dt, t, fraction)
+        state = kind.step(config, state, dt, t, monitor if unsolved else None)
         t = (step + 1) * config.dt if step < n_full else config.t_end
         if (step + 1) % config.cadence == 0 or step + 1 == n_steps:
             traj.append(t, state)

@@ -86,6 +86,18 @@ class HPerp:
         return HPerp(-self.s, -self.v)
 
 
+def _zeros_mperp(n):
+    return MPerp(np.zeros(4), np.zeros((n - 1, 4)))
+
+
+def _zeros_hpar(n):
+    return HPar(np.zeros(4), np.zeros((n - 1, n - 1, 4)))
+
+
+def _zeros_hperp(n):
+    return HPerp(np.zeros(4), np.zeros((n - 1, 4)))
+
+
 @dataclass
 class LieElement:
     """Element of u(n+1, H) in the packed 5-slot form."""
@@ -100,11 +112,11 @@ class LieElement:
         if self.n < 1:
             raise DomainError("n must be >= 1")
         if self.m_perp is None:
-            self.m_perp = MPerp(np.zeros(4), np.zeros((self.n - 1, 4)))
+            self.m_perp = _zeros_mperp(self.n)
         if self.h_par is None:
-            self.h_par = HPar(np.zeros(4), np.zeros((self.n - 1, self.n - 1, 4)))
+            self.h_par = _zeros_hpar(self.n)
         if self.h_perp is None:
-            self.h_perp = HPerp(np.zeros(4), np.zeros((self.n - 1, 4)))
+            self.h_perp = _zeros_hperp(self.n)
 
     def to_matrix(self) -> np.ndarray:
         """Full (..., n+1, n+1, 4) quaternion matrix."""

@@ -72,10 +72,9 @@ def test_simconfig_hierarchy_level_bound():
     sf.SimConfig(n=1, grid=grid, dt=mkdv_bound, t_end=0.0, flow="mkdv")
     with pytest.raises(ConfigError, match=r"dx\^3"):
         sf.SimConfig(n=1, grid=grid, dt=1.01 * mkdv_bound, t_end=0.0, flow="mkdv")
-    with pytest.raises(ConfigError, match="level must be >= 0"):
-        sf.SimConfig(
-            n=1, grid=grid, dt=1e-6, t_end=0.0, flow="hierarchy", hierarchy_level=-1
-        )
+    for kind in sf.FLOWS:  # every kind refuses a negative level
+        with pytest.raises(ConfigError, match="level must be >= 0"):
+            sf.SimConfig(n=1, grid=grid, dt=1e-6, t_end=0.0, flow=kind, hierarchy_level=-1)
 
 
 def test_mkdv_rhs_matches_recursion(rng):
