@@ -586,27 +586,6 @@ def symplectic_pairing(state, X1: FlowPair, X2: FlowPair,
     return pairing(X1, apply_J(state, X2, mean_tolerance))
 
 
-def symplectic_closure_residual(state, X1, X2, X3, eps: float = 1e-4) -> float:
-    """Cyclic sum pr(X1) omega(X2, X3) + cyclic, for constant flow pairs."""
-    grid = state.grid
-
-    def omega_at(s, A, B):
-        return symplectic_pairing(s, A, B, mean_tolerance=np.inf)
-
-    def directional(A, B, C):
-        sp = make_state(grid, state.u.values + eps * qc.qim(A.hs.values),
-                        state.bu.values + eps * A.hv.values)
-        sm = make_state(grid, state.u.values - eps * qc.qim(A.hs.values),
-                        state.bu.values - eps * A.hv.values)
-        return (omega_at(sp, B, C) - omega_at(sm, B, C)) / (2 * eps)
-
-    return (
-        directional(X1, X2, X3)
-        + directional(X2, X3, X1)
-        + directional(X3, X1, X2)
-    )
-
-
 class HierarchyFunctional:
     """Conserved functional of level l (closed-form local density, l <= 1)."""
 

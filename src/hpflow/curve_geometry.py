@@ -323,12 +323,26 @@ def flow_operator_inverse(n: int) -> np.ndarray:
 
 # -- frame evolution in time -----------------------------------------------------
 
+def _time_matrices(n: int, h_par, hs, hv, omega_t=(None, None)) -> np.ndarray:
+    """e_t + omega_t in the complex embedding for the curve flow with
+    covariants (h_par, h_s, h_v): e_t = (h_par, h_s/2, -h_v)/sqrt(chi) in m,
+    and omega_t its (HPar, HPerp) parts in h, zero when not given."""
+    rc = np.sqrt(chi(n))
+    g = sl.LieElement(
+        n,
+        m_par=h_par / rc,
+        m_perp=sl.MPerp(hs / (2.0 * rc), -hv / rc),
+        h_par=omega_t[0],
+        h_perp=omega_t[1],
+    )
+    return qc.qmat_to_complex(g.to_matrix())
+
+
 def _mkdv_time_matrices(state: StatePair) -> np.ndarray:
     """e_t + omega_t for the full +1 flow (convective term kept)."""
     grid = state.grid
     u, bu = state.arrays()
     N, m = bu.shape[:2]
-    rc = np.sqrt(chi(state.n))
     # both fields' derivatives from one transform of [u | bu], u alone when m = 0
     derivs = gcalc.spectral_deriv(sf._pack(u, bu), grid, (1, 2))
     ux, u2 = derivs[:, :, :4]
@@ -337,26 +351,17 @@ def _mkdv_time_matrices(state: StatePair) -> np.ndarray:
     # covector pair w_(1) = J(u_x, bu_x) with jet constants, all local
     w1s = 0.25 * u2 + 0.25 * qc.comm_C_vec(bu, bux) + h_par0[:, None] * u
     w1v = bu2 + 0.5 * qc.scalar_vec(ux, bu) + qc.scalar_vec(u, bux) + h_par0[:, None, None] * bu
-    g = sl.LieElement(
-        state.n,
-        m_par=h_par0 / rc,
-        m_perp=sl.MPerp(ux / (2.0 * rc), -bux / rc),
-        h_par=sl.HPar(bo._w_par1_local(u, bu, ux, bux), bo._W_par1_local(u, bu, bux)),
-        h_perp=sl.HPerp(w1s, w1v),
+    omega_t = (
+        sl.HPar(bo._w_par1_local(u, bu, ux, bux), bo._W_par1_local(u, bu, bux)),
+        sl.HPerp(w1s, w1v),
     )
-    return qc.qmat_to_complex(g.to_matrix())
+    return _time_matrices(state.n, h_par0, ux, bux, omega_t)
 
 
 def _sg_time_matrices(state: StatePair, branch: str, mode: str, refine: int) -> np.ndarray:
     """e_t for the -1 flow; the connection omega_t vanishes."""
     h, h_par, _ = sf.sg_solve_h(state, branch, mode, refine)
-    rc = np.sqrt(chi(state.n))
-    g = sl.LieElement(
-        state.n,
-        m_par=h_par.values / rc,
-        m_perp=sl.MPerp(h.hs.values / (2.0 * rc), -h.hv.values / rc),
-    )
-    return qc.qmat_to_complex(g.to_matrix())
+    return _time_matrices(state.n, h_par.values, h.hs.values, h.hv.values)
 
 
 @dataclass
@@ -453,18 +458,6 @@ def evolve_with_frame(
         t += dt
         traj.append(t, state, FrameState(grid, state.n, psi, frame0.monodromy))
     return traj
-
-
-def transport_consistency(frame: FrameState, state: StatePair, refine: int = 8) -> float:
-    """Residual of the x-transport relation for a frame evolved in time."""
-    transfers = _transport_transfers(state, refine)
-    per_cell = transfers.reshape(state.grid.num_points, refine, *transfers.shape[1:])
-    acc = per_cell[:, 0]
-    for j in range(1, refine):
-        acc = per_cell[:, j] @ acc
-    predicted = frame.psi @ np.swapaxes(acc, -1, -2)
-    defect = predicted[:-1] - frame.psi[1:]
-    return float(np.max(np.abs(defect)))
 
 
 # -- map verification ------------------------------------------------------------

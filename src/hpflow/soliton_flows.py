@@ -16,19 +16,22 @@ quat_core kernel they use, on stacked operands.
 
 The -1 flow is nonlocal in x: at each instant the flow pair solves a linear
 ODE system in x driven by the state, with the pointwise quadratic constraint
-h_par^2 + |h_s|^2/4 + |h_v|^2 = chi^2.  The solver builds per-cell transfer
-matrices with a fourth-order Magnus scheme and composes them with a prefix
-scan that forms only the rows the solve reads, the prefixes at the grid
-points and the monodromy; because each transfer is the exponential of an
-element of the constraint form's orthogonal algebra, the constraint is
-preserved to roundoff along x regardless of resolution.  For n = 1 that
-algebra is so(4) = sp(1) + sp(1), and each transfer is built in closed form
-as one left and one right multiplication by a unit quaternion (quat_core's
-L and R matrices, which also build the n >= 2 system matrix); n >= 2
-exponentiates the Magnus generator with the batched Taylor map, a block of
-cells at a time (magnus4_transfers).  The frame transport in curve_geometry
-shares that build and the prefix scan, and its co-evolution in time the RK4
-body.  Two spatial modes are offered:
+h_par^2 + |h_s|^2/4 + |h_v|^2 = chi^2.  The system is the isotropy action
+of omega_x on m, which keeps the constraint: in the coordinates
+z = (h_par, h_s/2, h_v) the constraint is |z|^2 and the system matrix is
+skew-symmetric, so the solve works in z and reads h_s = 2 z_s back at its
+end.  The solver builds per-cell transfer matrices with a fourth-order
+Magnus scheme and composes them with a prefix scan that forms only the rows
+the solve reads, the prefixes at the grid points and the monodromy; each
+transfer is the exponential of a skew-symmetric matrix, so the constraint is
+preserved to roundoff along x regardless of resolution.  For n = 1 the
+system lies in so(4) = sp(1) + sp(1), and each transfer is built in closed
+form as one left and one right multiplication by a unit quaternion
+(quat_core's L and R matrices, which also build the n >= 2 system matrix);
+n >= 2 exponentiates the Magnus generator with the batched Taylor map, a
+block of cells at a time (magnus4_transfers).  The frame transport in
+curve_geometry shares that build and the prefix scan, and its co-evolution
+in time the RK4 body.  Two spatial modes are offered:
 
     line     : integrate left to right from the boundary value
                (sign * chi, 0, 0) at x = 0; meant for states that vanish
@@ -36,8 +39,8 @@ body.  Two spatial modes are offered:
     periodic : pick the boundary value from the kernel of (monodromy - id),
                failing loudly when no periodic solution exists.  A kernel
                of dimension > 1 (every n = 1 kernel is one) holds many
-               solutions; the one taken is the kernel's projection of a
-               coordinate axis, h_par's first, so it does not depend on
+               solutions; the one taken is the kernel's projection, in z,
+               of a coordinate axis, h_par's first, so it does not depend on
                roundoff, and info["kernel_dim"] reports the dimension.
 
 The branch sign names the sign of the boundary h_par.  The "-" branch is the
@@ -327,40 +330,35 @@ def _rk4(state: StatePair, rhs, dt: float, t: float, project_fraction) -> StateP
 
 # -- the -1 flow's x-system ----------------------------------------------------
 
-_CONJ4 = np.diag([1.0, -1.0, -1.0, -1.0])
-
-
 def sg_system_matrix(u: np.ndarray, bu: np.ndarray) -> np.ndarray:
-    """Coefficient matrix of the linear x-ODE for y = (h_par, h_s, h_v).
+    """Coefficient matrix of the linear x-ODE for z = (h_par, h_s/2, h_v).
 
     The system is D_x h_s = -C(bu, h_v) - 4 h_par u,
     D_x h_v = -h_s bu / 2 - u h_v - h_par bu,
     D_x h_par = -A(u, h_s)/2 + A(bu, h_v)/2,
-    packed over real components; it lies in the orthogonal algebra of the
-    quadratic form diag(1, I/4, I), which is the constraint of the flow.
+    packed over real components.  It is the isotropy action of omega_x on m,
+    which keeps the constraint h_par^2 + |h_s|^2/4 + |h_v|^2 = |z|^2, so the
+    matrix is skew-symmetric, bit for bit: each entry is a quaternion
+    component of u or bu, or 0, times a power of two.
     """
     K = u.shape[0]
     m = bu.shape[1]
     d = 4 + 4 * m
     M = np.zeros((K, d, d))
-    # h_par row: dot3(u, h_s) + sum_l dot4(bu_l, h_v_l)
-    M[:, 0, 1:4] = u[:, 1:4]
+    # h_par row: 2 dot3(u, z_s) + sum_l dot4(bu_l, h_v_l)
+    M[:, 0, 1:4] = 2.0 * u[:, 1:4]
     if m:
         Lu = qc.left_mult_matrix(u)
     for l in range(m):
         c0 = 4 + 4 * l
         M[:, 0, c0 : c0 + 4] = bu[:, l, :]
-        # h_s rows: -C(bu, h_v) = -(L(bu_l) C4 - R(conj bu_l)) h_v_l, imaginary rows
-        map4 = -(
-            qc.left_mult_matrix(bu[:, l, :]) @ _CONJ4
-            - qc.right_mult_matrix(qc.qconj(bu[:, l, :]))
-        )
-        M[:, 1:4, c0 : c0 + 4] = map4[:, 1:4, :]
-        # h_v rows
         M[:, c0 : c0 + 4, 0] = -bu[:, l, :]
-        M[:, c0 : c0 + 4, 1:4] = -0.5 * qc.right_mult_matrix(bu[:, l, :])[:, :, 1:4]
+        # h_s-h_v coupling: -h_s bu / 2 = -R(bu_l) z_s, -C(bu, h_v) / 2 = R(bu_l)^T h_v_l
+        Rb = qc.right_mult_matrix(bu[:, l, :])[:, :, 1:4]
+        M[:, c0 : c0 + 4, 1:4] = -Rb
+        M[:, 1:4, c0 : c0 + 4] = np.swapaxes(Rb, 1, 2)
         M[:, c0 : c0 + 4, c0 : c0 + 4] -= Lu
-    M[:, 1:4, 0] = -4.0 * u[:, 1:4]
+    M[:, 1:4, 0] = -2.0 * u[:, 1:4]
     return M
 
 
@@ -442,22 +440,18 @@ def prefix_products(T: np.ndarray, every: int = 1) -> np.ndarray:
     return out
 
 
-def _sg_constraint(y: np.ndarray) -> np.ndarray:
-    """h_par^2 + |h_s|^2 / 4 + |h_v|^2 over the last axis, bit for bit as with
-    np.sum per block.  The three h_s squares are added left to right, which
-    is np.sum's order for fewer than 8 terms."""
-    sq = y**2
+def _sg_constraint(z: np.ndarray) -> np.ndarray:
+    """|z|^2 = h_par^2 + |h_s|^2 / 4 + |h_v|^2 over the last axis, bit for bit
+    as with np.sum per block of y = (h_par, h_s, h_v): the three z_s squares
+    are added left to right, np.sum's order for fewer than 8 terms, and
+    their sum is the y-form's quarter sum exactly."""
+    sq = z**2
     out = sq[..., 1] + sq[..., 2]
     out += sq[..., 3]
-    out *= 0.25
     out += sq[..., 0]
     if sq.shape[-1] > 4:  # an empty h_v block would add +0.0 to a sum >= +0.0
         out += np.sum(sq[..., 4:], axis=-1)
     return out
-
-
-def _sqrt_form(m: int) -> np.ndarray:
-    return np.concatenate([[1.0], 0.5 * np.ones(3), np.ones(4 * m)])
 
 
 def _sg_transfers(state: StatePair, refine: int) -> np.ndarray:
@@ -474,8 +468,10 @@ def _sg_transfers(state: StatePair, refine: int) -> np.ndarray:
 _BLOCK_BYTES = 1 << 16
 
 
-def magnus4_transfers(system, cells: int, d: int, h: float, dtype=float, scale=None):
-    """Transfers exp(Omega) of y_x = M(x) y over `cells` periodic cells of width h.
+def magnus4_transfers(system, cells: int, d: int, h: float, dtype=float):
+    """Transfers exp(Omega) of y_x = M(x) y over `cells` periodic cells of width h,
+    for skew-symmetric M (the -1 flow's x-system, in z) or anti-Hermitian M
+    (the transposed frame transport): each transfer is orthogonal or unitary.
 
     Omega = (h/6)(M0 + 4 Mmid + M1) - (h^2/12)[Mmid, M1 - M0] from M at cell
     i's ends, fine points 2i and 2i + 2 (mod 2 * cells), and its midpoint
@@ -484,8 +480,6 @@ def magnus4_transfers(system, cells: int, d: int, h: float, dtype=float, scale=N
     and each block is then exponentiated in place with the squarings of the
     largest norm over all cells: for finite input, the arithmetic of one
     whole-stack expm_antihermitian call, without its whole-grid temporaries.
-    With `scale`, Omega is skew with respect to diag(scale^2) and is
-    exponentiated after the similarity by scale, which makes it skew-symmetric.
     """
     out = np.empty((cells, d, d), dtype)
     step = max(1, _BLOCK_BYTES // (d * d * out.itemsize))
@@ -497,18 +491,10 @@ def magnus4_transfers(system, cells: int, d: int, h: float, dtype=float, scale=N
         D = M1 - M0
         comm = Mmid @ D - D @ Mmid
         Z = np.subtract((h / 6.0) * (M0 + 4.0 * Mmid + M1), (h**2 / 12.0) * comm, out=out[b])
-        if scale is not None:
-            np.multiply(scale[:, None], Z, out=Z)
-            Z /= scale
         norms.append(_max_norm(Z))
     s = _expm_squarings(float(np.max(norms)))
     for b in blocks:
-        E = expm_antihermitian(out[b], s)
-        if scale is None:
-            out[b] = E
-        else:
-            np.multiply(E, scale, out=out[b])
-            out[b] /= scale[:, None]
+        out[b] = expm_antihermitian(out[b], s)
     return out
 
 
@@ -523,21 +509,17 @@ def _sg_transfers_generic(state: StatePair, refine: int) -> np.ndarray:
         u_f.shape[0] // 2,
         4 + 4 * (state.n - 1),
         grid.dx / refine,
-        scale=_sqrt_form(state.n - 1),
     )
 
 
-# n = 1: in the coordinates scaled by sqrt_form the system matrix is
-# L(a) + R(a) with a = -Im u, an element of so(4) = sp(1) + sp(1).  Left and
-# right multiplications commute, [L(a), L(c)] = L(2 a x c) and
-# [R(a), R(c)] = -R(2 a x c), so the Magnus-4 Omega is L(A) + R(B) and its
-# exponential is L(exp A) R(exp B): one left and one right multiplication by
-# a unit quaternion.  Row 4a + b of this matrix is L(e_a) R(e_b) undone by the
-# sqrt_form similarity, so (p_a q_b) @ it is the transfer L(p) R(q).
-_SQRT_FORM_1 = _sqrt_form(0)
+# n = 1: the system matrix is L(a) + R(a) with a = -Im u, an element of
+# so(4) = sp(1) + sp(1).  Left and right multiplications commute,
+# [L(a), L(c)] = L(2 a x c) and [R(a), R(c)] = -R(2 a x c), so the Magnus-4
+# Omega is L(A) + R(B) and its exponential is L(exp A) R(exp B): one left and
+# one right multiplication by a unit quaternion.  Row 4a + b of this matrix
+# is L(e_a) R(e_b), so (p_a q_b) @ it is the transfer L(p) R(q).
 _PAIR_TO_TRANSFER = (
-    (qc.left_mult_matrix(np.eye(4))[:, None] @ qc.right_mult_matrix(np.eye(4))[None, :])
-    * (_SQRT_FORM_1 / _SQRT_FORM_1[:, None])
+    qc.left_mult_matrix(np.eye(4))[:, None] @ qc.right_mult_matrix(np.eye(4))[None, :]
 ).reshape(16, 16)
 
 
@@ -594,6 +576,13 @@ def _sg_transfers_quaternion(state: StatePair, refine: int) -> np.ndarray:
     return (pairs.T @ _PAIR_TO_TRANSFER).reshape(-1, 4, 4)
 
 
+def _readout(z: np.ndarray) -> np.ndarray:
+    """(h_par, h_s, h_v) from z = (h_par, h_s/2, h_v) over the last axis, exactly."""
+    y = z.copy()
+    y[..., 1:4] *= 2.0
+    return y
+
+
 def sg_solve_h(
     state: StatePair,
     branch: str = "-",
@@ -606,8 +595,11 @@ def sg_solve_h(
 
     The refine * N cell transfers are scanned only for the prefixes at the
     grid points and the monodromy (every refine-th row); the Richardson
-    coarse solve likewise scans every (refine // 2)-th row.  The returned
-    pair is normalized so the pointwise constraint equals chi^2.
+    coarse solve likewise scans every (refine // 2)-th row.  The scan and
+    the boundary value are in z = (h_par, h_s/2, h_v), where the transfers
+    are orthogonal; the solution, info["boundary"] and the Richardson
+    estimate are read back in (h_par, h_s, h_v).  The returned pair is
+    normalized so the pointwise constraint equals chi^2.
     """
     if branch not in ("+", "-"):
         raise DomainError("branch must be '+' or '-'")
@@ -624,8 +616,8 @@ def sg_solve_h(
     grid_prefix = prefixes[:N]
 
     if mode == "line":
-        y0 = np.zeros(d)
-        y0[0] = c if branch == "+" else -c
+        z0 = np.zeros(d)
+        z0[0] = c if branch == "+" else -c
     elif mode == "periodic":
         monodromy = prefixes[N]
         if not np.all(np.isfinite(monodromy)):
@@ -648,25 +640,26 @@ def sg_solve_h(
         kernel = Vt[d - kernel_dim :]
         proj = kernel.T @ kernel
         axis = int(np.argmax(np.diag(proj) >= 0.5 * np.max(np.diag(proj))))
-        y0 = proj[:, axis]
-        y0 = y0 * (c / np.sqrt(_sg_constraint(y0)))
+        z0 = proj[:, axis]
+        z0 = z0 * (c / np.sqrt(_sg_constraint(z0)))
         # the branch fixes the sign through h_par; where h_par vanishes the
         # projection's own sign stands
         want = 1.0 if branch == "+" else -1.0
         small = 1e-12 * c
-        anchor = y0[0] if abs(y0[0]) > small else np.mean(grid_prefix[:, 0] @ y0)
+        anchor = z0[0] if abs(z0[0]) > small else np.mean(grid_prefix[:, 0] @ z0)
         if anchor * want < -small:
-            y0 = -y0
+            z0 = -z0
     else:
         raise DomainError("mode must be 'line' or 'periodic'")
 
-    y = grid_prefix @ y0
-    constraint = _sg_constraint(y)
+    z = grid_prefix @ z0
+    constraint = _sg_constraint(z)
+    y = _readout(z)
     info = {
         "constraint": constraint,
         "constraint_target": c**2,
-        "constraint_max_dev": float(np.max(np.abs(constraint - _sg_constraint(y0)))),
-        "boundary": y0.copy(),
+        "constraint_max_dev": float(np.max(np.abs(constraint - _sg_constraint(z0)))),
+        "boundary": _readout(z0),
         "seam_state_magnitude": float(
             np.max(np.abs(state.u.values[[0, -1]])) if mode == "line" else 0.0
         ),
@@ -677,7 +670,7 @@ def sg_solve_h(
         if refine < 2 or refine % 2:
             raise DomainError("richardson_check needs an even refine >= 2")
         coarse = prefix_products(_sg_transfers(state, refine // 2), refine // 2)
-        y_c = coarse[:N] @ y0
+        y_c = _readout(coarse[:N] @ z0)
         est = float(np.max(np.abs(y - y_c))) / 15.0
         info["richardson_error"] = est
         if est > richardson_tol * max(c, 1.0):

@@ -5,6 +5,7 @@ from hpflow import biham_ops as bo
 from hpflow import grid_calculus as gcalc
 from hpflow import quat_core as qc
 from hpflow import soliton_flows as sf
+from hpflow import symm_lie as sl
 from hpflow.errors import (
     BlowUpError,
     ConfigError,
@@ -608,16 +609,60 @@ def test_mkdv_equivariance(rng):
 
 # -- sine-Gordon ----------------------------------------------------------------
 
+def _sqrt_form(m):
+    """S with z = S y: z = (h_par, h_s/2, h_v), y = (h_par, h_s, h_v)."""
+    return np.concatenate([[1.0], 0.5 * np.ones(3), np.ones(4 * m)])
+
+
+def _z_to_y(T, m):
+    """A matrix of the z coordinates as one of the y coordinates, S^-1 T S:
+    every factor is a power of two, so the entries are exact."""
+    S = _sqrt_form(m)
+    return T * S / S[:, None]
+
+
 def test_sg_system_matrix_is_form_skew(rng):
-    # the coefficient matrix lies in the orthogonal algebra of the constraint form
+    # in y the coefficient matrix lies in the orthogonal algebra of the
+    # constraint form diag(1, I/4, I)
     for n in (1, 2):
         grid = gcalc.PeriodicGrid(32, 8.0)
         state = random_state(rng, grid, n, amplitude=0.6)
-        M = sf.sg_system_matrix(state.u.values, state.bu.values)
         m = n - 1
+        M = _z_to_y(sf.sg_system_matrix(state.u.values, state.bu.values), m)
         B = np.diag(np.concatenate([[1.0], 0.25 * np.ones(3), np.ones(4 * m)]))
         defect = np.swapaxes(M, -1, -2) @ B + B @ M
         assert np.max(np.abs(defect)) <= 1e-13
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sg_system_matrix_is_the_paper_x_system(rng, n):
+    K, m = 64, n - 1
+    state = random_state(rng, gcalc.PeriodicGrid(K, 8.0), n, amplitude=0.6)
+    u, bu = state.u.values, state.bu.values
+    h_par = rng.standard_normal(K)
+    h_s = qc.qim(rng.standard_normal((K, 4)))
+    h_v = rng.standard_normal((K, m, 4))
+    z = np.concatenate([h_par[:, None], h_s[:, 1:] / 2.0, h_v.reshape(K, -1)], axis=1)
+    M = sf.sg_system_matrix(u, bu)
+    dz = (M @ z[:, :, None])[:, :, 0]
+
+    def as_z(d_par, d_s, d_v):
+        return np.concatenate([d_par[:, None], d_s[:, 1:] / 2.0, d_v.reshape(K, -1)], axis=1)
+
+    # the docstring's system, from quat_core's kernels
+    d_s = -qc.comm_C_vec(bu, h_v) - 4.0 * h_par[:, None] * u
+    d_v = -0.5 * qc.scalar_vec(h_s, bu) - qc.scalar_vec(u, h_v) - h_par[:, None, None] * bu
+    d_par = -0.5 * qc.acomm_A_im(u, h_s) + 0.5 * qc.acomm_A_vec(bu, h_v)
+    assert np.max(np.abs(dz - as_z(d_par, d_s, d_v))) <= 1e-13
+    # the isotropy action [e_t(y), omega_x], e_t(y) = (h_par, h_s/2, -h_v) in m
+    e_t = sl.LieElement(n, m_par=h_par, m_perp=sl.MPerp(h_s / 2.0, -h_v))
+    ad = sl.bracket(e_t, sl.LieElement(n, h_perp=sl.HPerp(u, bu)))
+    assert np.max(np.abs(dz - as_z(ad.m_par, 2.0 * ad.m_perp.s, -ad.m_perp.v))) <= 1e-13
+    # skew bit for bit; at n = 1 the closed form's L(a) + R(a), a = -Im u
+    assert np.array_equal(M, -np.swapaxes(M, -1, -2))
+    if n == 1:
+        a = -qc.qim(u)
+        assert np.array_equal(M, qc.left_mult_matrix(a) + qc.right_mult_matrix(a))
 
 
 def test_sg_zero_state_constant_h():
@@ -773,13 +818,15 @@ def test_sg_solve_h_strided_scan_matches_full_scan(rng, monkeypatch, n, mode):
     )
     N, m = state.grid.num_points, state.n - 1
     y0 = info["boundary"]
+    # the transfers carry z = S y; the solution is read back in y
+    S = _sqrt_form(m)
     full = _full_scan(sf._sg_transfers(state, 8))
-    y = full[: 8 * N : 8] @ y0
+    y = (full[: 8 * N : 8] @ (S * y0)) / S
     assert np.array_equal(h_par.values, y[:, 0])
     assert np.array_equal(h.hs.values[:, 1:], y[:, 1:4])
     assert np.array_equal(h.hv.values, y[:, 4:].reshape(N, m, 4))
     coarse = _full_scan(sf._sg_transfers(state, 4))
-    y_c = coarse[: 4 * N : 4] @ y0
+    y_c = (coarse[: 4 * N : 4] @ (S * y0)) / S
     assert info["richardson_error"] == float(np.max(np.abs(y - y_c))) / 15.0
     if mode == "line":
         assert svd_args == []
@@ -864,10 +911,6 @@ def _random_skew(rng, shape, norm, complex_=False):
         A = A + 1j * rng.standard_normal(shape)
     Z = A - np.conj(np.swapaxes(A, -1, -2))
     return Z * (norm / np.max(np.linalg.norm(Z, axis=(-2, -1))))
-
-
-def _sqrt_form(m):
-    return np.concatenate([[1.0], 0.5 * np.ones(3), np.ones(4 * m)])
 
 
 def _defect(E):
@@ -1057,7 +1100,7 @@ def test_n1_transfers_match_generic_builder(name, refine):
     T_gen = sf._sg_transfers_generic(state, refine)
     assert T.shape == T_gen.shape == (256 * refine, 4, 4)
     assert np.max(np.abs(T - T_gen)) <= 1e-14
-    assert _form_defect(T, 0) <= 1e-14
+    assert _form_defect(_z_to_y(T, 0), 0) <= 1e-14
 
 
 def test_n1_large_band_takes_the_squaring_branch(monkeypatch):
@@ -1219,13 +1262,15 @@ def _whole_array_transfers(M, h, scale=None):
 
 
 def _reference_sg_transfers(state, refine):
-    """The transfer builder every n used before the n = 1 closed form."""
+    """The transfer builder every n used before the n = 1 closed form, in
+    y = (h_par, h_s, h_v), where the system is skew for the form S^2."""
     grid = state.grid
     fine = 2 * refine
     u_f = gcalc.spectral_refine(state.u.values, grid, fine)
     bu_f = gcalc.spectral_refine(state.bu.values, grid, fine)
-    M = sf.sg_system_matrix(u_f, bu_f)
-    return _whole_array_transfers(M, grid.dx / refine, _sqrt_form(state.n - 1))
+    m = state.n - 1
+    M = _z_to_y(sf.sg_system_matrix(u_f, bu_f), m)
+    return _whole_array_transfers(M, grid.dx / refine, _sqrt_form(m))
 
 
 def cells_per_block(monkeypatch, cells, d, dtype=float):
@@ -1243,7 +1288,7 @@ def test_blocked_sg_transfers_equal_the_whole_array_build(monkeypatch, n, refine
     if block:
         cells_per_block(monkeypatch, block, 4 + 4 * (n - 1))
     T = sf._sg_transfers_generic(state, refine)
-    assert np.array_equal(T, _reference_sg_transfers(state, refine))
+    assert np.array_equal(_z_to_y(T, n - 1), _reference_sg_transfers(state, refine))
 
 
 def _skew_stack(rng, K, d):
@@ -1251,8 +1296,7 @@ def _skew_stack(rng, K, d):
     return A - np.swapaxes(A, -1, -2)
 
 
-@pytest.mark.parametrize("scale", [None, _sqrt_form(1)])
-def test_magnus4_transfers_share_the_squarings_of_the_largest_cell(monkeypatch, rng, scale):
+def test_magnus4_transfers_share_the_squarings_of_the_largest_cell(monkeypatch, rng):
     # one block of large cells: the whole grid takes their squarings, which
     # the small cells' own norm would not pick
     K, d, h = 45, 8, 0.01
@@ -1261,12 +1305,12 @@ def test_magnus4_transfers_share_the_squarings_of_the_largest_cell(monkeypatch, 
     cells_per_block(monkeypatch, 7, d)
     norms, max_norm = [], sf._max_norm
     monkeypatch.setattr(sf, "_max_norm", lambda Z: norms.append(len(Z)) or max_norm(Z))
-    T = sf.magnus4_transfers(lambda rows: M[rows], K, d, h, scale=scale)
+    T = sf.magnus4_transfers(lambda rows: M[rows], K, d, h)
     # each block's norm is taken once: the exponential is handed the count
     assert norms == [7, 7, 7, 7, 7, 7, 3]
     monkeypatch.setattr(sf, "_max_norm", max_norm)
-    assert np.array_equal(T, _whole_array_transfers(M, h, scale))
-    small = _whole_array_transfers(M[:14], h, scale)[:7]  # cells 0..6 on their own
+    assert np.array_equal(T, _whole_array_transfers(M, h))
+    small = _whole_array_transfers(M[:14], h)[:7]  # cells 0..6 on their own
     assert sf._expm_squarings(sf._max_norm(M[1:14:2] * h)) == 0
     assert not np.array_equal(T[:7], small)
 
@@ -1293,7 +1337,7 @@ def test_n2_transfers_unchanged(amplitude):
     state = sf.preset_random_band(BENCH_GRID, 2, seed=7, amplitude=amplitude)
     for refine in (2, 8):
         np.testing.assert_array_equal(
-            sf._sg_transfers(state, refine), _reference_sg_transfers(state, refine)
+            _z_to_y(sf._sg_transfers(state, refine), 1), _reference_sg_transfers(state, refine)
         )
 
 
@@ -1380,12 +1424,13 @@ def test_sg_constraint_equals_the_np_sum_form_bit_for_bit(rng, n):
         y = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
         y[rng.random(shape) < 0.2] = 0.0
         y[rng.random(shape) < 0.2] = -0.0
-        got, ref = np.asarray(sf._sg_constraint(y)), np.asarray(_reference_constraint(y))
+        z = _sqrt_form(n - 1) * y  # exact: h_s / 2
+        got, ref = np.asarray(sf._sg_constraint(z)), np.asarray(_reference_constraint(y))
         assert got.shape == ref.shape
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
     zeros = -np.zeros(d)
     assert np.array_equal(
-        np.asarray(sf._sg_constraint(zeros)).view(np.uint64),
+        np.asarray(sf._sg_constraint(_sqrt_form(n - 1) * zeros)).view(np.uint64),
         np.asarray(_reference_constraint(zeros)).view(np.uint64),
     )
 
