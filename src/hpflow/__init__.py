@@ -27,7 +27,6 @@ from .biham_ops import (
     make_state,
     pairing,
     poisson_bracket,
-    symplectic_pairing,
     variational_derivative_fd,
     w_parallel,
 )

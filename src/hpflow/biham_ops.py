@@ -580,12 +580,6 @@ def poisson_bracket(state, f1, f2, mean_tolerance: float = DEFAULT_MEAN_TOLERANC
     return pairing(f1.gradient(state), apply_H(state, f2.gradient(state), mean_tolerance))
 
 
-def symplectic_pairing(state, X1: FlowPair, X2: FlowPair,
-                       mean_tolerance: float = DEFAULT_MEAN_TOLERANCE) -> float:
-    """omega(X1, X2) = pairing(X1, J X2)."""
-    return pairing(X1, apply_J(state, X2, mean_tolerance))
-
-
 class HierarchyFunctional:
     """Conserved functional of level l (closed-form local density, l <= 1)."""
 

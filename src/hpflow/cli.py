@@ -5,7 +5,9 @@ initial / output, whose keys are those of CONFIG_KEYS.  Every command reads
 every key a config sets; an unknown key, a value that cannot be read, or one
 that builds no grid or state is refused by an error naming its key.  A
 hierarchy flow is stepped only at levels 0 and 1, the levels whose flows are
-local: the highest is its soliton_flows.FLOWS row's max_level.  The kinds
+local: the highest is its soliton_flows.FLOWS row's max_level.  The -1
+flow's x-solve is the line solve: a kind with an x-solve refuses
+grid.mode = "periodic", and the other kinds ignore the key.  The kinds
 with a map check, and the file it writes, are curve_geometry.MAP_CHECKS.
 Exit codes: 0 on success, 1 when a check or run fails, 2 on configuration
 errors.  All numeric output is written in full double precision so runs are
@@ -34,7 +36,6 @@ from .errors import (
     DomainError,
     IntegrationAccuracyError,
     NonlocalityError,
-    ShootingError,
 )
 
 
@@ -167,7 +168,7 @@ CONFIG_KEYS = {
 # is not passed on, so the preset function or SimConfig uses its own default.
 CLI_DEFAULTS = {
     "algebra": {"n": 1},
-    "grid": {"N": 128, "L": 20.0, "mode": "periodic"},
+    "grid": {"N": 128, "L": 20.0},
     "flow": {"dt": 1e-3, "t_end": 1.0},
     "initial": {"preset": "random_band"},
     "output": {"directory": "out", "formats": ["csv"], "reconstruct": False, "map_check": True},
@@ -261,9 +262,14 @@ def build_state(cfg, seed_override=None) -> bo.StatePair:
 
 def build_sim_config(cfg) -> sf.SimConfig:
     flow = cfg["flow"]
+    kind = sf.FLOWS.get(flow.get("kind"))  # SimConfig refuses an unknown kind
+    if kind is not None and kind.x_solve is not None and cfg["grid"].get("mode") == "periodic":
+        raise ConfigError(
+            "grid.mode = 'periodic': the -1 flow's x-solve is the line solve, "
+            "so set 'line' or leave the key out"
+        )
     # the recursion's D_x^{-1} constants are the jet constants only up to level
     # 1: from level 2 on the flow is measurably non-local, so it is not stepped
-    kind = sf.FLOWS.get(flow.get("kind"))  # SimConfig refuses an unknown kind
     top = None if kind is None else kind.max_level
     level = flow.get("l")
     if top is not None and level is not None and level > top:
@@ -275,9 +281,7 @@ def build_sim_config(cfg) -> sf.SimConfig:
     settings = {renamed.get(key, key): value for key, value in flow.items()}
     if "cadence" in cfg["output"]:
         settings["cadence"] = cfg["output"]["cadence"]
-    return sf.SimConfig(
-        n=cfg["algebra"]["n"], grid=build_grid(cfg), sg_mode=cfg["grid"]["mode"], **settings
-    )
+    return sf.SimConfig(n=cfg["algebra"]["n"], grid=build_grid(cfg), **settings)
 
 
 def _write_snapshot(outdir: Path, index: int, t: float, state: bo.StatePair, formats):
@@ -339,11 +343,11 @@ def cmd_simulate(args) -> int:
 
     _write_snapshot(outdir, 0, 0.0, state, formats)
     # no numpy warnings while stepping: every non-finite result there raises
-    # BlowUpError (a non-finite monodromy is reported as one)
+    # BlowUpError
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             traj = sf.run_flow(sim, state, observer=observer)
-    except (BlowUpError, NonlocalityError, ShootingError, IntegrationAccuracyError) as exc:
+    except (BlowUpError, NonlocalityError, IntegrationAccuracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     report = sf.conserved_report(traj)
@@ -361,7 +365,7 @@ def cmd_simulate(args) -> int:
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     res = cg.map_residuals(
                         traj.states[-1], frame, sim.flow, sim.dt,
-                        branch=sim.sg_branch, sg_mode=sim.sg_mode, sg_refine=sim.sg_refine,
+                        branch=sim.sg_branch, sg_refine=sim.sg_refine,
                     )
             except BlowUpError as exc:
                 print(f"error: map check: {exc}", file=sys.stderr)
@@ -464,7 +468,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except (BlowUpError, NonlocalityError, ShootingError, IntegrationAccuracyError) as exc:
+    except (BlowUpError, NonlocalityError, IntegrationAccuracyError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 

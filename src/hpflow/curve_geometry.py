@@ -358,9 +358,9 @@ def _mkdv_time_matrices(state: StatePair) -> np.ndarray:
     return _time_matrices(state.n, h_par0, ux, bux, omega_t)
 
 
-def _sg_time_matrices(state: StatePair, branch: str, mode: str, refine: int) -> np.ndarray:
+def _sg_time_matrices(state: StatePair, branch: str, refine: int) -> np.ndarray:
     """e_t for the -1 flow; the connection omega_t vanishes."""
-    h, h_par, _ = sf.sg_solve_h(state, branch, mode, refine)
+    h, h_par, _ = sf.sg_solve_h(state, branch, refine)
     return _time_matrices(state.n, h_par.values, h.hs.values, h.hv.values)
 
 
@@ -380,9 +380,9 @@ class FrameTrajectory:
 @dataclass(frozen=True)
 class MapCheck:
     """One flow kind's frame co-evolution and map check; sg is the -1 flow's
-    (branch, mode, refine)."""
+    (branch, refine)."""
 
-    rhs: Callable  # (n, t_end, sg) -> the state's right side in a step ending at t_end
+    rhs: Callable  # (n, sg) -> the state's right side
     fraction: float | None  # the projection of its RK4 stages
     time_matrices: Callable  # (state, sg) -> the frame's e_t + omega_t
     steps: int  # the check's steps, at min(dt, max_dt); it reads snapshot 5
@@ -396,13 +396,13 @@ class MapCheck:
 # says why each protocol takes its steps and dt.
 MAP_CHECKS = {
     "mkdv": MapCheck(
-        rhs=lambda n, t_end, sg: lambda s: sf.mkdv_rhs(s, galilean_removed=False),
+        rhs=lambda n, sg: lambda s: sf.mkdv_rhs(s, galilean_removed=False),
         fraction=sf.DEFAULT_PROJECT_FRACTION, steps=10, max_dt=math.inf,
         time_matrices=lambda s, sg: _mkdv_time_matrices(s),
         judge=lambda traj, idx: verify_mkdv_map(traj, idx), file="mkdv_map_residuals.json",
     ),
     "sg": MapCheck(
-        rhs=lambda n, t_end, sg: sf._sg_rhs(n, *sg, t_end), fraction=None, steps=6, max_dt=1e-3,
+        rhs=lambda n, sg: sf._sg_rhs(n, *sg), fraction=None, steps=6, max_dt=1e-3,
         time_matrices=lambda s, sg: _sg_time_matrices(s, *sg),
         judge=lambda traj, idx: verify_wave_map(traj, idx), file="wave_map_residuals.json",
     ),
@@ -422,7 +422,6 @@ def evolve_with_frame(
     dt: float,
     steps: int,
     branch: str = "-",
-    sg_mode: str = "line",
     sg_refine: int = 8,
 ) -> FrameTrajectory:
     """Co-evolve the state and the frame field psi(t, x), from frame0, the
@@ -439,7 +438,8 @@ def evolve_with_frame(
     if frame0.grid != grid or frame0.n != state.n:
         raise DimensionMismatchError("frame0 is not a frame of state")
     check = _map_check(flow)
-    sg = (branch, sg_mode, sg_refine)
+    sg = (branch, sg_refine)
+    rhs = check.rhs(state.n, sg)
 
     traj = FrameTrajectory(flow=flow)
     traj.append(0.0, state, frame0)
@@ -447,7 +447,7 @@ def evolve_with_frame(
     t = 0.0
 
     for step in range(steps):
-        new = sf._rk4(state, check.rhs(state.n, t + dt, sg), dt, t, check.fraction)
+        new = sf._rk4(state, rhs, dt, t, check.fraction)
         mid = make_state(
             grid,
             0.5 * (state.u.values + new.u.values),
@@ -549,7 +549,7 @@ def verify_wave_map(traj: FrameTrajectory, idx: int) -> dict:
 
 def map_residuals(
     state: StatePair, frame: FrameState, flow: str, dt: float,
-    branch: str = "-", sg_mode: str = "line", sg_refine: int = 8,
+    branch: str = "-", sg_refine: int = 8,
 ) -> dict:
     """The map check of flow from state and its frame: co-evolve both by the
     protocol of the kind's MAP_CHECKS row and read verify_mkdv_map or
@@ -564,7 +564,7 @@ def map_residuals(
     check = _map_check(flow)
     traj = evolve_with_frame(
         state, frame, flow, min(dt, check.max_dt), check.steps,
-        branch=branch, sg_mode=sg_mode, sg_refine=sg_refine,
+        branch=branch, sg_refine=sg_refine,
     )
     return check.judge(traj, 5)
 

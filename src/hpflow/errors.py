@@ -47,18 +47,6 @@ class IntegrationAccuracyError(RuntimeError):
     """An ODE solve failed its accuracy or invariant-drift check."""
 
 
-class ShootingError(RuntimeError):
-    """Periodic boundary-value solve found no periodic solution."""
-
-
-class NonFiniteMonodromyError(ShootingError):
-    """The periodic solve's monodromy has non-finite entries, so no kernel exists.
-
-    Non-finite state values, or transfers that overflowed, cause it; a time
-    stepper reports it as a BlowUpError.
-    """
-
-
 class GaugeAlignmentError(RuntimeError):
     """Consecutive frames are not in a consistent gauge."""
 

@@ -16,13 +16,14 @@ quat_core kernel they use, on stacked operands.
 
 The -1 flow is nonlocal in x: at each instant the flow pair solves a linear
 ODE system in x driven by the state, with the pointwise quadratic constraint
-h_par^2 + |h_s|^2/4 + |h_v|^2 = chi^2.  The system is the isotropy action
-of omega_x on m, which keeps the constraint: in the coordinates
+h_par^2 + |h_s|^2/4 + |h_v|^2 = chi^2.  The system is the isotropy action of
+omega_x on m, which keeps the constraint: in the coordinates
 z = (h_par, h_s/2, h_v) the constraint is |z|^2 and the system matrix is
 skew-symmetric, so the solve works in z and reads h_s = 2 z_s back at its
-end.  The solver builds per-cell transfer matrices with a fourth-order
-Magnus scheme and composes them with a prefix scan that forms only the rows
-the solve reads, the prefixes at the grid points and the monodromy; each
+end.  The solver
+builds per-cell transfer matrices with a fourth-order Magnus scheme and
+composes them with a prefix scan that forms only every refine-th row: the
+prefixes at the grid points, which the solve reads, and the monodromy; each
 transfer is the exponential of a skew-symmetric matrix, so the constraint is
 preserved to roundoff along x regardless of resolution.  For n = 1 the
 system lies in so(4) = sp(1) + sp(1), and each transfer is built in closed
@@ -31,17 +32,10 @@ form as one left and one right multiplication by a unit quaternion
 n >= 2 exponentiates the Magnus generator with the batched Taylor map, a
 block of cells at a time (magnus4_transfers).  The frame transport in
 curve_geometry shares that build and the prefix scan, and its co-evolution
-in time the RK4 body.  Two spatial modes are offered:
-
-    line     : integrate left to right from the boundary value
-               (sign * chi, 0, 0) at x = 0; meant for states that vanish
-               near the domain seam (kink-type data).
-    periodic : pick the boundary value from the kernel of (monodromy - id),
-               failing loudly when no periodic solution exists.  A kernel
-               of dimension > 1 (every n = 1 kernel is one) holds many
-               solutions; the one taken is the kernel's projection, in z,
-               of a coordinate axis, h_par's first, so it does not depend on
-               roundoff, and info["kernel_dim"] reports the dimension.
+in time the RK4 body.  The solve integrates left to right from the boundary
+value (sign * chi, 0, 0) at x = 0: it is meant for states that vanish near
+the domain seam (kink-type data), the data of the paper's sine-Gordon flow
+and its non-stretching wave map.
 
 The branch sign names the sign of the boundary h_par.  The "-" branch is the
 one whose scalar reduction obeys the classical sine-Gordon equation
@@ -66,8 +60,6 @@ from .errors import (
     DimensionMismatchError,
     DomainError,
     IntegrationAccuracyError,
-    NonFiniteMonodromyError,
-    ShootingError,
 )
 from .grid_calculus import Field, PeriodicGrid
 from .symm_lie import chi
@@ -88,7 +80,6 @@ class SimConfig:
     flow: str = "mkdv"
     galilean_removed: bool = True
     sg_branch: str = "-"
-    sg_mode: str = "line"
     sg_refine: int = 8
     hierarchy_level: int = 1
     cadence: int = 1
@@ -106,8 +97,6 @@ class SimConfig:
             raise ConfigError(f"unknown flow kind {self.flow!r}: choose from {list(FLOWS)}")
         if self.sg_branch not in ("+", "-"):
             raise ConfigError("sg_branch must be '+' or '-'")
-        if self.sg_mode not in ("line", "periodic"):
-            raise ConfigError("sg_mode must be 'line' or 'periodic'")
         if self.cadence < 1:
             raise ConfigError("cadence must be >= 1")
         if self.sg_refine < 1:
@@ -159,10 +148,10 @@ FLOWS = {
     ),
     "sg": FlowKind(
         lambda c, s, dt, t, on_solve: sg_step(
-            s, dt, c.sg_branch, c.sg_mode, c.sg_refine, t, on_state_solve=on_solve
+            s, dt, c.sg_branch, c.sg_refine, t, on_state_solve=on_solve
         ),
         local=False,
-        x_solve=lambda c, s: sg_solve_h(s, c.sg_branch, c.sg_mode, c.sg_refine)[2],
+        x_solve=lambda c, s: sg_solve_h(s, c.sg_branch, c.sg_refine)[2],
     ),
     "hierarchy": FlowKind(
         lambda c, s, dt, t, _: step_rk4(
@@ -586,7 +575,6 @@ def _readout(z: np.ndarray) -> np.ndarray:
 def sg_solve_h(
     state: StatePair,
     branch: str = "-",
-    mode: str = "line",
     refine: int = 8,
     richardson_check: bool = False,
     richardson_tol: float = 1e-6,
@@ -594,12 +582,12 @@ def sg_solve_h(
     """Solve the -1 flow's linear x-system, returning (flow pair, h_par, info).
 
     The refine * N cell transfers are scanned only for the prefixes at the
-    grid points and the monodromy (every refine-th row); the Richardson
-    coarse solve likewise scans every (refine // 2)-th row.  The scan and
-    the boundary value are in z = (h_par, h_s/2, h_v), where the transfers
-    are orthogonal; the solution, info["boundary"] and the Richardson
-    estimate are read back in (h_par, h_s, h_v).  The returned pair is
-    normalized so the pointwise constraint equals chi^2.
+    grid points (every refine-th row); the Richardson coarse solve likewise
+    scans every (refine // 2)-th row.  The scan and the boundary value are
+    in z = (h_par, h_s/2, h_v), where the transfers are orthogonal; the
+    solution, info["boundary"] and the Richardson estimate are read back in
+    (h_par, h_s, h_v).  The returned pair is normalized so the pointwise
+    constraint equals chi^2.
     """
     if branch not in ("+", "-"):
         raise DomainError("branch must be '+' or '-'")
@@ -608,49 +596,12 @@ def sg_solve_h(
     grid = state.grid
     N = grid.num_points
     m = state.n - 1
-    d = 4 + 4 * m
     c = chi(state.n)
 
-    # rows P[0], P[refine], ..., P[N * refine]: the grid points and the monodromy
-    prefixes = prefix_products(_sg_transfers(state, refine), refine)
-    grid_prefix = prefixes[:N]
-
-    if mode == "line":
-        z0 = np.zeros(d)
-        z0[0] = c if branch == "+" else -c
-    elif mode == "periodic":
-        monodromy = prefixes[N]
-        if not np.all(np.isfinite(monodromy)):
-            raise NonFiniteMonodromyError(
-                "no periodic -1 flow: the monodromy has non-finite entries "
-                "(non-finite state values or overflowing transfers)"
-            )
-        U, s, Vt = np.linalg.svd(monodromy - np.eye(d))
-        tol = 1e-6 * max(s[0], 1.0)
-        if s[-1] > tol:
-            raise ShootingError(
-                f"no periodic -1 flow: smallest singular value of (monodromy - id) "
-                f"is {s[-1]:.3e}"
-            )
-        # The SVD's basis of a kernel of dimension > 1 is fixed by roundoff,
-        # its projector is not: project the first coordinate axis that keeps
-        # at least half the largest projected length.  Every n = 1 kernel has
-        # dimension >= 2 (a vector fixed by L(P) R(Q) comes with a plane).
-        kernel_dim = int(np.sum(s <= tol))
-        kernel = Vt[d - kernel_dim :]
-        proj = kernel.T @ kernel
-        axis = int(np.argmax(np.diag(proj) >= 0.5 * np.max(np.diag(proj))))
-        z0 = proj[:, axis]
-        z0 = z0 * (c / np.sqrt(_sg_constraint(z0)))
-        # the branch fixes the sign through h_par; where h_par vanishes the
-        # projection's own sign stands
-        want = 1.0 if branch == "+" else -1.0
-        small = 1e-12 * c
-        anchor = z0[0] if abs(z0[0]) > small else np.mean(grid_prefix[:, 0] @ z0)
-        if anchor * want < -small:
-            z0 = -z0
-    else:
-        raise DomainError("mode must be 'line' or 'periodic'")
+    # rows P[0], P[refine], ..., P[N * refine]: the grid points, then the monodromy
+    grid_prefix = prefix_products(_sg_transfers(state, refine), refine)[:N]
+    z0 = np.zeros(4 + 4 * m)
+    z0[0] = c if branch == "+" else -c
 
     z = grid_prefix @ z0
     constraint = _sg_constraint(z)
@@ -660,12 +611,7 @@ def sg_solve_h(
         "constraint_target": c**2,
         "constraint_max_dev": float(np.max(np.abs(constraint - _sg_constraint(z0)))),
         "boundary": _readout(z0),
-        "seam_state_magnitude": float(
-            np.max(np.abs(state.u.values[[0, -1]])) if mode == "line" else 0.0
-        ),
     }
-    if mode == "periodic":
-        info["kernel_dim"] = kernel_dim
     if richardson_check:
         if refine < 2 or refine % 2:
             raise DomainError("richardson_check needs an even refine >= 2")
@@ -690,7 +636,6 @@ def sg_step(
     state: StatePair,
     dt: float,
     branch: str = "-",
-    mode: str = "line",
     refine: int = 8,
     t: float = 0.0,
     on_state_solve=None,
@@ -701,23 +646,17 @@ def sg_step(
     called with that solve's info dict, so a caller monitoring the state's
     constraint needs no solve of its own.
     """
-    rhs = _sg_rhs(state.n, branch, mode, refine, t + dt, state, on_state_solve)
+    rhs = _sg_rhs(state.n, branch, refine, state, on_state_solve)
     return step_rk4(state, rhs, dt, t, project_fraction=None)
 
 
-def _sg_rhs(
-    n: int, branch: str, mode: str, refine: int, t_end: float, watched=None, on_solve=None
-):
-    """The -1 flow's right side h / chi; a non-finite monodromy in a step
-    ending at t_end is reported as a blow-up there.  The info of the solve of
-    the state `watched` goes to `on_solve`."""
+def _sg_rhs(n: int, branch: str, refine: int, watched=None, on_solve=None):
+    """The -1 flow's right side h / chi.  The info of the solve of the state
+    `watched` goes to `on_solve`."""
     inv_chi = 1.0 / chi(n)
 
     def rhs(s):
-        try:
-            h, _, info = sg_solve_h(s, branch, mode, refine)
-        except NonFiniteMonodromyError as exc:
-            raise BlowUpError(t_end) from exc
+        h, _, info = sg_solve_h(s, branch, refine)
         if on_solve is not None and s is watched:
             on_solve(info)
         # the solution's arrays scaled: the kinds' shapes on the state's grid

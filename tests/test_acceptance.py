@@ -83,7 +83,7 @@ def kink_run():
     state = sf.preset_sg_kink(grid, n=1, a=a)
     cfg = sf.SimConfig(
         n=1, grid=grid, dt=5e-3, t_end=0.1, flow="sg", sg_branch="-",
-        sg_mode="line", sg_refine=8, cadence=4,
+        sg_refine=8, cadence=4,
     )
     traj = sf.run_flow(cfg, state)
     exact = sf.sg_kink_profile(grid, a, grid.length / 2, cfg.t_end)

@@ -186,6 +186,28 @@ def test_sg_simulation_with_wave_map_residual(tmp_path):
     assert report["sg_constraint_drift"] <= 1e-7
 
 
+def test_sg_config_without_grid_mode_writes_the_line_files(tmp_path):
+    # grid.mode has no CLI default: the -1 flow has one x-solve, the line solve
+    line = write_config(
+        tmp_path,
+        grid={"N": 64, "L": 40.0, "mode": "line"},
+        flow={"kind": "sg", "dt": 5e-3, "t_end": 0.01, "sg_refine": 2},
+        initial={"preset": "sg_kink", "a": 1.0},
+        output={"cadence": 1, "reconstruct": True},
+    )
+    cfg = json.loads(line.read_text())
+    del cfg["grid"]["mode"]
+    unset = tmp_path / "unset.json"
+    unset.write_text(json.dumps(cfg))
+    for path, out in ((line, "line"), (unset, "unset")):
+        assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / out)]) == 0
+    files = sorted(p.name for p in (tmp_path / "line").iterdir())
+    assert "wave_map_residuals.json" in files
+    assert sorted(p.name for p in (tmp_path / "unset").iterdir()) == files
+    for name in files:
+        assert (tmp_path / "unset" / name).read_bytes() == (tmp_path / "line" / name).read_bytes()
+
+
 def test_sg_map_check_stops_at_its_snapshot(tmp_path, monkeypatch):
     # the wave-map check reads snapshots 4-6 only: evolving 6 steps must write
     # the residuals that 10 steps give on the same final state
@@ -433,6 +455,8 @@ def test_hierarchy_level_2_inside_its_bound_is_a_config_error(tmp_path, capsys):
          "initial.bu_cos"),
         ({"algebra": {"n": 2}, "initial": {"preset": "inline", "bu_sin": [[[False, 0, 0, 1]]]}},
          "initial.bu_sin"),
+        # the -1 flow's one x-solve is the line solve
+        ({"grid": {"mode": "periodic"}, "flow": {"kind": "sg"}}, "grid.mode = 'periodic'"),
     ],
 )
 def test_malformed_config_values_exit_2_naming_the_key(tmp_path, capsys, command, raw, key):
@@ -440,7 +464,8 @@ def test_malformed_config_values_exit_2_naming_the_key(tmp_path, capsys, command
     path.write_text(json.dumps(raw))
     rc = cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
-    if command != "simulate" and key in ("dt", "project_fraction", "sg_refine", "cfl_constant"):
+    simulate_only = ("dt", "project_fraction", "sg_refine", "cfl_constant", "grid.mode = 'periodic'")
+    if command != "simulate" and key in simulate_only:
         assert rc == 0  # every command reads the key, only simulate builds a SimConfig
         return
     assert rc == 2
@@ -573,19 +598,6 @@ def test_simulate_run_blowup_exits_1(tmp_path, capsys):
     rc, err = _simulate_quietly(cfg, capsys)
     assert rc == 1
     assert err.startswith("error: solution blew up")
-    assert err.count("\n") == 1 and "Traceback" not in err
-
-
-def test_simulate_without_periodic_flow_exits_1(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path,
-        grid={"N": 64, "L": 2 * np.pi, "mode": "periodic"},
-        flow={"kind": "sg", "dt": 1e-3, "t_end": 2e-3},
-        initial={"preset": "random_band", "seed": 3},
-    )
-    rc, err = _simulate_quietly(cfg, capsys)
-    assert rc == 1
-    assert err.startswith("error: no periodic -1 flow")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

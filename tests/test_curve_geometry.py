@@ -436,7 +436,7 @@ def test_sg_frame_states_equal_sg_step_loop():
     )
     s = state
     for i, evolved in enumerate(traj.states[1:]):
-        s = sf.sg_step(s, dt, branch="-", mode="line", refine=8, t=i * dt)
+        s = sf.sg_step(s, dt, branch="-", refine=8, t=i * dt)
         assert np.array_equal(evolved.u.values, s.u.values)
         assert np.array_equal(evolved.bu.values, s.bu.values)
 
@@ -493,11 +493,11 @@ def test_mkdv_time_matrices_match_block_layout(rng, n):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_sg_time_matrices_match_block_layout(n):
     state = sf.preset_sg_kink(gcalc.PeriodicGrid(128, 40.0), n=n, a=1.0)
-    h, h_par, _ = sf.sg_solve_h(state, "-", "line", 8)
+    h, h_par, _ = sf.sg_solve_h(state, "-", 8)
     rc = np.sqrt(chi(n))
     e_t = _m_matrix(qc.from_real(h_par.values / rc) + h.hs.values / (2.0 * rc), -h.hv.values / rc)
     expected = qc.qmat_to_complex(e_t)
-    assert np.array_equal(cg._sg_time_matrices(state, "-", "line", 8), expected)
+    assert np.array_equal(cg._sg_time_matrices(state, "-", 8), expected)
 
 
 def _split(c):

@@ -11,8 +11,6 @@ from hpflow.errors import (
     ConfigError,
     DimensionMismatchError,
     DomainError,
-    NonFiniteMonodromyError,
-    ShootingError,
 )
 from hpflow.symm_lie import chi
 
@@ -472,7 +470,7 @@ def test_mkdv_step_transform_calls(monkeypatch, fraction, calls, transform_twice
 def test_sg_step_writes_no_state_array(n, monkeypatch):
     grid = gcalc.PeriodicGrid(64, 20.0)
     state = _nearly_imaginary_state(grid, n)
-    reference_rhs = sf._sg_rhs(n, "-", "line", 2, 1e-3)
+    reference_rhs = sf._sg_rhs(n, "-", 2)
     solve = sf.sg_solve_h
     spy, kept = _spied(solve)
     monkeypatch.setattr(sf, "sg_solve_h", spy)
@@ -732,23 +730,6 @@ def test_sg_zero_state_stays_zero():
     assert np.max(np.abs(out.u.values)) == 0.0
 
 
-def test_sg_periodic_mode_zero_state_and_failure(rng):
-    grid = gcalc.PeriodicGrid(32, 8.0)
-    zero = bo.make_state(grid, np.zeros((32, 4)), np.zeros((32, 0, 4)))
-    h, h_par, info = sf.sg_solve_h(zero, branch="-", mode="periodic")
-    np.testing.assert_allclose(info["constraint"], chi(1) ** 2, rtol=1e-10)
-    # every vector is periodic; the one taken is the branch's h_par axis
-    for branch, sign in (("+", 1.0), ("-", -1.0)):
-        _, h_par, info = sf.sg_solve_h(zero, branch, "periodic")
-        assert info["kernel_dim"] == 4
-        np.testing.assert_array_equal(info["boundary"], [sign * chi(1), 0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(h_par.values, sign * chi(1))
-    # generic data admits no periodic -1 flow; the failure is loud
-    state = random_state(rng, grid, 1, amplitude=0.5)
-    with pytest.raises(ShootingError):
-        sf.sg_solve_h(state, branch="-", mode="periodic")
-
-
 def test_sg_branch_validation(rng):
     grid = gcalc.PeriodicGrid(32, 8.0)
     state = random_state(rng, grid, 1, amplitude=0.1)
@@ -796,15 +777,10 @@ def _full_scan(T):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("mode", ["line", "periodic"])
-def test_sg_solve_h_strided_scan_matches_full_scan(rng, monkeypatch, n, mode):
-    # the x-solve reads the grid-point rows and the monodromy of the
-    # refine * N cell scan; those rows of the full scan give its outputs
-    # bit for bit
-    if mode == "line":
-        state = random_state(rng, gcalc.PeriodicGrid(64, 16.0), n, amplitude=0.5)
-    else:
-        state = sf.preset_sg_kink(gcalc.PeriodicGrid(128, 40.0), n)
+def test_sg_solve_h_strided_scan_matches_full_scan(rng, monkeypatch, n):
+    # the x-solve reads the grid-point rows of the refine * N cell scan;
+    # those rows of the full scan give its outputs bit for bit
+    state = random_state(rng, gcalc.PeriodicGrid(64, 16.0), n, amplitude=0.5)
     svd_args = []
     svd = np.linalg.svd
 
@@ -814,7 +790,7 @@ def test_sg_solve_h_strided_scan_matches_full_scan(rng, monkeypatch, n, mode):
 
     monkeypatch.setattr(np.linalg, "svd", recording_svd)
     h, h_par, info = sf.sg_solve_h(
-        state, "-", mode, 8, richardson_check=True, richardson_tol=1.0
+        state, "-", 8, richardson_check=True, richardson_tol=1.0
     )
     N, m = state.grid.num_points, state.n - 1
     y0 = info["boundary"]
@@ -828,12 +804,8 @@ def test_sg_solve_h_strided_scan_matches_full_scan(rng, monkeypatch, n, mode):
     coarse = _full_scan(sf._sg_transfers(state, 4))
     y_c = (coarse[: 4 * N : 4] @ (S * y0)) / S
     assert info["richardson_error"] == float(np.max(np.abs(y - y_c))) / 15.0
-    if mode == "line":
-        assert svd_args == []
-        assert np.array_equal(y0, np.eye(4 + 4 * m)[0] * -chi(state.n))
-    else:
-        (shifted,) = svd_args
-        assert np.array_equal(shifted, full[-1] - np.eye(4 + 4 * m))
+    assert svd_args == []
+    assert np.array_equal(y0, np.eye(4 + 4 * m)[0] * -chi(state.n))
 
 
 def test_run_flow_and_conservation(rng):
@@ -976,28 +948,23 @@ def test_sg_transfers_and_monodromy_match_eigh_reference(rng, monkeypatch, n):
     monkeypatch.setattr(sf, "expm_antihermitian", _reference_expm_real)
     T_ref = sf._sg_transfers(state, 8)
     assert np.max(np.abs(T - T_ref)) <= 1e-13
-    # the monodromy periodic mode takes its boundary value from
+    # the monodromy, the last row of the scan
     mono = sf.prefix_products(T)[-1]
     assert np.max(np.abs(mono - sf.prefix_products(T_ref)[-1])) <= 1e-12
 
 
-def _solve_outputs(state, mode):
-    h, h_par, info = sf.sg_solve_h(state, "-", mode)
+def _solve_outputs(state):
+    h, h_par, info = sf.sg_solve_h(state, "-")
     return (h.hs.values, h.hv.values, h_par.values, info["boundary"])
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("mode", ["line", "periodic"])
-def test_sg_solve_h_matches_eigh_reference(rng, monkeypatch, n, mode):
-    # periodic mode needs data with a periodic solution: the kink
-    if mode == "line":
-        state = random_state(rng, gcalc.PeriodicGrid(64, 16.0), n, amplitude=0.5)
-    else:
-        state = sf.preset_sg_kink(gcalc.PeriodicGrid(128, 40.0), n)
-    new = _solve_outputs(state, mode)
+def test_sg_solve_h_matches_eigh_reference(rng, monkeypatch, n):
+    state = random_state(rng, gcalc.PeriodicGrid(64, 16.0), n, amplitude=0.5)
+    new = _solve_outputs(state)
     monkeypatch.setattr(sf, "_sg_transfers", sf._sg_transfers_generic)
     monkeypatch.setattr(sf, "expm_antihermitian", _reference_expm_real)
-    ref = _solve_outputs(state, mode)
+    ref = _solve_outputs(state)
     for a, b in zip(new, ref):
         # the solution has size chi; the tolerance is 1e-12 relative to it
         assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * chi(n)
@@ -1011,34 +978,8 @@ def test_sg_step_nan_raises_blowup():
     state = bo.make_state(grid, u, kink.bu.values)
     with np.errstate(invalid="ignore", over="ignore"):
         with pytest.raises(BlowUpError) as exc:
-            sf.sg_step(state, 1e-3, mode="line", t=0.5)
+            sf.sg_step(state, 1e-3, t=0.5)
     assert exc.value.time == pytest.approx(0.501)
-
-
-def _kink_with_nan(n):
-    grid = gcalc.PeriodicGrid(64, 16.0)
-    kink = sf.preset_sg_kink(grid, n=n)
-    u = kink.u.values.copy()
-    u[5, 1] = np.nan
-    return bo.make_state(grid, u, kink.bu.values)
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_sg_solve_h_periodic_nan_raises_typed_error(n):
-    # the parent handed the NaN monodromy to np.linalg.svd, which raised
-    # LinAlgError("SVD did not converge")
-    with np.errstate(invalid="ignore", over="ignore"):
-        with pytest.raises(NonFiniteMonodromyError, match="non-finite") as exc:
-            sf.sg_solve_h(_kink_with_nan(n), mode="periodic")
-    assert isinstance(exc.value, ShootingError)
-
-
-def test_sg_step_periodic_nan_raises_blowup():
-    with np.errstate(invalid="ignore", over="ignore"):
-        with pytest.raises(BlowUpError) as exc:
-            sf.sg_step(_kink_with_nan(1), 1e-3, mode="periodic", t=0.5)
-    assert exc.value.time == pytest.approx(0.501)
-    assert isinstance(exc.value.__cause__, NonFiniteMonodromyError)
 
 
 # -- run_flow time bookkeeping ---------------------------------------------------
@@ -1129,8 +1070,7 @@ def test_n1_zero_state_gives_identity_transfers_exactly():
 
 def _solve_all_outputs(state, **kw):
     """Outputs of sg_solve_h with their scale: chi for the solution, chi^2 for
-    the constraint, and the Richardson estimate and kernel dimension when they
-    are reported."""
+    the constraint, and the Richardson estimate when it is reported."""
     h, h_par, info = sf.sg_solve_h(state, "-", **kw)
     c = chi(state.n)
     out = [
@@ -1141,90 +1081,26 @@ def _solve_all_outputs(state, **kw):
     ]
     if "richardson_error" in info:
         out.append((info["richardson_error"], c))
-    if "kernel_dim" in info:
-        out.append((info["kernel_dim"], 0.0))
     return out
-
-
-def _short_kink(n=1):
-    """On L = 16 the kink's periodic solutions span exactly the j, k plane,
-    which no transfer moves, and h_par vanishes there."""
-    return sf.preset_sg_kink(gcalc.PeriodicGrid(64, 16.0), n)
 
 
 @pytest.mark.parametrize(
     "name, kw",
     [
-        ("kink_a1", {"mode": "line"}),
-        ("band_0.3", {"mode": "line"}),
-        ("band_3", {"mode": "line", "refine": 4}),
-        ("kink_a1", {"mode": "line", "richardson_check": True}),
-        ("kink_a1", {"mode": "periodic"}),
-        ("kink_a1.25", {"mode": "periodic"}),
-        ("kink_L16", {"mode": "periodic"}),
+        ("kink_a1", {}),
+        ("band_0.3", {}),
+        ("band_3", {"refine": 4}),
+        ("kink_a1", {"richardson_check": True}),
     ],
 )
 def test_n1_sg_solve_h_matches_generic_path(monkeypatch, name, kw):
-    state = {**N1_STATES, "kink_L16": _short_kink}[name]()
+    state = N1_STATES[name]()
     new = _solve_all_outputs(state, **kw)
     monkeypatch.setattr(sf, "_sg_transfers", sf._sg_transfers_generic)
     ref = _solve_all_outputs(state, **kw)
     assert len(new) == len(ref)
     for (a, scale), (b, _) in zip(new, ref):
         assert np.max(np.abs(a - b)) <= 1e-12 * scale
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_sg_periodic_kernel_plane_gives_one_solution_for_both_branches(n):
-    # the SVD's kernel vector here is any unit vector of the j, k plane, with
-    # a sign h_par cannot fix; the projector picks j, whatever the roundoff
-    state = _short_kink(n)
-    c = chi(n)
-    expected = np.zeros(4 + 4 * (n - 1))
-    expected[2] = 2.0 * c
-    for branch in ("+", "-"):
-        h, h_par, info = sf.sg_solve_h(state, branch, "periodic")
-        assert info["kernel_dim"] == 2
-        assert np.max(np.abs(info["boundary"] - expected)) <= 1e-12 * c
-        assert np.max(np.abs(h_par.values)) <= 1e-12 * c
-        assert np.max(np.abs(h.hs.values - expected[:4])) <= 1e-12 * c
-
-
-def test_n1_sg_periodic_sign_stands_where_h_par_vanishes_off_axis(monkeypatch):
-    # a kink along (i + 2j + 3k) / sqrt(14): the kernel plane is no longer a
-    # coordinate plane, so h_par and y0[0] come out at roundoff, not exactly
-    # 0; the branch must not flip the sign on them.  The tolerance is roundoff
-    # over the kernel's gap, s = 1.3e-3
-    kink = _short_kink()
-    direction = np.array([0.0, 1.0, 2.0, 3.0]) / np.sqrt(14.0)
-    state = bo.make_state(kink.grid, kink.u.values[:, 1:2] * direction, kink.bu.values)
-    c = chi(1)
-    outs = {}
-    for builder in ("_sg_transfers", "_sg_transfers_generic"):
-        monkeypatch.setattr(sf, "_sg_transfers", getattr(sf, builder))
-        for branch in ("+", "-"):
-            h, h_par, info = sf.sg_solve_h(state, branch, "periodic")
-            assert info["kernel_dim"] == 2
-            assert np.max(np.abs(h_par.values)) <= 1e-10 * c
-            outs[builder, branch] = h.hs.values
-    ref = outs["_sg_transfers_generic", "-"]
-    for hs in outs.values():
-        assert np.max(np.abs(hs - ref)) <= 1e-10 * c
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_sg_periodic_full_kernel_gives_the_line_solution(n):
-    # on L = 40 the kink's monodromy is the identity to 3e-8, so every
-    # boundary value counts as periodic: the one taken is the line mode's
-    state = sf.preset_sg_kink(gcalc.PeriodicGrid(128, 40.0), n)
-    c = chi(n)
-    for branch in ("+", "-"):
-        h, h_par, info = sf.sg_solve_h(state, branch, "periodic")
-        h_l, h_par_l, info_l = sf.sg_solve_h(state, branch, "line")
-        assert info["kernel_dim"] == 4
-        assert np.max(np.abs(info["boundary"] - info_l["boundary"])) <= 1e-12 * c
-        assert np.max(np.abs(h.hs.values - h_l.hs.values)) <= 1e-12 * c
-        assert np.max(np.abs(h_par.values - h_par_l.values)) <= 1e-12 * c
 
 
 def _kink_with(value, n):
@@ -1238,12 +1114,9 @@ def _kink_with(value, n):
 @pytest.mark.parametrize("n", [1, 2])
 def test_sg_inf_state_raises_the_nan_errors(n):
     with np.errstate(invalid="ignore", over="ignore"):
-        with pytest.raises(NonFiniteMonodromyError):
-            sf.sg_solve_h(_kink_with(np.inf, n), mode="periodic")
-        for mode in ("line", "periodic"):
-            with pytest.raises(BlowUpError) as exc:
-                sf.sg_step(_kink_with(np.inf, n), 1e-3, mode=mode, t=0.5)
-            assert exc.value.time == pytest.approx(0.501)
+        with pytest.raises(BlowUpError) as exc:
+            sf.sg_step(_kink_with(np.inf, n), 1e-3, t=0.5)
+        assert exc.value.time == pytest.approx(0.501)
 
 
 def _whole_array_transfers(M, h, scale=None):
@@ -1435,29 +1308,22 @@ def test_sg_constraint_equals_the_np_sum_form_bit_for_bit(rng, n):
     )
 
 
-def _sg_run(mode, cadence, steps, n=1):
-    # on L = 40 the kink's monodromy is close enough to the identity that
-    # periodic mode finds a solution at every stage
+def _sg_run(cadence, steps, n=1):
     grid = gcalc.PeriodicGrid(64, 40.0)
     cfg = sf.SimConfig(
-        n=n, grid=grid, dt=2e-3, t_end=steps * 2e-3, flow="sg", sg_mode=mode, sg_refine=2,
-        cadence=cadence,
+        n=n, grid=grid, dt=2e-3, t_end=steps * 2e-3, flow="sg", sg_refine=2, cadence=cadence
     )
     return cfg, sf.preset_sg_kink(grid, n)
 
 
-SG_RUNS = [
-    (mode, cadence, steps)
-    for mode in ("line", "periodic")
-    for cadence, steps in ((1, 4), (3, 6), (4, 6))  # 4 does not divide 6
-]
+SG_RUNS = [(1, 4), (3, 6), (4, 6)]  # (cadence, steps): 4 does not divide 6
 
 
-@pytest.mark.parametrize("mode, cadence, steps", SG_RUNS)
+@pytest.mark.parametrize("cadence, steps", SG_RUNS)
 def test_run_flow_solves_the_sg_x_system_once_per_stage_and_once_at_the_end(
-    monkeypatch, mode, cadence, steps
+    monkeypatch, cadence, steps
 ):
-    cfg, state = _sg_run(mode, cadence, steps)
+    cfg, state = _sg_run(cadence, steps)
     solved = []
     solve = sf.sg_solve_h
 
@@ -1475,12 +1341,12 @@ def test_run_flow_solves_the_sg_x_system_once_per_stage_and_once_at_the_end(
 
 
 @pytest.mark.parametrize("n", [1, 2])
-@pytest.mark.parametrize("mode, cadence, steps", SG_RUNS)
-def test_run_flow_sg_constraint_values_equal_a_solve_per_snapshot(mode, cadence, steps, n):
-    cfg, state = _sg_run(mode, cadence, steps, n)
+@pytest.mark.parametrize("cadence, steps", SG_RUNS)
+def test_run_flow_sg_constraint_values_equal_a_solve_per_snapshot(cadence, steps, n):
+    cfg, state = _sg_run(cadence, steps, n)
     traj = sf.run_flow(cfg, state)
     expected = [
-        float(np.mean(sf.sg_solve_h(s, cfg.sg_branch, mode, cfg.sg_refine)[2]["constraint"]))
+        float(np.mean(sf.sg_solve_h(s, cfg.sg_branch, cfg.sg_refine)[2]["constraint"]))
         for s in traj.states
     ]
     assert len(traj.states) == 1 + steps // cadence + (steps % cadence > 0)
@@ -1488,7 +1354,7 @@ def test_run_flow_sg_constraint_values_equal_a_solve_per_snapshot(mode, cadence,
 
 
 def test_run_flow_sg_with_no_steps_solves_the_initial_state_once(monkeypatch):
-    cfg, state = _sg_run("line", 1, 0)
+    cfg, state = _sg_run(1, 0)
     calls = []
     solve = sf.sg_solve_h
 
