@@ -186,12 +186,15 @@ def test_sg_simulation_with_wave_map_residual(tmp_path):
     assert report["sg_constraint_drift"] <= 1e-7
 
 
-def test_sg_config_without_grid_mode_writes_the_line_files(tmp_path):
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("branch", ["+", "-"])
+def test_sg_config_without_grid_mode_writes_the_line_files(tmp_path, n, branch):
     # grid.mode has no CLI default: the -1 flow has one x-solve, the line solve
     line = write_config(
         tmp_path,
+        algebra={"n": n},
         grid={"N": 64, "L": 40.0, "mode": "line"},
-        flow={"kind": "sg", "dt": 5e-3, "t_end": 0.01, "sg_refine": 2},
+        flow={"kind": "sg", "dt": 5e-3, "t_end": 0.01, "sg_branch": branch, "sg_refine": 2},
         initial={"preset": "sg_kink", "a": 1.0},
         output={"cadence": 1, "reconstruct": True},
     )
@@ -206,6 +209,52 @@ def test_sg_config_without_grid_mode_writes_the_line_files(tmp_path):
     assert sorted(p.name for p in (tmp_path / "unset").iterdir()) == files
     for name in files:
         assert (tmp_path / "unset" / name).read_bytes() == (tmp_path / "line" / name).read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("preset", ["sg_kink", "random_band"])
+def test_sg_config_with_periodic_mode_exits_2_before_any_solve(
+    tmp_path, capsys, monkeypatch, n, preset
+):
+    # neither the kink, which has a periodic solution on L = 40, nor random
+    # data, which has none, reaches the x-solve
+    cfg = write_config(
+        tmp_path,
+        algebra={"n": n},
+        grid={"N": 64, "L": 40.0, "mode": "periodic"},
+        flow={"kind": "sg", "dt": 5e-3, "t_end": 0.01, "sg_refine": 2},
+        initial={"preset": preset},
+    )
+    calls = []
+    monkeypatch.setattr(sf, "sg_solve_h", lambda *a, **k: calls.append(a))
+    rc = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2 and calls == []
+    assert err.startswith("configuration error: grid.mode = 'periodic'")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["mkdv", "hierarchy"])
+def test_kinds_without_an_x_solve_ignore_grid_mode(tmp_path, kind):
+    # only a kind whose FLOWS row has an x-solve reads grid.mode
+    flow = {"kind": kind, "dt": 1e-3, "t_end": 0.004, "cfl_constant": 0.5}
+    if kind == "hierarchy":
+        flow["l"] = 1
+    outputs = {}
+    for mode in ("periodic", "line", None):
+        cfg = json.loads(write_config(tmp_path, flow=flow, output={"cadence": 2}).read_text())
+        if mode is None:
+            del cfg["grid"]["mode"]
+        else:
+            cfg["grid"]["mode"] = mode
+        path = tmp_path / f"{mode}.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / f"out_{mode}"
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 0
+        outputs[mode] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert outputs["periodic"]
+    assert outputs["line"] == outputs["periodic"] == outputs[None]
 
 
 def test_sg_map_check_stops_at_its_snapshot(tmp_path, monkeypatch):

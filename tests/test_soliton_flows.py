@@ -663,22 +663,42 @@ def test_sg_system_matrix_is_the_paper_x_system(rng, n):
         assert np.array_equal(M, qc.left_mult_matrix(a) + qc.right_mult_matrix(a))
 
 
-def test_sg_zero_state_constant_h():
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("branch, sign", [("+", 1.0), ("-", -1.0)])
+def test_sg_zero_state_constant_h(n, branch, sign):
+    # no transfer moves the boundary value: h is the branch's h_par axis
     grid = gcalc.PeriodicGrid(32, 8.0)
-    state = bo.make_state(grid, np.zeros((32, 4)), np.zeros((32, 0, 4)))
-    h, h_par, info = sf.sg_solve_h(state, branch="-")
+    state = bo.make_state(grid, np.zeros((32, 4)), np.zeros((32, n - 1, 4)))
+    h, h_par, info = sf.sg_solve_h(state, branch=branch)
     assert np.max(np.abs(h.hs.values)) == 0.0
-    np.testing.assert_allclose(h_par.values, -chi(1), atol=1e-12)
+    assert np.max(np.abs(h.hv.values), initial=0.0) == 0.0
+    np.testing.assert_allclose(h_par.values, sign * chi(n), atol=1e-12)
 
 
-def test_sg_constraint_preserved(rng):
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sg_constraint_preserved(rng, n):
     grid = gcalc.PeriodicGrid(64, 16.0)
-    state = sf.preset_sg_kink(grid, n=1, a=1.0)
+    state = sf.preset_sg_kink(grid, n=n, a=1.0)
     h, h_par, info = sf.sg_solve_h(state, branch="-", refine=4)
     # structure preservation: constant along x to near roundoff
     assert info["constraint_max_dev"] <= 1e-8 * info["constraint_target"]
     # pointwise value is chi^2
-    np.testing.assert_allclose(info["constraint"], chi(1) ** 2, rtol=1e-10)
+    np.testing.assert_allclose(info["constraint"], chi(n) ** 2, rtol=1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sg_line_solve_branches_are_negatives(rng, n):
+    # the x-system is linear and the two branches start from (+chi, 0, ...)
+    # and (-chi, 0, ...): their solutions are negatives bit for bit
+    state = random_state(rng, gcalc.PeriodicGrid(64, 16.0), n, amplitude=0.5)
+    h_p, h_par_p, info_p = sf.sg_solve_h(state, "+")
+    h_m, h_par_m, info_m = sf.sg_solve_h(state, "-")
+    np.testing.assert_array_equal(info_p["boundary"], np.eye(4 * n)[0] * chi(n))
+    np.testing.assert_array_equal(info_m["boundary"], -info_p["boundary"])
+    np.testing.assert_array_equal(h_par_m.values, -h_par_p.values)
+    np.testing.assert_array_equal(h_m.hs.values, -h_p.hs.values)
+    np.testing.assert_array_equal(h_m.hv.values, -h_p.hv.values)
+    np.testing.assert_array_equal(info_m["constraint"], info_p["constraint"])
 
 
 def test_sg_solver_accuracy_order(rng):
@@ -776,11 +796,19 @@ def _full_scan(T):
     return out
 
 
+def _x_solve_data(data, rng, n):
+    """Random data on L = 16, or the kink on L = 40."""
+    if data == "random":
+        return random_state(rng, gcalc.PeriodicGrid(64, 16.0), n, amplitude=0.5)
+    return sf.preset_sg_kink(gcalc.PeriodicGrid(128, 40.0), n)
+
+
 @pytest.mark.parametrize("n", [1, 2])
-def test_sg_solve_h_strided_scan_matches_full_scan(rng, monkeypatch, n):
+@pytest.mark.parametrize("data", ["random", "kink"])
+def test_sg_solve_h_strided_scan_matches_full_scan(rng, monkeypatch, n, data):
     # the x-solve reads the grid-point rows of the refine * N cell scan;
     # those rows of the full scan give its outputs bit for bit
-    state = random_state(rng, gcalc.PeriodicGrid(64, 16.0), n, amplitude=0.5)
+    state = _x_solve_data(data, rng, n)
     svd_args = []
     svd = np.linalg.svd
 
@@ -959,8 +987,9 @@ def _solve_outputs(state):
 
 
 @pytest.mark.parametrize("n", [1, 2])
-def test_sg_solve_h_matches_eigh_reference(rng, monkeypatch, n):
-    state = random_state(rng, gcalc.PeriodicGrid(64, 16.0), n, amplitude=0.5)
+@pytest.mark.parametrize("data", ["random", "kink"])
+def test_sg_solve_h_matches_eigh_reference(rng, monkeypatch, n, data):
+    state = _x_solve_data(data, rng, n)
     new = _solve_outputs(state)
     monkeypatch.setattr(sf, "_sg_transfers", sf._sg_transfers_generic)
     monkeypatch.setattr(sf, "expm_antihermitian", _reference_expm_real)
@@ -970,9 +999,10 @@ def test_sg_solve_h_matches_eigh_reference(rng, monkeypatch, n):
         assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * chi(n)
 
 
-def test_sg_step_nan_raises_blowup():
+@pytest.mark.parametrize("n", [1, 2])
+def test_sg_step_nan_raises_blowup(n):
     grid = gcalc.PeriodicGrid(64, 16.0)
-    kink = sf.preset_sg_kink(grid, n=1)
+    kink = sf.preset_sg_kink(grid, n=n)
     u = kink.u.values.copy()
     u[5, 1] = np.nan
     state = bo.make_state(grid, u, kink.bu.values)
@@ -1084,6 +1114,11 @@ def _solve_all_outputs(state, **kw):
     return out
 
 
+def _short_kink():
+    """The n = 1 kink on a 64-point grid of length 16, not N1_STATES' 256 and 40."""
+    return sf.preset_sg_kink(gcalc.PeriodicGrid(64, 16.0), 1)
+
+
 @pytest.mark.parametrize(
     "name, kw",
     [
@@ -1091,10 +1126,14 @@ def _solve_all_outputs(state, **kw):
         ("band_0.3", {}),
         ("band_3", {"refine": 4}),
         ("kink_a1", {"richardson_check": True}),
+        ("kink_a1.25", {}),
+        ("kink_a1.25", {"richardson_check": True}),
+        ("kink_L16", {}),
+        ("kink_L16", {"refine": 4}),
     ],
 )
 def test_n1_sg_solve_h_matches_generic_path(monkeypatch, name, kw):
-    state = N1_STATES[name]()
+    state = {**N1_STATES, "kink_L16": _short_kink}[name]()
     new = _solve_all_outputs(state, **kw)
     monkeypatch.setattr(sf, "_sg_transfers", sf._sg_transfers_generic)
     ref = _solve_all_outputs(state, **kw)
@@ -1319,11 +1358,12 @@ def _sg_run(cadence, steps, n=1):
 SG_RUNS = [(1, 4), (3, 6), (4, 6)]  # (cadence, steps): 4 does not divide 6
 
 
+@pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("cadence, steps", SG_RUNS)
 def test_run_flow_solves_the_sg_x_system_once_per_stage_and_once_at_the_end(
-    monkeypatch, cadence, steps
+    monkeypatch, cadence, steps, n
 ):
-    cfg, state = _sg_run(cadence, steps)
+    cfg, state = _sg_run(cadence, steps, n)
     solved = []
     solve = sf.sg_solve_h
 
