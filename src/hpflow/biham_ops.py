@@ -84,13 +84,14 @@ class StatePair(_Pair):
     bu: Field
     _slots = ("u", "bu")
     # stacked x-derivatives of the packed [u | bu], of the orders
-    # soliton_flows.mkdv_rhs reads, or None: only RK4 stage states carry
-    # them, from their dealiasing transform
+    # soliton_flows.mkdv_rhs reads, or None: only the stage and result
+    # states of a projected RK4 step carry them, from their dealiasing
+    # transform
     x_derivs = None
 
     def __post_init__(self):
         self._validate()
-        # a scalar part of exact zeros (every RK4 result) passes without the
+        # a scalar part of exact zeros (a preset's) passes without the
         # max or the RMS; NaN is truthy, so it still reaches them
         re = self.u.values[:, 0]
         if re.any() and np.max(np.abs(re)) > 1e-9 * max(self.u.rms(), 1e-30):
@@ -128,10 +129,10 @@ def make_flow(grid, s_values, v_values) -> FlowPair:
 def _unchecked_pair(cls, grid: PeriodicGrid, s_values, v_values):
     """A StatePair or FlowPair around float arrays already known to pass its checks.
 
-    For hot loops whose arrays are valid by construction (the RK4 stage
-    states, mkdv_rhs): the Field and _Pair checks are skipped, so the caller
-    vouches for the kinds' shapes on `grid` and, for a state, a pointwise
-    imaginary scalar.  The pair holds the arrays themselves, as make_state
+    For hot loops whose arrays are valid by construction (the RK4 stage and
+    result states, mkdv_rhs): the Field and _Pair checks are skipped, so the
+    caller vouches for the kinds' shapes on `grid` and, for a state, a
+    pointwise imaginary scalar.  The pair holds the arrays themselves, as make_state
     and make_flow do for float arrays.
     """
     s = object.__new__(Field)

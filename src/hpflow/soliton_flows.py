@@ -7,10 +7,12 @@ highest level the CLI steps and, for the -1 flow, the closing x-solve.
 
 The mKdV system is local and is stepped with classical RK4 on the periodic
 grid; the scalar part of the state is re-projected to its imaginary part
-after every stage.  Under the 2/3 rule each stage is dealiased by one
-transform pair that also gives its x-derivatives, which the stage state
-carries to mkdv_rhs: a step makes 5 transform pairs, one for the step's
-first right side, one per later stage and one for the final projection.
+after every stage.  Under the 2/3 rule each stage, and the step's result,
+is dealiased by one transform pair that also gives its x-derivatives, which
+the state carries to mkdv_rhs: a step makes 4 transform pairs, one per later
+stage and one for the final projection, whose derivatives the next step's
+first right side reads.  Only a step from a plain state, such as a preset,
+makes a fifth, for its first right side.
 For n >= 2 the right side's vector-coupling terms make one call of each
 quat_core kernel they use, on stacked operands.
 
@@ -168,12 +170,12 @@ def mkdv_rhs(state: StatePair, galilean_removed: bool = True) -> FlowPair:
     """Closed-form right side of the scalar-vector mKdV system.
 
     The derivatives, of the orders _mkdv_orders names, are the state's own
-    x_derivs when it carries them (an RK4 stage state's, from the transform
-    that dealiased it).  A plain state takes them from one transform of the
-    packed (N, 4 + 4m) array [u | bu], or of u alone when m = 0.  The
-    vector-coupling terms are empty sums when m = 0 and are only formed when
-    bu has components.  The result is not re-validated: its arrays have the
-    state's grid and shapes.
+    x_derivs when it carries them (a projected RK4 stage or result state's,
+    from the transform that dealiased it).  A plain state takes them from
+    one transform of the packed (N, 4 + 4m) array [u | bu], or of u alone
+    when m = 0.  The vector-coupling terms are empty sums when m = 0 and are
+    only formed when bu has components.  The result is not re-validated: its
+    arrays have the state's grid and shapes.
     """
     grid = state.u.grid
     u, bu = state.u.values, state.bu.values
@@ -249,18 +251,21 @@ def _rk4(state: StatePair, rhs, dt: float, t: float, project_fraction) -> StateP
     Stages and the update are formed on packed [u | bu] arrays, element for
     element in the order of the unpacked formulas: each stage in one fresh
     array, and the update accumulated in another.  No array a right side
-    returned, and no array of the input state, is written.  Only the result
-    goes through make_state; the stage states are valid by construction.  A
-    right side on another grid or of another shape than the state raises
+    returned, and no array of the input state, is written.  Neither the
+    stage states nor the result go through make_state: each is valid by
+    construction, with the input's grid and shapes and a scalar of exact
+    zeros, and the result's values are checked finite.  A right side on
+    another grid or of another shape than the state raises
     DimensionMismatchError.
 
-    When `project_fraction` is set, each stage is dealiased by one
-    dealias_values call that also gives its x-derivatives of the orders
-    mkdv_rhs reads from the same masked spectrum; the stage state carries
-    them as x_derivs, for mkdv_rhs to read instead of transforming again.
-    The stage values are those of dealiasing alone, bit for bit, so a right
-    side that reads no derivatives steps as before.  The result carries no
-    derivatives."""
+    When `project_fraction` is set, each stage and the final projection
+    are dealiased by one dealias_values call that also gives the
+    x-derivatives of the orders mkdv_rhs reads from the same masked
+    spectrum; the stage state, and the result, carry them as x_derivs, for
+    mkdv_rhs to read instead of transforming again, in this step or in the
+    next.  The values are those of dealiasing alone, bit for bit, so a right
+    side that reads no derivatives steps as before.  An unprojected step's
+    result carries no derivatives."""
     grid = state.u.grid
     bu_shape = state.bu.values.shape
     orders = _mkdv_orders(bu_shape[1])
@@ -279,15 +284,13 @@ def _rk4(state: StatePair, rhs, dt: float, t: float, project_fraction) -> StateP
             )
         return packed
 
-    def stage(kk, c):
-        # y + c * kk, the scalar re-projected to imaginary; not re-validated:
-        # the input state's grid and shapes, and a scalar of exact zeros, so
-        # make_state's checks cannot fail
-        z = kk * c
-        z += y
-        # zeroed before the transform as well as after it, so the derivatives
-        # are the stage state's; the transform treats each column on its own,
-        # so the other columns do not depend on the scalar's real part
+    def project(z):
+        # the packed z, the scalar re-projected to imaginary, and its state;
+        # not re-validated: the input state's grid and shapes, and a scalar
+        # of exact zeros, so make_state's checks cannot fail.  Zeroed before
+        # the transform as well as after it, so the derivatives are the
+        # state's; the transform treats each column on its own, so the other
+        # columns do not depend on the scalar's real part
         z[:, 0] = 0.0
         derivs = None
         if project_fraction is not None:
@@ -296,7 +299,12 @@ def _rk4(state: StatePair, rhs, dt: float, t: float, project_fraction) -> StateP
             z[:, 0] = 0.0
         s = bo._unchecked_pair(StatePair, grid, z[:, :4], z[:, 4:].reshape(bu_shape))
         s.x_derivs = derivs
-        return s
+        return z, s
+
+    def stage(kk, c):  # y + c * kk, projected
+        z = kk * c
+        z += y
+        return project(z)[1]
 
     k1 = k(state)
     k2 = k(stage(k1, dt / 2))
@@ -309,12 +317,10 @@ def _rk4(state: StatePair, rhs, dt: float, t: float, project_fraction) -> StateP
     new += k4
     new *= dt / 6.0
     new += y
-    if project_fraction is not None:
-        new = gcalc.dealias_values(new, grid, project_fraction)
-    new[:, 0] = 0.0
+    new, result = project(new)
     if not np.isfinite(new).all():
         raise BlowUpError(t + dt)
-    return make_state(grid, new[:, :4], new[:, 4:].reshape(bu_shape))
+    return result
 
 
 # -- the -1 flow's x-system ----------------------------------------------------
