@@ -300,9 +300,20 @@ def _write_snapshot(outdir: Path, index: int, t: float, state: bo.StatePair, for
         gcalc.field_to_binary(outdir / f"snapshot_bu_{index:06d}.qfld", state.bu, state.n)
 
 
+def _make_directory(path: str, key: str) -> Path:
+    """Make the output directory `path`; a file, or a path under one, is a
+    ConfigError naming `key`, the option or config key the path came from."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"{key} = {path!r}: cannot make the directory: {exc}") from exc
+    return Path(path)
+
+
 def cmd_verify(args) -> int:
     if args.scope not in vs.SCOPES:
         raise ConfigError(f"--scope = {args.scope!r}: choose from {list(vs.SCOPES)}")
+    outdir = _make_directory(args.out, "--out") if args.out else None
     checks = vs.run_scope(args.scope, seed=args.seed)
     report = {
         "scope": args.scope,
@@ -314,8 +325,6 @@ def cmd_verify(args) -> int:
         flag = "PASS" if c.passed else "FAIL"
         print(f"[{flag}] {c.name}: residual {c.residual:.3e} (tolerance {c.tolerance:.1e})")
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
         gcalc.report_to_json(outdir / f"verify_{args.scope}.json", report)
     return 0 if report["passed"] else 1
 
@@ -326,8 +335,8 @@ def _prologue(args, simulate=False):
     cfg = load_config(args.config)
     state = build_state(cfg, seed_override=args.seed)
     sim = build_sim_config(cfg) if simulate else None
-    outdir = Path(args.out or cfg["output"]["directory"])
-    outdir.mkdir(parents=True, exist_ok=True)
+    key = "--out" if args.out else "output.directory"
+    outdir = _make_directory(args.out or cfg["output"]["directory"], key)
     return cfg, state, sim, outdir
 
 

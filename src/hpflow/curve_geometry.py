@@ -281,11 +281,8 @@ def frame_tangent(num_points: int, n: int) -> np.ndarray:
 
 
 def g_metric(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Riemannian metric on frame components, g = -Killing restricted to m.
-    The s and v blocks are summed apart: one sum over all columns would
-    regroup the additions and move n >= 2 results by roundoff."""
-    ab = a * b
-    return chi(n) * (np.sum(ab[:, :4], axis=-1) + np.sum(ab[:, 4:], axis=-1))
+    """Riemannian metric on frame components, g = -Killing restricted to m."""
+    return chi(n) * np.sum(a * b, axis=-1)
 
 
 def g_norm(a: np.ndarray, n: int) -> np.ndarray:

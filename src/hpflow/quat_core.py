@@ -32,10 +32,6 @@ J = np.array([0.0, 0.0, 1.0, 0.0])
 K = np.array([0.0, 0.0, 0.0, 1.0])
 
 
-def quat(re=0.0, i=0.0, j=0.0, k=0.0) -> np.ndarray:
-    return np.array([re, i, j, k], dtype=float)
-
-
 def from_real(f) -> np.ndarray:
     """Embed a real array of shape (...) as quaternions of shape (..., 4)."""
     f = np.asarray(f, dtype=float)

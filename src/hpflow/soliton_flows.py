@@ -379,18 +379,16 @@ def _expm_squarings(norm: float) -> int:
     return 0
 
 
-def expm_antihermitian(Z: np.ndarray, squarings: int | None = None) -> np.ndarray:
+def expm_antihermitian(Z: np.ndarray) -> np.ndarray:
     """Batched exponential of real skew-symmetric or complex anti-Hermitian
     matrices (..., d, d), from matrix products alone.
 
     The degree-12 Taylor polynomial is evaluated by Paterson-Stockmeyer
     (Z^2, Z^3, Z^4 and two Horner products in Z^4) on Z / 2^s, then squared
-    s times.  s is `squarings` when given, which must be at least the count
-    for the batch's largest Frobenius norm (magnus4_transfers passes the
-    count of a larger batch); otherwise it comes from that norm.  Non-finite
-    input gives non-finite output.
+    s times, with s the fewest squarings that bring the batch's largest
+    Frobenius norm to theta.  Non-finite input gives non-finite output.
     """
-    s = _expm_squarings(_max_norm(Z)) if squarings is None else squarings
+    s = _expm_squarings(_max_norm(Z))
     if s:
         Z = Z * 2.0**-s
     c = _EXPM_COEFFS
@@ -436,17 +434,8 @@ def prefix_products(T: np.ndarray, every: int = 1) -> np.ndarray:
 
 
 def _sg_constraint(z: np.ndarray) -> np.ndarray:
-    """|z|^2 = h_par^2 + |h_s|^2 / 4 + |h_v|^2 over the last axis, bit for bit
-    as with np.sum per block of y = (h_par, h_s, h_v): the three z_s squares
-    are added left to right, np.sum's order for fewer than 8 terms, and
-    their sum is the y-form's quarter sum exactly."""
-    sq = z**2
-    out = sq[..., 1] + sq[..., 2]
-    out += sq[..., 3]
-    out += sq[..., 0]
-    if sq.shape[-1] > 4:  # an empty h_v block would add +0.0 to a sum >= +0.0
-        out += np.sum(sq[..., 4:], axis=-1)
-    return out
+    """|z|^2 = h_par^2 + |h_s|^2 / 4 + |h_v|^2 over the last axis."""
+    return np.sum(z * z, axis=-1)
 
 
 def _sg_transfers(state: StatePair, refine: int) -> np.ndarray:
@@ -471,25 +460,19 @@ def magnus4_transfers(system, cells: int, d: int, h: float, dtype=float):
     Omega = (h/6)(M0 + 4 Mmid + M1) - (h^2/12)[Mmid, M1 - M0] from M at cell
     i's ends, fine points 2i and 2i + 2 (mod 2 * cells), and its midpoint
     2i + 1; `system(rows)` gives M at the fine points `rows`, (len(rows), d, d),
-    one block of cells at a time.  The generators fill the returned array,
-    and each block is then exponentiated in place with the squarings of the
-    largest norm over all cells: for finite input, the arithmetic of one
-    whole-stack expm_antihermitian call, without its whole-grid temporaries.
+    one block of cells at a time.  Each block's generators are exponentiated
+    as soon as they are built, with the squarings of that block's largest
+    norm, so no temporary spans the grid.
     """
     out = np.empty((cells, d, d), dtype)
     step = max(1, _BLOCK_BYTES // (d * d * out.itemsize))
-    blocks = [slice(i, min(i + step, cells)) for i in range(0, cells, step)]
-    norms = []
-    for b in blocks:
-        M = system(np.arange(2 * b.start, 2 * b.stop + 1) % (2 * cells))
+    for i in range(0, cells, step):
+        j = min(i + step, cells)
+        M = system(np.arange(2 * i, 2 * j + 1) % (2 * cells))
         M0, Mmid, M1 = M[:-1:2], M[1::2], M[2::2]
         D = M1 - M0
         comm = Mmid @ D - D @ Mmid
-        Z = np.subtract((h / 6.0) * (M0 + 4.0 * Mmid + M1), (h**2 / 12.0) * comm, out=out[b])
-        norms.append(_max_norm(Z))
-    s = _expm_squarings(float(np.max(norms)))
-    for b in blocks:
-        out[b] = expm_antihermitian(out[b], s)
+        out[i:j] = expm_antihermitian((h / 6.0) * (M0 + 4.0 * Mmid + M1) - (h**2 / 12.0) * comm)
     return out
 
 

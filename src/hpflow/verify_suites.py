@@ -255,12 +255,7 @@ def operator_suite(seed: int = 2, num_points: int = 256, n: int = 2) -> list[Che
     aq /= qc.qnorm(aq)
     S = rng.standard_normal((n - 1, n - 1, 4))
     S = 0.5 * (S - qc.qmat_conj_t(S))
-    lam, V = np.linalg.eigh(1j * qc.qmat_to_complex(S)) if n > 1 else (None, None)
-    A = (
-        qc.qmat_from_complex(V @ np.diag(np.exp(-1j * lam)) @ V.conj().T)
-        if n > 1
-        else np.zeros((0, 0, 4))
-    )
+    A = qc.qmat_from_complex(sf.expm_antihermitian(qc.qmat_to_complex(S)))
     worst = 0.0
     for op, arg in (
         (bo.apply_H, w),

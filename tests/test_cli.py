@@ -535,6 +535,39 @@ def test_negative_seed_exits_2_naming_the_option(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("verify", "--out"),
+        ("simulate", "--out"),
+        ("simulate", "output.directory"),
+        ("hierarchy", "--out"),
+        ("hierarchy", "output.directory"),
+        ("reconstruct", "--out"),
+        ("reconstruct", "output.directory"),
+    ],
+)
+def test_output_path_that_cannot_be_a_directory_exits_2_naming_its_key(
+    tmp_path, capsys, monkeypatch, command, key
+):
+    # verify refuses the path before it runs a suite
+    monkeypatch.setattr(vs, "run_scope", lambda *a, **k: pytest.fail("ran a suite"))
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for path in (afile, afile / "sub"):
+        argv = [command]
+        if key == "--out":
+            argv += ["--out", str(path)]
+        if command != "verify":
+            cfg = write_config(tmp_path, output={"directory": str(path)})
+            argv += ["--config", str(cfg)]
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and f"{key} = " in err
+        assert "Traceback" not in err
+    assert afile.read_text() == ""
+
+
 def test_negative_lmax_exits_2_naming_the_option(tmp_path, capsys):
     out = tmp_path / "h"
     argv = ["hierarchy", "--config", str(write_config(tmp_path)), "--lmax", "-1", "--out", str(out)]

@@ -617,7 +617,7 @@ def _reference_transport_transfers(state, refine):
 @pytest.mark.parametrize("block", [None, 7])
 def test_blocked_frame_transfers_equal_the_whole_array_build(monkeypatch, n, refine, block):
     # odd N; 7 cells a block divide none of K = 45, 90, 135, 360; at refine 1
-    # the amplitude-3 band's cells pass theta, so the blocks share squarings
+    # the amplitude-3 band's cells pass theta, so the blocks square
     grid = gcalc.PeriodicGrid(45, 20.0)
     if block:
         cells_per_block(monkeypatch, block, 2 * (n + 1), complex)

@@ -990,9 +990,8 @@ def test_expm_antihermitian_zero_and_unbatched():
     assert np.max(np.abs(sf.expm_antihermitian(Z) - rot)) <= 1e-15
 
 
-def _reference_expm_real(Z, squarings=None):
-    """The eigh exponential in expm_antihermitian's place; it needs no
-    squaring count and ignores one."""
+def _reference_expm_real(Z):
+    """The eigh exponential in expm_antihermitian's place."""
     return _reference_expm_antihermitian(Z).real
 
 
@@ -1188,18 +1187,20 @@ def test_sg_inf_state_raises_the_nan_errors(n):
 
 
 def _whole_array_transfers(M, h, scale=None):
-    """Magnus-4 transfers from M at the 2K fine points, built for all K cells
-    at once and exponentiated by one expm_antihermitian call: the build the
-    blocked magnus4_transfers replaced."""
+    """Magnus-4 transfers from M at the 2K fine points: the generators of all
+    K cells built at once, then exponentiated by one expm_antihermitian call
+    per block of magnus4_transfers' size (from _BLOCK_BYTES, d and dtype)."""
     M0 = M[0::2]
     Mmid = M[1::2]
     M1 = np.roll(M0, -1, axis=0)
     comm = Mmid @ (M1 - M0) - (M1 - M0) @ Mmid
     Omega = (h / 6.0) * (M0 + 4.0 * Mmid + M1) - (h**2 / 12.0) * comm
-    if scale is None:
-        return sf.expm_antihermitian(Omega)
-    E = sf.expm_antihermitian(scale[:, None] * Omega / scale)
-    return E * scale / scale[:, None]
+    if scale is not None:
+        Omega = scale[:, None] * Omega / scale
+    K, d = Omega.shape[0], Omega.shape[-1]
+    step = max(1, sf._BLOCK_BYTES // (d * d * Omega.itemsize))
+    E = np.concatenate([sf.expm_antihermitian(Omega[i : i + step]) for i in range(0, K, step)])
+    return E if scale is None else E * scale / scale[:, None]
 
 
 def _reference_sg_transfers(state, refine):
@@ -1224,7 +1225,7 @@ def cells_per_block(monkeypatch, cells, d, dtype=float):
 @pytest.mark.parametrize("block", [None, 7])
 def test_blocked_sg_transfers_equal_the_whole_array_build(monkeypatch, n, refine, block):
     # N = 45 is odd, and 7 cells a block divide none of K = 45, 90, 135, 360;
-    # at refine 1 the cells' Omegas pass theta, so the blocks share squarings
+    # at refine 1 the cells' Omegas pass theta, so the blocks square
     state = sf.preset_random_band(gcalc.PeriodicGrid(45, 20.0), n, seed=11, amplitude=0.8)
     if block:
         cells_per_block(monkeypatch, block, 4 + 4 * (n - 1))
@@ -1237,9 +1238,9 @@ def _skew_stack(rng, K, d):
     return A - np.swapaxes(A, -1, -2)
 
 
-def test_magnus4_transfers_share_the_squarings_of_the_largest_cell(monkeypatch, rng):
-    # one block of large cells: the whole grid takes their squarings, which
-    # the small cells' own norm would not pick
+def test_magnus4_transfers_square_each_block_by_its_own_norm(monkeypatch, rng):
+    # one block of large cells: it squares, and the small cells' blocks keep
+    # their own count
     K, d, h = 45, 8, 0.01
     M = _skew_stack(rng, K, d)
     M[29:42:2] *= 400.0  # the midpoints of cells 14..20, block 2 of 7 cells
@@ -1247,13 +1248,14 @@ def test_magnus4_transfers_share_the_squarings_of_the_largest_cell(monkeypatch, 
     norms, max_norm = [], sf._max_norm
     monkeypatch.setattr(sf, "_max_norm", lambda Z: norms.append(len(Z)) or max_norm(Z))
     T = sf.magnus4_transfers(lambda rows: M[rows], K, d, h)
-    # each block's norm is taken once: the exponential is handed the count
-    assert norms == [7, 7, 7, 7, 7, 7, 3]
+    assert norms == [7, 7, 7, 7, 7, 7, 3]  # each block's norm is taken once
     monkeypatch.setattr(sf, "_max_norm", max_norm)
     assert np.array_equal(T, _whole_array_transfers(M, h))
-    small = _whole_array_transfers(M[:14], h)[:7]  # cells 0..6 on their own
+    # cells 0..7 alone, in blocks of 7: the first block is cells 0..6 on their own
+    small = _whole_array_transfers(M[:16], h)[:7]
     assert sf._expm_squarings(sf._max_norm(M[1:14:2] * h)) == 0
-    assert not np.array_equal(T[:7], small)
+    assert sf._expm_squarings(sf._max_norm(M[29:42:2] * h)) > 0
+    assert np.array_equal(T[:7], small)
 
 
 def test_magnus4_transfers_zero_and_non_finite_input(monkeypatch, rng):
@@ -1282,7 +1284,7 @@ def test_n2_transfers_unchanged(amplitude):
         )
 
 
-# -- n = 1 transfers, -1-flow monitoring and the constraint, bit for bit -----------
+# -- n = 1 transfers and -1-flow monitoring, bit for bit ---------------------------
 
 def _reference_unit_exp(A):
     r = np.sqrt(np.sum(A * A, axis=0))
@@ -1350,30 +1352,6 @@ def test_unit_exp_equals_the_np_sum_form_bit_for_bit(rng):
         assert np.array_equal(
             sf._unit_exp(B).view(np.uint64), _reference_unit_exp(B).view(np.uint64)
         )
-
-
-def _reference_constraint(y):
-    return y[..., 0] ** 2 + 0.25 * np.sum(y[..., 1:4] ** 2, axis=-1) + np.sum(
-        y[..., 4:] ** 2, axis=-1
-    )
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_sg_constraint_equals_the_np_sum_form_bit_for_bit(rng, n):
-    d = 4 + 4 * (n - 1)
-    for shape in ((257, d), (d,), (5, 7, d)):
-        y = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 12, shape)
-        y[rng.random(shape) < 0.2] = 0.0
-        y[rng.random(shape) < 0.2] = -0.0
-        z = _sqrt_form(n - 1) * y  # exact: h_s / 2
-        got, ref = np.asarray(sf._sg_constraint(z)), np.asarray(_reference_constraint(y))
-        assert got.shape == ref.shape
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-    zeros = -np.zeros(d)
-    assert np.array_equal(
-        np.asarray(sf._sg_constraint(_sqrt_form(n - 1) * zeros)).view(np.uint64),
-        np.asarray(_reference_constraint(zeros)).view(np.uint64),
-    )
 
 
 def _sg_run(cadence, steps, n=1):
