@@ -158,7 +158,9 @@ def spectral_refine(
     pad[lead + (slice(F.shape[axis]),)] = F
     if grid.num_points % 2 == 0:
         pad[lead + (F.shape[axis] - 1,)] *= 0.5  # split the Nyquist mode symmetrically
-    return np.fft.irfft(pad, n=n_fine, axis=axis) * factor
+    out = np.fft.irfft(pad, n=n_fine, axis=axis)
+    out *= factor
+    return out
 
 
 def dealias_values(

@@ -27,17 +27,23 @@ builds per-cell transfer matrices with a fourth-order Magnus scheme and
 composes them with a prefix scan that forms only every refine-th row: the
 prefixes at the grid points, which the solve reads, and the monodromy; each
 transfer is the exponential of a skew-symmetric matrix, so the constraint is
-preserved to roundoff along x regardless of resolution.  For n = 1 the
-system lies in so(4) = sp(1) + sp(1), and each transfer is built in closed
-form as one left and one right multiplication by a unit quaternion
-(quat_core's L and R matrices, which also build the n >= 2 system matrix);
-n >= 2 exponentiates the Magnus generator with the batched Taylor map, a
-block of cells at a time (magnus4_transfers).  The frame transport in
-curve_geometry shares that build and the prefix scan, and its co-evolution
-in time the RK4 body.  The solve integrates left to right from the boundary
-value (sign * chi, 0, 0) at x = 0: it is meant for states that vanish near
-the domain seam (kink-type data), the data of the paper's sine-Gordon flow
-and its non-stretching wave map.
+preserved to roundoff along x regardless of resolution.  n >= 2
+exponentiates the Magnus generator with the batched Taylor map, a block of
+cells at a time (magnus4_transfers), and scans the refine * N fine cells.
+For n = 1 the system lies in so(4) = sp(1) + sp(1), and each fine cell's
+transfer is, in closed form, one left and one right multiplication by a
+unit quaternion, z -> p z q.  The solve multiplies those pairs down to the
+grid cells in quaternion form (quat_core.qmul on component-major arrays),
+in the association of the scan's pairing levels, and forms 4 x 4 transfers
+(quat_core's L and R matrices, which also build the n >= 2 system matrix)
+only for the N grid cells, which it scans.  The frame transport in
+curve_geometry shares the Magnus-4 build and the prefix scan, and its
+co-evolution in time the RK4 body.  The solve integrates left to right from
+the boundary value (sign * chi, 0, 0) at x = 0: it is meant for states that
+vanish near the domain seam (kink-type data), the data of the paper's
+sine-Gordon flow and its non-stretching wave map.  Its info reports the
+seam mismatch, how far the solution carried across the domain misses the
+boundary value.
 
 The branch sign names the sign of the boundary h_par.  The "-" branch is the
 one whose scalar reduction obeys the classical sine-Gordon equation
@@ -438,13 +444,6 @@ def _sg_constraint(z: np.ndarray) -> np.ndarray:
     return np.sum(z * z, axis=-1)
 
 
-def _sg_transfers(state: StatePair, refine: int) -> np.ndarray:
-    """Magnus-4 transfer matrices of the x-system over the refine * N cells."""
-    if state.n == 1:
-        return _sg_transfers_quaternion(state, refine)
-    return _sg_transfers_generic(state, refine)
-
-
 # Bytes of generators per block of the transfer build; the block's matrices
 # and Magnus and Taylor temporaries are a small multiple of it, whatever the
 # grid.  64 KB is the largest power of two that keeps the n = 1 frame's build
@@ -495,32 +494,36 @@ def _sg_transfers_generic(state: StatePair, refine: int) -> np.ndarray:
 # [L(a), L(c)] = L(2 a x c) and [R(a), R(c)] = -R(2 a x c), so the Magnus-4
 # Omega is L(A) + R(B) and its exponential is L(exp A) R(exp B): one left and
 # one right multiplication by a unit quaternion.  Row 4a + b of this matrix
-# is L(e_a) R(e_b), so (p_a q_b) @ it is the transfer L(p) R(q).
+# is L(e_a) R(conj e_b), so (p_a c_b) @ it is the transfer L(p) R(conj c).
 _PAIR_TO_TRANSFER = (
-    qc.left_mult_matrix(np.eye(4))[:, None] @ qc.right_mult_matrix(np.eye(4))[None, :]
+    qc.left_mult_matrix(np.eye(4))[:, None] @ qc.right_mult_matrix(qc.qconj(np.eye(4)))[None, :]
 ).reshape(16, 16)
 
 
 def _unit_exp(A: np.ndarray) -> np.ndarray:
-    """exp of pure quaternions with vector parts A (3, K), as a (4, K) array."""
-    sq = A * A
+    """exp of pure quaternions with vector parts A (3, ...), as a (4, ...) array."""
+    E = np.empty((4,) + A.shape[1:])
+    sq = np.multiply(A, A, out=E[1:])  # scratch until the vector part is written
     r = sq[0] + sq[1]  # np.sum's order over axis 0
     r += sq[2]
     np.sqrt(r, out=r)
     sinc = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0.0)
-    E = np.empty((4,) + r.shape)
     np.cos(r, out=E[0])
     np.multiply(sinc, A, out=E[1:])
     return E
 
 
-def _sg_transfers_quaternion(state: StatePair, refine: int) -> np.ndarray:
-    """The n = 1 transfers in closed form, equal to the generic ones to roundoff.
+def _sg_cell_generators(state: StatePair, refine: int) -> np.ndarray:
+    """The n = 1 transfers of the refine * N fine cells in closed form: the
+    vector parts (S - C, -(S + C)) of a (3, 2, K) array, from the Simpson
+    term S and the cross term C, whose one _unit_exp is the pairs
+    (p, conj q), (4, 2, K).  Cell i's transfer is z -> p z q, and
+    consecutive cells compose as (p' p, conj q' conj q); exp(-(S + C)) is
+    conj q, q's vector part negated, bit for bit.
 
     Works component-major, (3, K), so every array operation runs along K:
-    one transform refines -Im u along the rows, and the two unit quaternions
-    of every cell come from one exponential of the stacked Simpson -/+ cross
-    terms.
+    one transform refines -Im u along the rows.  Its temporaries are freed
+    on return, before the exponential.
     """
     a = gcalc.spectral_refine(state.u.values[:, 1:].T, state.grid, 2 * refine, axis=1)
     np.negative(a, out=a)
@@ -542,16 +545,40 @@ def _sg_transfers_quaternion(state: StatePair, refine: int) -> np.ndarray:
         np.multiply(am[j], d[k], out=cross[i])
         cross[i] -= am[k] * d[j]
     cross *= h**2 / 6.0
-    A = np.empty((3, 2 * K))
-    np.subtract(simpson, cross, out=A[:, :K])
-    np.add(simpson, cross, out=A[:, K:])
-    pq = _unit_exp(A)
-    # q in an array of its own: the product of the two halves of pq ran 4-7 us
-    # (about 15%) slower inside simulate runs of the kink config (K = 2048),
-    # more than the copy costs
-    p, q = pq[:, :K], pq[:, K:].copy()
-    pairs = (p[:, None] * q[None, :]).reshape(16, -1)
+    A = np.empty((3, 2, K))
+    np.subtract(simpson, cross, out=A[:, 0])
+    np.add(simpson, cross, out=A[:, 1])
+    np.negative(A[:, 1], out=A[:, 1])
+    return A
+
+
+def _pair_transfers(pq: np.ndarray) -> np.ndarray:
+    """The (K, 4, 4) transfers L(p) R(q) of the (4, 2, K) pairs (p, conj q)."""
+    pairs = (pq[:, None, 0] * pq[None, :, 1]).reshape(16, -1)
     return (pairs.T @ _PAIR_TO_TRANSFER).reshape(-1, 4, 4)
+
+
+def _sg_grid_transfers(state: StatePair, refine: int):
+    """Transfers T over cells of `every` fine cells, and `every`:
+    prefix_products(T, every) are the scan's rows at the grid points and
+    the monodromy.
+
+    n >= 2 returns the refine * N fine-cell transfers and refine.  n = 1
+    halves its fine cells' pairs while the stride is even, each product in
+    quaternion form and in the association prefix_products would give the
+    4 x 4 transfers, and forms 4 x 4 transfers only for the cells that are
+    left: the N grid cells when refine is a power of two, every fine cell
+    when it is odd.
+    """
+    if state.n > 1:
+        return _sg_transfers_generic(state, refine), refine
+    pq = _unit_exp(_sg_cell_generators(state, refine))
+    every = refine
+    while every % 2 == 0:
+        # cells 2j + 1 and 2j make cell j: odd times even, prefix_products' pairing
+        pq = qc.qmul(pq[..., 1::2], pq[..., 0::2], axis=0)
+        every //= 2
+    return _pair_transfers(pq), every
 
 
 def _readout(z: np.ndarray) -> np.ndarray:
@@ -570,13 +597,17 @@ def sg_solve_h(
 ):
     """Solve the -1 flow's linear x-system, returning (flow pair, h_par, info).
 
-    The refine * N cell transfers are scanned only for the prefixes at the
-    grid points (every refine-th row); the Richardson coarse solve likewise
-    scans every (refine // 2)-th row.  The scan and the boundary value are
-    in z = (h_par, h_s/2, h_v), where the transfers are orthogonal; the
-    solution, info["boundary"] and the Richardson estimate are read back in
-    (h_par, h_s, h_v).  The returned pair is normalized so the pointwise
-    constraint equals chi^2.
+    The scan forms only the prefixes at the grid points and the monodromy,
+    from the transfers _sg_grid_transfers builds: the refine * N fine cells
+    at n >= 2, the N grid cells at n = 1 (every fine cell when refine is
+    odd).  The Richardson coarse solve does the same at refine // 2.  The
+    scan and the boundary value z0 are in z = (h_par, h_s/2, h_v), where the
+    transfers are orthogonal; the solution, info["boundary"] and the
+    Richardson estimate are read back in (h_par, h_s, h_v).
+    info["seam_mismatch"] is |P_N z0 - z0| / chi, with P_N the monodromy:
+    how far the solution integrated across the domain misses its boundary
+    value, 0 for data on which the line solve closes.  The returned pair is
+    normalized so the pointwise constraint equals chi^2.
     """
     if branch not in ("+", "-"):
         raise DomainError("branch must be '+' or '-'")
@@ -588,11 +619,11 @@ def sg_solve_h(
     c = chi(state.n)
 
     # rows P[0], P[refine], ..., P[N * refine]: the grid points, then the monodromy
-    grid_prefix = prefix_products(_sg_transfers(state, refine), refine)[:N]
+    prefixes = prefix_products(*_sg_grid_transfers(state, refine))
     z0 = np.zeros(4 + 4 * m)
     z0[0] = c if branch == "+" else -c
 
-    z = grid_prefix @ z0
+    z = prefixes[:N] @ z0
     constraint = _sg_constraint(z)
     y = _readout(z)
     info = {
@@ -600,11 +631,12 @@ def sg_solve_h(
         "constraint_target": c**2,
         "constraint_max_dev": float(np.max(np.abs(constraint - _sg_constraint(z0)))),
         "boundary": _readout(z0),
+        "seam_mismatch": math.dist(prefixes[N] @ z0, z0) / c,
     }
     if richardson_check:
         if refine < 2 or refine % 2:
             raise DomainError("richardson_check needs an even refine >= 2")
-        coarse = prefix_products(_sg_transfers(state, refine // 2), refine // 2)
+        coarse = prefix_products(*_sg_grid_transfers(state, refine // 2))
         y_c = _readout(coarse[:N] @ z0)
         est = float(np.max(np.abs(y - y_c))) / 15.0
         info["richardson_error"] = est

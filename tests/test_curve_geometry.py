@@ -650,6 +650,16 @@ def test_transfer_builds_hold_a_block_not_the_grid():
     assert _peak_allocation(lambda: sf._sg_transfers_generic(kink3, 8)) <= 19.3e6 / 2
 
 
+@pytest.mark.parametrize("richardson_check", [False, True])
+def test_n1_x_solve_holds_no_fine_cell_transfers(richardson_check):
+    # one n = 1 solve of the a = 1 kink (N = 256, refine 8) peaked at 1.11 MiB
+    # when it formed the (16, refine * N) pair array and (refine * N, 4, 4)
+    # transfers; pairing the cells' unit quaternions first holds it at 0.52 MiB
+    kink = sf.preset_sg_kink(gcalc.PeriodicGrid(256, 40.0), 1)
+    solve = lambda: sf.sg_solve_h(kink, "-", 8, richardson_check=richardson_check)
+    assert _peak_allocation(solve) <= 0.8 * 2**20
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("refine", [2, 4, 8])
 def test_grid_frame_is_the_fine_frame_at_the_grid_points(rng, n, refine):

@@ -322,3 +322,25 @@ def test_qnormsq_is_add_reduce_bit_for_bit(shape):
     got, want = np.asarray(qc.qnormsq(a)), np.asarray(np.add.reduce(a * a, axis=-1))
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_b", [((4,), (4,)), ((9, 4), (9, 4)), ((3, 1, 4), (1, 5, 4)), ((2, 7, 4), (4,))]
+)
+def test_qmul_on_the_leading_axis_equals_the_last_axis_bit_for_bit(shape_a, shape_b):
+    # entries over 1e-8..1e8, with zeros of both signs, infinities and a nan
+    rng = np.random.default_rng(len(shape_a) + shape_a[0])
+    a, b = (rng.standard_normal(s) * 10.0 ** rng.uniform(-8, 8, s) for s in (shape_a, shape_b))
+    for i, v in enumerate([0.0, -0.0, np.inf, -np.inf, np.nan]):
+        a.flat[(5 * i + 2) % a.size] = v
+        b.flat[(3 * i + 1) % b.size] = -v
+    with np.errstate(invalid="ignore"):
+        last = qc.qmul(a, b)
+        lead = qc.qmul(np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0), axis=0)
+    assert lead.shape == (4,) + last.shape[:-1]
+    assert np.moveaxis(lead, 0, -1).tobytes() == last.tobytes()
+
+
+def test_qmul_rejects_a_component_axis_in_the_middle():
+    with pytest.raises(DomainError, match="axis"):
+        qc.qmul(np.zeros((2, 4, 3)), np.zeros((2, 4, 3)), axis=1)

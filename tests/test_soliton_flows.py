@@ -841,11 +841,19 @@ def _x_solve_data(data, rng, n):
     return sf.preset_sg_kink(gcalc.PeriodicGrid(128, 40.0), n)
 
 
+# |solution rows - full 4 x 4 scan of the fine cells| / chi at n = 1: at most
+# 7.9e-15 over a sweep of 20 random states (L = 16), kinks a = 0.8..2 (N = 128
+# and 256, L = 40) and 5 amplitude-3 bands, refine 2, 4 and 8
+N1_PAIRED_SCAN_TOL = 2e-14
+
+
 @pytest.mark.parametrize("n", [1, 2])
 @pytest.mark.parametrize("data", ["random", "kink"])
 def test_sg_solve_h_strided_scan_matches_full_scan(rng, n, data):
-    # the x-solve reads the grid-point rows of the refine * N cell scan;
-    # those rows of the full scan give its outputs bit for bit
+    # the x-solve reads prefix_products' rows of the grid transfers: the
+    # refine * N fine cells at n >= 2, whose full scan gives those rows bit
+    # for bit, and the N grid cells of paired unit quaternions at n = 1,
+    # within roundoff of the full scan of the fine cells' 4 x 4 transfers
     state = _x_solve_data(data, rng, n)
     h, h_par, info = sf.sg_solve_h(
         state, "-", 8, richardson_check=True, richardson_tol=1.0
@@ -854,15 +862,47 @@ def test_sg_solve_h_strided_scan_matches_full_scan(rng, n, data):
     y0 = info["boundary"]
     # the transfers carry z = S y; the solution is read back in y
     S = _sqrt_form(m)
-    full = _full_scan(sf._sg_transfers(state, 8))
-    y = (full[: 8 * N : 8] @ (S * y0)) / S
+
+    def rows(refine):
+        T, every = sf._sg_grid_transfers(state, refine)
+        assert T.shape[0] == N * every
+        assert every == (refine if n > 1 else 1)
+        return (sf.prefix_products(T, every)[:N] @ (S * y0)) / S
+
+    y = rows(8)
     assert np.array_equal(h_par.values, y[:, 0])
     assert np.array_equal(h.hs.values[:, 1:], y[:, 1:4])
     assert np.array_equal(h.hv.values, y[:, 4:].reshape(N, m, 4))
-    coarse = _full_scan(sf._sg_transfers(state, 4))
-    y_c = (coarse[: 4 * N : 4] @ (S * y0)) / S
+    y_c = rows(4)
     assert info["richardson_error"] == float(np.max(np.abs(y - y_c))) / 15.0
     assert np.array_equal(y0, np.eye(4 + 4 * m)[0] * -chi(state.n))
+    for refine, y_r in ((8, y), (4, y_c)):
+        if n > 1:
+            full = _full_scan(sf._sg_transfers_generic(state, refine))
+            assert np.array_equal(y_r, (full[: refine * N : refine] @ (S * y0)) / S)
+        else:
+            full = _full_scan(_reference_fine_transfers(state, refine))
+            y_full = (full[: refine * N : refine] @ (S * y0)) / S
+            assert np.max(np.abs(y_r - y_full)) <= N1_PAIRED_SCAN_TOL * chi(n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sg_solve_h_reports_the_seam_mismatch(n):
+    # |P_N z0 - z0| / chi, from the monodromy row of the solve's scan: the
+    # a = 1 kink on L = 40 closes to 1.7e-8 at every n, and the kink with u
+    # scaled by 1.01, not a whole turn, misses by 6.3e-2 (ROADMAP item 4)
+    grid = gcalc.PeriodicGrid(256, 40.0)
+    kink = sf.preset_sg_kink(grid, n)
+    z0 = -chi(n) * np.eye(4 * n)[0]
+    for scale, expected in ((1.0, 1.65e-8), (1.01, 6.28e-2)):
+        state = bo.make_state(grid, scale * kink.u.values, kink.bu.values)
+        mismatch = sf.sg_solve_h(state)[2]["seam_mismatch"]
+        assert mismatch == pytest.approx(expected, rel=0.01)
+        monodromy = sf.prefix_products(*sf._sg_grid_transfers(state, 8))[-1]
+        direct = float(np.sqrt(np.sum((monodromy @ z0 - z0) ** 2))) / chi(n)
+        assert mismatch == pytest.approx(direct, rel=1e-12)
+    zero = bo.make_state(grid, np.zeros((256, 4)), np.zeros((256, n - 1, 4)))
+    assert sf.sg_solve_h(zero)[2]["seam_mismatch"] == 0.0
 
 
 def test_run_flow_and_conservation(rng):
@@ -995,18 +1035,52 @@ def _reference_expm_real(Z):
     return _reference_expm_antihermitian(Z).real
 
 
+def _unit_pairs(state, refine):
+    """The n = 1 fine cells' unit quaternion pairs (p, conj q), (4, 2, K)."""
+    return sf._unit_exp(sf._sg_cell_generators(state, refine))
+
+
+def _fine_transfers(state, refine):
+    """The x-solve's 4 x 4 transfers of the refine * N fine cells: the n = 1
+    cells' unit quaternion pairs as transfers, or the generic build."""
+    if state.n == 1:
+        return sf._pair_transfers(_unit_pairs(state, refine))
+    return sf._sg_transfers_generic(state, refine)
+
+
+def _solve_through_the_generic_builder(monkeypatch):
+    """Make every x-solve scan the generic builder's fine cells, n = 1 too.
+    Returns the refines the builder was called with, which a test checks, so
+    a reference that did not go through it cannot pass for one."""
+    built = []
+    generic = sf._sg_transfers_generic
+
+    def spy(state, refine):
+        built.append(refine)
+        return generic(state, refine)
+
+    def grid_transfers(state, refine):
+        return sf._sg_transfers_generic(state, refine), refine
+
+    monkeypatch.setattr(sf, "_sg_transfers_generic", spy)
+    monkeypatch.setattr(sf, "_sg_grid_transfers", grid_transfers)
+    return built
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_sg_transfers_and_monodromy_match_eigh_reference(rng, monkeypatch, n):
     state = random_state(rng, gcalc.PeriodicGrid(64, 16.0), n, amplitude=0.5)
-    T = sf._sg_transfers(state, 8)
+    T = _fine_transfers(state, 8)
+    # the monodromy, the last row of the solve's scan
+    mono = sf.prefix_products(*sf._sg_grid_transfers(state, 8))[-1]
     # the reference is the generic builder with the eigh exponential, for n = 1 too
-    monkeypatch.setattr(sf, "_sg_transfers", sf._sg_transfers_generic)
+    built = _solve_through_the_generic_builder(monkeypatch)
     monkeypatch.setattr(sf, "expm_antihermitian", _reference_expm_real)
-    T_ref = sf._sg_transfers(state, 8)
+    T_ref = sf._sg_transfers_generic(state, 8)
     assert np.max(np.abs(T - T_ref)) <= 1e-13
-    # the monodromy, the last row of the scan
-    mono = sf.prefix_products(T)[-1]
-    assert np.max(np.abs(mono - sf.prefix_products(T_ref)[-1])) <= 1e-12
+    mono_ref = sf.prefix_products(*sf._sg_grid_transfers(state, 8))[-1]
+    assert built == [8, 8]
+    assert np.max(np.abs(mono - mono_ref)) <= 1e-12
 
 
 def _solve_outputs(state):
@@ -1019,9 +1093,10 @@ def _solve_outputs(state):
 def test_sg_solve_h_matches_eigh_reference(rng, monkeypatch, n, data):
     state = _x_solve_data(data, rng, n)
     new = _solve_outputs(state)
-    monkeypatch.setattr(sf, "_sg_transfers", sf._sg_transfers_generic)
+    built = _solve_through_the_generic_builder(monkeypatch)
     monkeypatch.setattr(sf, "expm_antihermitian", _reference_expm_real)
     ref = _solve_outputs(state)
+    assert built == [8]
     for a, b in zip(new, ref):
         # the solution has size chi; the tolerance is 1e-12 relative to it
         assert np.max(np.abs(a - b), initial=0.0) <= 1e-12 * chi(n)
@@ -1095,7 +1170,7 @@ def _form_defect(T, m):
 @pytest.mark.parametrize("refine", [2, 4, 8])
 def test_n1_transfers_match_generic_builder(name, refine):
     state = N1_STATES[name]()
-    T = sf._sg_transfers(state, refine)
+    T = _fine_transfers(state, refine)
     T_gen = sf._sg_transfers_generic(state, refine)
     assert T.shape == T_gen.shape == (256 * refine, 4, 4)
     assert np.max(np.abs(T - T_gen)) <= 1e-14
@@ -1122,8 +1197,11 @@ def test_n1_zero_state_gives_identity_transfers_exactly():
     grid = gcalc.PeriodicGrid(32, 8.0)
     zero = bo.make_state(grid, np.zeros((32, 4)), np.zeros((32, 0, 4)))
     with np.errstate(all="raise"):  # no 0/0 in sin(r)/r
-        T = sf._sg_transfers(zero, 4)
-    np.testing.assert_array_equal(T, np.broadcast_to(np.eye(4), (128, 4, 4)))
+        pq = _unit_pairs(zero, 4)
+        T, every = sf._sg_grid_transfers(zero, 4)
+    np.testing.assert_array_equal(pq, np.broadcast_to(np.eye(4)[:, :1, None], (4, 2, 128)))
+    np.testing.assert_array_equal(T, np.broadcast_to(np.eye(4), (32, 4, 4)))
+    assert every == 1
 
 
 def _solve_all_outputs(state, **kw):
@@ -1163,8 +1241,10 @@ def _short_kink():
 def test_n1_sg_solve_h_matches_generic_path(monkeypatch, name, kw):
     state = {**N1_STATES, "kink_L16": _short_kink}[name]()
     new = _solve_all_outputs(state, **kw)
-    monkeypatch.setattr(sf, "_sg_transfers", sf._sg_transfers_generic)
+    built = _solve_through_the_generic_builder(monkeypatch)
     ref = _solve_all_outputs(state, **kw)
+    refine = kw.get("refine", 8)
+    assert built == ([refine, refine // 2] if kw.get("richardson_check") else [refine])
     assert len(new) == len(ref)
     for (a, scale), (b, _) in zip(new, ref):
         assert np.max(np.abs(a - b)) <= 1e-12 * scale
@@ -1279,9 +1359,9 @@ def test_magnus4_transfers_zero_and_non_finite_input(monkeypatch, rng):
 def test_n2_transfers_unchanged(amplitude):
     state = sf.preset_random_band(BENCH_GRID, 2, seed=7, amplitude=amplitude)
     for refine in (2, 8):
-        np.testing.assert_array_equal(
-            _z_to_y(sf._sg_transfers(state, refine), 1), _reference_sg_transfers(state, refine)
-        )
+        T, every = sf._sg_grid_transfers(state, refine)
+        assert every == refine
+        np.testing.assert_array_equal(_z_to_y(T, 1), _reference_sg_transfers(state, refine))
 
 
 # -- n = 1 transfers and -1-flow monitoring, bit for bit ---------------------------
@@ -1293,9 +1373,11 @@ def _reference_unit_exp(A):
 
 
 def _reference_quaternion_transfers(state, refine):
-    """The n = 1 closed-form builder before its component-major single pass:
-    the refine along the grid axis, strided ends and midpoints, out-of-place
-    Simpson and cross terms, and one exponential per unit quaternion."""
+    """The unit quaternions p and q, each (4, K), of the fine cells' transfers
+    z -> p z q, as the n = 1 closed-form builder formed them before its
+    component-major single pass: the refine along the grid axis, strided ends
+    and midpoints, out-of-place Simpson and cross terms, and one exponential
+    per unit quaternion."""
     grid = state.grid
     fine = 2 * refine
     F = np.fft.rfft(state.u.values[:, 1:], axis=0)
@@ -1315,10 +1397,17 @@ def _reference_quaternion_transfers(state, refine):
     cross = (h**2 / 6.0) * np.stack(
         [am[1] * d[2] - am[2] * d[1], am[2] * d[0] - am[0] * d[2], am[0] * d[1] - am[1] * d[0]]
     )
-    p = _reference_unit_exp(simpson - cross)
-    q = _reference_unit_exp(simpson + cross)
+    return _reference_unit_exp(simpson - cross), _reference_unit_exp(simpson + cross)
+
+
+def _reference_fine_transfers(state, refine):
+    """The (K, 4, 4) transfers L(p) R(q) of the reference unit quaternions,
+    formed as the n = 1 builder formed them before its cells were paired:
+    row 4a + b of the table is L(e_a) R(e_b)."""
+    p, q = _reference_quaternion_transfers(state, refine)
+    table = qc.left_mult_matrix(np.eye(4))[:, None] @ qc.right_mult_matrix(np.eye(4))[None, :]
     pairs = (p[:, None] * q[None, :]).reshape(16, -1)
-    return (pairs.T @ sf._PAIR_TO_TRANSFER).reshape(-1, 4, 4)
+    return (pairs.T @ table.reshape(16, 16)).reshape(-1, 4, 4)
 
 
 ODD_GRID = gcalc.PeriodicGrid(255, 40.0)
@@ -1335,12 +1424,14 @@ N1_BIT_STATES = {
 @pytest.mark.parametrize("name", list(N1_BIT_STATES))
 @pytest.mark.parametrize("refine", [1, 2, 3, 4, 8])
 def test_n1_transfers_equal_the_out_of_place_builder(name, refine):
+    # each fine cell's pair (p, conj q), before any pairing of cells
     state = N1_BIT_STATES[name]()
-    T = sf._sg_transfers(state, refine)
-    ref = _reference_quaternion_transfers(state, refine)
-    assert T.shape == ref.shape == (state.grid.num_points * refine, 4, 4)
+    pq = _unit_pairs(state, refine)
+    p, q = _reference_quaternion_transfers(state, refine)
+    assert pq.shape == (4, 2, state.grid.num_points * refine)
     # bits, signed zeros included
-    assert np.array_equal(T.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(pq[:, 0].view(np.uint64), p.view(np.uint64))
+    assert np.array_equal(pq[:, 1].view(np.uint64), qc.qconj(q.T).T.view(np.uint64))
 
 
 def test_unit_exp_equals_the_np_sum_form_bit_for_bit(rng):
