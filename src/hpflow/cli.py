@@ -374,7 +374,7 @@ def cmd_simulate(args) -> int:
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                     res = cg.map_residuals(
                         traj.states[-1], frame, sim.flow, sim.dt,
-                        branch=sim.sg_branch, sg_refine=sim.sg_refine,
+                        branch=sim.sg_branch, sg_refine=sim.sg_refine, x_solve=traj.x_solve,
                     )
             except BlowUpError as exc:
                 print(f"error: map check: {exc}", file=sys.stderr)

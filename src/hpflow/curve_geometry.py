@@ -379,7 +379,7 @@ class MapCheck:
     """One flow kind's frame co-evolution and map check; sg is the -1 flow's
     (branch, refine)."""
 
-    rhs: Callable  # (n, sg) -> the state's right side
+    rhs: Callable  # (state, sg, x_solve) -> its right side; x_solve: state's x-solve or None
     fraction: float | None  # the projection of its RK4 stages
     time_matrices: Callable  # (state, sg) -> the frame's e_t + omega_t
     steps: int  # the check's steps, at min(dt, max_dt); it reads snapshot 5
@@ -393,13 +393,14 @@ class MapCheck:
 # says why each protocol takes its steps and dt.
 MAP_CHECKS = {
     "mkdv": MapCheck(
-        rhs=lambda n, sg: lambda s: sf.mkdv_rhs(s, galilean_removed=False),
+        rhs=lambda state, sg, _: lambda s: sf.mkdv_rhs(s, galilean_removed=False),
         fraction=sf.DEFAULT_PROJECT_FRACTION, steps=10, max_dt=math.inf,
         time_matrices=lambda s, sg: _mkdv_time_matrices(s),
         judge=lambda traj, idx: verify_mkdv_map(traj, idx), file="mkdv_map_residuals.json",
     ),
     "sg": MapCheck(
-        rhs=lambda n, sg: sf._sg_rhs(n, *sg), fraction=None, steps=6, max_dt=1e-3,
+        rhs=lambda state, sg, x_solve: sf._sg_rhs(state.n, *sg, watched=state, solved=x_solve),
+        fraction=None, steps=6, max_dt=1e-3,
         time_matrices=lambda s, sg: _sg_time_matrices(s, *sg),
         judge=lambda traj, idx: verify_wave_map(traj, idx), file="wave_map_residuals.json",
     ),
@@ -420,9 +421,11 @@ def evolve_with_frame(
     steps: int,
     branch: str = "-",
     sg_refine: int = 8,
+    x_solve=None,
 ) -> FrameTrajectory:
     """Co-evolve the state and the frame field psi(t, x), from frame0, the
-    frame of state at the grid points (grid_frame(state, refine)).
+    frame of state at the grid points (grid_frame(state, refine)).  x_solve,
+    the -1 flow's x-solve of state, stands in for the first stage's solve.
 
     The state advances by the flow solvers' RK4 body on the right side and
     projection of the kind's MAP_CHECKS row: the 2/3 rule on the +1 flow and
@@ -436,7 +439,7 @@ def evolve_with_frame(
         raise DimensionMismatchError("frame0 is not a frame of state")
     check = _map_check(flow)
     sg = (branch, sg_refine)
-    rhs = check.rhs(state.n, sg)
+    rhs = check.rhs(state, sg, x_solve)
 
     traj = FrameTrajectory(flow=flow)
     traj.append(0.0, state, frame0)
@@ -546,11 +549,11 @@ def verify_wave_map(traj: FrameTrajectory, idx: int) -> dict:
 
 def map_residuals(
     state: StatePair, frame: FrameState, flow: str, dt: float,
-    branch: str = "-", sg_refine: int = 8,
+    branch: str = "-", sg_refine: int = 8, x_solve=None,
 ) -> dict:
     """The map check of flow from state and its frame: co-evolve both by the
     protocol of the kind's MAP_CHECKS row and read verify_mkdv_map or
-    verify_wave_map at snapshot 5.
+    verify_wave_map at snapshot 5; x_solve goes to evolve_with_frame.
 
     The -1 flow steps at min(dt, 1e-3); its right side is bounded by its
     constraint (|h_s| <= 2 chi, |h_v| <= chi), so its check stops at
@@ -561,7 +564,7 @@ def map_residuals(
     check = _map_check(flow)
     traj = evolve_with_frame(
         state, frame, flow, min(dt, check.max_dt), check.steps,
-        branch=branch, sg_refine=sg_refine,
+        branch=branch, sg_refine=sg_refine, x_solve=x_solve,
     )
     return check.judge(traj, 5)
 

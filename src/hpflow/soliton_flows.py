@@ -32,18 +32,19 @@ exponentiates the Magnus generator with the batched Taylor map, a block of
 cells at a time (magnus4_transfers), and scans the refine * N fine cells.
 For n = 1 the system lies in so(4) = sp(1) + sp(1), and each fine cell's
 transfer is, in closed form, one left and one right multiplication by a
-unit quaternion, z -> p z q.  The solve multiplies those pairs down to the
-grid cells in quaternion form (quat_core.qmul on component-major arrays),
-in the association of the scan's pairing levels, and forms 4 x 4 transfers
+unit quaternion, z -> p z q.  The solve holds each unit quaternion as a
+complex pair (a, b), q = a + b j, multiplies the cells' quaternions down to
+the grid cells by the Cayley-Dickson product (quat_core.qmul_pairs), in the
+association of the scan's pairing levels, and forms 4 x 4 transfers
 (quat_core's L and R matrices, which also build the n >= 2 system matrix)
 only for the N grid cells, which it scans.  The frame transport in
 curve_geometry shares the Magnus-4 build and the prefix scan, and its
 co-evolution in time the RK4 body.  The solve integrates left to right from
 the boundary value (sign * chi, 0, 0) at x = 0: it is meant for states that
 vanish near the domain seam (kink-type data), the data of the paper's
-sine-Gordon flow and its non-stretching wave map.  Its info reports the
-seam mismatch, how far the solution carried across the domain misses the
-boundary value.
+sine-Gordon flow and its non-stretching wave map.  Its info, formed on
+read, reports the seam mismatch, how far the solution carried across the
+domain misses the boundary value.
 
 The branch sign names the sign of the boundary h_par.  The "-" branch is the
 one whose scalar reduction obeys the classical sine-Gordon equation
@@ -53,7 +54,7 @@ psi_xt = 4 sin(psi) under u = (psi_x / 2) q; it is the default.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,7 +141,7 @@ class FlowKind:
     local: bool = True  # dt is bounded by cfl_constant * dx^(2l + 1) at its level l
     level: int | None = None  # that level l; None reads config.hierarchy_level
     max_level: int | None = None  # the highest flow.l the CLI steps
-    x_solve: Callable | None = None  # (config, state) -> the info of the -1 flow's x-solve
+    x_solve: Callable | None = None  # (config, state) -> the -1 flow's x-solve of state
 
 
 # The steps call through module names, so a wrapper bound to a name (a
@@ -159,7 +160,7 @@ FLOWS = {
             s, dt, c.sg_branch, c.sg_refine, t, on_state_solve=on_solve
         ),
         local=False,
-        x_solve=lambda c, s: sg_solve_h(s, c.sg_branch, c.sg_refine)[2],
+        x_solve=lambda c, s: sg_solve_h(s, c.sg_branch, c.sg_refine),
     ),
     "hierarchy": FlowKind(
         lambda c, s, dt, t, _: step_rk4(
@@ -501,23 +502,28 @@ _PAIR_TO_TRANSFER = (
 
 
 def _unit_exp(A: np.ndarray) -> np.ndarray:
-    """exp of pure quaternions with vector parts A (3, ...), as a (4, ...) array."""
-    E = np.empty((4,) + A.shape[1:])
-    sq = np.multiply(A, A, out=E[1:])  # scratch until the vector part is written
+    """exp of pure quaternions with vector parts A (3, ...), r = |A|, as complex
+    pairs (2, ...): a = cos r + i sinc(r) A_1 and b = sinc(r) (A_2 + i A_3)."""
+    E = np.empty((2,) + A.shape[1:], dtype=complex)
+    # the squares in E's buffer, scratch until the components are written
+    sq = np.multiply(A, A, out=E.reshape(-1).view(float)[: A.size].reshape(A.shape))
     r = sq[0] + sq[1]  # np.sum's order over axis 0
     r += sq[2]
     np.sqrt(r, out=r)
     sinc = np.divide(np.sin(r), r, out=np.ones_like(r), where=r > 0.0)
-    np.cos(r, out=E[0])
-    np.multiply(sinc, A, out=E[1:])
+    a, b = E[0, ...], E[1, ...]
+    np.cos(r, out=a.real)
+    np.multiply(sinc, A[0], out=a.imag)
+    np.multiply(sinc, A[1], out=b.real)
+    np.multiply(sinc, A[2], out=b.imag)
     return E
 
 
 def _sg_cell_generators(state: StatePair, refine: int) -> np.ndarray:
     """The n = 1 transfers of the refine * N fine cells in closed form: the
     vector parts (S - C, -(S + C)) of a (3, 2, K) array, from the Simpson
-    term S and the cross term C, whose one _unit_exp is the pairs
-    (p, conj q), (4, 2, K).  Cell i's transfer is z -> p z q, and
+    term S and the cross term C, whose one _unit_exp is the complex pairs
+    (p, conj q), (2, 2, K).  Cell i's transfer is z -> p z q, and
     consecutive cells compose as (p' p, conj q' conj q); exp(-(S + C)) is
     conj q, q's vector part negated, bit for bit.
 
@@ -553,7 +559,8 @@ def _sg_cell_generators(state: StatePair, refine: int) -> np.ndarray:
 
 
 def _pair_transfers(pq: np.ndarray) -> np.ndarray:
-    """The (K, 4, 4) transfers L(p) R(q) of the (4, 2, K) pairs (p, conj q)."""
+    """The (K, 4, 4) transfers L(p) R(q) of (p, conj q), complex pairs (2, 2, K)."""
+    pq = np.stack([pq.real, pq.imag], axis=1).reshape(4, 2, -1)  # the components, exactly
     pairs = (pq[:, None, 0] * pq[None, :, 1]).reshape(16, -1)
     return (pairs.T @ _PAIR_TO_TRANSFER).reshape(-1, 4, 4)
 
@@ -576,9 +583,31 @@ def _sg_grid_transfers(state: StatePair, refine: int):
     every = refine
     while every % 2 == 0:
         # cells 2j + 1 and 2j make cell j: odd times even, prefix_products' pairing
-        pq = qc.qmul(pq[..., 1::2], pq[..., 0::2], axis=0)
+        pq = qc.qmul_pairs(pq[..., 1::2], pq[..., 0::2])
         every //= 2
     return _pair_transfers(pq), every
+
+
+class _Report(Mapping):
+    """A read-only mapping from keys to functions of the mapping itself, each
+    called on the first read of its key; the value is kept."""
+
+    def __init__(self, makers: dict):
+        self._makers, self._values = makers, {}
+
+    def __getitem__(self, key):
+        if key not in self._values:
+            self._values[key] = self._makers[key](self)
+        return self._values[key]
+
+    def __contains__(self, key):
+        return key in self._makers
+
+    def __iter__(self):
+        return iter(self._makers)
+
+    def __len__(self):
+        return len(self._makers)
 
 
 def _readout(z: np.ndarray) -> np.ndarray:
@@ -607,7 +636,8 @@ def sg_solve_h(
     info["seam_mismatch"] is |P_N z0 - z0| / chi, with P_N the monodromy:
     how far the solution integrated across the domain misses its boundary
     value, 0 for data on which the line solve closes.  The returned pair is
-    normalized so the pointwise constraint equals chi^2.
+    normalized so the pointwise constraint equals chi^2.  info is a Mapping
+    whose values are formed when first read: the RK4 stages never read it.
     """
     if branch not in ("+", "-"):
         raise DomainError("branch must be '+' or '-'")
@@ -618,20 +648,18 @@ def sg_solve_h(
     m = state.n - 1
     c = chi(state.n)
 
-    # rows P[0], P[refine], ..., P[N * refine]: the grid points, then the monodromy
-    prefixes = prefix_products(*_sg_grid_transfers(state, refine))
     z0 = np.zeros(4 + 4 * m)
     z0[0] = c if branch == "+" else -c
-
-    z = prefixes[:N] @ z0
-    constraint = _sg_constraint(z)
+    # z at the grid points, then P_N z0; each row has the bits of its own product
+    z_all = prefix_products(*_sg_grid_transfers(state, refine)) @ z0
+    z = z_all[:N]
     y = _readout(z)
-    info = {
-        "constraint": constraint,
-        "constraint_target": c**2,
-        "constraint_max_dev": float(np.max(np.abs(constraint - _sg_constraint(z0)))),
-        "boundary": _readout(z0),
-        "seam_mismatch": math.dist(prefixes[N] @ z0, z0) / c,
+    report = {
+        "constraint": lambda _: _sg_constraint(z),
+        "constraint_target": lambda _: c**2,
+        "constraint_max_dev": lambda r: float(np.max(np.abs(r["constraint"] - _sg_constraint(z0)))),
+        "boundary": lambda _: _readout(z0),
+        "seam_mismatch": lambda _: math.dist(z_all[N], z0) / c,
     }
     if richardson_check:
         if refine < 2 or refine % 2:
@@ -639,7 +667,7 @@ def sg_solve_h(
         coarse = prefix_products(*_sg_grid_transfers(state, refine // 2))
         y_c = _readout(coarse[:N] @ z0)
         est = float(np.max(np.abs(y - y_c))) / 15.0
-        info["richardson_error"] = est
+        report["richardson_error"] = lambda _: est
         if est > richardson_tol * max(c, 1.0):
             raise IntegrationAccuracyError(
                 f"-1 flow x-solve error estimate {est:.3e} exceeds tolerance"
@@ -650,7 +678,7 @@ def sg_solve_h(
     hv = y[:, 4:].reshape(N, m, 4)
     h_par = Field(grid, y[:, 0].copy(), "real")
     # float arrays of the kinds' shapes on the state's grid: valid by construction
-    return bo._unchecked_pair(FlowPair, grid, hs, hv), h_par, info
+    return bo._unchecked_pair(FlowPair, grid, hs, hv), h_par, _Report(report)
 
 
 def sg_step(
@@ -664,20 +692,21 @@ def sg_step(
     """Advance the -1 flow by one RK4 step, re-solving the x-system per stage.
 
     The first stage solves `state` itself; `on_state_solve`, when given, is
-    called with that solve's info dict, so a caller monitoring the state's
+    called with that solve's info, so a caller monitoring the state's
     constraint needs no solve of its own.
     """
     rhs = _sg_rhs(state.n, branch, refine, state, on_state_solve)
     return step_rk4(state, rhs, dt, t, project_fraction=None)
 
 
-def _sg_rhs(n: int, branch: str, refine: int, watched=None, on_solve=None):
+def _sg_rhs(n: int, branch: str, refine: int, watched=None, on_solve=None, solved=None):
     """The -1 flow's right side h / chi.  The info of the solve of the state
-    `watched` goes to `on_solve`."""
+    `watched` goes to `on_solve`; `solved`, when given, is that solve, as
+    sg_solve_h(watched, branch, refine) returns it, and is read in its place."""
     inv_chi = 1.0 / chi(n)
 
     def rhs(s):
-        h, _, info = sg_solve_h(s, branch, refine)
+        h, _, info = solved if s is watched and solved else sg_solve_h(s, branch, refine)
         if on_solve is not None and s is watched:
             on_solve(info)
         # the solution's arrays scaled: the kinds' shapes on the state's grid
@@ -757,6 +786,7 @@ class Trajectory:
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
     sg_constraint_value: list = field(default_factory=list)
+    x_solve: tuple | None = None  # the -1 flow's closing x-solve of states[-1]
 
     def append(self, t, state):
         self.times.append(float(t))
@@ -784,7 +814,8 @@ def run_flow(config: SimConfig, state: StatePair, observer=None) -> Trajectory:
 
     On the -1 flow each snapshot's constraint comes from the x-solve of the
     next step's first stage, which solves the snapshot state itself; only
-    the last snapshot is solved on its own, by its row's x_solve.
+    the last snapshot is solved on its own, by its row's x_solve, whose
+    solve traj.x_solve keeps for the map check.
     """
     if config.grid != state.grid or config.n != state.n:
         raise DimensionMismatchError(
@@ -811,7 +842,8 @@ def run_flow(config: SimConfig, state: StatePair, observer=None) -> Trajectory:
             if observer is not None:
                 observer(t, state)
     if kind.x_solve is not None:
-        monitor(kind.x_solve(config, state))
+        traj.x_solve = kind.x_solve(config, state)
+        monitor(traj.x_solve[2])
     return traj
 
 

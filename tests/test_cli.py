@@ -283,6 +283,39 @@ def test_sg_map_check_stops_at_its_snapshot(tmp_path, monkeypatch):
     assert res == cg.verify_wave_map(full, idx=5)
 
 
+def test_sg_simulate_hands_its_closing_solve_to_the_map_check(tmp_path, monkeypatch):
+    # run_flow's closing x-solve of the final state stands in for the map
+    # check's first stage: 4 solves a step, the closing one, 6 * 4 - 1 map-check
+    # stages and 6 frame time matrices, and the files of a check that solves
+    # the final state again
+    cfg = write_config(
+        tmp_path,
+        grid={"N": 128, "L": 40.0, "mode": "line"},
+        flow={"kind": "sg", "dt": 5e-3, "t_end": 0.01, "sg_branch": "-", "sg_refine": 8},
+        initial={"preset": "sg_kink", "a": 1.0},
+        output={"reconstruct": True, "map_check": True},
+    )
+    solved = []
+    solve, residuals = sf.sg_solve_h, cg.map_residuals
+
+    def spy(s, *args, **kw):
+        solved.append(s)
+        return solve(s, *args, **kw)
+
+    monkeypatch.setattr(sf, "sg_solve_h", spy)
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "handed")]) == 0
+    assert len(solved) == 4 * 2 + 1 + 6 * 4 - 1 + 6
+    assert sum(s is solved[4 * 2] for s in solved) == 1
+    monkeypatch.setattr(
+        cg, "map_residuals", lambda *a, x_solve, **kw: residuals(*a, x_solve=None, **kw)
+    )
+    solved.clear()
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "again")]) == 0
+    assert len(solved) == 4 * 2 + 1 + 6 * 4 + 6
+    for name in ("wave_map_residuals.json", "conservation.json", "curve_final.csv"):
+        assert (tmp_path / "handed" / name).read_bytes() == (tmp_path / "again" / name).read_bytes()
+
+
 def test_simulate_transports_the_final_state_once(tmp_path, monkeypatch):
     # curve_final.csv and the map check read one refine-8 frame of the final state
     made, started = [], []

@@ -324,23 +324,78 @@ def test_qnormsq_is_add_reduce_bit_for_bit(shape):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize(
-    "shape_a, shape_b", [((4,), (4,)), ((9, 4), (9, 4)), ((3, 1, 4), (1, 5, 4)), ((2, 7, 4), (4,))]
-)
-def test_qmul_on_the_leading_axis_equals_the_last_axis_bit_for_bit(shape_a, shape_b):
-    # entries over 1e-8..1e8, with zeros of both signs, infinities and a nan
+def _pairs(a):
+    """Quaternions (..., 4) as complex pairs (2, ...), a = q0 + q1 i and
+    b = q2 + q3 i, each component copied exactly."""
+    out = np.empty((2,) + a.shape[:-1], dtype=complex)
+    out.real = np.moveaxis(a[..., 0::2], -1, 0)
+    out.imag = np.moveaxis(a[..., 1::2], -1, 0)
+    return out
+
+
+def _components(x):
+    """Complex pairs (2, ...) as quaternions (..., 4), exactly."""
+    return np.moveaxis(np.stack([x.real, x.imag], axis=1).reshape((4,) + x.shape[1:]), 0, -1)
+
+
+PAIR_SHAPES = [((4,), (4,)), ((9, 4), (9, 4)), ((3, 1, 4), (1, 5, 4)), ((2, 7, 4), (4,))]
+
+
+def _operands(shape_a, shape_b):
+    # non-unit entries over 1e-8..1e8
     rng = np.random.default_rng(len(shape_a) + shape_a[0])
-    a, b = (rng.standard_normal(s) * 10.0 ** rng.uniform(-8, 8, s) for s in (shape_a, shape_b))
+    return (rng.standard_normal(s) * 10.0 ** rng.uniform(-8, 8, s) for s in (shape_a, shape_b))
+
+
+def _four_product_scale(a, b):
+    """Per component of a b, the sum of the magnitudes of its four products
+    |a_i| |b_j|: the rows of |L(a)| times |b|."""
+    return (np.abs(qc.left_mult_matrix(a)) @ np.abs(b)[..., None])[..., 0]
+
+
+def test_pair_layout_round_trips_exactly(rng):
+    a = rng.standard_normal((3, 5, 4))
+    a[0, 0] = [0.0, -0.0, np.inf, np.nan]
+    assert _components(_pairs(a)).tobytes() == a.tobytes()
+    np.testing.assert_array_equal(_pairs(qc.K), [0.0, 1j])  # k = (0 + 0 i) + (0 + 1 i) j
+
+
+@pytest.mark.parametrize("shape_a, shape_b", PAIR_SHAPES)
+def test_qmul_pairs_is_qmul_to_a_few_ulps(shape_a, shape_b):
+    # each component of either product sums the same four products: two
+    # roundings of at most 7 units of roundoff, relative to their magnitudes
+    a, b = _operands(shape_a, shape_b)
+    got = qc.qmul_pairs(_pairs(a), _pairs(b))
+    want = qc.qmul(a, b)
+    assert got.dtype == complex and got.shape == (2,) + want.shape[:-1]
+    bound = 4.0 * np.finfo(float).eps * _four_product_scale(a, b)
+    assert np.all(np.abs(_components(got) - want) <= bound)
+
+
+def test_qmul_pairs_generator_relations():
+    one, i, j, k = (_pairs(q) for q in (qc.ONE, qc.I, qc.J, qc.K))
+    for x, y, xy in ((i, j, k), (j, k, i), (k, i, j), (j, i, -k), (i, i, -one), (k, k, -one)):
+        np.testing.assert_array_equal(qc.qmul_pairs(x, y), xy)
+
+
+@pytest.mark.parametrize(
+    "shape_a, shape_b", [((9, 4), (9, 4)), ((3, 1, 4), (1, 5, 4)), ((2, 7, 4), (1, 7, 4))]
+)
+def test_qmul_pairs_non_finite_operands(shape_a, shape_b):
+    # zeros of both signs, infinities and a nan: a component is nan or infinite
+    # in one product exactly where it is in the other, with the same sign
+    a, b = _operands(shape_a, shape_b)
     for i, v in enumerate([0.0, -0.0, np.inf, -np.inf, np.nan]):
         a.flat[(5 * i + 2) % a.size] = v
         b.flat[(3 * i + 1) % b.size] = -v
     with np.errstate(invalid="ignore"):
-        last = qc.qmul(a, b)
-        lead = qc.qmul(np.moveaxis(a, -1, 0), np.moveaxis(b, -1, 0), axis=0)
-    assert lead.shape == (4,) + last.shape[:-1]
-    assert np.moveaxis(lead, 0, -1).tobytes() == last.tobytes()
-
-
-def test_qmul_rejects_a_component_axis_in_the_middle():
-    with pytest.raises(DomainError, match="axis"):
-        qc.qmul(np.zeros((2, 4, 3)), np.zeros((2, 4, 3)), axis=1)
+        got = _components(qc.qmul_pairs(_pairs(a), _pairs(b)))
+        want = qc.qmul(a, b)
+        scale = _four_product_scale(a, b)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    assert np.array_equal(got[np.isinf(want)], want[np.isinf(want)])
+    assert np.isnan(want).any() and np.isinf(want).any()
+    finite = np.isfinite(want)
+    bound = 4.0 * np.finfo(float).eps * scale[finite]
+    assert np.all(np.abs(got[finite] - want[finite]) <= bound)

@@ -1,3 +1,6 @@
+import math
+from collections.abc import Mapping
+
 import numpy as np
 import pytest
 
@@ -842,8 +845,10 @@ def _x_solve_data(data, rng, n):
 
 
 # |solution rows - full 4 x 4 scan of the fine cells| / chi at n = 1: at most
-# 7.9e-15 over a sweep of 20 random states (L = 16), kinks a = 0.8..2 (N = 128
-# and 256, L = 40) and 5 amplitude-3 bands, refine 2, 4 and 8
+# 8.4e-15 in z and 1.5e-14 in (h_par, h_s, h_v) over a sweep of 20 random
+# states (L = 16), kinks a = 0.8..2 (N = 128 and 256, L = 40) and 5
+# amplitude-3 bands, refine 2, 4 and 8; pairing the cells' real components
+# in place of complex pairs read 7.9e-15 and 1.5e-14 on the same sweep
 N1_PAIRED_SCAN_TOL = 2e-14
 
 
@@ -903,6 +908,76 @@ def test_sg_solve_h_reports_the_seam_mismatch(n):
         assert mismatch == pytest.approx(direct, rel=1e-12)
     zero = bo.make_state(grid, np.zeros((256, 4)), np.zeros((256, n - 1, 4)))
     assert sf.sg_solve_h(zero)[2]["seam_mismatch"] == 0.0
+
+
+def _eager_info(state, branch, refine, richardson_check):
+    """sg_solve_h's info formed in full from the solve's scan, as a dict."""
+    N, c = state.grid.num_points, chi(state.n)
+    z0 = np.zeros(4 * state.n)
+    z0[0] = c if branch == "+" else -c
+    prefixes = sf.prefix_products(*sf._sg_grid_transfers(state, refine))
+    z = prefixes[:N] @ z0
+    constraint = np.sum(z * z, axis=-1)
+    info = {
+        "constraint": constraint,
+        "constraint_target": c**2,
+        "constraint_max_dev": float(np.max(np.abs(constraint - np.sum(z0 * z0)))),
+        "boundary": sf._readout(z0),
+        "seam_mismatch": math.dist(prefixes[N] @ z0, z0) / c,
+    }
+    if richardson_check:
+        coarse = sf.prefix_products(*sf._sg_grid_transfers(state, refine // 2))
+        y, y_c = sf._readout(z), sf._readout(coarse[:N] @ z0)
+        info["richardson_error"] = float(np.max(np.abs(y - y_c))) / 15.0
+    return info
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("branch", ["+", "-"])
+@pytest.mark.parametrize("richardson_check", [False, True])
+def test_sg_solve_h_forms_its_info_on_read(monkeypatch, n, branch, richardson_check):
+    # a solve whose info is never read forms no constraint; read, the info is
+    # a Mapping with the eager report's keys, in order, and its values
+    state = sf.preset_sg_kink(gcalc.PeriodicGrid(64, 16.0), n)
+    formed = []
+    constraint = sf._sg_constraint
+
+    def spy(z):
+        formed.append(z.shape)
+        return constraint(z)
+
+    monkeypatch.setattr(sf, "_sg_constraint", spy)
+    _, _, info = sf.sg_solve_h(state, branch, 4, richardson_check=richardson_check)
+    assert formed == []
+    assert isinstance(info, Mapping) and not isinstance(info, dict)
+    expected = _eager_info(state, branch, 4, richardson_check)
+    assert len(info) == len(expected)
+    assert list(info) == list(expected)
+    assert all(key in info for key in expected) and "bogus" not in info
+    assert info.get("bogus") is None and info.get("bogus", 0) == 0
+    with pytest.raises(KeyError):
+        info["bogus"]
+    assert formed == []
+    first = info["constraint"]
+    assert formed == [(64, 4 * n)]
+    assert info["constraint"] is first and info.get("constraint") is first
+    got = dict(info)
+    assert list(got) == list(expected)
+    for key, value in expected.items():
+        assert np.asarray(got[key]).tobytes() == np.asarray(value).tobytes(), key
+    assert formed == [(64, 4 * n), (4 * n,)]  # constraint_max_dev's |z0|^2
+    assert dict(info.items()) == got and list(info.keys()) == list(got)
+
+
+def test_sg_steps_form_no_x_solve_info(monkeypatch):
+    # an RK4 step's stages discard their solves' info: nothing of it is formed
+    formed = []
+    monkeypatch.setattr(sf, "_sg_constraint", lambda z: formed.append(z) or np.sum(z * z, -1))
+    kink = sf.preset_sg_kink(gcalc.PeriodicGrid(64, 16.0), 1)
+    sf.sg_step(sf.sg_step(kink, 1e-3, refine=2), 1e-3, refine=2)
+    assert formed == []
+    sf.sg_step(kink, 1e-3, refine=2, on_state_solve=lambda info: info["constraint"])
+    assert len(formed) == 1
 
 
 def test_run_flow_and_conservation(rng):
@@ -1036,8 +1111,14 @@ def _reference_expm_real(Z):
 
 
 def _unit_pairs(state, refine):
-    """The n = 1 fine cells' unit quaternion pairs (p, conj q), (4, 2, K)."""
+    """The n = 1 fine cells' unit quaternion pairs (p, conj q), as complex
+    pairs (2, 2, K)."""
     return sf._unit_exp(sf._sg_cell_generators(state, refine))
+
+
+def _components(pairs):
+    """The real components (4, ...) of complex pairs (2, ...), exactly."""
+    return np.stack([pairs.real, pairs.imag], axis=1).reshape((4,) + pairs.shape[1:])
 
 
 def _fine_transfers(state, refine):
@@ -1197,7 +1278,7 @@ def test_n1_zero_state_gives_identity_transfers_exactly():
     grid = gcalc.PeriodicGrid(32, 8.0)
     zero = bo.make_state(grid, np.zeros((32, 4)), np.zeros((32, 0, 4)))
     with np.errstate(all="raise"):  # no 0/0 in sin(r)/r
-        pq = _unit_pairs(zero, 4)
+        pq = _components(_unit_pairs(zero, 4))
         T, every = sf._sg_grid_transfers(zero, 4)
     np.testing.assert_array_equal(pq, np.broadcast_to(np.eye(4)[:, :1, None], (4, 2, 128)))
     np.testing.assert_array_equal(T, np.broadcast_to(np.eye(4), (32, 4, 4)))
@@ -1236,6 +1317,10 @@ def _short_kink():
         ("kink_a1.25", {"richardson_check": True}),
         ("kink_L16", {}),
         ("kink_L16", {"refine": 4}),
+        ("kink_a1", {"refine": 1}),
+        ("kink_a1", {"refine": 3}),
+        ("kink_a1.25", {"refine": 4, "richardson_check": True}),
+        ("band_3", {"refine": 3}),
     ],
 )
 def test_n1_sg_solve_h_matches_generic_path(monkeypatch, name, kw):
@@ -1426,12 +1511,29 @@ N1_BIT_STATES = {
 def test_n1_transfers_equal_the_out_of_place_builder(name, refine):
     # each fine cell's pair (p, conj q), before any pairing of cells
     state = N1_BIT_STATES[name]()
-    pq = _unit_pairs(state, refine)
+    pq = _components(_unit_pairs(state, refine))
     p, q = _reference_quaternion_transfers(state, refine)
     assert pq.shape == (4, 2, state.grid.num_points * refine)
     # bits, signed zeros included
     assert np.array_equal(pq[:, 0].view(np.uint64), p.view(np.uint64))
     assert np.array_equal(pq[:, 1].view(np.uint64), qc.qconj(q.T).T.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", list(N1_BIT_STATES))
+@pytest.mark.parametrize("refine", [1, 3, 5])
+def test_n1_odd_refine_solve_is_the_real_transfer_scan_bit_for_bit(name, refine):
+    # an odd refine pairs no cells: the solution is the full scan of the fine
+    # cells' real 4 x 4 transfers, as the out-of-place builder forms them,
+    # read at the grid points, bit for bit
+    state = N1_BIT_STATES[name]()
+    N = state.grid.num_points
+    h, h_par, info = sf.sg_solve_h(state, "-", refine)
+    z0 = np.array([-chi(1), 0.0, 0.0, 0.0])
+    full = _full_scan(_reference_fine_transfers(state, refine))
+    z = full[: refine * N + 1 : refine] @ z0
+    assert h_par.values.tobytes() == z[:N, 0].tobytes()
+    assert h.hs.values[:, 1:].tobytes() == (2.0 * z[:N, 1:]).tobytes()
+    assert info["seam_mismatch"] == math.dist(z[N], z0) / chi(1)
 
 
 def test_unit_exp_equals_the_np_sum_form_bit_for_bit(rng):
@@ -1441,7 +1543,8 @@ def test_unit_exp_equals_the_np_sum_form_bit_for_bit(rng):
     A[1, 8] = 1e-170  # r^2 underflows to 0: the quotient is not formed there
     for B in (A, A[:, 8:], np.abs(A[:, 8:])):  # with and without r = 0
         assert np.array_equal(
-            sf._unit_exp(B).view(np.uint64), _reference_unit_exp(B).view(np.uint64)
+            _components(sf._unit_exp(B)).view(np.uint64),
+            _reference_unit_exp(B).view(np.uint64),
         )
 
 
