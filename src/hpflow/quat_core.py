@@ -6,6 +6,9 @@ shape (..., m, 4).  Every kernel broadcasts over leading axes, so the same
 functions serve single values, random batches, and grid-sampled fields.
 qmul_pairs multiplies complex pairs (2, ...), q = a + b j with a = q0 + q1 i
 and b = q2 + q3 i, the layout of the -1 flow's grids of unit quaternions.
+The one-pass kernels (comm_C_vec_im, comm_C_im, scalar_vec_sum) serve the
+coupled mKdV right side: each gathers one operand into a small real matrix
+a point and makes one batched matrix product.
 
 The scalar algebra follows the generator relations i^2 = j^2 = k^2 = -1,
 ij = -ji = k, jk = -kj = i, ki = -ik = j.  The Hermitian inner product on
@@ -23,6 +26,7 @@ real matrix of blocks L(a_ij) (F. Zhang, Linear Algebra Appl. 251 (1997)
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -138,7 +142,7 @@ def dot4(a, b) -> np.ndarray:
 
 def vec_dot(x, y) -> np.ndarray:
     """Euclidean inner product of quaternion vectors, equals Re<x, y>."""
-    return np.sum(np.asarray(x) * np.asarray(y), axis=(-1, -2))
+    return np.add.reduce(np.asarray(x) * np.asarray(y), axis=(-1, -2))
 
 
 def vec_normsq(x) -> np.ndarray:
@@ -188,7 +192,7 @@ def acomm_A(a, b) -> np.ndarray:
 
 def acomm_A_im(a, b) -> np.ndarray:
     """A(a, b) = -2 sum_i a_i b_i from the imaginary parts alone, unchecked."""
-    return -2.0 * np.sum(np.asarray(a)[..., 1:] * np.asarray(b)[..., 1:], axis=-1)
+    return -2.0 * np.add.reduce(np.asarray(a)[..., 1:] * np.asarray(b)[..., 1:], axis=-1)
 
 
 def scalar_vec(a, v) -> np.ndarray:
@@ -203,6 +207,88 @@ def comm_C_vec(x, y) -> np.ndarray:
     """C(x, y) = <x, y> - <y, x> = 2 Im<x, y>, an imaginary quaternion."""
     h = hermitian_inner(x, y)
     return h - qconj(h)
+
+
+# -- one-pass products: signed gathers and one real matrix product ----------
+#
+# Each kernel below gathers one operand's signed components into a small
+# real matrix per point, the L(q) entries read off the unit products, and
+# makes one batched matrix product with the other operand's components,
+# taken as they lie.  The gathered matrices are laid out component-major,
+# the point axes innermost, so with two or more points no point's matrix
+# has a unit stride, and np.matmul multiplies each point in a loop of its
+# own with no BLAS call: on matrices this small that costs less than one
+# BLAS call a point.  Within any batch of two or more points a point's bits
+# are therefore the same, whatever the BLAS thread count (a lone point goes
+# to BLAS).  They agree with the componentwise qmul formulas to roundoff,
+# not bit for bit.
+
+# (c, r) tables of one quaternion's signed components: entry r of
+# 2 Im(x conj(e_c)) and of a e_c, the rows of the real matrix taking y's
+# components to C(x, y)'s imaginary parts, and to a y (L(a)^t)
+_CONJ_SIGN = np.array([1.0, -1.0, -1.0, -1.0])
+_TABLES = {
+    "im_conj": (_L_INDEX[1:].T, 2.0 * (_L_SIGN[1:] * _CONJ_SIGN).T),
+    "left": (_L_INDEX.T, _L_SIGN.T),
+}
+# [c, r], r and c imaginary: entry r of C(a, e_c) = a e_c - e_c a is
+# _C_SIGN[c, r] * a[_C_INDEX[c, r]]; zero on the diagonal
+_COMM_UNITS = _UNITS - np.swapaxes(_UNITS, 0, 1)
+_C_INDEX = np.argmax(np.abs(_COMM_UNITS), axis=0)[1:, 1:]
+_C_SIGN = np.sum(_COMM_UNITS, axis=0)[1:, 1:]
+
+
+@functools.lru_cache(maxsize=16)
+def _block_columns(table: str, p: int):
+    """Index into p quaternions' 4p components, and signs, that gather the
+    real (4p, r) matrix of p blocks of `table`, block q reading quaternion q.
+    Read-only: every caller shares them."""
+    index, sign = _TABLES[table]
+    index = (4 * np.arange(p)[:, None, None] + index).reshape(4 * p, index.shape[1])
+    sign = np.tile(sign, (p, 1))
+    index.flags.writeable = sign.flags.writeable = False
+    return index, sign
+
+
+def _times_gathered(rows, q, index, sign) -> np.ndarray:
+    """rows (..., K, k) times the matrices sign * q[..., index], (..., k, r),
+    gathered from q's components (..., c) component-major."""
+    points = math.prod(q.shape[:-1])
+    cols = q.reshape(points, q.shape[-1]).T[index]  # (k, r, points), C-contiguous
+    cols *= sign[..., None]
+    return rows @ cols.transpose(2, 0, 1).reshape(q.shape[:-1] + index.shape)
+
+
+def comm_C_vec_im(x, ys) -> np.ndarray:
+    """Im C(x, y_k) = 2 Im<x, y_k>, (..., K, 3), for a vector x (..., m, 4)
+    and K vectors ys (..., K, m, 4): x's components gathered, signed and
+    conjugated into one (4m, 3) matrix a point, which all K vectors share.
+    The real parts, zero, are not formed."""
+    x = np.asarray(x, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    m = x.shape[-2]
+    if ys.shape[-2:] != (m, 4):
+        raise DimensionMismatchError(f"vector length mismatch: {x.shape[-2:]} vs {ys.shape[-2:]}")
+    flat = ys.reshape(ys.shape[:-2] + (4 * m,))
+    return _times_gathered(flat, x.reshape(x.shape[:-2] + (4 * m,)), *_block_columns("im_conj", m))
+
+
+def comm_C_im(a, y) -> np.ndarray:
+    """Im C(a, y_k), (..., K, 3), for a quaternion a (..., 4) and the
+    imaginary parts y (..., K, 3) of K quaternions; a's real part enters
+    with zero weight."""
+    return _times_gathered(np.asarray(y, dtype=float), np.asarray(a, dtype=float), _C_INDEX, _C_SIGN)
+
+
+def scalar_vec_sum(a, v) -> np.ndarray:
+    """sum_q a_q v_q, (..., m, 4), for p quaternion scalars a (..., p, 4)
+    and vectors v (..., m, p, 4) whose entry l holds the p quaternions
+    (v_q)_l: the stacked L(a_q) gathered into one (4p, 4) matrix a point."""
+    a = np.asarray(a, dtype=float)
+    v = np.asarray(v, dtype=float)
+    p = a.shape[-2]
+    flat = v.reshape(v.shape[:-2] + (4 * p,))
+    return _times_gathered(flat, a.reshape(a.shape[:-2] + (4 * p,)), *_block_columns("left", p))
 
 
 def acomm_A_vec(x, y) -> np.ndarray:

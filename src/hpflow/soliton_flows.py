@@ -13,8 +13,9 @@ the state carries to mkdv_rhs: a step makes 4 transform pairs, one per later
 stage and one for the final projection, whose derivatives the next step's
 first right side reads.  Only a step from a plain state, such as a preset,
 makes a fifth, for its first right side.
-For n >= 2 the right side's vector-coupling terms make one call of each
-quat_core kernel they use, on stacked operands.
+For n >= 2 the right side's vector coupling runs in one pass: one product
+gives C(bu, bu_x) and C(bu, bu_2x), and one more applies both scalar
+factors to bu_x and bu (quat_core's one-pass kernels).
 
 The -1 flow is nonlocal in x: at each instant the flow pair solves a linear
 ODE system in x driven by the state, with the pointwise quadratic constraint
@@ -200,7 +201,7 @@ def mkdv_rhs(state: StatePair, galilean_removed: bool = True) -> FlowPair:
 
     unormsq = qc.qnormsq(u)
 
-    # scalar row: u3/4 - (3/2) u^2 u_x + (3/4) C(u, C(bu, bu_x)) + (3/4) C(bu, bu_2x),
+    # scalar row: u3/4 - (3/2) u^2 u_x + (3/4)(C(u, C(bu, bu_x)) + C(bu, bu_2x)),
     # summed left to right in place
     out_s = 0.25 * u3
     # -u^2 = |u|^2 pointwise; the factor repeated to full shape, as a product
@@ -208,17 +209,31 @@ def mkdv_rhs(state: StatePair, galilean_removed: bool = True) -> FlowPair:
     out_s += (1.5 * unormsq).repeat(4).reshape(N, 4) * ux
     # vector row: bu_3x + (3/2)(|bu|^2 - u^2 + u_x) bu_x
     #             + (3/4)(2u|bu|^2 - A(u, u_x) - C(bu, bu_x) + u_2x) bu
-    # one call per kernel on stacked operands: each kernel works elementwise or
-    # sums over the vector axis in order, so a row has the bits of its own call
+    # The coupling in one pass: C(bu, bu_x) and C(bu, bu_2x) from one product,
+    # their zero real parts not formed; both factors, weighted, in one
+    # (N, 2, 4) array; both scalar-times-vector products summed in one
+    # product.  quat_core's one-pass kernels multiply each grid point on its
+    # own, so a row has the bits of its own call
     if m:
         businormsq = qc.vec_normsq(bu)
-        cvec, cvec_2x = qc.comm_C_vec(bu, bu_derivs[:2])  # C(bu, bu_x), C(bu, bu_2x)
-        out_s += 0.75 * qc.comm_C(u, cvec)
-        out_s += 0.75 * cvec_2x
-        fac1 = qc.from_real(businormsq + unormsq) + ux
-        fac2 = 2.0 * businormsq[:, None] * u - qc.from_real(qc.acomm_A_im(u, ux)) - cvec + u2
-        fac_bux, fac_bu = qc.scalar_vec(np.stack([fac1, fac2]), np.stack([bux, bu]))
-        out_v = bu3 + 1.5 * fac_bux + 0.75 * fac_bu
+        # bu_x and bu_2x as an (N, 2, m, 4) view; C's imaginary parts (N, 2, 3)
+        cvecs = qc.comm_C_vec_im(bu, bu_derivs[:2].transpose(1, 0, 2, 3))
+        cvec = cvecs[:, 0]
+        coupled = qc.comm_C_im(u, cvecs[:, :1])[:, 0]
+        coupled += cvecs[:, 1]
+        coupled *= 0.75
+        out_s[:, 1:] += coupled
+        fac = np.empty((N, 2, 4))
+        fac[:, 0] = ux
+        fac[:, 0, 0] += businormsq + unormsq
+        np.multiply(u, (2.0 * businormsq)[:, None], out=fac[:, 1])
+        fac[:, 1, 0] -= qc.acomm_A_im(u, ux)
+        fac[:, 1, 1:] -= cvec
+        fac[:, 1] += u2
+        fac *= _FAC_SCALES
+        pairs = np.concatenate([bux, bu], axis=2).reshape(N, m, 2, 4)  # [bu_x | bu]
+        out_v = qc.scalar_vec_sum(fac, pairs)
+        out_v += bu3
     else:
         out_v = bu3
     if not galilean_removed:
@@ -226,6 +241,10 @@ def mkdv_rhs(state: StatePair, galilean_removed: bool = True) -> FlowPair:
         out_s += c * ux
         out_v = out_v + c * bux  # out_v is the state's own bu when m = 0
     return bo._unchecked_pair(FlowPair, grid, out_s, out_v)
+
+
+# the coupling factors' weights: (3/2) on bu_x's, (3/4) on bu's
+_FAC_SCALES = np.array([[1.5], [0.75]])
 
 
 def _mkdv_orders(m: int) -> tuple:

@@ -189,6 +189,63 @@ def test_scalar_vec_matches_componentwise_qmul(rng, m):
     assert np.array_equal(qc.scalar_vec(a[0], v[0]), expected[0])
 
 
+# the one-pass kernels against the componentwise forms, relative to the size
+# of each entry's terms; each BLAS-free product rounds a sum of at most 8m terms
+def _norm_products(x, y):
+    """sum_l |x_l| |y_l| per point, for vectors (..., m, 4)."""
+    return np.sum(qc.qnorm(x) * qc.qnorm(y), axis=-1)
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_comm_C_vec_im_matches_comm_C_vec(rng, m):
+    x, ys = rng.standard_normal((7, m, 4)), rng.standard_normal((7, 3, m, 4))
+    got = qc.comm_C_vec_im(x, ys)
+    assert got.shape == (7, 3, 3)
+    for k in range(3):
+        want = qc.comm_C_vec(x, ys[:, k])
+        assert np.all(want[:, 0] == 0.0)
+        scale = 2.0 * _norm_products(x, ys[:, k])[:, None]
+        assert np.all(np.abs(got[:, k] - want[:, 1:]) <= 1e-14 * scale)
+    with pytest.raises(DimensionMismatchError):
+        qc.comm_C_vec_im(x, rng.standard_normal((7, 3, m + 1, 4)))
+
+
+def test_comm_C_im_matches_comm_C(rng):
+    a, y = rng.standard_normal((7, 4)), rng.standard_normal((7, 3, 3))  # a not imaginary
+    got = qc.comm_C_im(a, y)
+    assert got.shape == (7, 3, 3)
+    for k in range(3):
+        want = qc.comm_C(a, np.concatenate([np.zeros((7, 1)), y[:, k]], axis=1))
+        scale = 2.0 * qc.qnorm(a) * np.linalg.norm(y[:, k], axis=-1)
+        assert np.all(np.abs(got[:, k] - want[:, 1:]) <= 1e-14 * scale[:, None])
+
+
+@pytest.mark.parametrize("m, p", [(0, 2), (1, 1), (1, 2), (3, 2)])
+def test_scalar_vec_sum_matches_scalar_vec(rng, m, p):
+    a, v = rng.standard_normal((7, p, 4)), rng.standard_normal((7, m, p, 4))
+    got = qc.scalar_vec_sum(a, v)
+    assert got.shape == (7, m, 4)
+    want = sum(qc.scalar_vec(a[:, q], v[:, :, q]) for q in range(p))
+    scale = sum(qc.qnorm(a[:, q])[:, None] * qc.qnorm(v[:, :, q]) for q in range(p))
+    assert np.all(np.abs(got - want) <= 1e-14 * scale[..., None])
+
+
+def test_one_pass_kernels_rows_equal_their_own_calls(rng):
+    # a point's bits do not depend on the other points: a batch of 6 against
+    # the same points called two at a time, and against a 2-D batch of them
+    m = 2
+    x, ys = rng.standard_normal((6, m, 4)), rng.standard_normal((6, 2, m, 4))
+    a, y = rng.standard_normal((6, 4)), rng.standard_normal((6, 1, 3))
+    s, v = rng.standard_normal((6, 2, 4)), rng.standard_normal((6, m, 2, 4))
+    for kernel, args in ((qc.comm_C_vec_im, (x, ys)), (qc.comm_C_im, (a, y)),
+                         (qc.scalar_vec_sum, (s, v))):
+        batched = kernel(*args)
+        for i in range(0, 6, 2):
+            assert np.array_equal(kernel(*(arg[i:i + 2] for arg in args)), batched[i:i + 2])
+        grid = kernel(*(arg.reshape((2, 3) + arg.shape[1:]) for arg in args))
+        assert np.array_equal(grid.reshape(batched.shape), batched)
+
+
 def test_acomm_A_im_equals_checked_form(rng):
     a = np.stack([random_iquat(rng) for _ in range(5)])
     b = np.stack([random_iquat(rng) for _ in range(5)])

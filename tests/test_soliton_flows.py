@@ -116,25 +116,35 @@ def test_mkdv_galilean_term(rng):
     assert np.max(np.abs(kept.hv.values - removed.hv.values - c * dx.hv.values)) <= 1e-13
 
 
-def _reference_mkdv_rhs(state, galilean_removed=True):
-    """Six-transform right side: one spectral_deriv call per field and order,
-    or the packed derivatives a stage state carries."""
+def _six_transform_derivs(state):
+    """u's and bu's derivatives of orders 1, 2 and 3: one spectral_deriv call
+    per field and order, or the packed derivatives a stage state carries."""
     grid = state.grid
     u, bu = state.arrays()
     if state.x_derivs is None:
-        ux = gcalc.spectral_deriv(u, grid)
-        u2 = gcalc.spectral_deriv(u, grid, 2)
-        u3 = gcalc.spectral_deriv(u, grid, 3)
-        bux = gcalc.spectral_deriv(bu, grid)
-        bu2 = gcalc.spectral_deriv(bu, grid, 2)
-        bu3 = gcalc.spectral_deriv(bu, grid, 3)
-    elif bu.shape[1]:
+        return tuple(gcalc.spectral_deriv(f, grid, p) for f in (u, bu) for p in (1, 2, 3))
+    if bu.shape[1]:
         ux, u2, u3 = state.x_derivs[:, :, :4]
         bux, bu2, bu3 = state.x_derivs[:, :, 4:].reshape((3,) + bu.shape)
-    else:  # orders 1 and 3: u_2x enters only the coupling terms, empty here
-        ux, u3 = state.x_derivs
-        u2 = np.zeros_like(ux)
-        bux = bu2 = bu3 = bu
+        return ux, u2, u3, bux, bu2, bu3
+    # orders 1 and 3: u_2x enters only the coupling terms, empty here
+    ux, u3 = state.x_derivs
+    return ux, np.zeros_like(ux), u3, bu, bu, bu
+
+
+def _galilean(state, out_s, out_v, ux, bux, galilean_removed):
+    if not galilean_removed:
+        c = 1.0 / chi(state.n)
+        out_s = out_s + c * ux
+        out_v = out_v + c * bux
+    return bo.make_flow(state.grid, out_s, out_v)
+
+
+def _componentwise_mkdv_rhs(state, galilean_removed=True):
+    """The right side by the componentwise qmul formulas, the association
+    mkdv_rhs had before its n >= 2 coupling went through one-pass products."""
+    u, bu = state.arrays()
+    ux, u2, u3, bux, bu2, bu3 = _six_transform_derivs(state)
     unormsq = qc.qnormsq(u)
     businormsq = qc.vec_normsq(bu)
     cvec = qc.comm_C_vec(bu, bux)
@@ -153,11 +163,49 @@ def _reference_mkdv_rhs(state, galilean_removed=True):
         )
     else:
         out_v = bu3
-    if not galilean_removed:
-        c = 1.0 / chi(state.n)
-        out_s = out_s + c * ux
-        out_v = out_v + c * bux
-    return bo.make_flow(grid, out_s, out_v)
+    return _galilean(state, out_s, out_v, ux, bux, galilean_removed)
+
+
+def _component_major(mats):
+    """Per-point matrices (N, k, r) with the same values, stored point axis
+    innermost, as quat_core lays out its gathered factors: np.matmul then
+    multiplies them in its own loop, and rounds as there."""
+    return np.ascontiguousarray(mats.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
+def _reference_mkdv_rhs(state, galilean_removed=True):
+    """Six-transform right side.  n = 1 by the componentwise formulas; n >= 2
+    in the association of mkdv_rhs's one-pass coupling, written out through
+    L(q) matrices: each matrix product has the operand shapes and layout of
+    mkdv_rhs's, so it rounds as there."""
+    u, bu = state.arrays()
+    N, m = bu.shape[:2]
+    if not m:
+        return _componentwise_mkdv_rhs(state, galilean_removed)
+    ux, u2, u3, bux, bu2, bu3 = _six_transform_derivs(state)
+    unormsq = qc.qnormsq(u)
+    businormsq = np.sum(bu * bu, axis=(1, 2))
+    # the real (4m, 3) matrix a point taking y to Im C(bu, y) = 2 Im sum_l bu_l conj(y_l)
+    to_im_c = 2.0 * (qc.left_mult_matrix(bu)[:, :, 1:, :] * [1.0, -1.0, -1.0, -1.0])
+    to_im_c = np.swapaxes(to_im_c, 2, 3).reshape(N, 4 * m, 3)
+    cvecs = np.stack([bux, bu2], axis=1).reshape(N, 2, 4 * m) @ _component_major(to_im_c)
+    cvec = cvecs[:, 0]
+    # Im C(u, c) for imaginary c, as a row vector times (L(u) - R(u))^t
+    to_im_cu = np.swapaxes(qc.left_mult_matrix(u) - qc.right_mult_matrix(u), 1, 2)
+    coupled = (cvec[:, None, :] @ _component_major(to_im_cu[:, 1:, 1:]))[:, 0]
+    out_s = 0.25 * u3 + 1.5 * unormsq[:, None] * ux
+    out_s[:, 1:] += 0.75 * (coupled + cvecs[:, 1])
+    fac1 = ux.copy()
+    fac1[:, 0] = ux[:, 0] + (businormsq + unormsq)
+    fac2 = u * (2.0 * businormsq)[:, None]
+    fac2[:, 0] = fac2[:, 0] + 2.0 * np.sum(u[:, 1:] * ux[:, 1:], axis=-1)
+    fac2[:, 1:] = fac2[:, 1:] - cvec
+    fac2 = fac2 + u2
+    # the stacked L(fac)^t, (N, 8, 4), against the rows [bu_x | bu]
+    facs = np.stack([1.5 * fac1, 0.75 * fac2], axis=1)
+    to_v = np.swapaxes(qc.left_mult_matrix(facs), 2, 3).reshape(N, 8, 4)
+    out_v = bu3 + np.concatenate([bux, bu], axis=2) @ _component_major(to_v)
+    return _galilean(state, out_s, out_v, ux, bux, galilean_removed)
 
 
 def _masked_spectrum_derivs(values, grid, fraction, orders):
@@ -226,6 +274,56 @@ def test_mkdv_rhs_matches_six_transform_reference(N, n, galilean_removed):
     assert_pairs_identical(
         sf.mkdv_rhs(state, galilean_removed), _reference_mkdv_rhs(state, galilean_removed)
     )
+
+
+@pytest.mark.parametrize("N", [64, 127, 128])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("galilean_removed", [True, False])
+def test_mkdv_rhs_near_the_componentwise_formulas(N, n, galilean_removed):
+    # the one-pass coupling against the componentwise qmul formulas, on a
+    # plain state and on one that carries its derivatives.  Measured: at most
+    # 5.9e-16 max|h| (2.6 ulp of 1) over 20 seeds of these cases; bound 1e-15
+    grid = gcalc.PeriodicGrid(N, 20.0)
+    for seed in range(3):
+        state = sf.preset_random_band(grid, n, seed=seed, amplitude=0.4)
+        stepped = sf.step_rk4(state, sf.mkdv_rhs, 5e-4, project_fraction=2 / 3)
+        for s in (state, stepped):
+            want = _componentwise_mkdv_rhs(s, galilean_removed)
+            got = sf.mkdv_rhs(s, galilean_removed)
+            assert _relative_distance(got, want) <= 1e-15
+
+
+def _stacked_state(states):
+    """One state whose rows are the states' rows, one after another, each
+    carrying the derivatives of its own transform."""
+    grid = gcalc.PeriodicGrid(sum(s.grid.num_points for s in states), 20.0)
+    out = bo.make_state(
+        grid,
+        np.concatenate([s.u.values for s in states]),
+        np.concatenate([s.bu.values for s in states]),
+    )
+    out.x_derivs = np.concatenate([s.x_derivs for s in states], axis=1)
+    return out
+
+
+@pytest.mark.parametrize("galilean_removed", [True, False])
+def test_mkdv_rhs_stacked_rows_equal_single_calls(galilean_removed):
+    # a row has the bits of its own call: the coupling of states stacked
+    # row after row gives each state's rows bit for bit
+    for n in (2, 3):
+        states = []
+        for i, N in enumerate((64, 127, 128, 64)):
+            grid = gcalc.PeriodicGrid(N, 20.0)
+            s = sf.preset_random_band(grid, n, seed=30 + i, amplitude=0.4)
+            states.append(sf.step_rk4(s, sf.mkdv_rhs, 5e-4, project_fraction=2 / 3))
+        stacked = sf.mkdv_rhs(_stacked_state(states), galilean_removed)
+        start = 0
+        for s in states:
+            single = sf.mkdv_rhs(s, galilean_removed)
+            rows = slice(start, start + s.grid.num_points)
+            assert np.array_equal(stacked.hs.values[rows], single.hs.values)
+            assert np.array_equal(stacked.hv.values[rows], single.hv.values)
+            start = rows.stop
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
