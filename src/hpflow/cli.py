@@ -366,7 +366,7 @@ def cmd_simulate(args) -> int:
     if cfg["output"]["reconstruct"]:
         # the map check starts from this frame; the curve is written first, so
         # a map check that blows up still leaves it behind
-        frame = cg.grid_frame(traj.states[-1], refine=8)
+        frame = cg.grid_frame(traj.states[-1], refine=cg.FRAME_REFINE)
         cg.curve_to_csv(outdir / "curve_final.csv", frame)
         check = cg.MAP_CHECKS.get(sim.flow) if cfg["output"]["map_check"] else None
         if check is not None:

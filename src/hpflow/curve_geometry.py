@@ -6,13 +6,12 @@ representative (carrying the 1/sqrt(chi) Killing normalization) and
 omega_x = (u, bu) is the connection built from the state.  psi is stored in
 the complex embedding of quaternion matrices.  Its transpose solves
 (psi^t)_x = (e_x + omega_x)^t psi^t, an x-system of the -1 flow's form
-y_x = M y, so transport reuses that flow's transfer build and prefix scan:
-soliton_flows.magnus4_transfers forms the Magnus-4 generators and their
-unitary Taylor exponentials a block of fine cells at a time, building the
-frame matrices only for the block's points, and quaternion-unitarity holds
-to roundoff.  In time, the state takes the flow solvers' RK4 step (2/3 rule
-on the +1 flow) and the frame one exponential at the average of the step's
-end states.
+y_x = M y and, like it, linear in the packed fields [u | bu], here with the
+tangent in u's real column: M is one product with a table built once per n.
+So transport shares that flow's Magnus-4 layer and prefix scan, and
+quaternion-unitarity holds to roundoff.  In time, the state takes the flow
+solvers' RK4 step (2/3 rule on the +1 flow) and the frame one exponential
+at the average of the step's end states.
 
 The curve is gamma(x) = psi(x) applied to the origin column (1, 0, ..., 0)^t,
 psi's first column: a unit vector in H^(n+1) representing a projective point
@@ -31,20 +30,20 @@ Map verification works in frame components, where the tangent gamma_x is
 the constant e_x (frame_tangent), the covariant derivative is
 D_x + [omega_x, .] and the curve-flow operator acts diagonally on the
 tangent decomposition with eigenvalues 0, 4/chi, 1/chi.  Frame components
-are packed like the RK4 state, one (K, 4 + 4m) array [s | v]: column 0 the
-m_par coefficient, columns 1-3 the imaginary m_perp scalar, the rest the
-m_perp vector.  map_residuals is the one map judgment: it co-evolves the
-state and frame and reads the residuals at its snapshot.  MAP_CHECKS holds
-each flow kind's co-evolution and check; a kind it lacks (hierarchy) has
-neither.
+are packed like the RK4 state, one (K, 4 + 4m) array [s | v], symm_lie's m
+components (m_element, m_components).  map_residuals is the one map
+judgment: it co-evolves the state and frame and reads the residuals at its
+snapshot.  MAP_CHECKS holds each flow kind's co-evolution and check; a kind
+it lacks (hierarchy) has neither.
 
-The algebra is symm_lie's: every frame matrix (e_x + omega_x, e_t + omega_t)
-is one LieElement whose leading batch axis is the grid, turned into matrices
-by to_matrix, and every frame bracket is symm_lie.bracket.
+The algebra is symm_lie's: e_x + omega_x is tabulated from its x_generator,
+e_t + omega_t is one LieElement batched over the grid, both turned into
+matrices by to_matrix, and every frame bracket is symm_lie.bracket.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -79,24 +78,31 @@ class FrameState:
         return float(np.max(np.abs(defect)))
 
 
+# the frame's transport refine where no caller gives one (grid_frame, the CLI, verify)
+FRAME_REFINE = 8
+
+
+@functools.cache
+def _frame_system(n: int):
+    """The frame's x-system, (e_x + omega_x)^t (K, d, d) in the complex
+    embedding, of packed fields (K, 4n) whose real u column holds 1/sqrt(chi):
+    one real product with a table of x_generator's unit fields, built once
+    per n, whose entries (0 and +-1) are viewed as float pairs."""
+    A_t = np.swapaxes(qc.qmat_to_complex(sl.x_generator(np.eye(4 * n), n).to_matrix()), -1, -2)
+    table = np.ascontiguousarray(A_t).view(float).reshape(4 * n, -1)
+    return lambda f: (f @ table).view(complex).reshape(len(f), 2 * n + 2, 2 * n + 2)
+
+
 def _transport_transfers(state: StatePair, refine: int) -> np.ndarray:
     """Per-cell transfers of psi^t, the transpose of psi_x = psi (e_x + omega_x):
     T[i] carries psi^t across cell i as the -1 flow's transfers carry y."""
     if refine < 1:
         raise DomainError(f"refine = {refine} must be >= 1")
     grid = state.grid
-    fine = 2 * refine
-    u_f = gcalc.spectral_refine(state.u.values, grid, fine)
-    u_f[:, 0] = 0.0
-    bu_f = gcalc.spectral_refine(state.bu.values, grid, fine)
-    n = state.n
-    tangent = 1.0 / np.sqrt(chi(n))
-
-    def system(rows):
-        A = sl.LieElement(n, m_par=tangent, h_perp=sl.HPerp(u_f[rows], bu_f[rows]))
-        return np.swapaxes(qc.qmat_to_complex(A.to_matrix()), -1, -2)
-
-    return sf.magnus4_transfers(system, u_f.shape[0] // 2, 2 * (n + 1), grid.dx / refine, complex)
+    fields = gcalc.spectral_refine(sf._pack(state.u.values, state.bu.values), grid, 2 * refine)
+    # the constant tangent in u's real column, which is zero in every state
+    fields[:, 0] = 1.0 / np.sqrt(chi(state.n))
+    return sf.magnus4_transfers(fields, _frame_system(state.n), grid.dx / refine)
 
 
 def transport_frame(state: StatePair, refine: int) -> FrameState:
@@ -106,7 +112,7 @@ def transport_frame(state: StatePair, refine: int) -> FrameState:
     return FrameState(state.grid.refined(refine), state.n, prefixes[:-1], prefixes[-1])
 
 
-def grid_frame(state: StatePair, refine: int = 8) -> FrameState:
+def grid_frame(state: StatePair, refine: int = FRAME_REFINE) -> FrameState:
     """The frame at the grid points alone, transported on the refine-times-finer
     grid: the scan forms only every refine-th prefix and the monodromy, rows
     equal bit for bit to those of transport_frame(state, refine=refine)."""
@@ -212,7 +218,7 @@ def geometric_invariants(state: StatePair) -> dict:
 
 
 def reconstruction_errors(state: StatePair) -> tuple[dict, FrameState, dict]:
-    """How well the curve reconstructed at refine 8 reproduces the state, with
+    """How well the curve reconstructed at FRAME_REFINE reproduces the state, with
     the frame it was read from and the closed-form invariants.
 
     unitarity_defect is the frame's, speed_max_deviation is max |gamma_x| - 1|,
@@ -222,7 +228,7 @@ def reconstruction_errors(state: StatePair) -> tuple[dict, FrameState, dict]:
     the vertical phase velocity gamma*u; horizontal covariant derivatives
     therefore subtract W*u before projecting.
     """
-    refine = 8
+    refine = FRAME_REFINE
     frame = transport_frame(state, refine=refine)
     u_f = gcalc.spectral_refine(state.u.values, state.grid, refine)
 
@@ -261,17 +267,6 @@ def reconstruction_errors(state: StatePair) -> tuple[dict, FrameState, dict]:
 
 # -- frame-native covariant calculus -------------------------------------------
 
-def _element(comps: np.ndarray, n: int) -> sl.LieElement:
-    """The m-valued LieElement of packed components, batched over the grid."""
-    v = comps[:, 4:].reshape(len(comps), n - 1, 4)
-    return sl.LieElement(n, m_par=comps[:, 0], m_perp=sl.MPerp(qc.qim(comps[:, :4]), v))
-
-
-def _components(g: sl.LieElement) -> np.ndarray:
-    """Packed frame components of the m part of g."""
-    return sf._pack(qc.from_real(g.m_par) + g.m_perp.s, g.m_perp.v)
-
-
 def frame_tangent(num_points: int, n: int) -> np.ndarray:
     """The curve's unit tangent gamma_x in frame components: the constant
     e_x = (1/sqrt(chi), 0) at every point, exact where differencing is not."""
@@ -300,15 +295,15 @@ def covariant_deriv_x(state: StatePair, comps: np.ndarray) -> np.ndarray:
     """Frame-native covariant derivative D_x + [omega_x, .] on m-components."""
     u, bu = state.arrays()
     omega_x = sl.LieElement(state.n, h_perp=sl.HPerp(u, bu))
-    ad = _components(sl.bracket(omega_x, _element(comps, state.n)))
+    ad = sl.m_components(sl.bracket(omega_x, sl.m_element(comps, state.n)))
     return gcalc.spectral_deriv(comps, state.grid) + ad
 
 
 def ad_x_squared(z: np.ndarray, w: np.ndarray) -> np.ndarray:
     """ad(e_z)^2 e_w = [e_z, [e_z, e_w]] on frame components."""
     n = z.shape[1] // 4
-    e_z = _element(z, n)
-    return _components(sl.bracket(e_z, sl.bracket(e_z, _element(w, n))))
+    e_z = sl.m_element(z, n)
+    return sl.m_components(sl.bracket(e_z, sl.bracket(e_z, sl.m_element(w, n))))
 
 
 def flow_operator_inverse(n: int) -> np.ndarray:

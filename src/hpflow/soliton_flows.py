@@ -20,30 +20,26 @@ factors to bu_x and bu (quat_core's one-pass kernels).
 The -1 flow is nonlocal in x: at each instant the flow pair solves a linear
 ODE system in x driven by the state, with the pointwise quadratic constraint
 h_par^2 + |h_s|^2/4 + |h_v|^2 = chi^2.  The system is the isotropy action of
-omega_x on m, which keeps the constraint: in the coordinates
-z = (h_par, h_s/2, h_v) the constraint is |z|^2 and the system matrix is
+omega_x on m, z -> -[omega_x, z], tabulated once per n from symm_lie.bracket:
+its matrix is one product of the packed fields [u | bu] with that table.  In
+z = (h_par, h_s/2, h_v) the constraint is |z|^2 and the matrix is
 skew-symmetric, so the solve works in z and reads h_s = 2 z_s back at its
-end.  The solver
-builds per-cell transfer matrices with a fourth-order Magnus scheme and
-composes them with a prefix scan that forms only every refine-th row: the
-prefixes at the grid points, which the solve reads, and the monodromy; each
-transfer is the exponential of a skew-symmetric matrix, so the constraint is
-preserved to roundoff along x regardless of resolution.  n >= 2
-exponentiates the Magnus generator with the batched Taylor map, a block of
-cells at a time (magnus4_transfers), and scans the refine * N fine cells.
-For n = 1 the system lies in so(4) = sp(1) + sp(1), and each fine cell's
-transfer is, in closed form, one left and one right multiplication by a
-unit quaternion, z -> p z q.  The solve holds each unit quaternion as a
-complex pair (a, b), q = a + b j, multiplies the cells' quaternions down to
-the grid cells by the Cayley-Dickson product (quat_core.qmul_pairs), in the
-association of the scan's pairing levels, and forms 4 x 4 transfers
-(quat_core's L and R matrices, which also build the n >= 2 system matrix)
-only for the N grid cells, which it scans.  The frame transport in
-curve_geometry shares the Magnus-4 build and the prefix scan, and its
-co-evolution in time the RK4 body.  The solve integrates left to right from
-the boundary value (sign * chi, 0, 0) at x = 0: it is meant for states that
-vanish near the domain seam (kink-type data), the data of the paper's
-sine-Gordon flow and its non-stretching wave map.  Its info, formed on
+end.  A fourth-order Magnus scheme, formed on the fields refined by one
+transform, gives per-cell transfers, and a prefix scan composes them,
+forming only the prefixes at the grid points and the monodromy; each
+transfer is the exponential of a skew-symmetric matrix, so the constraint
+holds to roundoff along x at any resolution.  n >= 2 exponentiates each
+block of Magnus generators by the batched Taylor map (magnus4_transfers) and
+scans the refine * N fine cells.  For n = 1 the system lies in
+so(4) = sp(1) + sp(1): each fine cell's transfer is z -> p z q for unit
+quaternions p and q, held as complex pairs (a, b), q = a + b j, multiplied
+down to the grid cells by the Cayley-Dickson product (quat_core.qmul_pairs)
+in the scan's association, and made 4 x 4 transfers for the N grid cells
+alone.  The frame transport in curve_geometry shares the Magnus-4 layer and
+the prefix scan, and its co-evolution in time the RK4 body.  The solve
+integrates left to right from the boundary value (sign * chi, 0, 0) at
+x = 0, for states that vanish near the domain seam (kink-type data, the data
+of the paper's sine-Gordon flow and its wave map).  Its info, formed on
 read, reports the seam mismatch, how far the solution carried across the
 domain misses the boundary value.
 
@@ -54,6 +50,7 @@ psi_xt = 4 sin(psi) under u = (psi_x / 2) q; it is the default.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
@@ -63,6 +60,7 @@ import numpy as np
 from . import biham_ops as bo
 from . import grid_calculus as gcalc
 from . import quat_core as qc
+from . import symm_lie as sl
 from .biham_ops import FlowPair, StatePair, make_state
 from .errors import (
     BlowUpError,
@@ -351,36 +349,34 @@ def _rk4(state: StatePair, rhs, dt: float, t: float, project_fraction) -> StateP
 
 # -- the -1 flow's x-system ----------------------------------------------------
 
-def sg_system_matrix(u: np.ndarray, bu: np.ndarray) -> np.ndarray:
-    """Coefficient matrix of the linear x-ODE for z = (h_par, h_s/2, h_v).
-
-    The system is D_x h_s = -C(bu, h_v) - 4 h_par u,
+def sg_system_matrix(fields: np.ndarray) -> np.ndarray:
+    """Coefficient matrices (K, 4n, 4n) of the linear x-ODE for
+    z = (h_par, h_s/2, h_v), from the packed fields [u | bu] (K, 4n):
+    D_x h_s = -C(bu, h_v) - 4 h_par u,
     D_x h_v = -h_s bu / 2 - u h_v - h_par bu,
-    D_x h_par = -A(u, h_s)/2 + A(bu, h_v)/2,
-    packed over real components.  It is the isotropy action of omega_x on m,
-    which keeps the constraint h_par^2 + |h_s|^2/4 + |h_v|^2 = |z|^2, so the
-    matrix is skew-symmetric, bit for bit: each entry is a quaternion
-    component of u or bu, or 0, times a power of two.
+    D_x h_par = -A(u, h_s)/2 + A(bu, h_v)/2.
+    It is the isotropy action of omega_x on m, which keeps the constraint
+    |z|^2, and is linear in the fields: one product with a table of 0, +-1
+    and +-2 (_system_table), so each entry is a component of u or bu, or 0,
+    times a power of two, and the matrix is skew-symmetric bit for bit.
     """
-    K = u.shape[0]
-    m = bu.shape[1]
-    d = 4 + 4 * m
-    M = np.zeros((K, d, d))
-    # h_par row: 2 dot3(u, z_s) + sum_l dot4(bu_l, h_v_l)
-    M[:, 0, 1:4] = 2.0 * u[:, 1:4]
-    if m:
-        Lu = qc.left_mult_matrix(u)
-    for l in range(m):
-        c0 = 4 + 4 * l
-        M[:, 0, c0 : c0 + 4] = bu[:, l, :]
-        M[:, c0 : c0 + 4, 0] = -bu[:, l, :]
-        # h_s-h_v coupling: -h_s bu / 2 = -R(bu_l) z_s, -C(bu, h_v) / 2 = R(bu_l)^T h_v_l
-        Rb = qc.right_mult_matrix(bu[:, l, :])[:, :, 1:4]
-        M[:, c0 : c0 + 4, 1:4] = -Rb
-        M[:, 1:4, c0 : c0 + 4] = np.swapaxes(Rb, 1, 2)
-        M[:, c0 : c0 + 4, c0 : c0 + 4] -= Lu
-    M[:, 1:4, 0] = -2.0 * u[:, 1:4]
-    return M
+    K, d = fields.shape
+    return (fields @ _system_table(d // 4)).reshape(K, d, d)
+
+
+@functools.cache
+def _system_table(n: int) -> np.ndarray:
+    """Row j: z -> -[omega_x, z] for the j-th unit field, from symm_lie.bracket,
+    in m components with h_v negated, as e_t = (h_par, h_s/2, -h_v) / sqrt(chi).
+    u's real column is x_generator's e, and [e, m] lies in h: its row is 0."""
+    d = 4 * n
+    flip = np.ones(d)
+    flip[4:] = -1.0
+    # row j * d + k pairs the j-th unit field with the k-th unit z
+    omega = sl.x_generator(np.repeat(np.eye(d), d, axis=0), n)
+    z = sl.m_element(np.tile(np.diag(flip), (d, 1)), n)
+    columns = -flip * sl.m_components(sl.bracket(omega, z))
+    return np.swapaxes(columns.reshape(d, d, d), 1, 2).reshape(d, d * d)
 
 
 # Taylor polynomial of degree 12 with scaling and squaring.  Once the scaled
@@ -471,42 +467,39 @@ def _sg_constraint(z: np.ndarray) -> np.ndarray:
 _BLOCK_BYTES = 1 << 16
 
 
-def magnus4_transfers(system, cells: int, d: int, h: float, dtype=float):
-    """Transfers exp(Omega) of y_x = M(x) y over `cells` periodic cells of width h,
-    for skew-symmetric M (the -1 flow's x-system, in z) or anti-Hermitian M
-    (the transposed frame transport): each transfer is orthogonal or unitary.
-
-    Omega = (h/6)(M0 + 4 Mmid + M1) - (h^2/12)[Mmid, M1 - M0] from M at cell
-    i's ends, fine points 2i and 2i + 2 (mod 2 * cells), and its midpoint
-    2i + 1; `system(rows)` gives M at the fine points `rows`, (len(rows), d, d),
-    one block of cells at a time.  Each block's generators are exponentiated
-    as soon as they are built, with the squarings of that block's largest
-    norm, so no temporary spans the grid.
+def magnus4_transfers(fields: np.ndarray, system, h: float) -> np.ndarray:
+    """Transfers exp(Omega) of y_x = M y over the periodic cells of width h
+    between the 2 * cells fine rows of `fields`.  M is linear in the fields:
+    system(f) is M at the rows f, skew-symmetric (the -1 flow's x-system) or
+    anti-Hermitian (the transposed frame transport), so each transfer is
+    orthogonal or unitary; system(fields[:0]) gives M's size and type.
+    Cell i has ends 2i and 2i + 2 (mod 2 * cells), midpoint 2i + 1, and
+    Omega = (h/6) M(f0 + 4 fmid + f1) - (h^2/12) [M(fmid), M(f1 - f0)]: an
+    x-system's entries are each a field times a power of two, so this is the
+    Omega of M's values bit for bit.  Each block of cells is exponentiated as
+    soon as it is built, with its own squarings: no temporary spans the grid.
     """
-    out = np.empty((cells, d, d), dtype)
+    cells = len(fields) // 2
+    probe = system(fields[:0])
+    d = probe.shape[-1]
+    out = np.empty((cells, d, d), probe.dtype)
     step = max(1, _BLOCK_BYTES // (d * d * out.itemsize))
     for i in range(0, cells, step):
         j = min(i + step, cells)
-        M = system(np.arange(2 * i, 2 * j + 1) % (2 * cells))
-        M0, Mmid, M1 = M[:-1:2], M[1::2], M[2::2]
-        D = M1 - M0
-        comm = Mmid @ D - D @ Mmid
-        out[i:j] = expm_antihermitian((h / 6.0) * (M0 + 4.0 * Mmid + M1) - (h**2 / 12.0) * comm)
+        f = fields[np.arange(2 * i, 2 * j + 1) % (2 * cells)]
+        f0, fmid, f1 = f[:-1:2], f[1::2], f[2::2]
+        Mmid, D = system(fmid), system(f1 - f0)
+        simpson = system(f0 + 4.0 * fmid + f1)
+        out[i:j] = expm_antihermitian((h / 6.0) * simpson - (h**2 / 12.0) * (Mmid @ D - D @ Mmid))
     return out
 
 
 def _sg_transfers_generic(state: StatePair, refine: int) -> np.ndarray:
-    """Magnus-4 generators from the system matrix, exponentiated by the Taylor map."""
+    """The refine * N fine cells' Magnus-4 transfers from the packed fields
+    [u | bu], refined by one transform, and the system matrix."""
     grid = state.grid
-    fine = 2 * refine
-    u_f = gcalc.spectral_refine(state.u.values, grid, fine)
-    bu_f = gcalc.spectral_refine(state.bu.values, grid, fine)
-    return magnus4_transfers(
-        lambda rows: sg_system_matrix(u_f[rows], bu_f[rows]),
-        u_f.shape[0] // 2,
-        4 + 4 * (state.n - 1),
-        grid.dx / refine,
-    )
+    fields = gcalc.spectral_refine(_pack(state.u.values, state.bu.values), grid, 2 * refine)
+    return magnus4_transfers(fields, sg_system_matrix, grid.dx / refine)
 
 
 # n = 1: the system matrix is L(a) + R(a) with a = -Im u, an element of
@@ -585,16 +578,13 @@ def _pair_transfers(pq: np.ndarray) -> np.ndarray:
 
 
 def _sg_grid_transfers(state: StatePair, refine: int):
-    """Transfers T over cells of `every` fine cells, and `every`:
-    prefix_products(T, every) are the scan's rows at the grid points and
-    the monodromy.
-
-    n >= 2 returns the refine * N fine-cell transfers and refine.  n = 1
-    halves its fine cells' pairs while the stride is even, each product in
-    quaternion form and in the association prefix_products would give the
-    4 x 4 transfers, and forms 4 x 4 transfers only for the cells that are
-    left: the N grid cells when refine is a power of two, every fine cell
-    when it is odd.
+    """Transfers T over cells of `every` fine cells, and `every`, whose
+    prefix_products(T, every) are the scan's rows at the grid points and the
+    monodromy: at n >= 2 the refine * N fine cells and refine.  n = 1 pairs
+    its fine cells' quaternions while the stride is even, in the association
+    prefix_products would give the 4 x 4 transfers, and forms 4 x 4
+    transfers for the cells left: the N grid cells when refine is a power of
+    two, every fine cell when it is odd.
     """
     if state.n > 1:
         return _sg_transfers_generic(state, refine), refine

@@ -21,7 +21,9 @@ is then shaped (B,) and every array of the other parts gains a leading B.
 element_from_parts, to_matrix, from_matrix, add, bracket, bracket_projected,
 killing, killing_components and ad_e act on each instance of the batch, in
 the broadcasting convention of quat_core.  Without a batch axis, real-valued
-results stay Python floats.
+results stay Python floats.  m_element and m_components pack a batch's m
+parts as one (B, 4n) array, and x_generator reads the state's packed fields
+[u | bu] as the frame's x-generator.
 """
 
 from __future__ import annotations
@@ -86,18 +88,6 @@ class HPerp:
         return HPerp(-self.s, -self.v)
 
 
-def _zeros_mperp(n):
-    return MPerp(np.zeros(4), np.zeros((n - 1, 4)))
-
-
-def _zeros_hpar(n):
-    return HPar(np.zeros(4), np.zeros((n - 1, n - 1, 4)))
-
-
-def _zeros_hperp(n):
-    return HPerp(np.zeros(4), np.zeros((n - 1, 4)))
-
-
 @dataclass
 class LieElement:
     """Element of u(n+1, H) in the packed 5-slot form."""
@@ -111,12 +101,13 @@ class LieElement:
     def __post_init__(self):
         if self.n < 1:
             raise DomainError("n must be >= 1")
+        k = self.n - 1
         if self.m_perp is None:
-            self.m_perp = _zeros_mperp(self.n)
+            self.m_perp = MPerp(np.zeros(4), np.zeros((k, 4)))
         if self.h_par is None:
-            self.h_par = _zeros_hpar(self.n)
+            self.h_par = HPar(np.zeros(4), np.zeros((k, k, 4)))
         if self.h_perp is None:
-            self.h_perp = _zeros_hperp(self.n)
+            self.h_perp = HPerp(np.zeros(4), np.zeros((k, 4)))
 
     def to_matrix(self) -> np.ndarray:
         """Full (..., n+1, n+1, 4) quaternion matrix."""
@@ -190,11 +181,32 @@ def element_from_parts(n: int, *parts) -> LieElement:
     return g
 
 
+def m_element(comps: np.ndarray, n: int) -> LieElement:
+    """The m element of packed m components (K, 4n): column 0 the m_par
+    coefficient, columns 1-3 the imaginary m_perp scalar, the rest m_perp.v."""
+    v = comps[:, 4:].reshape(len(comps), n - 1, 4)
+    return LieElement(n, m_par=comps[:, 0], m_perp=MPerp(qc.qim(comps[:, :4]), v))
+
+
+def m_components(g: LieElement) -> np.ndarray:
+    """The packed m components of g's m part, m_element's inverse."""
+    s = qc.from_real(g.m_par) + g.m_perp.s
+    return np.concatenate([s, g.m_perp.v.reshape(len(s), -1)], axis=1)
+
+
+def x_generator(fields: np.ndarray, n: int) -> LieElement:
+    """c e + omega_x, omega_x = (u, bu) in h_perp, of packed fields [u | bu]
+    (K, 4n) whose real u column holds c: the frame's e_x + omega_x when c is
+    1/sqrt(chi), omega_x alone when it is 0, as in every state."""
+    v = fields[:, 4:].reshape(len(fields), n - 1, 4)
+    return LieElement(n, m_par=fields[:, 0], h_perp=HPerp(qc.qim(fields[:, :4]), v))
+
+
 def bracket(g1: LieElement, g2: LieElement) -> LieElement:
     """Lie bracket as the matrix commutator, the definition.
 
-    curve_geometry takes every frame bracket from here, batched over the
-    grid; bracket_projected's closed forms are checked against it.
+    curve_geometry's frame brackets and the -1 flow's x-system table come
+    from here; bracket_projected's closed forms are checked against it.
     """
     if g1.n != g2.n:
         raise DimensionMismatchError("mismatched n")

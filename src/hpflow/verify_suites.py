@@ -406,12 +406,12 @@ def geometry_suite(seed: int = 4) -> list[CheckResult]:
 
     sol_grid = gcalc.PeriodicGrid(256, 40.0)
     soliton = sf.preset_mkdv_soliton(sol_grid, n=1, a=1.0)
-    out = cg.map_residuals(soliton, cg.grid_frame(soliton, 8), "mkdv", 2e-3)
+    out = cg.map_residuals(soliton, cg.grid_frame(soliton, cg.FRAME_REFINE), "mkdv", 2e-3)
     results.append(CheckResult("mKdV map residual", 1e-6, out["residual"]))
     results.append(CheckResult("mKdV map tangential component", 1e-5, out["tangential_residual"]))
 
     kink = sf.preset_sg_kink(sol_grid, n=1, a=1.0)
-    wout = cg.map_residuals(kink, cg.grid_frame(kink, 8), "sg", 1e-4)
+    wout = cg.map_residuals(kink, cg.grid_frame(kink, cg.FRAME_REFINE), "sg", 1e-4)
     results.append(CheckResult("wave map residual", 1e-5, wout["residual"]))
     results.append(CheckResult("wave map speed constancy in x", 1e-6, wout["speed_constancy"]))
     return results

@@ -363,13 +363,13 @@ def test_map_residuals_sg_clamps_dt_and_stops_at_snapshot_6(monkeypatch):
 def test_packed_components_round_trip_lie_element(rng, n):
     K = 16
     comps = rng.standard_normal((K, 4 * n))
-    assert np.array_equal(cg._components(cg._element(comps, n)), comps)
+    assert np.array_equal(sl.m_components(sl.m_element(comps, n)), comps)
     g = sl.LieElement(
         n,
         m_par=rng.standard_normal(K),
         m_perp=sl.MPerp(qc.qim(rng.standard_normal((K, 4))), rng.standard_normal((K, n - 1, 4))),
     )
-    back = cg._element(cg._components(g), n)
+    back = sl.m_element(sl.m_components(g), n)
     assert np.array_equal(back.m_par, g.m_par)
     assert np.array_equal(back.m_perp.s, g.m_perp.s)
     assert np.array_equal(back.m_perp.v, g.m_perp.v)
@@ -627,6 +627,24 @@ def test_blocked_frame_transfers_equal_the_whole_array_build(monkeypatch, n, ref
     ):
         T = cg._transport_transfers(state, refine)
         assert np.array_equal(T, _reference_transport_transfers(state, refine))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_frame_generators_equal_the_lie_element_route(rng, n):
+    # the table product is (e_x + omega_x)^t of the LieElement whose m_par is
+    # the fields' column 0, bit for bit
+    K = 32
+    fields = rng.standard_normal((K, 4 * n))
+    g = sl.LieElement(
+        n,
+        m_par=fields[:, 0],
+        h_perp=sl.HPerp(qc.qim(fields[:, :4]), fields[:, 4:].reshape(K, n - 1, 4)),
+    )
+    expected = np.swapaxes(qc.qmat_to_complex(g.to_matrix()), -1, -2)
+    assert np.array_equal(cg._frame_system(n)(fields), expected)
+    # the table's entries are 0 and +-1: the unit fields' matrices
+    units = cg._frame_system(n)(np.eye(4 * n))
+    assert set(np.unique(units.view(float))) <= {-1.0, 0.0, 1.0}
 
 
 def _peak_allocation(f):

@@ -765,7 +765,7 @@ def test_sg_system_matrix_is_form_skew(rng):
         grid = gcalc.PeriodicGrid(32, 8.0)
         state = random_state(rng, grid, n, amplitude=0.6)
         m = n - 1
-        M = _z_to_y(sf.sg_system_matrix(state.u.values, state.bu.values), m)
+        M = _z_to_y(sf.sg_system_matrix(sf._pack(*state.arrays())), m)
         B = np.diag(np.concatenate([[1.0], 0.25 * np.ones(3), np.ones(4 * m)]))
         defect = np.swapaxes(M, -1, -2) @ B + B @ M
         assert np.max(np.abs(defect)) <= 1e-13
@@ -780,7 +780,7 @@ def test_sg_system_matrix_is_the_paper_x_system(rng, n):
     h_s = qc.qim(rng.standard_normal((K, 4)))
     h_v = rng.standard_normal((K, m, 4))
     z = np.concatenate([h_par[:, None], h_s[:, 1:] / 2.0, h_v.reshape(K, -1)], axis=1)
-    M = sf.sg_system_matrix(u, bu)
+    M = sf.sg_system_matrix(sf._pack(u, bu))
     dz = (M @ z[:, :, None])[:, :, 0]
 
     def as_z(d_par, d_s, d_v):
@@ -800,6 +800,42 @@ def test_sg_system_matrix_is_the_paper_x_system(rng, n):
     if n == 1:
         a = -qc.qim(u)
         assert np.array_equal(M, qc.left_mult_matrix(a) + qc.right_mult_matrix(a))
+
+
+def _hand_system_matrix(u, bu):
+    """The x-system's matrix in z laid out by hand, block by block, from
+    quat_core's L and R matrices: the reference for the table product."""
+    K = u.shape[0]
+    m = bu.shape[1]
+    d = 4 + 4 * m
+    M = np.zeros((K, d, d))
+    # h_par row: 2 dot3(u, z_s) + sum_l dot4(bu_l, h_v_l)
+    M[:, 0, 1:4] = 2.0 * u[:, 1:4]
+    if m:
+        Lu = qc.left_mult_matrix(u)
+    for l in range(m):
+        c0 = 4 + 4 * l
+        M[:, 0, c0 : c0 + 4] = bu[:, l, :]
+        M[:, c0 : c0 + 4, 0] = -bu[:, l, :]
+        # h_s-h_v coupling: -h_s bu / 2 = -R(bu_l) z_s, -C(bu, h_v) / 2 = R(bu_l)^T h_v_l
+        Rb = qc.right_mult_matrix(bu[:, l, :])[:, :, 1:4]
+        M[:, c0 : c0 + 4, 1:4] = -Rb
+        M[:, 1:4, c0 : c0 + 4] = np.swapaxes(Rb, 1, 2)
+        M[:, c0 : c0 + 4, c0 : c0 + 4] -= Lu
+    M[:, 1:4, 0] = -2.0 * u[:, 1:4]
+    return M
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sg_system_matrix_equals_the_hand_layout(rng, n):
+    # the table from symm_lie.bracket holds 0, +-1 and +-2 only, so its
+    # product is the hand layout bit for bit
+    state = random_state(rng, gcalc.PeriodicGrid(64, 8.0), n, amplitude=0.6)
+    table = sf._system_table(n)
+    assert set(np.unique(table)) <= {-2.0, -1.0, 0.0, 1.0, 2.0}
+    assert not table[0].any()  # u's real column has weight zero
+    M = sf.sg_system_matrix(sf._pack(*state.arrays()))
+    assert np.array_equal(M, _hand_system_matrix(*state.arrays()))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -880,6 +916,32 @@ def test_sg_kink_matches_classical_sine_gordon():
         s_plus = sf.sg_step(s_plus, dt, branch="+", refine=8)
     exact_short = sf.sg_kink_profile(grid, a, grid.length / 2, 4 * dt)
     assert np.max(np.abs(s_plus.u.values[:, 1] - exact_short)) > 1e-4
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sg_vector_channel_kink_is_exact(n):
+    # u = 0, bu = 2a sech(a(x - x0) + t/a) e in slot 0 is an exact -1-flow
+    # solution (h_v . e = chi sin Psi, Psi = int f = 2 pi): the x-system's h_v
+    # rows carry it.  The error, 2.9e-9 at n = 2 and 3, is the same at dt
+    # 1e-2, 5e-3 and 2.5e-3 and at refine 4, 8 and 16: it is the kink's tail
+    # cut at the seam, 1.2e-7 at L = 32 and 6.9e-11 at L = 48.
+    grid = gcalc.PeriodicGrid(256, 40.0)
+    a, x0, t_end = 1.0, grid.length / 2, 0.1
+    e = np.array([0.0, 0.6, 0.0, 0.8])
+
+    def kink(t):
+        bu = np.zeros((256, n - 1, 4))
+        bu[:, 0] = (2.0 * a / np.cosh(a * (grid.x - x0) + t / a))[:, None] * e
+        return bu
+
+    state = bo.make_state(grid, np.zeros((256, 4)), kink(0.0))
+    config = sf.SimConfig(n=n, grid=grid, dt=5e-3, t_end=t_end, flow="sg", sg_refine=8)
+    traj = sf.run_flow(config, state)
+    final = traj.states[-1]
+    assert traj.times[-1] == t_end
+    assert np.max(np.abs(final.bu.values - kink(t_end))) <= 1e-8
+    assert np.max(np.abs(final.u.values)) <= 1e-15
+    assert traj.x_solve[2]["seam_mismatch"] <= 2e-7
 
 
 def test_sg_zero_state_stays_zero():
@@ -1474,7 +1536,7 @@ def _reference_sg_transfers(state, refine):
     u_f = gcalc.spectral_refine(state.u.values, grid, fine)
     bu_f = gcalc.spectral_refine(state.bu.values, grid, fine)
     m = state.n - 1
-    M = _z_to_y(sf.sg_system_matrix(u_f, bu_f), m)
+    M = _z_to_y(_hand_system_matrix(u_f, bu_f), m)
     return _whole_array_transfers(M, grid.dx / refine, _sqrt_form(m))
 
 
@@ -1496,21 +1558,32 @@ def test_blocked_sg_transfers_equal_the_whole_array_build(monkeypatch, n, refine
     assert np.array_equal(_z_to_y(T, n - 1), _reference_sg_transfers(state, refine))
 
 
-def _skew_stack(rng, K, d):
-    A = rng.standard_normal((2 * K, d, d))
-    return A - np.swapaxes(A, -1, -2)
+def _linear_skew_system(rng, F, d):
+    """A random linear system of F fields: a skew table whose every entry above
+    the diagonal is one random field times a random +-1 or +-2, so each
+    matrix entry is a field times a power of two, as in the x-systems."""
+    table = np.zeros((F, d, d))
+    rows, cols = np.triu_indices(d, 1)
+    weights = rng.choice([-2.0, -1.0, 1.0, 2.0], len(rows))
+    fields = rng.integers(0, F, len(rows))
+    table[fields, rows, cols] = weights
+    table[fields, cols, rows] = -weights
+    table = table.reshape(F, d * d)
+    return lambda f: (f @ table).reshape(len(f), d, d)
 
 
 def test_magnus4_transfers_square_each_block_by_its_own_norm(monkeypatch, rng):
     # one block of large cells: it squares, and the small cells' blocks keep
     # their own count
-    K, d, h = 45, 8, 0.01
-    M = _skew_stack(rng, K, d)
-    M[29:42:2] *= 400.0  # the midpoints of cells 14..20, block 2 of 7 cells
+    K, F, d, h = 45, 6, 8, 0.01
+    system = _linear_skew_system(rng, F, d)
+    fields = rng.standard_normal((2 * K, F))
+    fields[29:42:2] *= 400.0  # the midpoints of cells 14..20, block 2 of 7 cells
+    M = system(fields)
     cells_per_block(monkeypatch, 7, d)
     norms, max_norm = [], sf._max_norm
     monkeypatch.setattr(sf, "_max_norm", lambda Z: norms.append(len(Z)) or max_norm(Z))
-    T = sf.magnus4_transfers(lambda rows: M[rows], K, d, h)
+    T = sf.magnus4_transfers(fields, system, h)
     assert norms == [7, 7, 7, 7, 7, 7, 3]  # each block's norm is taken once
     monkeypatch.setattr(sf, "_max_norm", max_norm)
     assert np.array_equal(T, _whole_array_transfers(M, h))
@@ -1522,17 +1595,18 @@ def test_magnus4_transfers_square_each_block_by_its_own_norm(monkeypatch, rng):
 
 
 def test_magnus4_transfers_zero_and_non_finite_input(monkeypatch, rng):
-    K, d = 45, 8
+    K, F, d = 45, 6, 8
+    system = _linear_skew_system(rng, F, d)
     cells_per_block(monkeypatch, 7, d)
-    zero = sf.magnus4_transfers(lambda rows: np.zeros((len(rows), d, d)), K, d, 0.1)
+    zero = sf.magnus4_transfers(np.zeros((2 * K, F)), system, 0.1)
     np.testing.assert_array_equal(zero, np.broadcast_to(np.eye(d), (K, d, d)))
     # a NaN at fine point 60 is an end of cells 29 and 30: their transfers
     # are non-finite, the others finite, as in the whole-array build
-    M = _skew_stack(rng, K, d)
-    M[60, 2, 5] = np.nan
+    fields = rng.standard_normal((2 * K, F))
+    fields[60, 2] = np.nan
     with np.errstate(invalid="ignore"):
-        T = sf.magnus4_transfers(lambda rows: M[rows], K, d, 0.1)
-        ref = _whole_array_transfers(M, 0.1)
+        T = sf.magnus4_transfers(fields, system, 0.1)
+        ref = _whole_array_transfers(system(fields), 0.1)
     finite = np.all(np.isfinite(T), axis=(-2, -1))
     assert np.flatnonzero(~finite).tolist() == [29, 30]
     assert np.array_equal(finite, np.all(np.isfinite(ref), axis=(-2, -1)))
