@@ -36,9 +36,9 @@ judgment: it co-evolves the state and frame and reads the residuals at its
 snapshot.  MAP_CHECKS holds each flow kind's co-evolution and check; a kind
 it lacks (hierarchy) has neither.
 
-The algebra is symm_lie's: e_x + omega_x is tabulated from its x_generator,
-e_t + omega_t is one LieElement batched over the grid, both turned into
-matrices by to_matrix, and every frame bracket is symm_lie.bracket.
+The algebra is symm_lie's: e_x + omega_x and e_t + omega_t are products of
+packed components with one table built once per n by to_matrix, and every
+frame bracket is symm_lie.bracket.
 """
 
 from __future__ import annotations
@@ -83,14 +83,30 @@ FRAME_REFINE = 8
 
 
 @functools.cache
+def _generator_table(n: int) -> np.ndarray:
+    """Complex embeddings (D, d, d) of u(n+1, H)'s unit packed components, laid
+    out [m | h_perp | h_par]: m as symm_lie.m_components lays it out, h_perp
+    likewise with its real column weighted zero, then h_par's p and mat."""
+    units = np.eye(8 * n + 4 + 4 * (n - 1) ** 2)
+    m, perp = (sl.m_element(units[:, k : k + 4 * n], n) for k in (0, 4 * n))
+    p, mat = units[:, 8 * n : 8 * n + 4], units[:, 8 * n + 4 :].reshape(len(units), n - 1, n - 1, 4)
+    g = sl.LieElement(n, m.m_par, m.m_perp, sl.HPar(p, mat), sl.HPerp(perp.m_perp.s, perp.m_perp.v))
+    return qc.qmat_to_complex(g.to_matrix())
+
+
+def _table_product(packed: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_j packed[:, j] table[j] (K, d, d) of a contiguous table (D, d, d) of
+    0 and +-1 entries: one real product with its float pairs, exact termwise."""
+    D, d = table.shape[:2]
+    return (packed @ table.view(float).reshape(D, -1)).view(complex).reshape(len(packed), d, d)
+
+
+@functools.cache
 def _frame_system(n: int):
-    """The frame's x-system, (e_x + omega_x)^t (K, d, d) in the complex
-    embedding, of packed fields (K, 4n) whose real u column holds 1/sqrt(chi):
-    one real product with a table of x_generator's unit fields, built once
-    per n, whose entries (0 and +-1) are viewed as float pairs."""
-    A_t = np.swapaxes(qc.qmat_to_complex(sl.x_generator(np.eye(4 * n), n).to_matrix()), -1, -2)
-    table = np.ascontiguousarray(A_t).view(float).reshape(4 * n, -1)
-    return lambda f: (f @ table).view(complex).reshape(len(f), 2 * n + 2, 2 * n + 2)
+    """The frame's x-system (e_x + omega_x)^t of packed fields (K, 4n) whose real
+    u column holds 1/sqrt(chi): the generator table's m_par and h_perp rows."""
+    table = np.ascontiguousarray(_generator_table(n)[np.r_[0, 4 * n + 1 : 8 * n]].swapaxes(1, 2))
+    return lambda f: _table_product(f, table)
 
 
 def _transport_transfers(state: StatePair, refine: int) -> np.ndarray:
@@ -315,39 +331,30 @@ def flow_operator_inverse(n: int) -> np.ndarray:
 
 # -- frame evolution in time -----------------------------------------------------
 
-def _time_matrices(n: int, h_par, hs, hv, omega_t=(None, None)) -> np.ndarray:
-    """e_t + omega_t in the complex embedding for the curve flow with
-    covariants (h_par, h_s, h_v): e_t = (h_par, h_s/2, -h_v)/sqrt(chi) in m,
-    and omega_t its (HPar, HPerp) parts in h, zero when not given."""
+def _time_matrices(n: int, h_par, hs, hv, *omega_t) -> np.ndarray:
+    """e_t + omega_t for the curve flow with covariants (h_par, h_s, h_v): one
+    product of e_t = (h_par, h_s/2, -h_v)/sqrt(chi) and omega_t's h_perp and
+    h_par parts (w_s, w_v, w_par, W_par), if given, with the generator table."""
     rc = np.sqrt(chi(n))
-    g = sl.LieElement(
-        n,
-        m_par=h_par / rc,
-        m_perp=sl.MPerp(hs / (2.0 * rc), -hv / rc),
-        h_par=omega_t[0],
-        h_perp=omega_t[1],
-    )
-    return qc.qmat_to_complex(g.to_matrix())
+    e_t = [(h_par / rc)[:, None], hs[:, 1:] / (2.0 * rc), -hv.reshape(len(hv), -1) / rc]
+    packed = np.concatenate(e_t + [w.reshape(len(w), -1) for w in omega_t], axis=1)
+    return _table_product(packed, _generator_table(n)[: packed.shape[1]])
 
 
 def _mkdv_time_matrices(state: StatePair) -> np.ndarray:
     """e_t + omega_t for the full +1 flow (convective term kept)."""
-    grid = state.grid
     u, bu = state.arrays()
     N, m = bu.shape[:2]
     # both fields' derivatives from one transform of [u | bu], u alone when m = 0
-    derivs = gcalc.spectral_deriv(sf._pack(u, bu), grid, (1, 2))
+    derivs = gcalc.spectral_deriv(sf._pack(u, bu), state.grid, (1, 2))
     ux, u2 = derivs[:, :, :4]
     bux, bu2 = derivs[:, :, 4:].reshape(2, N, m, 4)
     h_par0 = bo._h_par0_local(u, bu)
     # covector pair w_(1) = J(u_x, bu_x) with jet constants, all local
     w1s = 0.25 * u2 + 0.25 * qc.comm_C_vec(bu, bux) + h_par0[:, None] * u
     w1v = bu2 + 0.5 * qc.scalar_vec(ux, bu) + qc.scalar_vec(u, bux) + h_par0[:, None, None] * bu
-    omega_t = (
-        sl.HPar(bo._w_par1_local(u, bu, ux, bux), bo._W_par1_local(u, bu, bux)),
-        sl.HPerp(w1s, w1v),
-    )
-    return _time_matrices(state.n, h_par0, ux, bux, omega_t)
+    w_par, W_par = bo._w_par1_local(u, bu, ux, bux), bo._W_par1_local(u, bu, bux)
+    return _time_matrices(state.n, h_par0, ux, bux, w1s, w1v, w_par, W_par)
 
 
 def _sg_time_matrices(state: StatePair, branch: str, refine: int) -> np.ndarray:
@@ -415,7 +422,7 @@ def evolve_with_frame(
     dt: float,
     steps: int,
     branch: str = "-",
-    sg_refine: int = 8,
+    sg_refine: int = sf.SG_REFINE,
     x_solve=None,
 ) -> FrameTrajectory:
     """Co-evolve the state and the frame field psi(t, x), from frame0, the
@@ -544,7 +551,7 @@ def verify_wave_map(traj: FrameTrajectory, idx: int) -> dict:
 
 def map_residuals(
     state: StatePair, frame: FrameState, flow: str, dt: float,
-    branch: str = "-", sg_refine: int = 8, x_solve=None,
+    branch: str = "-", sg_refine: int = sf.SG_REFINE, x_solve=None,
 ) -> dict:
     """The map check of flow from state and its frame: co-evolve both by the
     protocol of the kind's MAP_CHECKS row and read verify_mkdv_map or

@@ -75,6 +75,7 @@ from .symm_lie import chi
 DEFAULT_CFL_CONSTANT = 0.05
 # Orszag's 2/3 rule: the +1 flow's stage states keep the lower 2/3 of the modes
 DEFAULT_PROJECT_FRACTION = 2.0 / 3.0
+SG_REFINE = 8  # the -1 flow's x-solve refine where no caller gives one
 
 
 @dataclass
@@ -88,7 +89,7 @@ class SimConfig:
     flow: str = "mkdv"
     galilean_removed: bool = True
     sg_branch: str = "-"
-    sg_refine: int = 8
+    sg_refine: int = SG_REFINE
     hierarchy_level: int = 1
     cadence: int = 1
     cfl_constant: float = DEFAULT_CFL_CONSTANT
@@ -368,12 +369,13 @@ def sg_system_matrix(fields: np.ndarray) -> np.ndarray:
 def _system_table(n: int) -> np.ndarray:
     """Row j: z -> -[omega_x, z] for the j-th unit field, from symm_lie.bracket,
     in m components with h_v negated, as e_t = (h_par, h_s/2, -h_v) / sqrt(chi).
-    u's real column is x_generator's e, and [e, m] lies in h: its row is 0."""
+    omega_x = (u, bu) lies in h_perp, which has no real column: u's row is 0."""
     d = 4 * n
     flip = np.ones(d)
     flip[4:] = -1.0
     # row j * d + k pairs the j-th unit field with the k-th unit z
-    omega = sl.x_generator(np.repeat(np.eye(d), d, axis=0), n)
+    perp = sl.m_element(np.repeat(np.eye(d), d, axis=0), n).m_perp
+    omega = sl.LieElement(n, h_perp=sl.HPerp(perp.s, perp.v))
     z = sl.m_element(np.tile(np.diag(flip), (d, 1)), n)
     columns = -flip * sl.m_components(sl.bracket(omega, z))
     return np.swapaxes(columns.reshape(d, d, d), 1, 2).reshape(d, d * d)
@@ -629,7 +631,7 @@ def _readout(z: np.ndarray) -> np.ndarray:
 def sg_solve_h(
     state: StatePair,
     branch: str = "-",
-    refine: int = 8,
+    refine: int = SG_REFINE,
     richardson_check: bool = False,
     richardson_tol: float = 1e-6,
 ):
@@ -694,7 +696,7 @@ def sg_step(
     state: StatePair,
     dt: float,
     branch: str = "-",
-    refine: int = 8,
+    refine: int = SG_REFINE,
     t: float = 0.0,
     on_state_solve=None,
 ) -> StatePair:

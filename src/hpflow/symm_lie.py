@@ -22,8 +22,7 @@ element_from_parts, to_matrix, from_matrix, add, bracket, bracket_projected,
 killing, killing_components and ad_e act on each instance of the batch, in
 the broadcasting convention of quat_core.  Without a batch axis, real-valued
 results stay Python floats.  m_element and m_components pack a batch's m
-parts as one (B, 4n) array, and x_generator reads the state's packed fields
-[u | bu] as the frame's x-generator.
+parts as one (B, 4n) array.
 """
 
 from __future__ import annotations
@@ -192,14 +191,6 @@ def m_components(g: LieElement) -> np.ndarray:
     """The packed m components of g's m part, m_element's inverse."""
     s = qc.from_real(g.m_par) + g.m_perp.s
     return np.concatenate([s, g.m_perp.v.reshape(len(s), -1)], axis=1)
-
-
-def x_generator(fields: np.ndarray, n: int) -> LieElement:
-    """c e + omega_x, omega_x = (u, bu) in h_perp, of packed fields [u | bu]
-    (K, 4n) whose real u column holds c: the frame's e_x + omega_x when c is
-    1/sqrt(chi), omega_x alone when it is 0, as in every state."""
-    v = fields[:, 4:].reshape(len(fields), n - 1, 4)
-    return LieElement(n, m_par=fields[:, 0], h_perp=HPerp(qc.qim(fields[:, :4]), v))
 
 
 def bracket(g1: LieElement, g2: LieElement) -> LieElement:

@@ -355,7 +355,7 @@ def flow_suite(seed: int = 3) -> list[CheckResult]:
     kink_solves = []  # the first stage of the first step solves the kink itself
     for i in range(steps):
         on_solve = kink_solves.append if i == 0 else None
-        s = sf.sg_step(s, dt, branch="-", refine=8, t=i * dt, on_state_solve=on_solve)
+        s = sf.sg_step(s, dt, branch="-", refine=sf.SG_REFINE, t=i * dt, on_state_solve=on_solve)
     exact = sf.sg_kink_profile(kink_grid, 1.0, kink_grid.length / 2, steps * dt)
     results.append(
         CheckResult(

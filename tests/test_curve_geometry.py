@@ -315,6 +315,26 @@ def test_mkdv_map_residual_falls_with_dt_squared(n):
         for h in (dt, dt / 2)
     )
     assert 3.5 <= coarse / fine <= 4.5
+    # 1.1e-7, 6.6e-8 and 5.3e-8 at n = 1, 2, 3; 0.49 and 0.52 at n = 2, 3 with
+    # h_v's sign flipped in e_t, which leaves the ratio near 1
+    assert coarse <= 1e-6
+
+
+def test_wave_map_frame_velocity_on_the_vector_kink():
+    # gamma_t in frame components is e_t = (h_par, h_s/2, -h_v)/sqrt(chi) of the
+    # state's x-solve.  On the vector kink h_v carries the flow (on the u-channel
+    # kink it is 0), so this sees its sign.  The error is the time differencing's:
+    # 5.8e-6 at dt 1e-3, 1.5e-6 at 5e-4, and 1.6 with h_v's sign flipped.
+    n = 2
+    grid = gcalc.PeriodicGrid(256, 40.0)
+    bu = np.zeros((256, n - 1, 4))
+    bu[:, 0] = (2.0 / np.cosh(grid.x - grid.length / 2))[:, None] * [0.0, 0.6, 0.0, 0.8]
+    state = bo.make_state(grid, np.zeros((256, 4)), bu)
+    traj = cg.evolve_with_frame(state, cg.grid_frame(state), "sg", 1e-3, 6)
+    gamma_t, _ = cg.pull_to_frame(traj.frames[5], cg._curve_time_velocity(traj, 5))
+    h, h_par, _ = sf.sg_solve_h(traj.states[5])
+    e_t = sf._pack(np.column_stack([h_par.values, 0.5 * h.hs.values[:, 1:]]), -h.hv.values)
+    assert _rel_err(gamma_t, e_t / np.sqrt(chi(n))) <= 5e-5
 
 
 def test_wave_map_kink():
