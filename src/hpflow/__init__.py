@@ -36,8 +36,6 @@ from .curve_geometry import (
     geometric_invariants,
     reconstruct_curve,
     transport_frame,
-    verify_mkdv_map,
-    verify_wave_map,
 )
 from .grid_calculus import Field, PeriodicGrid, integrate
 from .soliton_flows import (

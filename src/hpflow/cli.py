@@ -388,6 +388,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_hierarchy(args) -> int:
+    if args.lmax < 0:
+        raise ConfigError(f"--lmax = {args.lmax} must be >= 0")
     _, state, _, outdir = _prologue(args)
     grid = state.grid
     try:
@@ -471,8 +473,6 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None and args.seed < 0:  # every command takes --seed
             raise ConfigError(f"--seed = {args.seed} must be >= 0")
-        if args.command == "hierarchy" and args.lmax < 0:
-            raise ConfigError(f"--lmax = {args.lmax} must be >= 0")
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -31,14 +31,14 @@ the constant e_x (frame_tangent), the covariant derivative is
 D_x + [omega_x, .] and the curve-flow operator acts diagonally on the
 tangent decomposition with eigenvalues 0, 4/chi, 1/chi.  Frame components
 are packed like the RK4 state, one (K, 4 + 4m) array [s | v], symm_lie's m
-components (m_element, m_components).  map_residuals is the one map
-judgment: it co-evolves the state and frame and reads the residuals at its
-snapshot.  MAP_CHECKS holds each flow kind's co-evolution and check; a kind
-it lacks (hierarchy) has neither.
+components (m_element, m_components).  map_residuals is the one way to a
+map judgment: it co-evolves state and frame by a MAP_CHECKS row, whose
+private judge differences psi's columns in time at the row's snapshot; a
+kind MAP_CHECKS lacks (hierarchy) has no co-evolution and no check.
 
-The algebra is symm_lie's: e_x + omega_x and e_t + omega_t are products of
-packed components with one table built once per n by to_matrix, and every
-frame bracket is symm_lie.bracket.
+The algebra is symm_lie's: e_x + omega_x and e_t + omega_t are table
+products (soliton_flows.table_product, as the -1 flow's x-system) with one
+table built once per n by to_matrix; every frame bracket is symm_lie.bracket.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from . import quat_core as qc
 from . import soliton_flows as sf
 from . import symm_lie as sl
 from .biham_ops import StatePair, make_state
-from .errors import DimensionMismatchError, DomainError, GaugeAlignmentError
+from .errors import DimensionMismatchError, DomainError
 from .grid_calculus import Field, PeriodicGrid
 from .symm_lie import chi
 
@@ -94,19 +94,12 @@ def _generator_table(n: int) -> np.ndarray:
     return qc.qmat_to_complex(g.to_matrix())
 
 
-def _table_product(packed: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """sum_j packed[:, j] table[j] (K, d, d) of a contiguous table (D, d, d) of
-    0 and +-1 entries: one real product with its float pairs, exact termwise."""
-    D, d = table.shape[:2]
-    return (packed @ table.view(float).reshape(D, -1)).view(complex).reshape(len(packed), d, d)
-
-
 @functools.cache
 def _frame_system(n: int):
     """The frame's x-system (e_x + omega_x)^t of packed fields (K, 4n) whose real
     u column holds 1/sqrt(chi): the generator table's m_par and h_perp rows."""
     table = np.ascontiguousarray(_generator_table(n)[np.r_[0, 4 * n + 1 : 8 * n]].swapaxes(1, 2))
-    return lambda f: _table_product(f, table)
+    return lambda f: sf.table_product(f, table)
 
 
 def _transport_transfers(state: StatePair, refine: int) -> np.ndarray:
@@ -338,7 +331,7 @@ def _time_matrices(n: int, h_par, hs, hv, *omega_t) -> np.ndarray:
     rc = np.sqrt(chi(n))
     e_t = [(h_par / rc)[:, None], hs[:, 1:] / (2.0 * rc), -hv.reshape(len(hv), -1) / rc]
     packed = np.concatenate(e_t + [w.reshape(len(w), -1) for w in omega_t], axis=1)
-    return _table_product(packed, _generator_table(n)[: packed.shape[1]])
+    return sf.table_product(packed, _generator_table(n)[: packed.shape[1]])
 
 
 def _mkdv_time_matrices(state: StatePair) -> np.ndarray:
@@ -368,7 +361,6 @@ class FrameTrajectory:
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
     frames: list = field(default_factory=list)
-    flow: str = "mkdv"
 
     def append(self, t, state, frame):
         self.times.append(float(t))
@@ -386,25 +378,26 @@ class MapCheck:
     time_matrices: Callable  # (state, sg) -> the frame's e_t + omega_t
     steps: int  # the check's steps, at min(dt, max_dt); it reads snapshot 5
     max_dt: float
-    judge: Callable  # (traj, idx) -> residuals, which simulate writes to `file`
+    judge: Callable  # (traj, idx) -> residuals at snapshot idx, written to `file`
     file: str
 
 
 # The builders call through module names, so a wrapper bound to a name sees
-# every call.  The mKdV co-evolution keeps the convective term; map_residuals
-# says why each protocol takes its steps and dt.
+# every call.  The judges are private: map_residuals, through these rows, is
+# the one way to a map judgment.  The mKdV co-evolution keeps the convective
+# term; map_residuals says why each protocol takes its steps and dt.
 MAP_CHECKS = {
     "mkdv": MapCheck(
         rhs=lambda state, sg, _: lambda s: sf.mkdv_rhs(s, galilean_removed=False),
         fraction=sf.DEFAULT_PROJECT_FRACTION, steps=10, max_dt=math.inf,
         time_matrices=lambda s, sg: _mkdv_time_matrices(s),
-        judge=lambda traj, idx: verify_mkdv_map(traj, idx), file="mkdv_map_residuals.json",
+        judge=lambda traj, idx: _mkdv_map_judge(traj, idx), file="mkdv_map_residuals.json",
     ),
     "sg": MapCheck(
         rhs=lambda state, sg, x_solve: sf._sg_rhs(state.n, *sg, watched=state, solved=x_solve),
         fraction=None, steps=6, max_dt=1e-3,
         time_matrices=lambda s, sg: _sg_time_matrices(s, *sg),
-        judge=lambda traj, idx: verify_wave_map(traj, idx), file="wave_map_residuals.json",
+        judge=lambda traj, idx: _wave_map_judge(traj, idx), file="wave_map_residuals.json",
     ),
 }
 
@@ -443,7 +436,7 @@ def evolve_with_frame(
     sg = (branch, sg_refine)
     rhs = check.rhs(state, sg, x_solve)
 
-    traj = FrameTrajectory(flow=flow)
+    traj = FrameTrajectory()
     traj.append(0.0, state, frame0)
     psi = frame0.psi
     t = 0.0
@@ -464,22 +457,18 @@ def evolve_with_frame(
 
 # -- map verification ------------------------------------------------------------
 
-def _curve_time_velocity(traj: FrameTrajectory, idx: int) -> np.ndarray:
-    """Central-difference d gamma / dt at snapshot idx, vertical part removed."""
-    if idx < 1 or idx > len(traj.times) - 2:
-        raise DomainError("need an interior snapshot for time differencing")
-    if abs(
-        (traj.times[idx + 1] - traj.times[idx]) - (traj.times[idx] - traj.times[idx - 1])
-    ) > 1e-12:
-        raise GaugeAlignmentError("snapshots are not equispaced in time")
-    gp = reconstruct_curve(traj.frames[idx + 1])
-    gm = reconstruct_curve(traj.frames[idx - 1])
-    g0 = reconstruct_curve(traj.frames[idx])
-    dt2 = traj.times[idx + 1] - traj.times[idx - 1]
-    return project_horizontal((gp - gm) / dt2, g0)
+def _column_rate(traj: FrameTrajectory, idx: int, j: int) -> np.ndarray:
+    """Central time difference at snapshot idx, made horizontal there, of
+    gamma (j = 0, psi's first column) or of the unit tangent gamma_x (j = 1,
+    psi's second column times -1/sqrt(chi): the frame's e_x pushed out)."""
+    frames, times = traj.frames, traj.times
+    scale = -(1.0 / np.sqrt(chi(frames[idx].n))) if j else 1.0
+    prev, nxt = (scale * _frame_column(frames[k], j) for k in (idx - 1, idx + 1))
+    dt2 = times[idx + 1] - times[idx - 1]
+    return project_horizontal((nxt - prev) / dt2, reconstruct_curve(frames[idx]))
 
 
-def verify_mkdv_map(traj: FrameTrajectory, idx: int) -> dict:
+def _mkdv_map_judge(traj: FrameTrajectory, idx: int) -> dict:
     """Residual of the geometric mKdV map along a +1-flow trajectory.
 
     The right side inverts the curve-flow operator on the perp part and is
@@ -488,9 +477,7 @@ def verify_mkdv_map(traj: FrameTrajectory, idx: int) -> dict:
     differences the reconstructed curve instead: the independent check that
     the curve matches its frame.
     """
-    if traj.flow != "mkdv":
-        raise DomainError("verify_mkdv_map expects a +1-flow trajectory")
-    velocity = _curve_time_velocity(traj, idx)
+    velocity = _column_rate(traj, idx, 0)
     state = traj.states[idx]
     frame = traj.frames[idx]
     n = state.n
@@ -522,21 +509,12 @@ def verify_mkdv_map(traj: FrameTrajectory, idx: int) -> dict:
     }
 
 
-def verify_wave_map(traj: FrameTrajectory, idx: int) -> dict:
-    """Residuals of the non-stretching wave map along a -1-flow trajectory.
-
-    The unit tangent gamma_x is psi's second column times -1/sqrt(chi): the
-    frame's constant e_x pushed to the ambient space."""
-    if traj.flow != "sg":
-        raise DomainError("verify_wave_map expects a -1-flow trajectory")
-    gamma_t = _curve_time_velocity(traj, idx)
-    frames = traj.frames
-    times = traj.times
-    c = chi(frames[idx].n)
-    scale = -(1.0 / np.sqrt(c))
-    prev, nxt = (scale * _frame_column(frames[k], 1) for k in (idx - 1, idx + 1))
-    dt2 = times[idx + 1] - times[idx - 1]
-    nabla_t_T = project_horizontal((nxt - prev) / dt2, reconstruct_curve(frames[idx]))
+def _wave_map_judge(traj: FrameTrajectory, idx: int) -> dict:
+    """Residuals of the non-stretching wave map along a -1-flow trajectory:
+    nabla_t gamma_x vanishes and |gamma_t| is constant along x."""
+    gamma_t = _column_rate(traj, idx, 0)
+    nabla_t_T = _column_rate(traj, idx, 1)
+    c = chi(traj.frames[idx].n)
     residual = np.sqrt(c * qc.vec_dot(nabla_t_T, nabla_t_T))
 
     speed = np.sqrt(c * qc.vec_dot(gamma_t, gamma_t))
@@ -545,7 +523,7 @@ def verify_wave_map(traj: FrameTrajectory, idx: int) -> dict:
         "residual": float(np.max(residual)),
         "speed_constancy": float(np.max(np.abs(speed - np.mean(speed))) / np.mean(speed)),
         "speed_value": float(np.mean(speed)),
-        "unitarity": frames[idx].unitarity_defect(),
+        "unitarity": traj.frames[idx].unitarity_defect(),
     }
 
 
@@ -554,8 +532,8 @@ def map_residuals(
     branch: str = "-", sg_refine: int = sf.SG_REFINE, x_solve=None,
 ) -> dict:
     """The map check of flow from state and its frame: co-evolve both by the
-    protocol of the kind's MAP_CHECKS row and read verify_mkdv_map or
-    verify_wave_map at snapshot 5; x_solve goes to evolve_with_frame.
+    protocol of the kind's MAP_CHECKS row and read its judge at snapshot 5,
+    one dt from each neighbour; x_solve goes to evolve_with_frame.
 
     The -1 flow steps at min(dt, 1e-3); its right side is bounded by its
     constraint (|h_s| <= 2 chi, |h_v| <= chi), so its check stops at

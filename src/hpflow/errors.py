@@ -47,9 +47,5 @@ class IntegrationAccuracyError(RuntimeError):
     """An ODE solve failed its accuracy or invariant-drift check."""
 
 
-class GaugeAlignmentError(RuntimeError):
-    """Consecutive frames are not in a consistent gauge."""
-
-
 class ConfigError(ValueError):
     """Invalid or unknown configuration content."""

@@ -357,12 +357,19 @@ def sg_system_matrix(fields: np.ndarray) -> np.ndarray:
     D_x h_v = -h_s bu / 2 - u h_v - h_par bu,
     D_x h_par = -A(u, h_s)/2 + A(bu, h_v)/2.
     It is the isotropy action of omega_x on m, which keeps the constraint
-    |z|^2, and is linear in the fields: one product with a table of 0, +-1
-    and +-2 (_system_table), so each entry is a component of u or bu, or 0,
-    times a power of two, and the matrix is skew-symmetric bit for bit.
+    |z|^2, and is linear in the fields: one table_product with a table of 0,
+    +-1 and +-2 (_system_table), so each entry is a component of u or bu, or
+    0, times a power of two, and the matrix is skew-symmetric bit for bit.
     """
-    K, d = fields.shape
-    return (fields @ _system_table(d // 4)).reshape(K, d, d)
+    return table_product(fields, _system_table(fields.shape[1] // 4))
+
+
+def table_product(packed: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """sum_j packed[:, j] table[j] (K, d, d) of a contiguous real or complex
+    table (D, d, d) whose floats are 0, +-1 or +-2: one real product over
+    those floats, exact termwise."""
+    D, d = table.shape[:2]
+    return (packed @ table.view(float).reshape(D, -1)).view(table.dtype).reshape(len(packed), d, d)
 
 
 @functools.cache
@@ -378,7 +385,7 @@ def _system_table(n: int) -> np.ndarray:
     omega = sl.LieElement(n, h_perp=sl.HPerp(perp.s, perp.v))
     z = sl.m_element(np.tile(np.diag(flip), (d, 1)), n)
     columns = -flip * sl.m_components(sl.bracket(omega, z))
-    return np.swapaxes(columns.reshape(d, d, d), 1, 2).reshape(d, d * d)
+    return np.ascontiguousarray(np.swapaxes(columns.reshape(d, d, d), 1, 2))
 
 
 # Taylor polynomial of degree 12 with scaling and squaring.  Once the scaled

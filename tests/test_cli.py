@@ -280,7 +280,7 @@ def test_sg_map_check_stops_at_its_snapshot(tmp_path, monkeypatch):
     assert steps == 6
     full = evolve(final, frame, flow, dt_check, 10, **kw)
     res = json.loads((tmp_path / "sg" / "wave_map_residuals.json").read_text())
-    assert res == cg.verify_wave_map(full, idx=5)
+    assert res == cg._wave_map_judge(full, idx=5)
 
 
 def test_sg_simulate_hands_its_closing_solve_to_the_map_check(tmp_path, monkeypatch):

@@ -18,7 +18,7 @@ CLASSES = [
 
 
 def test_every_error_class_is_covered():
-    assert set(ARGS) <= set(CLASSES) and len(CLASSES) == 7
+    assert set(ARGS) <= set(CLASSES) and len(CLASSES) == 6
 
 
 @pytest.mark.parametrize("cls", CLASSES, ids=lambda c: c.__name__)

@@ -6,12 +6,15 @@ outside its own definition; a re-export from the package's __init__ is not
 a use, and a verify suite is used through its name in
 verify_suites.SCOPE_SUITES.  No module calls an eigen- or singular-value
 decomposition or a matrix exponential of numpy or scipy: the group
-exponential is soliton_flows.expm_antihermitian.
+exponential is soliton_flows.expm_antihermitian.  No code compares a flow
+kind's name: a kind is a row of soliton_flows.FLOWS and, with a map check,
+of curve_geometry.MAP_CHECKS, and code reads the row.
 """
 
 import ast
 from pathlib import Path
 
+from hpflow import soliton_flows as sf
 from hpflow import verify_suites as vs
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hpflow"
@@ -67,3 +70,18 @@ def test_no_module_calls_a_linalg_decomposition_or_expm():
         in DECOMPOSITIONS
     ]
     assert calls == [], f"use soliton_flows.expm_antihermitian in place of: {calls}"
+
+
+def test_no_library_code_compares_a_flow_kind_name():
+    kinds = set(sf.FLOWS)
+    compares = [
+        f"{module}.py:{node.lineno}: {ast.unparse(node)}"
+        for module, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(
+            isinstance(side, ast.Constant) and isinstance(side.value, str) and side.value in kinds
+            for side in (node.left, *node.comparators)
+        )
+    ]
+    assert compares == [], f"read the kind's FLOWS or MAP_CHECKS row in place of: {compares}"

@@ -944,6 +944,46 @@ def test_sg_vector_channel_kink_is_exact(n):
     assert traj.x_solve[2]["seam_mismatch"] <= 2e-7
 
 
+@pytest.mark.parametrize("n, channel", [(1, "u"), (2, "u"), (2, "v"), (3, "v")])
+def test_J_sends_the_minus_one_flow_to_a_multiple_of_the_state(n, channel):
+    # the -1 flow sits one level below h_(0) = u_x: J h_(-1) = k (u, bu) on the
+    # kink-antikink, which is no travelling wave, psi = 4 arctan((e^eta1 -
+    # e^eta2) / (1 + a12 e^(eta1 + eta2))).  The part orthogonal to (u, bu)
+    # reads 3.1e-7 (u channel) and 7.8e-7 (v channel); J(u_x) leaves 0.11 and
+    # 0.28.  k is set by J's D_x^{-1} constant c, not by the data: k(c) =
+    # c - mean(h_par), 20, 26.667 and 33.333 at c = 0 for n = 1, 2, 3.
+    grid = gcalc.PeriodicGrid(256, 40.0)
+    k, c = np.array([1.0, 1.5]), np.array([-1.0, 1.5])
+    a12 = ((k[0] - k[1]) / (k[0] + k[1])) ** 2
+    e1, e2 = np.exp(k[:, None] * (grid.x - grid.length / 2) + c[:, None])
+    psi_x = gcalc.spectral_deriv(4.0 * np.arctan((e1 - e2) / (1.0 + a12 * e1 * e2)), grid)
+    u, bu = np.zeros((256, 4)), np.zeros((256, n - 1, 4))
+    if channel == "u":
+        u[:, 1] = 0.5 * psi_x
+    else:
+        bu[:, 0] = psi_x[:, None] * [0.0, 0.6, 0.0, 0.8]
+    state, s = bo.make_state(grid, u, bu), sf._pack(u, bu)
+    h, h_par, _ = sf.sg_solve_h(state)
+    mean = float(np.mean(h_par.values))
+
+    def fit(flow, const):  # the multiple of (u, bu) in J flow, and the part orthogonal to it
+        Jh = sf._pack(*bo.apply_J(state, flow, mean_tolerance=np.inf, h_par_const=const).arrays())
+        multiple = np.sum(Jh * s) / np.sum(s * s)
+        orthogonal = np.max(np.abs(Jh - multiple * s))
+        return multiple, orthogonal / (np.max(np.abs(sf._pack(*flow.arrays()))) * np.max(np.abs(s)))
+
+    for const in (0.0, chi(n)):
+        multiple, orthogonal = fit(h, const)
+        assert orthogonal <= 2e-6
+        assert abs(multiple - (const - mean)) <= 1e-9 * abs(const - mean)
+    # at c = mean(h_par), J's h_par is the solve's and the multiple vanishes
+    assert abs(fit(h, mean)[0]) <= 1e-8
+    j_h_par = bo.h_parallel(state, h, np.inf, mean).values
+    assert np.max(np.abs(j_h_par - h_par.values)) <= 1e-6 * chi(n)
+    u_x = bo.make_flow(grid, gcalc.spectral_deriv(u, grid), gcalc.spectral_deriv(bu, grid))
+    assert fit(u_x, 0.0)[1] >= 1e-2
+
+
 def test_sg_zero_state_stays_zero():
     grid = gcalc.PeriodicGrid(32, 8.0)
     state = bo.make_state(grid, np.zeros((32, 4)), np.zeros((32, 0, 4)))
