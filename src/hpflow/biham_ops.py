@@ -159,17 +159,6 @@ def state_deriv(state: StatePair) -> FlowPair:
     )
 
 
-# -- raw-array helpers ---------------------------------------------------------
-
-def _uut_mat(bu, u):
-    """Matrix with entries conj(bu_l) * u * bu_m."""
-    m = bu.shape[1]
-    if m == 0:
-        return np.zeros(bu.shape[:1] + (0, 0, 4))
-    left = qc.qmul(qc.qconj(bu)[:, :, None, :], u[:, None, None, :])
-    return qc.qmul(left, bu[:, None, :, :])
-
-
 # -- the operator pair -------------------------------------------------------
 
 def w_parallel(
@@ -424,8 +413,9 @@ def _w_par1_local(u, bu, ux, bux) -> np.ndarray:
 
 
 def _W_par1_local(u, bu, bux) -> np.ndarray:
-    """Jet antiderivative of the W_parallel integrand at level 1."""
-    return qc.matcomm_C(bu, bux) + _uut_mat(bu, u)
+    """Jet antiderivative of the W_parallel integrand at level 1: bold
+    C(bu, bu_x) plus the matrix of entries conj(bu_l) u bu_k."""
+    return qc.matcomm_C(bu, bux) + qc.scalar_vec(qc.qconj(bu), qc.scalar_vec(u, bu)[:, None])
 
 
 def _density_values(u, bu, grid: PeriodicGrid, l: int) -> np.ndarray:

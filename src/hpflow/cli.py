@@ -10,7 +10,8 @@ flow's x-solve is the line solve: a kind with an x-solve refuses
 grid.mode = "periodic", and the other kinds ignore the key.  The kinds
 with a map check, and the file it writes, are curve_geometry.MAP_CHECKS.
 Exit codes: 0 on success, 1 when a check or run fails, 2 on configuration
-errors.  All numeric output is written in full double precision so runs are
+errors; simulate exits 1 when H0 or H1 drifts past CONSERVATION_DRIFT_BOUND.
+All numeric output is written in full double precision so runs are
 byte-reproducible given the same config and seed.
 """
 
@@ -300,6 +301,11 @@ def _write_snapshot(outdir: Path, index: int, t: float, state: bo.StatePair, for
         gcalc.field_to_binary(outdir / f"snapshot_bu_{index:06d}.qfld", state.bu, state.n)
 
 
+# Every flow conserves H0 and H1: the shipped configs drift 4.5e-6 at most, and
+# runs known to answer wrongly at exit 0 drift 3.5e-2 (the kink with u * 1.01) or more
+CONSERVATION_DRIFT_BOUND = 1e-4
+
+
 def _make_directory(path: str, key: str) -> Path:
     """Make the output directory `path`; a file, or a path under one, is a
     ConfigError naming `key`, the option or config key the path came from."""
@@ -356,12 +362,19 @@ def cmd_simulate(args) -> int:
     try:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             traj = sf.run_flow(sim, state, observer=observer)
+        report = sf.conserved_report(traj)
+        sf.report_to_csv(outdir / "conservation.csv", report)
+        gcalc.report_to_json(outdir / "conservation.json", report.as_dict())
+        # after the files, so a run that fails the bound still leaves them
+        for name, drift in (("H0", report.h0_drift), ("H1", report.h1_drift)):
+            if not drift <= CONSERVATION_DRIFT_BOUND:  # a NaN fails too
+                raise IntegrationAccuracyError(
+                    f"conservation drift of {name} is {drift:.3e}, above the bound "
+                    f"{CONSERVATION_DRIFT_BOUND:.0e}"
+                )
     except (BlowUpError, NonlocalityError, IntegrationAccuracyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    report = sf.conserved_report(traj)
-    sf.report_to_csv(outdir / "conservation.csv", report)
-    gcalc.report_to_json(outdir / "conservation.json", report.as_dict())
 
     if cfg["output"]["reconstruct"]:
         # the map check starts from this frame; the curve is written first, so

@@ -6,9 +6,10 @@ shape (..., m, 4).  Every kernel broadcasts over leading axes, so the same
 functions serve single values, random batches, and grid-sampled fields.
 qmul_pairs multiplies complex pairs (2, ...), q = a + b j with a = q0 + q1 i
 and b = q2 + q3 i, the layout of the -1 flow's grids of unit quaternions.
-The one-pass kernels (comm_C_vec_im, comm_C_im, scalar_vec_sum) serve the
-coupled mKdV right side: each gathers one operand into a small real matrix
-a point and makes one batched matrix product.
+Every product of a quaternion, or of a quaternion vector, with a quaternion
+vector goes through one gather engine (comm_C_vec, scalar_vec, matcomm_C, and
+the stacked comm_C_vec_im and scalar_vec_sum that the coupled mKdV right side
+calls); the scalar commutator comm_C is the explicit cross product.
 
 The scalar algebra follows the generator relations i^2 = j^2 = k^2 = -1,
 ij = -ji = k, jk = -kj = i, ki = -ik = j.  The Hermitian inner product on
@@ -159,14 +160,6 @@ def _check_vec_lengths(x, y):
     return x, y
 
 
-def hermitian_inner(x, y) -> np.ndarray:
-    """<x, y> = sum_l x_l conj(y_l) for vectors shaped (..., m, 4)."""
-    x, y = _check_vec_lengths(x, y)
-    if x.shape[-2] == 0:
-        return np.zeros(np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (4,))
-    return np.sum(qmul(x, qconj(y)), axis=-2)
-
-
 def comm_C(a, b) -> np.ndarray:
     """C(a, b) = ab - ba = (0, 2 Im a x Im b): real parts commute.
 
@@ -195,33 +188,20 @@ def acomm_A_im(a, b) -> np.ndarray:
     return -2.0 * np.add.reduce(np.asarray(a)[..., 1:] * np.asarray(b)[..., 1:], axis=-1)
 
 
-def scalar_vec(a, v) -> np.ndarray:
-    """(a * v_l)_l for a quaternion scalar a and a vector v shaped (..., m, 4)."""
-    v = np.asarray(v, dtype=float)
-    if v.shape[-2] == 0:
-        return v.copy()
-    return qmul(np.asarray(a, dtype=float)[..., None, :], v)
-
-
-def comm_C_vec(x, y) -> np.ndarray:
-    """C(x, y) = <x, y> - <y, x> = 2 Im<x, y>, an imaginary quaternion."""
-    h = hermitian_inner(x, y)
-    return h - qconj(h)
-
-
-# -- one-pass products: signed gathers and one real matrix product ----------
+# -- the gather engine: signed gathers and one real matrix product ----------
 #
 # Each kernel below gathers one operand's signed components into a small
 # real matrix per point, the L(q) entries read off the unit products, and
 # makes one batched matrix product with the other operand's components,
 # taken as they lie.  The gathered matrices are laid out component-major,
-# the point axes innermost, so with two or more points no point's matrix
-# has a unit stride, and np.matmul multiplies each point in a loop of its
-# own with no BLAS call: on matrices this small that costs less than one
-# BLAS call a point.  Within any batch of two or more points a point's bits
-# are therefore the same, whatever the BLAS thread count (a lone point goes
-# to BLAS).  They agree with the componentwise qmul formulas to roundoff,
-# not bit for bit.
+# the point axes innermost, so no point's matrix has a unit stride, a lone
+# point's included, and np.matmul multiplies each point on its own: one row
+# (K = 1) in a loop with no BLAS call, two or more through a contiguous
+# copy and a BLAS product too small to split over threads.  A point's bits
+# are therefore the same in any batch, whatever the BLAS thread count.  The
+# two sum in different orders, so comm_C_vec has the bits of comm_C_vec_im
+# on one vector, not those of a row of a stack.  All agree with the
+# componentwise qmul formulas to roundoff, not bit for bit.
 
 # (c, r) tables of one quaternion's signed components: entry r of
 # 2 Im(x conj(e_c)) and of a e_c, the rows of the real matrix taking y's
@@ -231,11 +211,6 @@ _TABLES = {
     "im_conj": (_L_INDEX[1:].T, 2.0 * (_L_SIGN[1:] * _CONJ_SIGN).T),
     "left": (_L_INDEX.T, _L_SIGN.T),
 }
-# [c, r], r and c imaginary: entry r of C(a, e_c) = a e_c - e_c a is
-# _C_SIGN[c, r] * a[_C_INDEX[c, r]]; zero on the diagonal
-_COMM_UNITS = _UNITS - np.swapaxes(_UNITS, 0, 1)
-_C_INDEX = np.argmax(np.abs(_COMM_UNITS), axis=0)[1:, 1:]
-_C_SIGN = np.sum(_COMM_UNITS, axis=0)[1:, 1:]
 
 
 @functools.lru_cache(maxsize=16)
@@ -254,7 +229,10 @@ def _times_gathered(rows, q, index, sign) -> np.ndarray:
     """rows (..., K, k) times the matrices sign * q[..., index], (..., k, r),
     gathered from q's components (..., c) component-major."""
     points = math.prod(q.shape[:-1])
-    cols = q.reshape(points, q.shape[-1]).T[index]  # (k, r, points), C-contiguous
+    flat = q.reshape(points, q.shape[-1])
+    # (k, r, points): a lone point is gathered twice and read once, so that
+    # its matrix has no unit stride either
+    cols = (flat if points > 1 else flat.repeat(2, axis=0)).T[index][..., :points]
     cols *= sign[..., None]
     return rows @ cols.transpose(2, 0, 1).reshape(q.shape[:-1] + index.shape)
 
@@ -264,20 +242,21 @@ def comm_C_vec_im(x, ys) -> np.ndarray:
     and K vectors ys (..., K, m, 4): x's components gathered, signed and
     conjugated into one (4m, 3) matrix a point, which all K vectors share.
     The real parts, zero, are not formed."""
-    x = np.asarray(x, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    x, ys = _check_vec_lengths(x, ys)
     m = x.shape[-2]
-    if ys.shape[-2:] != (m, 4):
-        raise DimensionMismatchError(f"vector length mismatch: {x.shape[-2:]} vs {ys.shape[-2:]}")
     flat = ys.reshape(ys.shape[:-2] + (4 * m,))
     return _times_gathered(flat, x.reshape(x.shape[:-2] + (4 * m,)), *_block_columns("im_conj", m))
 
 
-def comm_C_im(a, y) -> np.ndarray:
-    """Im C(a, y_k), (..., K, 3), for a quaternion a (..., 4) and the
-    imaginary parts y (..., K, 3) of K quaternions; a's real part enters
-    with zero weight."""
-    return _times_gathered(np.asarray(y, dtype=float), np.asarray(a, dtype=float), _C_INDEX, _C_SIGN)
+def comm_C_vec(x, y) -> np.ndarray:
+    """C(x, y) = <x, y> - <y, x> = 2 Im<x, y>, the Hermitian inner product
+    <x, y> = sum_l x_l conj(y_l): comm_C_vec_im's one-vector case, with an
+    exactly zero real part."""
+    x, y = _check_vec_lengths(x, y)
+    out = np.zeros(np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (4,))
+    if x.shape[-2]:
+        out[..., 1:] = comm_C_vec_im(x, y[..., None, :, :])[..., 0, :]
+    return out
 
 
 def scalar_vec_sum(a, v) -> np.ndarray:
@@ -291,6 +270,15 @@ def scalar_vec_sum(a, v) -> np.ndarray:
     return _times_gathered(flat, a.reshape(a.shape[:-2] + (4 * p,)), *_block_columns("left", p))
 
 
+def scalar_vec(a, v) -> np.ndarray:
+    """(a * v_l)_l for a quaternion scalar a and a vector v shaped (..., m, 4):
+    scalar_vec_sum's one-term case."""
+    v = np.asarray(v, dtype=float)
+    if v.shape[-2] == 0:
+        return v.copy()
+    return scalar_vec_sum(np.asarray(a, dtype=float)[..., None, :], v[..., None, :])
+
+
 def acomm_A_vec(x, y) -> np.ndarray:
     """A(x, y) = <x, y> + <y, x> = 2 Re<x, y>, a real number."""
     x, y = _check_vec_lengths(x, y)
@@ -298,14 +286,14 @@ def acomm_A_vec(x, y) -> np.ndarray:
 
 
 def matcomm_C(x, y) -> np.ndarray:
-    """bold C(x, y) = conj(x)^t y - conj(y)^t x, anti-Hermitian (m x m) matrix."""
+    """bold C(x, y) = conj(x)^t y - conj(y)^t x, anti-Hermitian (m x m) matrix,
+    exactly: P - conj(P)^t for P = conj(x)^t y, whose entries are scalar_vec's."""
     x, y = _check_vec_lengths(x, y)
     m = x.shape[-2]
     if m == 0:
         return np.zeros(np.broadcast_shapes(x.shape[:-2], y.shape[:-2]) + (0, 0, 4))
-    xl = qconj(x)[..., :, None, :]
-    yl = qconj(y)[..., :, None, :]
-    return qmul(xl, y[..., None, :, :]) - qmul(yl, x[..., None, :, :])
+    P = scalar_vec(qconj(x), y[..., None, :, :])
+    return P - qmat_conj_t(P)
 
 
 # -- quaternion matrices, shape (..., r, c, 4) -------------------------------

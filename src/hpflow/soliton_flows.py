@@ -208,17 +208,18 @@ def mkdv_rhs(state: StatePair, galilean_removed: bool = True) -> FlowPair:
     out_s += (1.5 * unormsq).repeat(4).reshape(N, 4) * ux
     # vector row: bu_3x + (3/2)(|bu|^2 - u^2 + u_x) bu_x
     #             + (3/4)(2u|bu|^2 - A(u, u_x) - C(bu, bu_x) + u_2x) bu
-    # The coupling in one pass: C(bu, bu_x) and C(bu, bu_2x) from one product,
-    # their zero real parts not formed; both factors, weighted, in one
-    # (N, 2, 4) array; both scalar-times-vector products summed in one
-    # product.  quat_core's one-pass kernels multiply each grid point on its
-    # own, so a row has the bits of its own call
+    # The coupling in one pass: the imaginary parts of C(bu, bu_x) and
+    # C(bu, bu_2x) from one product; both factors, weighted, in one (N, 2, 4)
+    # array; both scalar-times-vector products summed in one product.
+    # quat_core's gather engine multiplies each grid point on its own, so a
+    # row has the bits of its own call
     if m:
         businormsq = qc.vec_normsq(bu)
         # bu_x and bu_2x as an (N, 2, m, 4) view; C's imaginary parts (N, 2, 3)
         cvecs = qc.comm_C_vec_im(bu, bu_derivs[:2].transpose(1, 0, 2, 3))
-        cvec = cvecs[:, 0]
-        coupled = qc.comm_C_im(u, cvecs[:, :1])[:, 0]
+        cvec = np.zeros((N, 4))
+        cvec[:, 1:] = cvecs[:, 0]
+        coupled = qc.comm_C(u, cvec)[:, 1:]
         coupled += cvecs[:, 1]
         coupled *= 0.75
         out_s[:, 1:] += coupled
@@ -227,7 +228,7 @@ def mkdv_rhs(state: StatePair, galilean_removed: bool = True) -> FlowPair:
         fac[:, 0, 0] += businormsq + unormsq
         np.multiply(u, (2.0 * businormsq)[:, None], out=fac[:, 1])
         fac[:, 1, 0] -= qc.acomm_A_im(u, ux)
-        fac[:, 1, 1:] -= cvec
+        fac[:, 1] -= cvec
         fac[:, 1] += u2
         fac *= _FAC_SCALES
         pairs = np.concatenate([bux, bu], axis=2).reshape(N, m, 2, 4)  # [bu_x | bu]
@@ -804,6 +805,7 @@ class Trajectory:
     times: list = field(default_factory=list)
     states: list = field(default_factory=list)
     sg_constraint_value: list = field(default_factory=list)
+    sg_seam_mismatch: list = field(default_factory=list)
     x_solve: tuple | None = None  # the -1 flow's closing x-solve of states[-1]
 
     def append(self, t, state):
@@ -833,7 +835,8 @@ def run_flow(config: SimConfig, state: StatePair, observer=None) -> Trajectory:
     On the -1 flow each snapshot's constraint comes from the x-solve of the
     next step's first stage, which solves the snapshot state itself; only
     the last snapshot is solved on its own, by its row's x_solve, whose
-    solve traj.x_solve keeps for the map check.
+    solve traj.x_solve keeps for the map check.  Each report gives its
+    snapshot's seam mismatch too.
     """
     if config.grid != state.grid or config.n != state.n:
         raise DimensionMismatchError(
@@ -845,6 +848,7 @@ def run_flow(config: SimConfig, state: StatePair, observer=None) -> Trajectory:
 
     def monitor(info):
         traj.sg_constraint_value.append(float(np.mean(info["constraint"])))
+        traj.sg_seam_mismatch.append(info["seam_mismatch"])
 
     traj.append(0.0, state)
     n_full, last_dt = _step_plan(config.t_end, config.dt)
@@ -874,6 +878,7 @@ class ConservationReport:
     h1_drift: float
     max_re_u: float
     sg_constraint_drift: float | None = None
+    sg_seam_mismatch: list = field(default_factory=list)  # one value a snapshot, sg only
 
     def as_dict(self):
         out = {
@@ -886,6 +891,7 @@ class ConservationReport:
         }
         if self.sg_constraint_drift is not None:
             out["sg_constraint_drift"] = self.sg_constraint_drift
+            out["sg_seam_mismatch"] = self.sg_seam_mismatch
         return out
 
 
@@ -904,7 +910,9 @@ def conserved_report(traj: Trajectory) -> ConservationReport:
     if traj.sg_constraint_value:
         vals = np.asarray(traj.sg_constraint_value)
         sg_drift = float(np.max(np.abs(vals - vals[0])) / max(abs(vals[0]), 1e-30))
-    return ConservationReport(times, h0, h1, drift(h0), drift(h1), max_re, sg_drift)
+    return ConservationReport(
+        times, h0, h1, drift(h0), drift(h1), max_re, sg_drift, traj.sg_seam_mismatch
+    )
 
 
 def report_to_csv(path, report: ConservationReport):

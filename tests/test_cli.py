@@ -184,6 +184,54 @@ def test_sg_simulation_with_wave_map_residual(tmp_path):
     assert res["residual"] <= 1e-5
     report = json.loads((tmp_path / "sg" / "conservation.json").read_text())
     assert report["sg_constraint_drift"] <= 1e-7
+    # one seam mismatch a snapshot, at t = 0, 0.01 and 0.02
+    assert len(report["sg_seam_mismatch"]) == len(report["times"]) == 3
+
+
+def _kink_config(tmp_path, t_end, **initial):
+    """configs/sg_kink.json to t_end, with reconstruct and the map check off."""
+    cfg = json.loads(next(c for c in CONFIGS if c.name == "sg_kink.json").read_text())
+    cfg["flow"]["t_end"] = t_end
+    cfg["initial"].update(initial)
+    cfg["output"].update(directory=str(tmp_path / "kink"), reconstruct=False, map_check=False)
+    path = tmp_path / "kink.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def _assert_drift_exit(cfg, capsys, name):
+    """simulate exits 1 with one error line naming the functional, its drift
+    and the bound, after writing its conservation files."""
+    rc, err = _simulate_quietly(cfg, capsys)
+    assert rc == 1
+    assert err.startswith(f"error: conservation drift of {name} is ")
+    assert err.endswith(f", above the bound {cli.CONSERVATION_DRIFT_BOUND:.0e}\n")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    out = cfg.parent / "kink"
+    assert (out / "conservation.csv").exists() and (out / "conservation.json").exists()
+
+
+def test_simulate_exits_1_when_the_kink_outlives_its_seam(tmp_path, capsys):
+    # the shipped kink to t_end 1.0: the seam opens and H0 drifts 0.26 (ROADMAP
+    # item 23), where to 0.5 it drifts 2.7e-7
+    cfg = _kink_config(tmp_path, 1.0)
+    _assert_drift_exit(cfg, capsys, "H0")
+    report = json.loads((tmp_path / "kink" / "conservation.json").read_text())
+    assert report["H0_relative_drift"] > cli.CONSERVATION_DRIFT_BOUND
+    assert len(report["sg_seam_mismatch"]) == len(report["times"]) == 11
+
+
+def test_simulate_exits_1_on_a_kink_that_is_not_a_whole_turn(tmp_path, capsys, monkeypatch):
+    # u scaled by 1.01 misses the seam by 6.3e-2 and drifts 3.5e-2 in H0 and
+    # 1.6e-1 in H1 by t = 0.1 (ROADMAP item 18)
+    kink = cli.PRESETS["sg_kink"]
+
+    def scaled(grid, n, a=1.0):
+        state = kink(grid, n, a)
+        return bo.make_state(grid, 1.01 * state.u.values, state.bu.values)
+
+    monkeypatch.setitem(cli.PRESETS, "sg_kink", scaled)
+    _assert_drift_exit(_kink_config(tmp_path, 0.1), capsys, "H0")
 
 
 @pytest.mark.parametrize("n", [1, 2])

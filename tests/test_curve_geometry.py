@@ -521,12 +521,7 @@ def test_mkdv_time_matrices_match_block_layout(rng, n):
     h_par0 = bo._h_par0_local(u, bu)
     e_t = _m_matrix(qc.from_real(h_par0 / rc) + ux / (2.0 * rc), -bux / rc)
     w1s = 0.25 * u2 + 0.25 * qc.comm_C_vec(bu, bux) + h_par0[:, None] * u
-    w1v = (
-        bu2
-        + 0.5 * qc.qmul(ux[:, None, :], bu)
-        + qc.qmul(u[:, None, :], bux)
-        + h_par0[:, None, None] * bu
-    )
+    w1v = bu2 + 0.5 * qc.scalar_vec(ux, bu) + qc.scalar_vec(u, bux) + h_par0[:, None, None] * bu
     omega_t = _h_matrix(
         bo._w_par1_local(u, bu, ux, bux), bo._W_par1_local(u, bu, bux), w1s, w1v
     )

@@ -84,43 +84,59 @@ def test_cyclic_trace_identities(rng):
         assert abs(abc + bac) < 1e-13 * (1 + abs(abc))
 
 
+# qmul-composed references for the gather engine's kernels
+def _hermitian_inner(x, y):
+    """<x, y> = sum_l x_l conj(y_l) for vectors (..., m, 4)."""
+    return np.sum(qc.qmul(x, qc.qconj(y)), axis=-2)
+
+
+def _inner_from_kernels(x, y):
+    """<x, y> = (A(x, y) + C(x, y)) / 2 from the library's vector kernels."""
+    return qc.from_real(0.5 * qc.acomm_A_vec(x, y)) + 0.5 * qc.comm_C_vec(x, y)
+
+
 def test_re_pairing_antisymmetry(rng):
-    # Re(a<b,c>) = -Re(a<c,b>) for imaginary a and quaternion vectors b, c
+    # Re(a<b,c>) = -Re(a<c,b>) for imaginary a and quaternion vectors b, c:
+    # only C(b, c) = -C(c, b) enters
     for _ in range(1000):
         a = random_iquat(rng)
         b = random_qvec(rng, 3)
         c = random_qvec(rng, 3)
-        lhs = qc.qre(qc.qmul(a, qc.hermitian_inner(b, c)))
-        rhs = qc.qre(qc.qmul(a, qc.hermitian_inner(c, b)))
+        lhs = qc.qre(qc.qmul(a, _inner_from_kernels(b, c)))
+        rhs = qc.qre(qc.qmul(a, _inner_from_kernels(c, b)))
         assert abs(lhs + rhs) < 1e-12 * (1 + abs(lhs))
 
 
 def test_hermitian_inner_examples(rng):
+    # the Hermitian inner product through comm_C_vec and acomm_A_vec
     x = np.stack([qc.I, qc.J])
-    np.testing.assert_allclose(qc.hermitian_inner(x, x), 2.0 * qc.ONE, atol=1e-15)
+    np.testing.assert_allclose(_inner_from_kernels(x, x), 2.0 * qc.ONE, atol=1e-15)
     y = random_qvec(rng, 2)
-    np.testing.assert_allclose(
-        qc.hermitian_inner(y, np.zeros((2, 4))), np.zeros(4), atol=1e-15
-    )
-    # conj(<x,y>) = <y,x>
+    np.testing.assert_allclose(_inner_from_kernels(y, np.zeros((2, 4))), np.zeros(4), atol=1e-15)
+    # conj(<x,y>) = <y,x>: A symmetric, C antisymmetric
     a, b = random_qvec(rng, 4), random_qvec(rng, 4)
+    assert qc.acomm_A_vec(a, b) == qc.acomm_A_vec(b, a)
+    np.testing.assert_allclose(qc.comm_C_vec(a, b), -qc.comm_C_vec(b, a), atol=1e-12)
     np.testing.assert_allclose(
-        qc.qconj(qc.hermitian_inner(a, b)), qc.hermitian_inner(b, a), atol=1e-12
+        qc.qconj(_inner_from_kernels(a, b)), _inner_from_kernels(b, a), atol=1e-12
     )
-    # Re part is the Euclidean inner product
-    assert abs(qc.qre(qc.hermitian_inner(a, b)) - qc.vec_dot(a, b)) < 1e-12
+    # Re part is the Euclidean inner product; both kernels agree with the product form
+    assert abs(qc.qre(_hermitian_inner(a, b)) - qc.vec_dot(a, b)) < 1e-12
+    np.testing.assert_allclose(_inner_from_kernels(a, b), _hermitian_inner(a, b), atol=1e-12)
 
 
 def test_hermitian_inner_length_mismatch(rng):
-    with pytest.raises(DimensionMismatchError):
-        qc.hermitian_inner(random_qvec(rng, 2), random_qvec(rng, 3))
+    x, y = random_qvec(rng, 2), random_qvec(rng, 3)
+    for kernel in (qc.comm_C_vec, qc.acomm_A_vec, qc.matcomm_C):
+        with pytest.raises(DimensionMismatchError):
+            kernel(x, y)
 
 
 def test_hermitian_inner_positive(rng):
+    # <x, x> = |x|^2: C(x, x) vanishes and A(x, x) is 2|x|^2
     x = random_qvec(rng, 5)
-    h = qc.hermitian_inner(x, x)
-    assert h[0] >= 0.0
-    np.testing.assert_allclose(h[1:], 0.0, atol=1e-12)
+    assert qc.acomm_A_vec(x, x) >= 0.0
+    np.testing.assert_allclose(qc.comm_C_vec(x, x), 0.0, atol=1e-12)
 
 
 def test_comm_examples(rng):
@@ -184,13 +200,14 @@ def test_scalar_vec_matches_componentwise_qmul(rng, m):
         expected[:, l] = qc.qmul(a, v[:, l])
     out = qc.scalar_vec(a, v)
     assert out.shape == (7, m, 4)
-    assert np.array_equal(out, expected)
+    scale = qc.qnorm(a)[:, None] * qc.qnorm(v)
+    assert np.all(np.abs(out - expected) <= 1e-14 * scale[..., None])
     # a single scalar against a single vector
-    assert np.array_equal(qc.scalar_vec(a[0], v[0]), expected[0])
+    assert np.all(np.abs(qc.scalar_vec(a[0], v[0]) - expected[0]) <= 1e-14 * scale[0, :, None])
 
 
-# the one-pass kernels against the componentwise forms, relative to the size
-# of each entry's terms; each BLAS-free product rounds a sum of at most 8m terms
+# the gather engine against the componentwise forms, relative to the size
+# of each entry's terms; each product rounds a sum of at most 8m terms
 def _norm_products(x, y):
     """sum_l |x_l| |y_l| per point, for vectors (..., m, 4)."""
     return np.sum(qc.qnorm(x) * qc.qnorm(y), axis=-1)
@@ -198,26 +215,62 @@ def _norm_products(x, y):
 
 @pytest.mark.parametrize("m", [0, 1, 3])
 def test_comm_C_vec_im_matches_comm_C_vec(rng, m):
+    # comm_C_vec is comm_C_vec_im's one-vector case, bit for bit, with an
+    # exactly zero real part; a stack of K vectors agrees to roundoff
     x, ys = rng.standard_normal((7, m, 4)), rng.standard_normal((7, 3, m, 4))
     got = qc.comm_C_vec_im(x, ys)
     assert got.shape == (7, 3, 3)
     for k in range(3):
         want = qc.comm_C_vec(x, ys[:, k])
         assert np.all(want[:, 0] == 0.0)
+        assert np.array_equal(qc.comm_C_vec_im(x, ys[:, k:k + 1])[:, 0], want[:, 1:])
         scale = 2.0 * _norm_products(x, ys[:, k])[:, None]
         assert np.all(np.abs(got[:, k] - want[:, 1:]) <= 1e-14 * scale)
     with pytest.raises(DimensionMismatchError):
         qc.comm_C_vec_im(x, rng.standard_normal((7, 3, m + 1, 4)))
 
 
-def test_comm_C_im_matches_comm_C(rng):
-    a, y = rng.standard_normal((7, 4)), rng.standard_normal((7, 3, 3))  # a not imaginary
-    got = qc.comm_C_im(a, y)
-    assert got.shape == (7, 3, 3)
-    for k in range(3):
-        want = qc.comm_C(a, np.concatenate([np.zeros((7, 1)), y[:, k]], axis=1))
-        scale = 2.0 * qc.qnorm(a) * np.linalg.norm(y[:, k], axis=-1)
-        assert np.all(np.abs(got[:, k] - want[:, 1:]) <= 1e-14 * scale[:, None])
+@pytest.mark.parametrize("m", [0, 1, 3])
+@pytest.mark.parametrize(
+    "batch_x, batch_y", [((5, 7), (5, 7)), ((7,), (5, 7)), ((), (7,)), ((7,), ())]
+)
+def test_vector_kernels_match_qmul_references(rng, m, batch_x, batch_y):
+    # batch axes that broadcast, a broadcast scalar or vector, and K = 3
+    # stacked vectors, each within 1e-14 of its terms' size
+    x = rng.standard_normal(batch_x + (m, 4))
+    y = rng.standard_normal(batch_y + (m, 4))
+    ys = rng.standard_normal(batch_y + (3, m, 4))
+    a = rng.standard_normal(batch_x + (4,))
+    batch = np.broadcast_shapes(batch_x, batch_y)
+
+    ref = _hermitian_inner(x, y)
+    got = qc.comm_C_vec(x, y)
+    assert got.shape == batch + (4,)
+    assert np.all(got[..., 0] == 0.0)
+    scale = 2.0 * _norm_products(x, y)[..., None]
+    assert np.all(np.abs(got - (ref - qc.qconj(ref))) <= 1e-14 * scale)
+
+    got = qc.comm_C_vec_im(x, ys)
+    assert got.shape == batch + (3, 3)
+    ref = _hermitian_inner(x[..., None, :, :], ys)
+    scale = 2.0 * _norm_products(x[..., None, :, :], ys)[..., None]
+    assert np.all(np.abs(got - 2.0 * ref[..., 1:]) <= 1e-14 * scale)
+
+    got = qc.scalar_vec(a, y)
+    ref = qc.qmul(a[..., None, :], y)
+    if m:
+        assert got.shape == ref.shape
+    scale = qc.qnorm(a)[..., None] * qc.qnorm(y)
+    assert np.all(np.abs(got - ref) <= 1e-14 * scale[..., None])
+
+    got = qc.matcomm_C(x, y)
+    assert got.shape == batch + (m, m, 4)
+    xl, yl = qc.qconj(x)[..., :, None, :], qc.qconj(y)[..., :, None, :]
+    ref = qc.qmul(xl, y[..., None, :, :]) - qc.qmul(yl, x[..., None, :, :])
+    nx, ny = qc.qnorm(x), qc.qnorm(y)
+    scale = nx[..., :, None] * ny[..., None, :] + ny[..., :, None] * nx[..., None, :]
+    assert np.all(np.abs(got - ref) <= 1e-14 * scale[..., None])
+    assert np.array_equal(got, -qc.qmat_conj_t(got))  # anti-Hermitian exactly
 
 
 @pytest.mark.parametrize("m, p", [(0, 2), (1, 1), (1, 2), (3, 2)])
@@ -232,16 +285,19 @@ def test_scalar_vec_sum_matches_scalar_vec(rng, m, p):
 
 def test_one_pass_kernels_rows_equal_their_own_calls(rng):
     # a point's bits do not depend on the other points: a batch of 6 against
-    # the same points called two at a time, and against a 2-D batch of them
+    # the same points called one and two at a time, and against a 2-D batch
     m = 2
     x, ys = rng.standard_normal((6, m, 4)), rng.standard_normal((6, 2, m, 4))
-    a, y = rng.standard_normal((6, 4)), rng.standard_normal((6, 1, 3))
+    y, a = rng.standard_normal((6, m, 4)), rng.standard_normal((6, 4))
     s, v = rng.standard_normal((6, 2, 4)), rng.standard_normal((6, m, 2, 4))
-    for kernel, args in ((qc.comm_C_vec_im, (x, ys)), (qc.comm_C_im, (a, y)),
-                         (qc.scalar_vec_sum, (s, v))):
+    for kernel, args in ((qc.comm_C_vec_im, (x, ys)), (qc.comm_C_vec, (x, y)),
+                         (qc.scalar_vec_sum, (s, v)), (qc.scalar_vec, (a, y)),
+                         (qc.matcomm_C, (x, y))):
         batched = kernel(*args)
         for i in range(0, 6, 2):
             assert np.array_equal(kernel(*(arg[i:i + 2] for arg in args)), batched[i:i + 2])
+        for i in range(6):
+            assert np.array_equal(kernel(*(arg[i] for arg in args)), batched[i])
         grid = kernel(*(arg.reshape((2, 3) + arg.shape[1:]) for arg in args))
         assert np.array_equal(grid.reshape(batched.shape), batched)
 
@@ -269,10 +325,13 @@ def test_matcomm(rng):
 
 def test_empty_vectors_return_additive_identity():
     x = np.zeros((0, 4))
-    np.testing.assert_allclose(qc.hermitian_inner(x, x), np.zeros(4), atol=0)
-    np.testing.assert_allclose(qc.comm_C_vec(x, x), np.zeros(4), atol=0)
+    assert qc.comm_C_vec(x, x).tobytes() == np.zeros(4).tobytes()
+    assert qc.comm_C_vec(np.zeros((5, 0, 4)), x).tobytes() == np.zeros((5, 4)).tobytes()
     assert qc.acomm_A_vec(x, x) == 0.0
     assert qc.matcomm_C(x, x).shape == (0, 0, 4)
+    v = np.zeros((5, 0, 4))
+    out = qc.scalar_vec(qc.I, v)
+    assert out.shape == (5, 0, 4) and out is not v
 
 
 def _sixteen_matmul_qmatmul(a, b):

@@ -1798,12 +1798,10 @@ def test_run_flow_solves_the_sg_x_system_once_per_stage_and_once_at_the_end(
 def test_run_flow_sg_constraint_values_equal_a_solve_per_snapshot(cadence, steps, n):
     cfg, state = _sg_run(cadence, steps, n)
     traj = sf.run_flow(cfg, state)
-    expected = [
-        float(np.mean(sf.sg_solve_h(s, cfg.sg_branch, cfg.sg_refine)[2]["constraint"]))
-        for s in traj.states
-    ]
+    infos = [sf.sg_solve_h(s, cfg.sg_branch, cfg.sg_refine)[2] for s in traj.states]
     assert len(traj.states) == 1 + steps // cadence + (steps % cadence > 0)
-    assert traj.sg_constraint_value == expected
+    assert traj.sg_constraint_value == [float(np.mean(i["constraint"])) for i in infos]
+    assert traj.sg_seam_mismatch == [i["seam_mismatch"] for i in infos]
 
 
 def test_run_flow_sg_with_no_steps_solves_the_initial_state_once(monkeypatch):
@@ -1820,3 +1818,27 @@ def test_run_flow_sg_with_no_steps_solves_the_initial_state_once(monkeypatch):
     assert len(calls) == 1 and calls[0] is state
     assert len(traj.states) == 1 and traj.states[0] is state
     assert len(traj.sg_constraint_value) == 1
+
+
+def test_run_flow_sg_seam_mismatch_rises_at_every_snapshot(monkeypatch):
+    # the seam series is the -1 flow's early alarm (ROADMAP item 23): on the
+    # a = 1 kink it grows from 1.7e-8 to 4.4e-4 by t = 0.3, while H0 drifts
+    # 2.4e-9; it is read from the reports the constraint monitor already reads
+    grid = gcalc.PeriodicGrid(256, 40.0)
+    cfg = sf.SimConfig(n=1, grid=grid, dt=5e-3, t_end=0.3, flow="sg", sg_refine=8, cadence=20)
+    calls = []
+    solve = sf.sg_solve_h
+
+    def spy(s, *args):
+        calls.append(s)
+        return solve(s, *args)
+
+    monkeypatch.setattr(sf, "sg_solve_h", spy)
+    traj = sf.run_flow(cfg, sf.preset_sg_kink(grid, 1))
+    assert len(calls) == 4 * 60 + 1
+    seam = traj.sg_seam_mismatch
+    assert len(seam) == len(traj.states) == 4
+    assert all(later > earlier for earlier, later in zip(seam, seam[1:]))
+    assert seam[0] == pytest.approx(1.65e-8, rel=0.01)
+    assert seam[-1] == pytest.approx(4.4e-4, rel=0.01)
+    assert sf.conserved_report(traj).as_dict()["sg_seam_mismatch"] == seam
