@@ -154,20 +154,20 @@ def gauge_fixed(gamma: np.ndarray, threshold: float = 0.3) -> np.ndarray:
     idx = np.where(sizable.any(axis=1), sizable.argmax(axis=1), norms.argmax(axis=1))
     rows = np.arange(len(idx))
     lam = qc.qconj(gamma[rows, idx]) / norms[rows, idx][:, None]
-    return qc.qmul(gamma, lam[:, None, :])
+    return qc.vec_scalar(gamma, lam)
 
 
 def project_vertical_out(V: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    out = V.copy()
-    for q in (qc.I, qc.J, qc.K):
-        vq = qc.qmul(gamma, q)
-        out = out - qc.vec_dot(out, vq)[:, None, None] * vq
-    return out
+    """Remove the right-phase (vertical) components at the unit vector gamma:
+    V - gamma Im P, P = projective_pairing(gamma, V), since gamma i, gamma j
+    and gamma k are orthonormal and V's components along them are Im P."""
+    return V - qc.vec_scalar(gamma, qc.qim(projective_pairing(gamma, V)))
 
 
 def project_horizontal(V: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Remove the radial and right-phase (vertical) components at gamma."""
-    return project_vertical_out(V - qc.vec_dot(V, gamma)[:, None, None] * gamma, gamma)
+    """Remove the radial and right-phase (vertical) components at the unit
+    vector gamma: V - gamma P, gamma's radial component being Re P."""
+    return V - qc.vec_scalar(gamma, projective_pairing(gamma, V))
 
 
 def _extend_with_monodromy(gamma: np.ndarray, monodromy: np.ndarray, halo: int) -> np.ndarray:
@@ -246,7 +246,7 @@ def reconstruction_errors(state: StatePair) -> tuple[dict, FrameState, dict]:
 
     def horizontal_derivative(W):
         raw = fd6_x(_extend_with_monodromy(W, frame.monodromy, 3), frame.grid.dx)
-        dragged = raw - qc.qmul(W, u_f[:, None, :])
+        dragged = raw - qc.vec_scalar(W, u_f)
         return project_horizontal(dragged, gamma)
 
     N = horizontal_derivative(T)
@@ -559,7 +559,7 @@ def curve_to_csv(path, frame: FrameState):
 
 def projective_pairing(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """sum_l conj(x_l) y_l; right unit-quaternion phases factor out of its norm."""
-    return np.sum(qc.qmul(qc.qconj(x), y), axis=-2)
+    return qc.scalar_vec_sum(qc.qconj(x), y[..., None, :, :])[..., 0, :]
 
 
 _CHORDAL_ROWS = 64

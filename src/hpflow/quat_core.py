@@ -6,10 +6,11 @@ shape (..., m, 4).  Every kernel broadcasts over leading axes, so the same
 functions serve single values, random batches, and grid-sampled fields.
 qmul_pairs multiplies complex pairs (2, ...), q = a + b j with a = q0 + q1 i
 and b = q2 + q3 i, the layout of the -1 flow's grids of unit quaternions.
-Every product of a quaternion, or of a quaternion vector, with a quaternion
-vector goes through one gather engine (comm_C_vec, scalar_vec, matcomm_C, and
-the stacked comm_C_vec_im and scalar_vec_sum that the coupled mKdV right side
-calls); the scalar commutator comm_C is the explicit cross product.
+Every product of a quaternion, a quaternion vector or a quaternion matrix
+with a quaternion vector or matrix goes through one gather engine
+(comm_C_vec, scalar_vec, vec_scalar, matcomm_C, qmatmul, qmat_vecmul, and
+the stacked comm_C_vec_im and scalar_vec_sum that the coupled mKdV right
+side calls); the scalar commutator comm_C is the explicit cross product.
 
 The scalar algebra follows the generator relations i^2 = j^2 = k^2 = -1,
 ij = -ji = k, jk = -kj = i, ki = -ik = j.  The Hermitian inner product on
@@ -18,10 +19,10 @@ inner product of the 4m real components.
 
 Quaternion multiplication is linear in each factor: q p = L(q) p and
 p q = R(q) p for 4x4 real matrices L(q) and R(q), whose entries are signed
-components of q (left_mult_matrix, right_mult_matrix).  A quaternion matrix
-product is one real matrix product through them: the left factor becomes the
-real matrix of blocks L(a_ij) (F. Zhang, Linear Algebra Appl. 251 (1997)
-21-57), whose pair form, with j c = conj(c) j, gives qmul_pairs' rule.
+components of q (left_mult_matrix, right_mult_matrix).  The engine gathers
+them: a quaternion matrix becomes the real matrix of blocks L(a_ij) (F. Zhang,
+Linear Algebra Appl. 251 (1997) 21-57), whose pair form, with
+j c = conj(c) j, gives qmul_pairs' rule.
 """
 
 from __future__ import annotations
@@ -191,36 +192,43 @@ def acomm_A_im(a, b) -> np.ndarray:
 # -- the gather engine: signed gathers and one real matrix product ----------
 #
 # Each kernel below gathers one operand's signed components into a small
-# real matrix per point, the L(q) entries read off the unit products, and
-# makes one batched matrix product with the other operand's components,
-# taken as they lie.  The gathered matrices are laid out component-major,
-# the point axes innermost, so no point's matrix has a unit stride, a lone
-# point's included, and np.matmul multiplies each point on its own: one row
-# (K = 1) in a loop with no BLAS call, two or more through a contiguous
-# copy and a BLAS product too small to split over threads.  A point's bits
-# are therefore the same in any batch, whatever the BLAS thread count.  The
-# two sum in different orders, so comm_C_vec has the bits of comm_C_vec_im
-# on one vector, not those of a row of a stack.  All agree with the
-# componentwise qmul formulas to roundoff, not bit for bit.
+# real matrix per point, blocks of L(q) or R(q) entries read off the unit
+# products, and makes one batched matrix product with the other operand's
+# components, taken as they lie: a quaternion scalar is one block, p stacked
+# scalars a column of p blocks, and an (r, c) quaternion matrix the (4c, 4r)
+# matrix of blocks L(a_ij)^t, which each column of the right factor, its
+# 4c components, multiplies as one row.  The gathered matrices are laid out
+# component-major, the point axes innermost, so no point's matrix has a unit
+# stride, a lone point's included, and np.matmul multiplies each point on
+# its own: one row (K = 1) in a loop with no BLAS call, two or more through
+# a contiguous copy and a BLAS product too small to split over threads.  A
+# point's bits are therefore the same in any batch, whatever the BLAS
+# thread count.  The two sum in different orders, so comm_C_vec has the
+# bits of comm_C_vec_im on one vector, not those of a row of a stack.  All
+# agree with the componentwise qmul formulas to roundoff, not bit for bit.
 
 # (c, r) tables of one quaternion's signed components: entry r of
-# 2 Im(x conj(e_c)) and of a e_c, the rows of the real matrix taking y's
-# components to C(x, y)'s imaginary parts, and to a y (L(a)^t)
+# 2 Im(x conj(e_c)), of a e_c and of e_c a, the rows of the real matrix
+# taking y's components to C(x, y)'s imaginary parts, to a y (L(a)^t) and
+# to y a (R(a)^t)
 _CONJ_SIGN = np.array([1.0, -1.0, -1.0, -1.0])
 _TABLES = {
     "im_conj": (_L_INDEX[1:].T, 2.0 * (_L_SIGN[1:] * _CONJ_SIGN).T),
     "left": (_L_INDEX.T, _L_SIGN.T),
+    "right": (_R_INDEX.T, _R_SIGN.T),
 }
 
 
-@functools.lru_cache(maxsize=16)
-def _block_columns(table: str, p: int):
-    """Index into p quaternions' 4p components, and signs, that gather the
-    real (4p, r) matrix of p blocks of `table`, block q reading quaternion q.
-    Read-only: every caller shares them."""
+@functools.lru_cache(maxsize=64)
+def _block_columns(table: str, p: int, r: int = 1):
+    """Index into r p quaternions' components, and signs, that gather the
+    real (4p, r w) matrix of p x r blocks of `table`, each w columns wide,
+    block (q, i) reading quaternion i p + q: for r > 1, an (r, p) quaternion
+    matrix.  Read-only: every caller shares them."""
     index, sign = _TABLES[table]
-    index = (4 * np.arange(p)[:, None, None] + index).reshape(4 * p, index.shape[1])
-    sign = np.tile(sign, (p, 1))
+    quat = np.arange(p)[:, None] + p * np.arange(r)  # (p, r)
+    index = (4 * quat[:, None, :, None] + index[:, None, :]).reshape(4 * p, r * index.shape[1])
+    sign = np.tile(sign, (p, r))
     index.flags.writeable = sign.flags.writeable = False
     return index, sign
 
@@ -279,6 +287,13 @@ def scalar_vec(a, v) -> np.ndarray:
     return scalar_vec_sum(np.asarray(a, dtype=float)[..., None, :], v[..., None, :])
 
 
+def vec_scalar(v, a) -> np.ndarray:
+    """(v_l * a)_l for a vector v shaped (..., m, 4) and a quaternion scalar
+    a: v's components times R(a)^t, gathered from a."""
+    v = np.asarray(v, dtype=float)
+    return _times_gathered(v, np.asarray(a, dtype=float), *_block_columns("right", 1))
+
+
 def acomm_A_vec(x, y) -> np.ndarray:
     """A(x, y) = <x, y> + <y, x> = 2 Re<x, y>, a real number."""
     x, y = _check_vec_lengths(x, y)
@@ -308,38 +323,10 @@ def qmat_conj_t(a) -> np.ndarray:
     return np.swapaxes(qconj(a), -3, -2)
 
 
-@functools.lru_cache(maxsize=64)
-def _left_blocks(r: int, c: int):
-    """Flat indices into an (r, c, 4) quaternion matrix, and signs, that
-    gather it into the (4r, 4c) real matrix of blocks L(a_ij).  Read-only:
-    every caller shares them."""
-    rows = np.arange(r).repeat(4)[:, None]
-    cols = np.arange(c).repeat(4)[None, :]
-    index = (rows * c + cols) * 4 + np.tile(_L_INDEX, (r, c))
-    sign = np.tile(_L_SIGN, (r, c))
-    index.flags.writeable = sign.flags.writeable = False
-    return index, sign
-
-
-def _qmatmul(a, b) -> np.ndarray:
-    """(..., r, c, 4) times (..., c, k, 4) float arrays, as one real product.
-
-    Block row i of the gathered left factor times the components of column
-    k of b, (4c,), is sum_j L(a_ij) b_jk.  Both operands of the real product
-    are C-contiguous, so a batch takes the same BLAS calls, and gives the
-    same bits, as each of its members."""
-    r, c, k = a.shape[-3], a.shape[-2], b.shape[-2]
-    index, sign = _left_blocks(r, c)
-    left = np.take(a.reshape(a.shape[:-3] + (4 * r * c,)), index, axis=-1)
-    left *= sign
-    right = np.ascontiguousarray(np.swapaxes(b, -1, -2)).reshape(b.shape[:-3] + (4 * c, k))
-    out = left @ right
-    return np.swapaxes(out.reshape(out.shape[:-2] + (r, 4, k)), -1, -2)
-
-
 def qmatmul(a, b) -> np.ndarray:
     """Matrix product of quaternion matrices (..., r, c, 4) and (..., c, k, 4),
-    broadcast over the leading axes as np.matmul does.
+    broadcast over the leading axes as np.matmul does: each column of b
+    times a gathered into its (4c, 4r) blocks L(a_ij)^t.
 
     A 2-D operand, (c, 4), is a quaternion vector, as np.matmul reads a 1-D
     one: a row vector on the left, a column vector on the right, and its
@@ -347,20 +334,22 @@ def qmatmul(a, b) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     row, col = a.ndim == 2, b.ndim == 2
-    out = _qmatmul(a[None] if row else a, b[:, None] if col else b)
+    a, b = (a[None] if row else a), (b[:, None] if col else b)
+    (r, c), k = a.shape[-3:-1], b.shape[-2]
+    cols = np.swapaxes(b, -3, -2).reshape(b.shape[:-3] + (k, 4 * c))
+    out = _times_gathered(cols, a.reshape(a.shape[:-3] + (4 * r * c,)), *_block_columns("left", c, r))
+    out = np.swapaxes(out.reshape(out.shape[:-1] + (r, 4)), -3, -2)
     if row:
         out = out[..., 0, :, :]
     return out[..., 0, :] if col else out
 
 
 def qmat_vecmul(v, a) -> np.ndarray:
-    """Row vector (..., m, 4) times matrix (..., m, m, 4).
+    """Row vector (..., m, 4) times matrix (..., m, m, 4): entry l is
+    sum_j v_j a_jl, scalar_vec_sum of v's entries with a's columns.
 
-    Calls the product kernel, not qmatmul, so qmatmul's calls are the matrix
-    products alone."""
-    v = np.asarray(v, dtype=float)
-    a = np.asarray(a, dtype=float)
-    return _qmatmul(v[..., None, :, :], a)[..., 0, :, :]
+    Not through qmatmul, so qmatmul's calls are the matrix products alone."""
+    return scalar_vec_sum(v, np.swapaxes(np.asarray(a, dtype=float), -3, -2))
 
 
 def qmat_trace(a) -> np.ndarray:

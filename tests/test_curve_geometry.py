@@ -755,8 +755,9 @@ def test_curve_export(tmp_path, rng):
     np.testing.assert_allclose(qc.qnorm(inner), 1.0, atol=1e-10)
 
 
-def _reference_gauge_fixed(gamma, threshold=0.3):
-    """The per-point loop gauge_fixed replaced."""
+def _reference_gauge_fixed(gamma, threshold=0.3, product=qc.vec_scalar):
+    """The per-point loop gauge_fixed replaced, gamma_i lambda_i formed by
+    product(gamma_i, lambda_i)."""
     K, rows, _ = gamma.shape
     out = gamma.copy()
     norms = qc.qnorm(gamma)
@@ -765,7 +766,7 @@ def _reference_gauge_fixed(gamma, threshold=0.3):
             (l for l in range(rows) if norms[i, l] > threshold), int(np.argmax(norms[i]))
         )
         lam = qc.qconj(gamma[i, idx]) / norms[i, idx]
-        out[i] = qc.qmul(gamma[i], lam[None, :])
+        out[i] = product(gamma[i], lam)
     return out
 
 
@@ -782,9 +783,44 @@ def test_gauge_fixed_matches_loop_reference(rng, n):
         assert not np.all(np.any(qc.qnorm(scattered) > 0.9, axis=1))
     for gamma in (curve, scattered):
         for threshold in (0.3, 0.9):
-            np.testing.assert_array_equal(
-                cg.gauge_fixed(gamma, threshold), _reference_gauge_fixed(gamma, threshold)
-            )
+            fixed = cg.gauge_fixed(gamma, threshold)
+            np.testing.assert_array_equal(fixed, _reference_gauge_fixed(gamma, threshold))
+            # the componentwise product agrees to roundoff, not bit for bit
+            by_qmul = _reference_gauge_fixed(gamma, threshold, lambda g, q: qc.qmul(g, q[None, :]))
+            assert np.max(np.abs(fixed - by_qmul)) <= 1e-15
+
+
+def _gram_schmidt_vertical_out(V, gamma):
+    """The three-pass Gram-Schmidt loop over gamma i, gamma j, gamma k that
+    project_vertical_out replaced."""
+    out = V.copy()
+    for q in (qc.I, qc.J, qc.K):
+        vq = qc.qmul(gamma, q)
+        out = out - qc.vec_dot(out, vq)[:, None, None] * vq
+    return out
+
+
+def _gram_schmidt_horizontal(V, gamma):
+    """The radial pass and Gram-Schmidt loop that project_horizontal replaced."""
+    return _gram_schmidt_vertical_out(V - qc.vec_dot(V, gamma)[:, None, None] * gamma, gamma)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_projections_match_gram_schmidt(rng, n):
+    # V - gamma P and V - gamma Im P, P = sum_l conj(gamma_l) V_l, are exact for
+    # unit gamma: max difference 2e-16 to 5.3e-16 of max|V|, pairing with gamma 3.6e-15
+    grid = gcalc.PeriodicGrid(64, 8.0)
+    frame = cg.grid_frame(random_state(rng, grid, n, amplitude=0.8), refine=2)
+    gamma = cg.reconstruct_curve(frame)
+    raw = cg.fd6_x(cg._extend_with_monodromy(gamma, frame.monodromy, 3), grid.dx)
+    for V in (raw, rng.standard_normal(gamma.shape), 1e3 * rng.standard_normal(gamma.shape)):
+        scale = np.max(np.abs(V))
+        horizontal = cg.project_horizontal(V, gamma)
+        vertical_out = cg.project_vertical_out(V, gamma)
+        assert np.max(np.abs(horizontal - _gram_schmidt_horizontal(V, gamma))) <= 1e-15 * scale
+        assert np.max(np.abs(vertical_out - _gram_schmidt_vertical_out(V, gamma))) <= 1e-15 * scale
+        assert np.max(np.abs(cg.projective_pairing(gamma, horizontal))) <= 1e-13 * scale
+        assert np.max(np.abs(qc.qim(cg.projective_pairing(gamma, vertical_out)))) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("n", [1, 2])

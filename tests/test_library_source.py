@@ -6,7 +6,9 @@ outside its own definition; a re-export from the package's __init__ is not
 a use, and a verify suite is used through its name in
 verify_suites.SCOPE_SUITES.  No module calls an eigen- or singular-value
 decomposition or a matrix exponential of numpy or scipy: the group
-exponential is soliton_flows.expm_antihermitian.  No code compares a flow
+exponential is soliton_flows.expm_antihermitian.  quat_core makes one real
+matrix product, its gather engine's, and the operator, flow and frame
+modules form no quaternion product from qmul.  No code compares a flow
 kind's name: a kind is a row of soliton_flows.FLOWS and, with a map check,
 of curve_geometry.MAP_CHECKS, and code reads the row.
 """
@@ -85,3 +87,20 @@ def test_no_library_code_compares_a_flow_kind_name():
         )
     ]
     assert compares == [], f"read the kind's FLOWS or MAP_CHECKS row in place of: {compares}"
+
+
+def test_one_gather_engine_forms_every_quaternion_vector_and_matrix_product():
+    products = [
+        f"quat_core.py:{node.lineno}: {ast.unparse(node)}"
+        for node in ast.walk(MODULES["quat_core"])
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult))
+        or (isinstance(node, ast.Attribute) and node.attr == "matmul")
+    ]
+    assert len(products) == 1, f"quat_core's real matrix products: {products}"
+    qmul_calls = [
+        f"{module}.py:{node.lineno}: {ast.unparse(node)}"
+        for module in ("curve_geometry", "biham_ops", "soliton_flows")
+        for node in ast.walk(MODULES[module])
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("qc.qmul", "qmul")
+    ]
+    assert qmul_calls == [], f"use quat_core's gather engine in place of: {qmul_calls}"

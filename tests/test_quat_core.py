@@ -263,6 +263,11 @@ def test_vector_kernels_match_qmul_references(rng, m, batch_x, batch_y):
     scale = qc.qnorm(a)[..., None] * qc.qnorm(y)
     assert np.all(np.abs(got - ref) <= 1e-14 * scale[..., None])
 
+    got = qc.vec_scalar(y, a)
+    ref = qc.qmul(y, a[..., None, :])
+    assert got.shape == ref.shape
+    assert np.all(np.abs(got - ref) <= 1e-14 * scale[..., None])
+
     got = qc.matcomm_C(x, y)
     assert got.shape == batch + (m, m, 4)
     xl, yl = qc.qconj(x)[..., :, None, :], qc.qconj(y)[..., :, None, :]
@@ -290,9 +295,11 @@ def test_one_pass_kernels_rows_equal_their_own_calls(rng):
     x, ys = rng.standard_normal((6, m, 4)), rng.standard_normal((6, 2, m, 4))
     y, a = rng.standard_normal((6, m, 4)), rng.standard_normal((6, 4))
     s, v = rng.standard_normal((6, 2, 4)), rng.standard_normal((6, m, 2, 4))
+    M = rng.standard_normal((6, m, m, 4))
     for kernel, args in ((qc.comm_C_vec_im, (x, ys)), (qc.comm_C_vec, (x, y)),
                          (qc.scalar_vec_sum, (s, v)), (qc.scalar_vec, (a, y)),
-                         (qc.matcomm_C, (x, y))):
+                         (qc.vec_scalar, (y, a)), (qc.matcomm_C, (x, y)),
+                         (qc.qmat_vecmul, (y, M))):
         batched = kernel(*args)
         for i in range(0, 6, 2):
             assert np.array_equal(kernel(*(arg[i:i + 2] for arg in args)), batched[i:i + 2])

@@ -944,6 +944,40 @@ def test_sg_vector_channel_kink_is_exact(n):
     assert traj.x_solve[2]["seam_mismatch"] <= 2e-7
 
 
+@pytest.mark.parametrize("n, profile", [(2, "v"), (3, "v"), (2, "u")])
+def test_mkdv_vector_channel_soliton_is_exact(n, profile):
+    # u = 0, bu = 2k sech(k(x - x0 + k^2 t)) e in slot 0 is an exact +1-flow
+    # solution: bu's channel is mKdV with no 1/4 in front of f_xxx, carried
+    # by mkdv_rhs's gather-engine couplings.  It reads 1.6e-7 at n = 2 and 3,
+    # u staying 0 to 2.3e-15; the u channel's profile of the same amplitude,
+    # 2k sech(2k(x - x0 + k^2 t)), placed in bu, misses by 0.26.  The error is
+    # the same at half the dt and at twice N: it is the soliton's tail cut at
+    # the seam, 6.9e-6 at L = 30 and 3.8e-9 at L = 50 (n = 2, same dx).
+    grid = gcalc.PeriodicGrid(256, 40.0)
+    k, x0, t_end = 0.75, grid.length / 2, 0.1
+    e = np.array([0.0, 0.6, 0.0, 0.8])
+
+    def soliton(t):
+        bu = np.zeros((256, n - 1, 4))
+        if profile == "v":
+            bu[:, 0] = (2.0 * k / np.cosh(k * (grid.x - x0 + k * k * t)))[:, None] * e
+        else:
+            bu[:, 0] = sf.mkdv_soliton_profile(grid, 2.0 * k, x0, t)[:, None] * e
+        return bu
+
+    state = bo.make_state(grid, np.zeros((256, 4)), soliton(0.0))
+    config = sf.SimConfig(n=n, grid=grid, dt=0.04 * grid.dx**3, t_end=t_end, flow="mkdv")
+    traj = sf.run_flow(config, state)
+    final = traj.states[-1]
+    assert traj.times[-1] == t_end
+    error = np.max(np.abs(final.bu.values - soliton(t_end)))
+    if profile == "v":
+        assert error <= 1e-6
+        assert np.max(np.abs(final.u.values)) <= 1e-14
+    else:
+        assert error >= 1e-3
+
+
 @pytest.mark.parametrize("n, channel", [(1, "u"), (2, "u"), (2, "v"), (3, "v")])
 def test_J_sends_the_minus_one_flow_to_a_multiple_of_the_state(n, channel):
     # the -1 flow sits one level below h_(0) = u_x: J h_(-1) = k (u, bu) on the
